@@ -17,6 +17,7 @@ from cegl import (
     build_segment_graphs,
     coverage_curve,
     derive_segment_labels,
+    forward,
     init_params,
     node_scores,
     pelt,
@@ -66,7 +67,7 @@ for i, g in enumerate(graphs):
     if not labels[i] or shown >= 5:
         continue
     s, e = spans[i]
-    scores = node_scores(g, params)
+    scores = node_scores(forward(g, params))
     picked = topk_select(scores, 2) + s
     truth = np.flatnonzero(annotations.frame_labels[s:e]) + s
     hit = bool(set(picked) & set(truth))

@@ -2,8 +2,9 @@
 
 Each subcommand is a pure function of its input files plus the JSON run
 configuration; all randomness is seeded from the config (the CEGL_SEED
-environment variable overrides the configured seeds when set). Outputs
-are written atomically so failures never leave partial files behind.
+environment variable overrides the configured seeds when set). Every
+output file is written atomically, through a temp file and a rename, so a
+failure never leaves a partial file behind.
 
 Exit codes: 0 success, 1 runtime/numeric failure, 2 usage/config failure.
 """
@@ -22,7 +23,7 @@ import numpy as np
 from . import dataio, metrics, segmentation
 from .dataio import Annotations, FeatureMatrix, SynthConfig
 from .errors import CeglError, ConfigError, DataError, FormatError, NumericError
-from .graph import SimilarityConfig, build_segment_graphs
+from .graph import SegmentGraph, SimilarityConfig, build_segment_graphs
 from .localization import LocalizationResult, node_scores, topk_select, write_localization
 from .model import (
     ModelParams,
@@ -33,7 +34,7 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .segmentation import Partition, SegmentationConfig, default_penalty, pelt
+from .segmentation import SegmentationConfig, pelt
 
 SEED_ENV_VAR = "CEGL_SEED"
 
@@ -46,9 +47,7 @@ SEED_ENV_VAR = "CEGL_SEED"
 class RunConfig:
     synth: SynthConfig | None
     synth_videos: int
-    penalty: float | None  # None selects the per-video default
-    min_len: int
-    cost_kind: str
+    segmentation: SegmentationConfig
     similarity: SimilarityConfig
     layer_dims: tuple[int, ...] | None
     aggregator_kind: str
@@ -58,12 +57,6 @@ class RunConfig:
     train: TrainConfig
     ks: tuple[int, ...]
     localize_all: bool
-
-    def segmentation_config(self, features: FeatureMatrix) -> SegmentationConfig:
-        beta = self.penalty
-        if beta is None:
-            beta = default_penalty(features.frame_count, features.feature_dim)
-        return SegmentationConfig(penalty=beta, min_len=self.min_len, cost_kind=self.cost_kind)
 
 
 def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
@@ -125,17 +118,7 @@ def parse_run_config(obj: dict) -> RunConfig:
         except TypeError as exc:
             raise ConfigError(f"incomplete synth config: {exc}") from exc
 
-    seg_obj = obj.get("segmentation", {})
-    _require_keys(seg_obj, {"penalty", "min_len", "cost_kind"}, "segmentation")
-    penalty = seg_obj.get("penalty")
-    if penalty is not None:
-        penalty = float(penalty)
-    min_len = int(seg_obj.get("min_len", 5))
-    cost_kind = seg_obj.get("cost_kind", "gaussian_mean_l2")
-    # Validate eagerly with a stand-in penalty.
-    SegmentationConfig(penalty=penalty if penalty is not None else 1.0,
-                       min_len=min_len, cost_kind=cost_kind)
-
+    segmentation_cfg = SegmentationConfig.from_dict(obj.get("segmentation", {}))
     similarity = SimilarityConfig.from_dict(obj.get("similarity", {}))
 
     model_obj = obj.get("model", {})
@@ -168,9 +151,7 @@ def parse_run_config(obj: dict) -> RunConfig:
     return RunConfig(
         synth=synth_cfg,
         synth_videos=synth_videos,
-        penalty=penalty,
-        min_len=min_len,
-        cost_kind=cost_kind,
+        segmentation=segmentation_cfg,
         similarity=similarity,
         layer_dims=layer_dims,
         aggregator_kind=model_obj.get("aggregator_kind", "gated"),
@@ -181,34 +162,6 @@ def parse_run_config(obj: dict) -> RunConfig:
         ks=ks,
         localize_all=bool(obj.get("localize_all_segments", False)),
     )
-
-
-# ---------------------------------------------------------------------------
-# Atomic output helpers
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +245,8 @@ def cmd_synth(args) -> int:
 def cmd_segment(args) -> int:
     cfg = load_run_config(args.config)
     features = dataio.read_feature_matrix(args.features)
-    partition = pelt(features, cfg.segmentation_config(features))
-    obj = {"video_id": features.video_id, "boundaries": list(partition.boundaries)}
-    _atomic_write_text(Path(args.out), _dump_json(obj))
+    partition = pelt(features, cfg.segmentation)
+    segmentation.write_partition(partition, features.video_id, args.out)
     return 0
 
 
@@ -313,7 +265,7 @@ def cmd_train(args) -> int:
             raise ConfigError(
                 f"feature dim mismatch across videos: {features.feature_dim} vs {feature_dim}"
             )
-        partition = pelt(features, cfg.segmentation_config(features))
+        partition = pelt(features, cfg.segmentation)
         graphs = build_segment_graphs(features, partition, cfg.similarity, annotations=ann)
         labelled.extend((g, g.weak_label) for g in graphs)
 
@@ -332,38 +284,40 @@ def cmd_train(args) -> int:
         attention_averaged=cfg.attention_averaged,
     )
     params, _history = train(labelled, params, cfg.train)
-
-    out = Path(args.out)
-    tmp = out.with_name(out.name + ".tmp")
-    try:
-        save_checkpoint(params, tmp, similarity=cfg.similarity)
-        os.replace(tmp, out)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    save_checkpoint(params, args.out, similarity=cfg.similarity, segmentation=cfg.segmentation)
     return 0
 
 
-def _load_model(path) -> tuple[ModelParams, SimilarityConfig]:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"checkpoint not found: {path}")
-    params, similarity = load_checkpoint(path)
-    return params, similarity or SimilarityConfig()
+def _load_model(path) -> tuple[ModelParams, SimilarityConfig, SegmentationConfig | None]:
+    params, similarity, segmentation_cfg = load_checkpoint(path)
+    return params, similarity or SimilarityConfig(), segmentation_cfg
 
 
 def cmd_classify(args) -> int:
-    params, similarity = _load_model(args.model)
+    params, similarity, _ = _load_model(args.model)
     features = dataio.read_feature_matrix(args.features)
     _video_id, partition = segmentation.read_partition(args.partition)
     graphs = build_segment_graphs(features, partition, similarity)
-    obj = _predictions_obj(features, partition, graphs, params)
-    _atomic_write_text(Path(args.out), _dump_json(obj))
+    dataio.write_json(_predictions_obj(features, partition, graphs, params), args.out)
     return 0
 
 
+def _localize_segment(g: SegmentGraph, params: ModelParams, k: int, all_segments: bool):
+    """(predicted, frame scores, local top-k) of one segment, from one forward pass.
+
+    A function of its own so that the pass's cache is freed before the
+    next segment's forward pass runs.
+    """
+    cache = forward(g, params)
+    predicted = int(cache.prediction >= 0.5)
+    if not (predicted or all_segments):
+        return predicted, np.zeros(0), np.zeros(0, dtype=np.int64)
+    scores = node_scores(cache)
+    return predicted, scores, topk_select(scores, k)
+
+
 def cmd_localize(args) -> int:
-    params, similarity = _load_model(args.model)
+    params, similarity, _ = _load_model(args.model)
     features = dataio.read_feature_matrix(args.features)
     _video_id, partition = segmentation.read_partition(args.partition)
     if args.k < 1:
@@ -371,13 +325,7 @@ def cmd_localize(args) -> int:
     graphs = build_segment_graphs(features, partition, similarity)
     results = []
     for i, ((s, e), g) in enumerate(zip(partition.spans(), graphs)):
-        predicted = int(forward(g, params).prediction >= 0.5)
-        if predicted or args.all_segments:
-            scores = node_scores(g, params)
-            selected = topk_select(scores, args.k) + s
-        else:
-            scores = np.zeros(0)
-            selected = np.zeros(0, dtype=np.int64)
+        predicted, scores, selected = _localize_segment(g, params, args.k, args.all_segments)
         results.append(
             LocalizationResult(
                 segment_id=i,
@@ -386,16 +334,20 @@ def cmd_localize(args) -> int:
                 predicted=predicted,
                 k=args.k,
                 scores=scores,
-                selected=selected,
+                selected=selected + s,
             )
         )
-    payload = _dump_json([r.to_json_obj() for r in results])
-    _atomic_write_text(Path(args.out), payload)
+    write_localization(results, args.out)
     return 0
 
 
 def cmd_coverage_curve(args) -> int:
-    params, similarity = _load_model(args.model)
+    params, similarity, segmentation_cfg = _load_model(args.model)
+    if segmentation_cfg is None:
+        raise ConfigError(
+            f"checkpoint {args.model} records no segmentation settings; "
+            "retrain it with cegl train"
+        )
     try:
         ks = [int(k) for k in args.ks.split(",")]
     except ValueError as exc:
@@ -408,14 +360,10 @@ def cmd_coverage_curve(args) -> int:
         features, ann = _load_video(cegf)
         if ann.frame_labels is None:
             raise ConfigError(f"annotations for {features.video_id} carry no frame labels")
-        seg_cfg = SegmentationConfig(
-            penalty=default_penalty(features.frame_count, features.feature_dim)
-        )
-        data.append((features, ann, pelt(features, seg_cfg)))
+        data.append((features, ann, pelt(features, segmentation_cfg)))
 
     curve = metrics.coverage_curve(params, data, ks, similarity=similarity)
-    lines = ["k,coverage"] + [f"{k},{c!r}" for k, c in curve]
-    _atomic_write_text(Path(args.out), "\n".join(lines) + "\n")
+    metrics.write_coverage_csv(curve, args.out)
     return 0
 
 
@@ -433,14 +381,20 @@ def cmd_evaluate(args) -> int:
     ann = dataio.read_annotations(args.annotations)
     _video_id, partition = segmentation.read_partition(args.partition)
     labels = dataio.derive_segment_labels(ann, partition)
-    segments = sorted(preds_obj["segments"], key=lambda s: s["segment_id"])
+    try:
+        segments = sorted(preds_obj["segments"], key=lambda s: s["segment_id"])
+        preds = [int(s["predicted"]) for s in segments]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(
+            f"every predictions segment needs a segment_id and a predicted label "
+            f"({type(exc).__name__}: {exc}): {preds_path}"
+        ) from exc
     if len(segments) != partition.segment_count:
         raise ConfigError(
             f"predictions cover {len(segments)} segments, partition has {partition.segment_count}"
         )
-    preds = [int(s["predicted"]) for s in segments]
     report = metrics.weighted_metrics(metrics.confusion(preds, labels))
-    _atomic_write_text(Path(args.out), _dump_json(report.to_json_obj()))
+    metrics.write_metrics(report, args.out)
     return 0
 
 

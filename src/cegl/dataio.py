@@ -20,7 +20,9 @@ Values are widened to float64 in memory regardless of on-disk precision.
 
 from __future__ import annotations
 
+import io
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -124,16 +126,37 @@ class SynthConfig:
             raise ConfigError("seed must be non-negative")
 
 
+def write_atomic(path, data: bytes | str) -> None:
+    """Write a whole file through a sibling temp file and a rename.
+
+    Readers see the old file or the complete new one, never a partial
+    write; on failure the temp file is removed and nothing is replaced.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(obj, path) -> None:
+    """Atomically write obj as indented, key-sorted JSON plus a newline."""
+    write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def write_feature_matrix(m: FeatureMatrix, path, format: str = "cegf") -> None:
     """Write a feature matrix as CEGF (float32 payload) or CSV."""
-    path = Path(path)
     if format == "cegf":
         header = CEGF_MAGIC + struct.pack("<I", CEGF_VERSION)
         header += struct.pack("<QQ", m.frame_count, m.feature_dim)
-        payload = m.values.astype("<f4").tobytes()
-        path.write_bytes(header + payload)
+        write_atomic(path, header + m.values.astype("<f4").tobytes())
     elif format == "csv":
-        np.savetxt(path, m.values, delimiter=",", fmt="%.9g")
+        text = io.StringIO()
+        np.savetxt(text, m.values, delimiter=",", fmt="%.9g")
+        write_atomic(path, text.getvalue())
     else:
         raise ConfigError(f"unknown feature file format {format!r}")
 
@@ -201,7 +224,7 @@ def write_annotations(ann: Annotations, path) -> None:
         obj["frame_labels"] = [int(x) for x in ann.frame_labels]
     if ann.notes is not None:
         obj["notes"] = ann.notes
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_json(obj, path)
 
 
 def read_annotations(path) -> Annotations:

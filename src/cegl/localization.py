@@ -16,10 +16,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataio import Annotations, derive_segment_labels
+from .dataio import Annotations, derive_segment_labels, write_json
 from .errors import FormatError
-from .graph import SegmentGraph
-from .model import ModelParams, forward
+
+# `forward` is not called here: frame scores come from the caller's pass.
+# It stays importable as localization.forward because pipebench/tracing.py
+# patches that name.
+from .model import CLASSIFIER_BIAS, CLASSIFIER_WEIGHTS, ForwardCache, forward  # noqa: F401
 from .numerics import sigmoid
 from .segmentation import Partition
 
@@ -56,22 +59,21 @@ class LocalizationResult:
         }
 
 
-def node_scores(g: SegmentGraph, params: ModelParams) -> np.ndarray:
-    """Per-frame activation scores from a trained model.
+def node_scores(cache: ForwardCache) -> np.ndarray:
+    """Per-frame activation scores from a trained model's forward pass.
 
     score_i = alpha_i * logistic(w . h_i + b) over the final node
     embeddings. With a non-attention readout there are no attention
     weights to reuse, so alpha falls back to uniform and the ranking is
-    the head's alone.
+    the head's alone. Taking the cache lets one pass give both the
+    segment's prediction and its frame scores.
     """
-    cache = forward(g, params)
+    p = cache.params.arrays
     h = cache.node_embeddings[-1]
-    if params.readout_kind == "attention":
-        alpha = cache.attention_weights
-    else:
-        alpha = np.full(g.n, 1.0 / g.n)
-    margins = sigmoid(h @ params.clf_weights + params.clf_bias)
-    return alpha * np.atleast_1d(margins)
+    alpha = cache.attention_weights
+    if alpha is None:
+        alpha = np.full(h.shape[0], 1.0 / h.shape[0])
+    return alpha * sigmoid(h @ p[CLASSIFIER_WEIGHTS] + p[CLASSIFIER_BIAS])
 
 
 def topk_select(scores: np.ndarray, k: int) -> np.ndarray:
@@ -130,8 +132,7 @@ def coverage(
 
 
 def write_localization(results: list[LocalizationResult], path) -> None:
-    obj = [r.to_json_obj() for r in results]
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_json([r.to_json_obj() for r in results], path)
 
 
 def read_localization(path) -> list[dict]:

@@ -9,14 +9,12 @@ than propagating NaN.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .dataio import Annotations, FeatureMatrix
-from .graph import SimilarityConfig, build_segment_graphs
+from .dataio import Annotations, FeatureMatrix, write_atomic, write_json
+from .graph import SegmentGraph, SimilarityConfig, build_segment_graphs
 from .localization import coverage_counts, node_scores, topk_select
 from .model import ModelParams, forward
 from .segmentation import Partition
@@ -129,6 +127,18 @@ def weighted_metrics(c: ConfusionCounts) -> MetricsReport:
     )
 
 
+def _localized_scores(g: SegmentGraph, params: ModelParams, localize_all: bool):
+    """Frame scores of a segment the curve localizes, else None.
+
+    One forward pass gives both the prediction and the scores; returning
+    frees its cache before the next segment's pass.
+    """
+    cache = forward(g, params)
+    if localize_all or cache.prediction >= 0.5:
+        return node_scores(cache)
+    return None
+
+
 def coverage_curve(
     params: ModelParams,
     data: list[tuple[FeatureMatrix, Annotations, Partition]],
@@ -152,9 +162,9 @@ def coverage_curve(
         graphs = build_segment_graphs(features, partition, similarity, annotations=ann)
         scored: dict[int, np.ndarray] = {}
         for i, g in enumerate(graphs):
-            if not localize_all and forward(g, params).prediction < 0.5:
-                continue
-            scored[i] = node_scores(g, params)
+            scores = _localized_scores(g, params, localize_all)
+            if scores is not None:
+                scored[i] = scores
         per_video.append((scored, ann, partition))
 
     curve = []
@@ -177,9 +187,9 @@ def coverage_curve(
 
 
 def write_metrics(report: MetricsReport, path) -> None:
-    Path(path).write_text(json.dumps(report.to_json_obj(), indent=2, sort_keys=True) + "\n")
+    write_json(report.to_json_obj(), path)
 
 
 def write_coverage_csv(curve: list[tuple[int, float]], path) -> None:
     lines = ["k,coverage"] + [f"{k},{c!r}" for k, c in curve]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")

@@ -26,6 +26,10 @@ gated    a gated recurrence walked over neighbors j in ascending
 Readout kinds: attention (softmax over u . tanh(W_a h_i), then the
 attention-weighted node sum divided by n), mean, sum, maxpool.
 
+Parameters live in one ordered name -> array table (`param_shapes`);
+gradients use the same table. Gate weights exist only for the gated
+aggregator and attention weights only for the attention readout.
+
 Gradients are derived by hand (no autodiff) and checked against central
 finite differences in the test suite. Training is plain SGD on the
 binary cross entropy of the segment labels.
@@ -35,15 +39,18 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from .dataio import write_atomic
 from .errors import ConfigError, FormatError, NumericError, TruncatedFileError
 from .graph import SegmentGraph, SimilarityConfig
 from .numerics import make_rng, sigmoid, softmax
+from .segmentation import SegmentationConfig
 
 log = logging.getLogger(__name__)
 
@@ -51,52 +58,83 @@ AGGREGATOR_KINDS = ("mean", "maxpool", "gated")
 READOUT_KINDS = ("attention", "mean", "sum", "maxpool")
 
 CEGM_MAGIC = b"CEGM"
-CEGM_VERSION = 1
+CEGM_VERSION = 2
+CEGM_HEADER_KEYS = (
+    "layer_dims",
+    "aggregator_kind",
+    "readout_kind",
+    "a_dim",
+    "attention_averaged",
+    "similarity",
+    "segmentation",
+    "params",
+)
 
 LOSS_CLAMP = 1e-12
 
+# Parameter names, which are also the checkpoint's entry names.
+GATE_NAMES = ("update", "reset", "candidate")
+ATTENTION_TRANSFORM = "attention.transform"
+ATTENTION_VECTOR = "attention.vector"
+CLASSIFIER_WEIGHTS = "classifier.weights"
+CLASSIFIER_BIAS = "classifier.bias"
 
-@dataclass
-class GateWeights:
-    """Weights of one layer's gated aggregator; each maps [state, message]."""
 
-    update: np.ndarray  # (d, 2d)
-    reset: np.ndarray  # (d, 2d)
-    candidate: np.ndarray  # (d, 2d)
+def transform_name(layer: int) -> str:
+    return f"layer{layer}.transform"
+
+
+def gate_name(layer: int, gate: str) -> str:
+    return f"layer{layer}.gate_{gate}"
+
+
+def param_shapes(layer_dims, aggregator_kind, readout_kind, a_dim) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter the configured model reads, in table order.
+
+    Layer l's transform maps [state, message] of width 2*dims[l] to
+    dims[l+1]; its gates (gated only) are square in dims[l]. Raises
+    ConfigError on an invalid configuration.
+    """
+    if len(layer_dims) < 2 or any(not isinstance(d, int) or d < 1 for d in layer_dims):
+        raise ConfigError(f"layer_dims must be positive ints, got {layer_dims}")
+    if aggregator_kind not in AGGREGATOR_KINDS:
+        raise ConfigError(f"unknown aggregator_kind {aggregator_kind!r}")
+    if readout_kind not in READOUT_KINDS:
+        raise ConfigError(f"unknown readout_kind {readout_kind!r}")
+    if not isinstance(a_dim, int) or a_dim < 1:
+        raise ConfigError(f"a_dim must be a positive int, got {a_dim!r}")
+    shapes: dict[str, tuple[int, ...]] = {}
+    for layer, (prev, cur) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
+        shapes[transform_name(layer)] = (cur, 2 * prev)
+        if aggregator_kind == "gated":
+            for gate in GATE_NAMES:
+                shapes[gate_name(layer, gate)] = (prev, 2 * prev)
+    if readout_kind == "attention":
+        shapes[ATTENTION_TRANSFORM] = (a_dim, layer_dims[-1])
+        shapes[ATTENTION_VECTOR] = (a_dim,)
+    shapes[CLASSIFIER_WEIGHTS] = (layer_dims[-1],)
+    shapes[CLASSIFIER_BIAS] = (1,)
+    return shapes
 
 
 @dataclass
 class ModelParams:
+    """A model's configuration plus its parameter table.
+
+    `arrays` holds exactly the entries of `param_shapes` for this
+    configuration, in that order.
+    """
+
     layer_dims: tuple[int, ...]  # (d_in, h1, h2)
-    transforms: list[np.ndarray]  # layer l: (dims[l+1], 2*dims[l])
-    gates: list[GateWeights]  # layer l: square in dims[l]
-    attn_transform: np.ndarray  # (a_dim, dims[-1])
-    attn_vector: np.ndarray  # (a_dim,)
-    clf_weights: np.ndarray  # (dims[-1],)
-    clf_bias: float
-    aggregator_kind: str = "gated"
-    readout_kind: str = "attention"
+    aggregator_kind: str
+    readout_kind: str
+    a_dim: int
     # The attention readout divides the weighted node sum by n on top of
     # the softmax normalization (the default). Setting this False drops
     # the extra 1/n (softmax already sums to one), which keeps the graph
     # embedding scale independent of segment length.
-    attention_averaged: bool = True
-
-    @property
-    def a_dim(self) -> int:
-        return self.attn_vector.shape[0]
-
-
-@dataclass
-class Gradients:
-    """Same array layout as ModelParams, holding d(loss)/d(parameter)."""
-
-    transforms: list[np.ndarray]
-    gates: list[GateWeights]
-    attn_transform: np.ndarray
-    attn_vector: np.ndarray
-    clf_weights: np.ndarray
-    clf_bias: float
+    attention_averaged: bool
+    arrays: dict[str, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -133,64 +171,36 @@ def init_params(
 ) -> ModelParams:
     """Seeded uniform(-s, s) weights with s = init_scale / sqrt(fan_in); biases 0."""
     layer_dims = tuple(int(d) for d in layer_dims)
-    if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
-        raise ConfigError(f"layer_dims must be positive, got {layer_dims}")
-    if aggregator_kind not in AGGREGATOR_KINDS:
-        raise ConfigError(f"unknown aggregator_kind {aggregator_kind!r}")
-    if readout_kind not in READOUT_KINDS:
-        raise ConfigError(f"unknown readout_kind {readout_kind!r}")
-    if a_dim is None:
+    if a_dim is None and layer_dims:
         a_dim = layer_dims[-1]
-    if a_dim < 1:
-        raise ConfigError("a_dim must be positive")
+    kept = param_shapes(layer_dims, aggregator_kind, readout_kind, a_dim)
 
+    # Every configuration draws the full gated-and-attention table in one
+    # fixed order and keeps only the arrays it reads. A seed thus gives each
+    # kept array the same values whatever the kinds, and the same values as
+    # when every model still stored the unused arrays.
     rng = make_rng(seed)
-
-    def draw(shape, fan_in):
-        s = init_scale / np.sqrt(fan_in)
-        return rng.uniform(-1.0, 1.0, size=shape) * s
-
-    transforms, gates = [], []
-    for prev, cur in zip(layer_dims[:-1], layer_dims[1:]):
-        transforms.append(draw((cur, 2 * prev), 2 * prev))
-        gates.append(
-            GateWeights(
-                update=draw((prev, 2 * prev), 2 * prev),
-                reset=draw((prev, 2 * prev), 2 * prev),
-                candidate=draw((prev, 2 * prev), 2 * prev),
-            )
-        )
-    h_last = layer_dims[-1]
+    arrays = {}
+    for name, shape in param_shapes(layer_dims, "gated", "attention", a_dim).items():
+        if name == CLASSIFIER_BIAS:
+            w = np.zeros(shape)
+        else:
+            s = init_scale / np.sqrt(shape[-1])  # the last axis is the fan-in
+            w = rng.uniform(-1.0, 1.0, size=shape) * s
+        if name in kept:
+            arrays[name] = w
     return ModelParams(
         layer_dims=layer_dims,
-        transforms=transforms,
-        gates=gates,
-        attn_transform=draw((a_dim, h_last), h_last),
-        attn_vector=draw((a_dim,), a_dim),
-        clf_weights=draw((h_last,), h_last),
-        clf_bias=0.0,
         aggregator_kind=aggregator_kind,
         readout_kind=readout_kind,
+        a_dim=a_dim,
         attention_averaged=attention_averaged,
+        arrays=arrays,
     )
 
 
-def zero_gradients(params: ModelParams) -> Gradients:
-    return Gradients(
-        transforms=[np.zeros_like(w) for w in params.transforms],
-        gates=[
-            GateWeights(
-                np.zeros_like(g.update),
-                np.zeros_like(g.reset),
-                np.zeros_like(g.candidate),
-            )
-            for g in params.gates
-        ],
-        attn_transform=np.zeros_like(params.attn_transform),
-        attn_vector=np.zeros_like(params.attn_vector),
-        clf_weights=np.zeros_like(params.clf_weights),
-        clf_bias=0.0,
-    )
+def zero_gradients(params: ModelParams) -> dict[str, np.ndarray]:
+    return {name: np.zeros_like(w) for name, w in params.arrays.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +239,7 @@ def _maxpool_messages(edge_w: np.ndarray, h: np.ndarray):
     return msgs, argmax
 
 
-def _gated_messages(edge_w: np.ndarray, h: np.ndarray, gates: GateWeights):
+def _gated_messages(edge_w: np.ndarray, h: np.ndarray, update, reset, candidate):
     n, d = h.shape
     state = h.copy()
     steps: list[_GatedStep] = []
@@ -241,85 +251,13 @@ def _gated_messages(edge_w: np.ndarray, h: np.ndarray, gates: GateWeights):
         w = edge_w[idx, j]
         msg = w[:, None] * h[j]
         gate_in = np.concatenate([state, msg], axis=1)
-        z = sigmoid(gate_in @ gates.update.T)
-        r = sigmoid(gate_in @ gates.reset.T)
+        z = sigmoid(gate_in @ update.T)
+        r = sigmoid(gate_in @ reset.T)
         cand_in = np.concatenate([r * state, msg], axis=1)
-        cand = np.tanh(cand_in @ gates.candidate.T)
+        cand = np.tanh(cand_in @ candidate.T)
         steps.append(_GatedStep(state, j, w, gate_in, cand_in, z, r, cand))
         state = (1.0 - z) * state + z * cand
     return state, steps
-
-
-def aggregate_neighbors(
-    g: SegmentGraph,
-    h: np.ndarray,
-    gates: GateWeights | None = None,
-    kind: str = "mean",
-) -> np.ndarray:
-    """Per-node neighborhood message under the chosen aggregator."""
-    if h.shape[0] != g.n:
-        raise ValueError(f"embeddings have {h.shape[0]} rows for a {g.n}-node graph")
-    if kind == "mean":
-        return _mean_messages(g.edge_weights, h)[0]
-    if kind == "maxpool":
-        return _maxpool_messages(g.edge_weights, h)[0]
-    if kind == "gated":
-        if gates is None:
-            raise ValueError("gated aggregation requires gate weights")
-        if gates.update.shape != (h.shape[1], 2 * h.shape[1]):
-            raise ValueError(
-                f"gate weights {gates.update.shape} do not fit embeddings of dim {h.shape[1]}"
-            )
-        return _gated_messages(g.edge_weights, h, gates)[0]
-    raise ConfigError(f"unknown aggregator kind {kind!r}")
-
-
-def layer_forward(
-    g: SegmentGraph,
-    h: np.ndarray,
-    transform: np.ndarray,
-    gates: GateWeights | None = None,
-    kind: str = "mean",
-) -> np.ndarray:
-    """One graph-convolution layer: aggregate, concat with self, transform, ReLU."""
-    msgs = aggregate_neighbors(g, h, gates, kind)
-    stacked = np.concatenate([h, msgs], axis=1)
-    if transform.shape[1] != stacked.shape[1]:
-        raise ValueError(
-            f"transform expects {transform.shape[1]} inputs, got {stacked.shape[1]}"
-        )
-    return np.maximum(stacked @ transform.T, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Readout and head
-
-
-def attention_readout(
-    h: np.ndarray,
-    attn_transform: np.ndarray,
-    attn_vector: np.ndarray,
-    averaged: bool = True,
-):
-    """Additive attention over nodes; returns (graph embedding, weights).
-
-    score_i = u . tanh(W_a h_i), alpha = softmax(score),
-    h_g = (1/n) * sum_i alpha_i h_i. `averaged=False` drops the 1/n
-    (see ModelParams.attention_averaged).
-    """
-    if h.shape[0] < 1:
-        raise ValueError("readout needs at least one node")
-    tanh_proj = np.tanh(h @ attn_transform.T)
-    scores = tanh_proj @ attn_vector
-    alpha = softmax(scores)
-    denom = h.shape[0] if averaged else 1
-    h_g = (alpha[:, None] * h).sum(axis=0) / denom
-    return h_g, alpha
-
-
-def classify(h_g: np.ndarray, params: ModelParams) -> float:
-    """Sigmoid head over the graph embedding."""
-    return float(sigmoid(float(params.clf_weights @ h_g) + params.clf_bias))
 
 
 def loss(y_hat: float, y: int) -> float:
@@ -357,22 +295,26 @@ def forward(g: SegmentGraph, params: ModelParams) -> ForwardCache:
         raise ValueError(
             f"graph features have dim {g.feature_dim}, model expects {params.layer_dims[0]}"
         )
+    p = params.arrays
     kind = params.aggregator_kind
     h = g.node_features
     embeddings = [h]
     messages, stacked_inputs, preacts = [], [], []
     mean_degrees, maxpool_argmax, gated_steps = [], [], []
 
-    for transform, gates in zip(params.transforms, params.gates):
+    for layer in range(len(params.layer_dims) - 1):
         deg = argmax = steps = None
         if kind == "mean":
             msgs, deg = _mean_messages(g.edge_weights, h)
         elif kind == "maxpool":
             msgs, argmax = _maxpool_messages(g.edge_weights, h)
+        elif kind == "gated":
+            gates = [p[gate_name(layer, gate)] for gate in GATE_NAMES]
+            msgs, steps = _gated_messages(g.edge_weights, h, *gates)
         else:
-            msgs, steps = _gated_messages(g.edge_weights, h, gates)
+            raise ConfigError(f"unknown aggregator kind {kind!r}")
         stacked = np.concatenate([h, msgs], axis=1)
-        pre = stacked @ transform.T
+        pre = stacked @ p[transform_name(layer)].T
         h = np.maximum(pre, 0.0)
         messages.append(msgs)
         stacked_inputs.append(stacked)
@@ -384,8 +326,8 @@ def forward(g: SegmentGraph, params: ModelParams) -> ForwardCache:
 
     attn_tanh = alpha = readout_argmax = None
     if params.readout_kind == "attention":
-        attn_tanh = np.tanh(h @ params.attn_transform.T)
-        scores = attn_tanh @ params.attn_vector
+        attn_tanh = np.tanh(h @ p[ATTENTION_TRANSFORM].T)
+        scores = attn_tanh @ p[ATTENTION_VECTOR]
         alpha = softmax(scores)
         denom = g.n if params.attention_averaged else 1
         h_g = (alpha[:, None] * h).sum(axis=0) / denom
@@ -399,7 +341,7 @@ def forward(g: SegmentGraph, params: ModelParams) -> ForwardCache:
     else:
         raise ConfigError(f"unknown readout kind {params.readout_kind!r}")
 
-    logit = float(params.clf_weights @ h_g) + params.clf_bias
+    logit = float(p[CLASSIFIER_WEIGHTS] @ h_g + p[CLASSIFIER_BIAS][0])
     return ForwardCache(
         graph=g,
         params=params,
@@ -437,7 +379,10 @@ def _maxpool_backward(edge_w, argmax, d_msgs, n, d):
     return dh
 
 
-def _gated_backward(gates, steps, d_msgs, h, grad_gates: GateWeights):
+def _gated_backward(gates, grad_gates, steps, d_msgs, h):
+    """Backward through one layer's recurrence; gates and their gradients in GATE_NAMES order."""
+    update, reset, candidate = gates
+    grad_update, grad_reset, grad_candidate = grad_gates
     d = h.shape[1]
     dh = np.zeros_like(h)
     dstate = d_msgs.copy()
@@ -447,22 +392,22 @@ def _gated_backward(gates, steps, d_msgs, h, grad_gates: GateWeights):
         dprev = dstate * (1.0 - st.z)
 
         dpre_c = dcand * (1.0 - st.cand**2)
-        grad_gates.candidate += dpre_c.T @ st.cand_in
-        dcand_in = dpre_c @ gates.candidate
+        grad_candidate += dpre_c.T @ st.cand_in
+        dcand_in = dpre_c @ candidate
         d_rs = dcand_in[:, :d]
         dmsg = dcand_in[:, d:].copy()
         dr = d_rs * st.state
         dprev += d_rs * st.r
 
         dpre_r = dr * st.r * (1.0 - st.r)
-        grad_gates.reset += dpre_r.T @ st.gate_in
-        dgate_in = dpre_r @ gates.reset
+        grad_reset += dpre_r.T @ st.gate_in
+        dgate_in = dpre_r @ reset
         dprev += dgate_in[:, :d]
         dmsg += dgate_in[:, d:]
 
         dpre_z = dz * st.z * (1.0 - st.z)
-        grad_gates.update += dpre_z.T @ st.gate_in
-        dgate_in = dpre_z @ gates.update
+        grad_update += dpre_z.T @ st.gate_in
+        dgate_in = dpre_z @ update
         dprev += dgate_in[:, :d]
         dmsg += dgate_in[:, d:]
 
@@ -472,18 +417,21 @@ def _gated_backward(gates, steps, d_msgs, h, grad_gates: GateWeights):
     return dh
 
 
-def backward(cache: ForwardCache, g: SegmentGraph, params: ModelParams, y: int) -> Gradients:
-    """Exact gradients of the cross-entropy loss w.r.t. every parameter."""
+def backward(
+    cache: ForwardCache, g: SegmentGraph, params: ModelParams, y: int
+) -> dict[str, np.ndarray]:
+    """Exact gradients of the cross-entropy loss, as a table like params.arrays."""
     if cache.graph is not g or cache.params is not params:
         raise ConfigError("stale cache: backward needs the cache from forward on the same graph and params")
+    p = params.arrays
     grads = zero_gradients(params)
     n = g.n
     h_final = cache.node_embeddings[-1]
 
     dlogit = cache.prediction - y  # sigmoid + cross entropy identity
-    grads.clf_weights += dlogit * cache.graph_embedding
-    grads.clf_bias += dlogit
-    dh_g = dlogit * params.clf_weights
+    grads[CLASSIFIER_WEIGHTS] += dlogit * cache.graph_embedding
+    grads[CLASSIFIER_BIAS] += dlogit
+    dh_g = dlogit * p[CLASSIFIER_WEIGHTS]
 
     kind = params.readout_kind
     if kind == "attention":
@@ -493,11 +441,11 @@ def backward(cache: ForwardCache, g: SegmentGraph, params: ModelParams, y: int) 
         dalpha = (h_final @ dh_g) / denom
         dh = alpha[:, None] * dh_g[None, :] / denom
         dscores = alpha * (dalpha - float(alpha @ dalpha))
-        grads.attn_vector += t.T @ dscores
-        dt = np.outer(dscores, params.attn_vector)
+        grads[ATTENTION_VECTOR] += t.T @ dscores
+        dt = np.outer(dscores, p[ATTENTION_VECTOR])
         dpre = dt * (1.0 - t**2)
-        grads.attn_transform += dpre.T @ h_final
-        dh = dh + dpre @ params.attn_transform
+        grads[ATTENTION_TRANSFORM] += dpre.T @ h_final
+        dh = dh + dpre @ p[ATTENTION_TRANSFORM]
     elif kind == "mean":
         dh = np.broadcast_to(dh_g / n, h_final.shape).copy()
     elif kind == "sum":
@@ -508,12 +456,12 @@ def backward(cache: ForwardCache, g: SegmentGraph, params: ModelParams, y: int) 
         dh[cache.readout_argmax, cols] += dh_g
 
     agg = params.aggregator_kind
-    for layer in reversed(range(len(params.transforms))):
-        transform = params.transforms[layer]
+    for layer in reversed(range(len(params.layer_dims) - 1)):
+        name = transform_name(layer)
         prev_dim = params.layer_dims[layer]
         dpre = dh * (cache.preacts[layer] > 0)
-        grads.transforms[layer] += dpre.T @ cache.stacked_inputs[layer]
-        dstacked = dpre @ transform
+        grads[name] += dpre.T @ cache.stacked_inputs[layer]
+        dstacked = dpre @ p[name]
         dh_self = dstacked[:, :prev_dim]
         d_msgs = dstacked[:, prev_dim:]
 
@@ -525,12 +473,13 @@ def backward(cache: ForwardCache, g: SegmentGraph, params: ModelParams, y: int) 
                 g.edge_weights, cache.maxpool_argmax[layer], d_msgs, n, prev_dim
             )
         else:
+            names = [gate_name(layer, gate) for gate in GATE_NAMES]
             dh_in = _gated_backward(
-                params.gates[layer],
+                [p[k] for k in names],
+                [grads[k] for k in names],
                 cache.gated_steps[layer],
                 d_msgs,
                 h_in,
-                grads.gates[layer],
             )
         dh = dh_self + dh_in
 
@@ -541,44 +490,18 @@ def backward(cache: ForwardCache, g: SegmentGraph, params: ModelParams, y: int) 
 # Optimization
 
 
-def sgd_step(params: ModelParams, grads: Gradients, lr: float) -> ModelParams:
+def sgd_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> ModelParams:
     """One plain gradient-descent update; rejects non-finite gradients."""
-    arrays = (
-        grads.transforms
-        + [a for gw in grads.gates for a in (gw.update, gw.reset, gw.candidate)]
-        + [grads.attn_transform, grads.attn_vector, grads.clf_weights]
-    )
-    if not all(np.isfinite(a).all() for a in arrays) or not np.isfinite(grads.clf_bias):
+    if not all(np.isfinite(gw).all() for gw in grads.values()):
         raise NumericError("non-finite gradient; step aborted")
     return replace(
-        params,
-        transforms=[w - lr * gw for w, gw in zip(params.transforms, grads.transforms)],
-        gates=[
-            GateWeights(
-                update=pg.update - lr * gg.update,
-                reset=pg.reset - lr * gg.reset,
-                candidate=pg.candidate - lr * gg.candidate,
-            )
-            for pg, gg in zip(params.gates, grads.gates)
-        ],
-        attn_transform=params.attn_transform - lr * grads.attn_transform,
-        attn_vector=params.attn_vector - lr * grads.attn_vector,
-        clf_weights=params.clf_weights - lr * grads.clf_weights,
-        clf_bias=params.clf_bias - lr * grads.clf_bias,
+        params, arrays={name: w - lr * grads[name] for name, w in params.arrays.items()}
     )
 
 
-def _accumulate(total: Gradients, part: Gradients, scale: float) -> None:
-    for acc, new in zip(total.transforms, part.transforms):
-        acc += scale * new
-    for acc, new in zip(total.gates, part.gates):
-        acc.update += scale * new.update
-        acc.reset += scale * new.reset
-        acc.candidate += scale * new.candidate
-    total.attn_transform += scale * part.attn_transform
-    total.attn_vector += scale * part.attn_vector
-    total.clf_weights += scale * part.clf_weights
-    total.clf_bias += scale * part.clf_bias
+def _accumulate(total: dict[str, np.ndarray], part: dict[str, np.ndarray], scale: float) -> None:
+    for name, acc in total.items():
+        acc += scale * part[name]
 
 
 def train(
@@ -636,70 +559,31 @@ def train(
 # Parameter vector packing (gradient checks) and checkpoints
 
 
-def _param_entries(params: ModelParams) -> list[tuple[str, np.ndarray]]:
-    entries = []
-    for i, (w, gw) in enumerate(zip(params.transforms, params.gates)):
-        entries.append((f"layer{i}.transform", w))
-        entries.append((f"layer{i}.gate_update", gw.update))
-        entries.append((f"layer{i}.gate_reset", gw.reset))
-        entries.append((f"layer{i}.gate_candidate", gw.candidate))
-    entries.append(("attention.transform", params.attn_transform))
-    entries.append(("attention.vector", params.attn_vector))
-    entries.append(("classifier.weights", params.clf_weights))
-    entries.append(("classifier.bias", np.array([params.clf_bias])))
-    return entries
+def flatten_params(table: dict[str, np.ndarray]) -> np.ndarray:
+    """A parameter or gradient table as one vector, in table order."""
+    return np.concatenate([a.ravel() for a in table.values()])
 
 
-def flatten_params(params: ModelParams) -> np.ndarray:
-    return np.concatenate([a.ravel() for _, a in _param_entries(params)])
-
-
-def flatten_gradients(params: ModelParams, grads: Gradients) -> np.ndarray:
-    pieces = []
-    for i in range(len(params.transforms)):
-        pieces.append(grads.transforms[i].ravel())
-        pieces.append(grads.gates[i].update.ravel())
-        pieces.append(grads.gates[i].reset.ravel())
-        pieces.append(grads.gates[i].candidate.ravel())
-    pieces += [
-        grads.attn_transform.ravel(),
-        grads.attn_vector.ravel(),
-        grads.clf_weights.ravel(),
-        np.array([grads.clf_bias]),
-    ]
-    return np.concatenate(pieces)
-
-
-def unflatten_params(vector: np.ndarray, template: ModelParams) -> ModelParams:
-    entries = _param_entries(template)
-    sizes = [a.size for _, a in entries]
+def _split(vector: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    sizes = [math.prod(shape) for shape in shapes.values()]
     if vector.size != sum(sizes):
         raise ValueError(f"vector has {vector.size} entries, expected {sum(sizes)}")
     chunks = np.split(np.asarray(vector, dtype=np.float64), np.cumsum(sizes)[:-1])
-    shaped = [c.reshape(a.shape).copy() for c, (_, a) in zip(chunks, entries)]
-    n_layers = len(template.transforms)
-    transforms = [shaped[4 * i] for i in range(n_layers)]
-    gates = [
-        GateWeights(shaped[4 * i + 1], shaped[4 * i + 2], shaped[4 * i + 3])
-        for i in range(n_layers)
-    ]
-    tail = shaped[4 * n_layers :]
-    return replace(
-        template,
-        transforms=transforms,
-        gates=gates,
-        attn_transform=tail[0],
-        attn_vector=tail[1],
-        clf_weights=tail[2],
-        clf_bias=float(tail[3][0]),
-    )
+    return {name: c.reshape(shape).copy() for c, (name, shape) in zip(chunks, shapes.items())}
+
+
+def unflatten_params(vector: np.ndarray, template: ModelParams) -> ModelParams:
+    shapes = {name: a.shape for name, a in template.arrays.items()}
+    return replace(template, arrays=_split(vector, shapes))
 
 
 def save_checkpoint(
-    params: ModelParams, path, similarity: SimilarityConfig | None = None
+    params: ModelParams,
+    path,
+    similarity: SimilarityConfig | None = None,
+    segmentation: SegmentationConfig | None = None,
 ) -> None:
     """Binary checkpoint: magic, version, JSON header, float64 LE blobs."""
-    entries = _param_entries(params)
     header = {
         "layer_dims": list(params.layer_dims),
         "aggregator_kind": params.aggregator_kind,
@@ -707,21 +591,29 @@ def save_checkpoint(
         "a_dim": params.a_dim,
         "attention_averaged": params.attention_averaged,
         "similarity": None if similarity is None else similarity.to_dict(),
-        "params": [{"name": name, "shape": list(a.shape)} for name, a in entries],
+        "segmentation": None if segmentation is None else segmentation.to_dict(),
+        "params": [{"name": name, "shape": list(a.shape)} for name, a in params.arrays.items()],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    blob = b"".join(a.astype("<f8").tobytes() for _, a in entries)
-    out = (
+    blob = b"".join(a.astype("<f8").tobytes() for a in params.arrays.values())
+    write_atomic(
+        path,
         CEGM_MAGIC
         + struct.pack("<I", CEGM_VERSION)
         + struct.pack("<I", len(header_bytes))
         + header_bytes
-        + blob
+        + blob,
     )
-    Path(path).write_bytes(out)
 
 
-def load_checkpoint(path) -> tuple[ModelParams, SimilarityConfig | None]:
+def load_checkpoint(
+    path,
+) -> tuple[ModelParams, SimilarityConfig | None, SegmentationConfig | None]:
+    """Parameters plus the similarity and segmentation configs saved with them.
+
+    The header is checked here, once: every key present, known kinds, and
+    a name/shape table equal to the one its model config implies.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
@@ -738,45 +630,35 @@ def load_checkpoint(path) -> tuple[ModelParams, SimilarityConfig | None]:
         raise TruncatedFileError("checkpoint header truncated")
     try:
         header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        missing = [key for key in CEGM_HEADER_KEYS if key not in header]
+        if missing:
+            raise FormatError(f"checkpoint header lacks {missing}")
+        layer_dims = tuple(header["layer_dims"])
+        shapes = param_shapes(
+            layer_dims, header["aggregator_kind"], header["readout_kind"], header["a_dim"]
+        )
+        averaged = header["attention_averaged"]
+        if not isinstance(averaged, bool):
+            raise ConfigError(f"attention_averaged must be true or false, got {averaged!r}")
+        sim, seg = header["similarity"], header["segmentation"]
+        similarity = None if sim is None else SimilarityConfig.from_dict(sim)
+        segmentation = None if seg is None else SegmentationConfig.from_dict(seg)
+    except (ConfigError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed checkpoint header: {exc}") from exc
+    if header["params"] != [{"name": n, "shape": list(s)} for n, s in shapes.items()]:
+        raise FormatError("checkpoint parameter table differs from the one its config implies")
 
-    shapes = [(e["name"], tuple(e["shape"])) for e in header["params"]]
-    total = sum(int(np.prod(s)) if s else 1 for _, s in shapes)
-    expected = 12 + header_len + 8 * total
+    expected = 12 + header_len + 8 * sum(math.prod(s) for s in shapes.values())
     if len(raw) != expected:
         raise TruncatedFileError(
             f"checkpoint payload length mismatch: expected {expected} bytes, got {len(raw)}"
         )
-    flat = np.frombuffer(raw, dtype="<f8", offset=12 + header_len)
-
-    arrays: dict[str, np.ndarray] = {}
-    pos = 0
-    for name, shape in shapes:
-        size = int(np.prod(shape)) if shape else 1
-        arrays[name] = flat[pos : pos + size].reshape(shape).astype(np.float64)
-        pos += size
-
-    layer_dims = tuple(header["layer_dims"])
-    n_layers = len(layer_dims) - 1
     params = ModelParams(
         layer_dims=layer_dims,
-        transforms=[arrays[f"layer{i}.transform"] for i in range(n_layers)],
-        gates=[
-            GateWeights(
-                arrays[f"layer{i}.gate_update"],
-                arrays[f"layer{i}.gate_reset"],
-                arrays[f"layer{i}.gate_candidate"],
-            )
-            for i in range(n_layers)
-        ],
-        attn_transform=arrays["attention.transform"],
-        attn_vector=arrays["attention.vector"],
-        clf_weights=arrays["classifier.weights"],
-        clf_bias=float(arrays["classifier.bias"][0]),
         aggregator_kind=header["aggregator_kind"],
         readout_kind=header["readout_kind"],
-        attention_averaged=bool(header.get("attention_averaged", True)),
+        a_dim=header["a_dim"],
+        attention_averaged=averaged,
+        arrays=_split(np.frombuffer(raw, dtype="<f8", offset=12 + header_len), shapes),
     )
-    sim = header.get("similarity")
-    return params, None if sim is None else SimilarityConfig.from_dict(sim)
+    return params, similarity, segmentation

@@ -1,4 +1,4 @@
-"""Dense linear algebra, stable activations, seeded randomness, gradient checking.
+"""Stable activations, seeded randomness, gradient checking.
 
 Everything here operates on 64-bit floats. Random streams come from
 numpy's PCG64 so that a given seed yields a bit-identical sequence on
@@ -14,8 +14,6 @@ import numpy as np
 from .errors import NumericError
 
 __all__ = [
-    "as_matrix",
-    "gemm",
     "sigmoid",
     "softmax",
     "finite_diff_grad",
@@ -28,29 +26,6 @@ def make_rng(seed: int) -> np.random.Generator:
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def as_matrix(values, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array, rejecting empty or non-finite input."""
-    m = np.asarray(values, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"{name} must be non-empty, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError(f"{name} contains non-finite values")
-    return m
-
-
-def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product a @ b with explicit shape validation."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"inner dimensions differ: a is {a.shape}, b is {b.shape}"
-        )
-    return a @ b
 
 
 def sigmoid(x):

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import FeatureMatrix
+from .dataio import FeatureMatrix, write_json
 from .errors import ConfigError, FormatError
 
 #: Largest input the quadratic-time oracle accepts.
@@ -67,17 +67,37 @@ class Partition:
 
 @dataclass(frozen=True)
 class SegmentationConfig:
-    penalty: float
+    penalty: float | None  # None selects default_penalty per video
     min_len: int = 5
     cost_kind: str = "gaussian_mean_l2"
 
     def __post_init__(self):
-        if not (math.isfinite(self.penalty) and self.penalty > 0):
+        if self.penalty is not None and not (math.isfinite(self.penalty) and self.penalty > 0):
             raise ConfigError(f"penalty must be a positive finite real, got {self.penalty}")
         if self.min_len < 1:
             raise ConfigError("min_len must be at least 1")
         if self.cost_kind not in COST_KINDS:
             raise ConfigError(f"unknown cost_kind {self.cost_kind!r}")
+
+    def penalty_for(self, f: FeatureMatrix) -> float:
+        if self.penalty is None:
+            return default_penalty(f.frame_count, f.feature_dim)
+        return self.penalty
+
+    def to_dict(self) -> dict:
+        return {"penalty": self.penalty, "min_len": self.min_len, "cost_kind": self.cost_kind}
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> "SegmentationConfig":
+        unknown = set(obj) - {"penalty", "min_len", "cost_kind"}
+        if unknown:
+            raise ConfigError(f"unknown segmentation config keys: {sorted(unknown)}")
+        penalty = obj.get("penalty")
+        return cls(
+            penalty=None if penalty is None else float(penalty),
+            min_len=int(obj.get("min_len", 5)),
+            cost_kind=obj.get("cost_kind", "gaussian_mean_l2"),
+        )
 
 
 def default_penalty(frame_count: int, feature_dim: int) -> float:
@@ -143,7 +163,7 @@ def pelt(f: FeatureMatrix, cfg: SegmentationConfig) -> Partition:
         return Partition((0, t_total))
 
     cost = SegmentCost(f)
-    beta = cfg.penalty
+    beta = cfg.penalty_for(f)
     min_len = cfg.min_len
 
     f_best = np.full(t_total + 1, np.inf)
@@ -194,7 +214,7 @@ def optimal_partition_oracle(f: FeatureMatrix, cfg: SegmentationConfig) -> Parti
         return Partition((0, t_total))
 
     cost = SegmentCost(f)
-    beta = cfg.penalty
+    beta = cfg.penalty_for(f)
     min_len = cfg.min_len
 
     f_best = np.full(t_total + 1, np.inf)
@@ -235,8 +255,7 @@ def split_video(f: FeatureMatrix, p: Partition) -> list[FeatureMatrix]:
 
 
 def write_partition(p: Partition, video_id: str, path) -> None:
-    obj = {"video_id": video_id, "boundaries": list(p.boundaries)}
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_json({"video_id": video_id, "boundaries": list(p.boundaries)}, path)
 
 
 def read_partition(path) -> tuple[str, Partition]:
@@ -249,4 +268,7 @@ def read_partition(path) -> tuple[str, Partition]:
         raise FormatError(f"malformed partition JSON {path}: {exc}") from exc
     if not isinstance(obj, dict) or set(obj) != {"video_id", "boundaries"}:
         raise FormatError(f"partition JSON must hold video_id and boundaries: {path}")
-    return obj["video_id"], Partition(tuple(obj["boundaries"]))
+    try:
+        return obj["video_id"], Partition(tuple(obj["boundaries"]))
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad partition boundaries in {path}: {exc}") from exc

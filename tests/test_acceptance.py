@@ -27,7 +27,6 @@ from cegl.model import (
     READOUT_KINDS,
     TrainConfig,
     backward,
-    flatten_gradients,
     flatten_params,
     forward,
     init_params,
@@ -90,12 +89,12 @@ def test_criterion_1_pelt_oracle_equivalence():
 
 def _check_gradients(g, params, y, rtol=1e-4, atol=1e-8):
     cache = forward(g, params)
-    analytic = flatten_gradients(params, backward(cache, g, params, y))
+    analytic = flatten_params(backward(cache, g, params, y))
 
     def f(vec):
         return loss(forward(g, unflatten_params(vec, params)).prediction, y)
 
-    numeric = finite_diff_grad(f, flatten_params(params), eps=1e-5)
+    numeric = finite_diff_grad(f, flatten_params(params.arrays), eps=1e-5)
     err = np.abs(analytic - numeric)
     bound = atol + rtol * np.maximum(np.abs(analytic), np.abs(numeric))
     bad = np.flatnonzero(err > bound)
@@ -164,7 +163,7 @@ def test_criterion_3_permutation_properties():
         labelled = [(g, g.weak_label) for g in graphs]
         params, _ = train(labelled, params, TrainConfig(epochs=2, seed=5))
         return np.concatenate(
-            [flatten_params(params)] + [[forward(g, params).prediction] for g in graphs]
+            [flatten_params(params.arrays)] + [[forward(g, params).prediction] for g in graphs]
         )
 
     first, second = gated_run(), gated_run()
@@ -306,8 +305,8 @@ def test_criterion_6_format_round_trips(tmp_path):
         )
         path = tmp_path / f"p{i}.cegm"
         save_checkpoint(params, path, similarity=SimilarityConfig())
-        loaded, _sim = load_checkpoint(path)
-        assert np.array_equal(flatten_params(loaded), flatten_params(params))
+        loaded, _sim, _seg = load_checkpoint(path)
+        assert np.array_equal(flatten_params(loaded.arrays), flatten_params(params.arrays))
         assert loaded.layer_dims == params.layer_dims
 
     good_feature = tmp_path / "m0.cegf"

@@ -1,10 +1,13 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
+from cegl import cli, localization, metrics, model
 from cegl.cli import main
 from cegl.dataio import read_annotations, read_feature_matrix
+from cegl.metrics import coverage_curve
 from cegl.model import load_checkpoint
 from cegl.segmentation import read_partition
 
@@ -159,10 +162,11 @@ class TestPipeline:
 
     def test_checkpoint_loadable_and_echoes_similarity(self, tmp_path):
         base = run_pipeline(tmp_path)
-        params, sim = load_checkpoint(base / "model.cegm")
+        params, sim, seg = load_checkpoint(base / "model.cegm")
         assert params.layer_dims == (8, 12, 8)
         assert params.aggregator_kind == "mean"
         assert sim.metric == "cosine"
+        assert seg.to_dict() == {"penalty": 8.0, "min_len": 5, "cost_kind": "gaussian_mean_l2"}
 
     def test_predictions_schema(self, tmp_path):
         base = run_pipeline(tmp_path)
@@ -250,3 +254,126 @@ class TestErrorPaths:
                      "--partition", str(bad_partition), "--out", str(out)])
         assert code != 0
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """One finished pipeline run, shared by tests that only read its files."""
+    return run_pipeline(tmp_path_factory.mktemp("shared"))
+
+
+def rewrite_header(src, dst, edit):
+    """Copy a CEGM checkpoint with its JSON header changed by edit(header)."""
+    raw = src.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 8)
+    header = json.loads(raw[12 : 12 + header_len])
+    edit(header)
+    new = json.dumps(header, sort_keys=True).encode()
+    dst.write_bytes(raw[:8] + struct.pack("<I", len(new)) + new + raw[12 + header_len :])
+
+
+def assert_exit_2_without_output(argv, out, capsys, *fragments):
+    code = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith(f"cegl {argv[0]}: ")
+    for fragment in fragments:
+        assert fragment in err
+    assert not out.exists()
+
+
+class TestCheckpointHeader:
+    @pytest.mark.parametrize(
+        "edit, fragment",
+        [
+            (lambda h: h.pop("readout_kind"), "readout_kind"),
+            (lambda h: h.update(aggregator_kind="bogus"), "bogus"),
+            (lambda h: h.update(attention_averaged="false"), "attention_averaged"),
+            # a mean model's table under a gated header lacks the gate entries
+            (lambda h: h.update(aggregator_kind="gated"), "parameter table"),
+        ],
+        ids=["missing-key", "unknown-kind", "non-bool-flag", "table-mismatch"],
+    )
+    def test_classify_rejects_bad_header(self, pipeline, tmp_path, capsys, edit, fragment):
+        model = tmp_path / "bad.cegm"
+        rewrite_header(pipeline / "model.cegm", model, edit)
+        out = tmp_path / "preds.json"
+        assert_exit_2_without_output(
+            ["classify", "--model", model, "--features", pipeline / "data" / "video-000.cegf",
+             "--partition", pipeline / "video-000.partition.json", "--out", out],
+            out, capsys, fragment,
+        )
+
+
+class TestCoverageCurveSegmentation:
+    def test_matches_library_curve_on_segment_partitions(self, pipeline, tmp_path):
+        data = []
+        for cegf in sorted((pipeline / "data").glob("*.cegf")):
+            part = tmp_path / f"{cegf.stem}.partition.json"
+            assert main(["segment", "--features", str(cegf), "--config",
+                         str(pipeline / "config.json"), "--out", str(part)]) == 0
+            ann = read_annotations(cegf.with_name(cegf.stem + ".annotations.json"))
+            data.append((read_feature_matrix(cegf), ann, read_partition(part)[1]))
+        params, sim, _seg = load_checkpoint(pipeline / "model.cegm")
+        want = coverage_curve(params, data, [1, 2, 3, 5, 7, 9], similarity=sim)
+        rows = (pipeline / "curve.csv").read_text().splitlines()[1:]
+        got = [(int(k), float(c)) for k, c in (row.split(",") for row in rows)]
+        assert got == want
+
+    def test_checkpoint_without_segmentation_exits_2(self, pipeline, tmp_path, capsys):
+        model = tmp_path / "noseg.cegm"
+        rewrite_header(pipeline / "model.cegm", model, lambda h: h.update(segmentation=None))
+        out = tmp_path / "curve.csv"
+        assert_exit_2_without_output(
+            ["coverage-curve", "--model", model, "--data", pipeline / "data",
+             "--ks", "1,2", "--out", out],
+            out, capsys, "segmentation",
+        )
+
+
+class TestEvaluateMalformedInput:
+    def evaluate_argv(self, pipeline, preds, partition, out):
+        return ["evaluate", "--preds", preds,
+                "--annotations", pipeline / "data" / "video-000.annotations.json",
+                "--partition", partition, "--out", out]
+
+    def test_segment_without_predicted(self, pipeline, tmp_path, capsys):
+        preds = json.loads((pipeline / "preds.json").read_text())
+        del preds["segments"][0]["predicted"]
+        bad = tmp_path / "preds.json"
+        bad.write_text(json.dumps(preds))
+        out = tmp_path / "metrics.json"
+        argv = self.evaluate_argv(pipeline, bad, pipeline / "video-000.partition.json", out)
+        assert_exit_2_without_output(argv, out, capsys, "predicted")
+
+    def test_non_list_boundaries(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "part.json"
+        bad.write_text(json.dumps({"video_id": "video-000", "boundaries": 5}))
+        out = tmp_path / "metrics.json"
+        argv = self.evaluate_argv(pipeline, pipeline / "preds.json", bad, out)
+        assert_exit_2_without_output(argv, out, capsys, "boundaries")
+
+
+def count_forward_calls(monkeypatch) -> list:
+    """Record every forward pass made through any module that imports forward."""
+    calls = []
+    real_forward = model.forward
+
+    def counting_forward(g, params):
+        calls.append(g)
+        return real_forward(g, params)
+
+    for module in (cli, localization, metrics, model):
+        monkeypatch.setattr(module, "forward", counting_forward)
+    return calls
+
+
+@pytest.mark.parametrize("all_segments", [True, False])
+def test_localize_runs_one_forward_per_segment(pipeline, tmp_path, monkeypatch, all_segments):
+    calls = count_forward_calls(monkeypatch)
+    partition = pipeline / "video-000.partition.json"
+    argv = ["localize", "--model", str(pipeline / "model.cegm"),
+            "--features", str(pipeline / "data" / "video-000.cegf"),
+            "--partition", str(partition), "--k", "2", "--out", str(tmp_path / "loc.json")]
+    assert main(argv + (["--all-segments"] if all_segments else [])) == 0
+    assert len(calls) == read_partition(partition)[1].segment_count

@@ -12,7 +12,7 @@ from cegl.localization import (
     topk_select,
     write_localization,
 )
-from cegl.model import init_params
+from cegl.model import forward, init_params
 from cegl.numerics import make_rng
 from cegl.segmentation import Partition
 
@@ -25,26 +25,23 @@ class TestNodeScores:
     def test_identical_nodes_equal_scores(self):
         g = graph_of([[1.0, 2.0]] * 4)
         params = init_params((2, 3, 2), seed=1)
-        scores = node_scores(g, params)
+        scores = node_scores(forward(g, params))
         assert np.allclose(scores, scores[0], atol=1e-12)
 
     def test_constant_head_reduces_to_attention(self):
         rng = make_rng(2)
         g = graph_of(rng.standard_normal((5, 3)))
         params = init_params((3, 4, 2), "mean", "attention", seed=3)
-        params.clf_weights[:] = 0.0
-        params.clf_bias = 0.0
-        scores = node_scores(g, params)
-        from cegl.model import forward
-
-        alpha = forward(g, params).attention_weights
-        assert np.allclose(scores, 0.5 * alpha, atol=1e-15)
+        params.arrays["classifier.weights"][:] = 0.0
+        params.arrays["classifier.bias"][:] = 0.0
+        cache = forward(g, params)
+        assert np.allclose(node_scores(cache), 0.5 * cache.attention_weights, atol=1e-15)
 
     def test_uniform_attention_for_non_attention_readout(self):
         rng = make_rng(3)
         g = graph_of(rng.standard_normal((4, 3)))
         params = init_params((3, 4, 2), "mean", "mean", seed=4)
-        scores = node_scores(g, params)
+        scores = node_scores(forward(g, params))
         assert scores.shape == (4,)
         assert (scores > 0).all() and (scores < 1).all()
 
@@ -52,8 +49,8 @@ class TestNodeScores:
         rng = make_rng(4)
         g = graph_of(rng.standard_normal((6, 4)))
         params = init_params((4, 5, 3), "gated", "attention", seed=5)
-        a = node_scores(g, params)
-        b = node_scores(g, params)
+        a = node_scores(forward(g, params))
+        b = node_scores(forward(g, params))
         assert np.array_equal(a, b)
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from cegl.dataio import SynthConfig, synth_video
 from cegl.graph import SimilarityConfig, build_segment_graphs
+from cegl import localization, metrics, model
 from cegl.metrics import (
     ConfusionCounts,
     confusion,
@@ -153,6 +154,24 @@ class TestCoverageCurve:
             params, [(features, ann, partition)], [max(lengths)], localize_all=True
         )
         assert curve == [(max(lengths), 1.0)]
+
+    @pytest.mark.parametrize("localize_all", [True, False])
+    def test_one_forward_per_segment(self, monkeypatch, localize_all):
+        features, ann, partition = separable_video(34)
+        params = init_params((features.feature_dim, 4, 3), "mean", "attention", seed=1)
+        params.arrays["classifier.bias"][0] = 5.0  # every segment predicted abnormal
+        calls = []
+        real_forward = model.forward
+
+        def counting_forward(g, p):
+            calls.append(g)
+            return real_forward(g, p)
+
+        for module in (localization, metrics, model):
+            monkeypatch.setattr(module, "forward", counting_forward)
+        coverage_curve(params, [(features, ann, partition)], [1, 2], localize_all=localize_all)
+        assert len(calls) == partition.segment_count
+        assert all(real_forward(g, params).prediction >= 0.5 for g in calls)
 
     def test_rejects_unordered_ks(self):
         features, ann, partition = separable_video(33)

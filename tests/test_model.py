@@ -9,27 +9,22 @@ from cegl.dataio import FeatureMatrix
 from cegl.model import (
     AGGREGATOR_KINDS,
     READOUT_KINDS,
-    GateWeights,
-    ModelParams,
     TrainConfig,
-    aggregate_neighbors,
-    attention_readout,
     backward,
-    classify,
-    flatten_gradients,
     flatten_params,
     forward,
     init_params,
-    layer_forward,
     load_checkpoint,
     loss,
+    param_shapes,
     save_checkpoint,
     sgd_step,
     train,
     unflatten_params,
     zero_gradients,
 )
-from cegl.numerics import finite_diff_grad, make_rng, sigmoid
+from cegl.numerics import finite_diff_grad, make_rng
+from cegl.segmentation import SegmentationConfig
 
 
 def random_graph(rng, n=None, d=None, label=None):
@@ -51,12 +46,12 @@ def permute_graph(g, perm):
 
 def check_gradients(g, params, y, rtol=1e-4, atol=1e-8):
     cache = forward(g, params)
-    analytic = flatten_gradients(params, backward(cache, g, params, y))
+    analytic = flatten_params(backward(cache, g, params, y))
 
     def f(vec):
         return loss(forward(g, unflatten_params(vec, params)).prediction, y)
 
-    numeric = finite_diff_grad(f, flatten_params(params), eps=1e-5)
+    numeric = finite_diff_grad(f, flatten_params(params.arrays), eps=1e-5)
     err = np.abs(analytic - numeric)
     bound = atol + rtol * np.maximum(np.abs(analytic), np.abs(numeric))
     bad = np.flatnonzero(err > bound)
@@ -68,7 +63,7 @@ class TestInitParams:
     def test_deterministic(self):
         a = init_params((4, 3, 2), seed=5)
         b = init_params((4, 3, 2), seed=5)
-        assert np.array_equal(flatten_params(a), flatten_params(b))
+        assert np.array_equal(flatten_params(a.arrays), flatten_params(b.arrays))
 
     def test_zero_scale_gives_half_probability(self):
         params = init_params((3, 4, 4), init_scale=0.0, seed=1)
@@ -77,17 +72,36 @@ class TestInitParams:
 
     def test_uniform_bounds(self):
         params = init_params((8, 4, 4), seed=3)
-        for w, fan_in in [
-            (params.transforms[0], 16),
-            (params.transforms[1], 8),
-            (params.gates[0].update, 16),
-            (params.gates[1].candidate, 8),
-            (params.attn_transform, 4),
-            (params.attn_vector, 4),
-            (params.clf_weights, 4),
+        for name, fan_in in [
+            ("layer0.transform", 16),
+            ("layer1.transform", 8),
+            ("layer0.gate_update", 16),
+            ("layer1.gate_candidate", 8),
+            ("attention.transform", 4),
+            ("attention.vector", 4),
+            ("classifier.weights", 4),
         ]:
-            assert np.abs(w).max() < 1.0 / np.sqrt(fan_in)
-        assert params.clf_bias == 0.0
+            assert np.abs(params.arrays[name]).max() < 1.0 / np.sqrt(fan_in)
+        assert params.arrays["classifier.bias"].tolist() == [0.0]
+
+    def test_table_holds_only_parameters_the_model_reads(self):
+        for agg in AGGREGATOR_KINDS:
+            for readout in READOUT_KINDS:
+                params = init_params((5, 4, 3), agg, readout, seed=1, a_dim=2)
+                names = list(params.arrays)
+                assert names == list(param_shapes((5, 4, 3), agg, readout, 2))
+                assert any("gate" in n for n in names) == (agg == "gated")
+                assert any(n.startswith("attention.") for n in names) == (readout == "attention")
+                for name, a in params.arrays.items():
+                    assert a.shape == param_shapes((5, 4, 3), agg, readout, 2)[name]
+
+    def test_dropped_arrays_leave_seeded_draws_unchanged(self):
+        full = init_params((5, 4, 3), "gated", "attention", seed=11, init_scale=1.5)
+        for agg in AGGREGATOR_KINDS:
+            for readout in READOUT_KINDS:
+                params = init_params((5, 4, 3), agg, readout, seed=11, init_scale=1.5)
+                for name, a in params.arrays.items():
+                    assert np.array_equal(a, full.arrays[name]), (agg, readout, name)
 
     def test_invalid(self):
         with pytest.raises(ConfigError):
@@ -98,7 +112,7 @@ class TestInitParams:
             init_params((4, 3), readout_kind="lstm")
 
 
-def scripted_gated(edge_w, h, gates):
+def scripted_gated(edge_w, h, update, reset, candidate):
     """Plain per-node sequential evaluation of the gated recurrence."""
     n, d = h.shape
     out = np.zeros_like(h)
@@ -109,134 +123,183 @@ def scripted_gated(edge_w, h, gates):
                 continue
             msg = edge_w[i, j] * h[j]
             gate_in = np.concatenate([state, msg])
-            z = 1.0 / (1.0 + np.exp(-(gates.update @ gate_in)))
-            r = 1.0 / (1.0 + np.exp(-(gates.reset @ gate_in)))
-            cand = np.tanh(gates.candidate @ np.concatenate([r * state, msg]))
+            z = 1.0 / (1.0 + np.exp(-(update @ gate_in)))
+            r = 1.0 / (1.0 + np.exp(-(reset @ gate_in)))
+            cand = np.tanh(candidate @ np.concatenate([r * state, msg]))
             state = (1.0 - z) * state + z * cand
         out[i] = state
     return out
 
 
+def layer0_messages(g, kind, **overrides):
+    """Forward's first-layer messages: the aggregator applied to the raw features."""
+    params = init_params((g.feature_dim, 3), kind, "mean", seed=1)
+    params.arrays.update(overrides)
+    return forward(g, params).messages[0]
+
+
+def attention_params(h_dim, transform, vector, averaged=True):
+    """One mean layer that passes positive features through unchanged, then attention."""
+    params = init_params((h_dim, h_dim), "mean", "attention", a_dim=len(vector),
+                         attention_averaged=averaged)
+    params.arrays["layer0.transform"] = np.hstack([np.eye(h_dim), np.zeros((h_dim, h_dim))])
+    params.arrays["attention.transform"] = np.asarray(transform, dtype=np.float64)
+    params.arrays["attention.vector"] = np.asarray(vector, dtype=np.float64)
+    return params
+
+
 class TestAggregateNeighbors:
     def test_single_node_mean_and_maxpool_zero(self):
         g = build_graph(FeatureMatrix("v", np.array([[1.0, -2.0]])), SimilarityConfig())
-        h = g.node_features
-        assert np.array_equal(aggregate_neighbors(g, h, kind="mean"), np.zeros((1, 2)))
-        assert np.array_equal(aggregate_neighbors(g, h, kind="maxpool"), np.zeros((1, 2)))
+        assert np.array_equal(layer0_messages(g, "mean"), np.zeros((1, 2)))
+        assert np.array_equal(layer0_messages(g, "maxpool"), np.zeros((1, 2)))
 
     def test_single_node_gated_keeps_state(self):
         g = build_graph(FeatureMatrix("v", np.array([[1.0, -2.0]])), SimilarityConfig())
-        gates = GateWeights(*(make_rng(1).standard_normal((3, 2, 4))))
-        out = aggregate_neighbors(g, g.node_features, gates, kind="gated")
+        update, reset, candidate = make_rng(1).standard_normal((3, 2, 4))
+        out = layer0_messages(g, "gated", **{"layer0.gate_update": update,
+                                             "layer0.gate_reset": reset,
+                                             "layer0.gate_candidate": candidate})
         assert np.array_equal(out, g.node_features)
 
     def test_two_identical_nodes_mean(self):
         g = build_graph(FeatureMatrix("v", np.array([[1.0, 2.0], [1.0, 2.0]])), SimilarityConfig())
-        out = aggregate_neighbors(g, g.node_features, kind="mean")
+        out = layer0_messages(g, "mean")
         assert np.allclose(out[0], g.node_features[1], atol=1e-15)
 
     def test_mean_with_all_zero_edges(self):
         feats = np.array([[1.0, 0.0], [-1.0, 0.0]])  # opposite, cosine clamps to 0
         g = build_graph(FeatureMatrix("v", feats), SimilarityConfig())
         assert g.edge_weights.sum() == 0.0
-        out = aggregate_neighbors(g, g.node_features, kind="mean")
-        assert np.array_equal(out, np.zeros((2, 2)))
+        assert np.array_equal(layer0_messages(g, "mean"), np.zeros((2, 2)))
 
     def test_gated_matches_scripted_recurrence(self):
         rng = make_rng(7)
         g = random_graph(rng, n=3, d=4)
-        gates = GateWeights(
+        update, reset, candidate = (
             rng.standard_normal((4, 8)),
             rng.standard_normal((4, 8)),
             rng.standard_normal((4, 8)),
         )
-        got = aggregate_neighbors(g, g.node_features, gates, kind="gated")
-        want = scripted_gated(g.edge_weights, g.node_features, gates)
+        got = layer0_messages(g, "gated", **{"layer0.gate_update": update,
+                                             "layer0.gate_reset": reset,
+                                             "layer0.gate_candidate": candidate})
+        want = scripted_gated(g.edge_weights, g.node_features, update, reset, candidate)
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
     def test_maxpool_matches_elementwise(self):
         rng = make_rng(8)
         g = random_graph(rng, n=4, d=3)
-        got = aggregate_neighbors(g, g.node_features, kind="maxpool")
+        got = layer0_messages(g, "maxpool")
         for i in range(4):
             others = [g.edge_weights[i, j] * g.node_features[j] for j in range(4) if j != i]
             assert np.array_equal(got[i], np.max(others, axis=0))
 
     def test_shape_mismatch(self):
+        # Node rows and the edge matrix must agree; the graph checks this
+        # once, so no aggregator can see mismatched embeddings.
         g = random_graph(make_rng(9), n=3)
         with pytest.raises(ValueError):
-            aggregate_neighbors(g, np.zeros((5, g.feature_dim)), kind="mean")
+            SegmentGraph(node_features=np.zeros((5, g.feature_dim)), edge_weights=g.edge_weights)
 
 
 class TestLayerForward:
     def test_zero_weights_zero_output(self):
         g = random_graph(make_rng(10), n=3, d=4)
-        out = layer_forward(g, g.node_features, np.zeros((5, 8)), kind="mean")
-        assert np.array_equal(out, np.zeros((3, 5)))
+        cache = forward(g, init_params((4, 5), "mean", init_scale=0.0))
+        assert np.array_equal(cache.node_embeddings[1], np.zeros((3, 5)))
 
     def test_selector_of_self_half(self):
         g = build_graph(FeatureMatrix("v", np.abs(make_rng(11).standard_normal((3, 2))) + 0.5),
                         SimilarityConfig())
-        transform = np.hstack([np.eye(2), np.zeros((2, 2))])
-        out = layer_forward(g, g.node_features, transform, kind="mean")
+        params = init_params((2, 2), "mean")
+        params.arrays["layer0.transform"] = np.hstack([np.eye(2), np.zeros((2, 2))])
+        out = forward(g, params).node_embeddings[1]
         assert np.allclose(out, g.node_features, atol=1e-15)
 
     def test_matches_direct_formula(self):
         rng = make_rng(12)
         g = random_graph(rng, n=4, d=3)
+        params = init_params((3, 5), "mean")
         transform = rng.standard_normal((5, 6))
-        out = layer_forward(g, g.node_features, transform, kind="mean")
-        msgs = aggregate_neighbors(g, g.node_features, kind="mean")
+        params.arrays["layer0.transform"] = transform
+        cache = forward(g, params)
+        msgs = cache.messages[0]
         for i in range(4):
             stacked = np.concatenate([g.node_features[i], msgs[i]])
-            assert np.allclose(out[i], np.maximum(transform @ stacked, 0.0), atol=1e-12)
+            assert np.allclose(cache.node_embeddings[1][i], np.maximum(transform @ stacked, 0.0),
+                               atol=1e-12)
+
+    def test_preactivation_matches_triple_loop(self):
+        rng = make_rng(11)
+        g = random_graph(rng, n=3, d=2)
+        params = init_params((2, 2), "mean", seed=4)
+        cache = forward(g, params)
+        a, b = cache.stacked_inputs[0], params.arrays["layer0.transform"].T
+        want = np.zeros((a.shape[0], b.shape[1]))
+        for i in range(a.shape[0]):
+            for j in range(b.shape[1]):
+                for k in range(a.shape[1]):
+                    want[i, j] += a[i, k] * b[k, j]
+        assert np.allclose(cache.preacts[0], want, rtol=0, atol=1e-12)
 
 
 class TestAttentionReadout:
     def test_two_identical_nodes(self):
-        h = np.array([[2.0, 2.0], [2.0, 2.0]])
-        h_g, alpha = attention_readout(h, np.eye(2), np.ones(2))
-        assert np.allclose(alpha, [0.5, 0.5], atol=1e-15)
+        g = build_graph(FeatureMatrix("v", np.array([[2.0, 2.0], [2.0, 2.0]])), SimilarityConfig())
+        cache = forward(g, attention_params(2, np.eye(2), np.ones(2)))
+        assert np.allclose(cache.attention_weights, [0.5, 0.5], atol=1e-15)
         # literal 1/n factor: (1/2) * (0.5+0.5) * (2,2) = (1,1)
-        assert np.allclose(h_g, [1.0, 1.0], atol=1e-15)
+        assert np.allclose(cache.graph_embedding, [1.0, 1.0], atol=1e-15)
 
     def test_single_node(self):
-        h = np.array([[3.0, -1.0]])
-        h_g, alpha = attention_readout(h, np.eye(2), np.ones(2))
-        assert np.array_equal(alpha, [1.0])
-        assert np.allclose(h_g, h[0], atol=1e-15)
+        g = build_graph(FeatureMatrix("v", np.array([[3.0, 1.0]])), SimilarityConfig())
+        cache = forward(g, attention_params(2, np.eye(2), np.ones(2)))
+        assert np.array_equal(cache.attention_weights, [1.0])
+        assert np.allclose(cache.graph_embedding, [3.0, 1.0], atol=1e-15)
 
     def test_matches_scripted(self):
         rng = make_rng(13)
-        h = rng.standard_normal((4, 3))
+        g = random_graph(rng, n=4, d=3)
         wa = rng.standard_normal((2, 3))
         u = rng.standard_normal(2)
-        h_g, alpha = attention_readout(h, wa, u)
+        params = init_params((3, 3), "mean", "attention", seed=2, a_dim=2)
+        params.arrays["attention.transform"] = wa
+        params.arrays["attention.vector"] = u
+        cache = forward(g, params)
+        h = cache.node_embeddings[-1]
         scores = np.array([u @ np.tanh(wa @ h[i]) for i in range(4)])
         e = np.exp(scores - scores.max())
         want_alpha = e / e.sum()
         want_hg = (want_alpha[:, None] * h).sum(axis=0) / 4
-        assert np.allclose(alpha, want_alpha, atol=1e-12)
-        assert np.allclose(h_g, want_hg, atol=1e-12)
-        assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(cache.attention_weights, want_alpha, atol=1e-12)
+        assert np.allclose(cache.graph_embedding, want_hg, atol=1e-12)
+        assert cache.attention_weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestClassifyAndLoss:
     def test_zero_head(self):
+        g = random_graph(make_rng(14), n=3, d=2)
         params = init_params((2, 2), init_scale=0.0)
-        assert classify(np.zeros(2), params) == 0.5
+        assert forward(g, params).prediction == 0.5
 
     def test_bias_only(self):
+        g = random_graph(make_rng(14), n=3, d=2)
         params = init_params((2, 2), init_scale=0.0)
-        params.clf_bias = np.log(3.0)
-        assert classify(np.zeros(2), params) == pytest.approx(0.75, abs=1e-15)
+        params.arrays["classifier.bias"][0] = np.log(3.0)
+        cache = forward(g, params)
+        assert np.array_equal(cache.graph_embedding, np.zeros(2))
+        assert cache.prediction == pytest.approx(0.75, abs=1e-15)
 
     def test_matches_manual_dot(self):
         rng = make_rng(14)
         params = init_params((3, 4, 2), seed=2)
-        h_g = rng.standard_normal(2)
-        want = 1.0 / (1.0 + np.exp(-(params.clf_weights @ h_g + params.clf_bias)))
-        assert classify(h_g, params) == pytest.approx(want, abs=1e-15)
+        params.arrays["classifier.bias"][0] = 0.3
+        cache = forward(random_graph(rng, d=3), params)
+        h_g = cache.graph_embedding
+        w, b = params.arrays["classifier.weights"], params.arrays["classifier.bias"][0]
+        want = 1.0 / (1.0 + np.exp(-(w @ h_g + b)))
+        assert cache.prediction == pytest.approx(want, abs=1e-15)
 
     def test_loss_values(self):
         assert loss(0.5, 0) == pytest.approx(np.log(2.0), abs=1e-12)
@@ -269,15 +332,16 @@ class TestForward:
 
         h = g.node_features
         w = g.edge_weights
-        for transform in params.transforms:
+        for transform in (params.arrays["layer0.transform"], params.arrays["layer1.transform"]):
             deg = w.sum(axis=1)
             msgs = np.where(deg[:, None] > 0, (w @ h) / np.maximum(deg, 1e-300)[:, None], 0.0)
             h = np.maximum(np.hstack([h, msgs]) @ transform.T, 0.0)
-        scores = np.tanh(h @ params.attn_transform.T) @ params.attn_vector
+        a = params.arrays
+        scores = np.tanh(h @ a["attention.transform"].T) @ a["attention.vector"]
         e = np.exp(scores - scores.max())
         alpha = e / e.sum()
         h_g = (alpha[:, None] * h).sum(axis=0) / 3
-        want = 1.0 / (1.0 + np.exp(-(params.clf_weights @ h_g + params.clf_bias)))
+        want = 1.0 / (1.0 + np.exp(-(a["classifier.weights"] @ h_g + a["classifier.bias"][0])))
 
         assert forward(g, params).prediction == pytest.approx(want, abs=1e-12)
 
@@ -294,23 +358,23 @@ class TestBackward:
         params = init_params((3, 4, 2), "mean", "attention", seed=7)
         cache = forward(g, params)
         grads = backward(cache, g, params, 1)
-        assert grads.clf_bias == cache.prediction - 1
+        assert grads["classifier.bias"].tolist() == [cache.prediction - 1]
 
     def test_unused_gate_branch_gets_zero_gradient(self):
+        # A mean model has no gate weights, so there is no gate gradient
+        # at all; the gradient table mirrors the parameter table.
         g = random_graph(make_rng(19), n=4, d=3)
         params = init_params((3, 4, 2), "mean", "attention", seed=8)
         grads = backward(forward(g, params), g, params, 0)
-        for gw in grads.gates:
-            assert not gw.update.any()
-            assert not gw.reset.any()
-            assert not gw.candidate.any()
+        assert list(grads) == list(params.arrays)
+        assert not any("gate" in name for name in grads)
 
     def test_unused_attention_branch_gets_zero_gradient(self):
         g = random_graph(make_rng(20), n=4, d=3)
         params = init_params((3, 4, 2), "mean", "mean", seed=9)
         grads = backward(forward(g, params), g, params, 0)
-        assert not grads.attn_transform.any()
-        assert not grads.attn_vector.any()
+        assert list(grads) == list(params.arrays)
+        assert not any(name.startswith("attention.") for name in grads)
 
     def test_stale_cache_rejected(self):
         rng = make_rng(21)
@@ -356,28 +420,28 @@ class TestSgdStep:
         g = random_graph(make_rng(22), n=3, d=3)
         grads = backward(forward(g, params), g, params, 1)
         updated = sgd_step(params, grads, 0.0)
-        assert np.array_equal(flatten_params(updated), flatten_params(params))
+        assert np.array_equal(flatten_params(updated.arrays), flatten_params(params.arrays))
 
     def test_scalar_arithmetic(self):
         params = init_params((2, 1), init_scale=0.0)
-        params.clf_bias = 1.0
+        params.arrays["classifier.bias"][0] = 1.0
         grads = zero_gradients(params)
-        grads.clf_bias = 2.0
-        assert sgd_step(params, grads, 0.1).clf_bias == pytest.approx(0.8)
+        grads["classifier.bias"][0] = 2.0
+        assert sgd_step(params, grads, 0.1).arrays["classifier.bias"][0] == pytest.approx(0.8)
 
     def test_converges_on_quadratic(self):
         # minimize (b - 3)^2 through the bias alone
         params = init_params((2, 1), init_scale=0.0)
         for _ in range(200):
             grads = zero_gradients(params)
-            grads.clf_bias = 2.0 * (params.clf_bias - 3.0)
+            grads["classifier.bias"] = 2.0 * (params.arrays["classifier.bias"] - 3.0)
             params = sgd_step(params, grads, 0.1)
-        assert params.clf_bias == pytest.approx(3.0, abs=1e-8)
+        assert params.arrays["classifier.bias"][0] == pytest.approx(3.0, abs=1e-8)
 
     def test_nonfinite_gradient_aborts(self):
         params = init_params((3, 4, 2))
         grads = zero_gradients(params)
-        grads.clf_weights[0] = np.nan
+        grads["classifier.weights"][0] = np.nan
         with pytest.raises(NumericError):
             sgd_step(params, grads, 0.1)
 
@@ -402,7 +466,7 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.05, batch_size=1, epochs=5, seed=9)
         out1, hist1 = train(graphs, init_params((2, 4, 3), seed=3), cfg)
         out2, hist2 = train(graphs, init_params((2, 4, 3), seed=3), cfg)
-        assert np.array_equal(flatten_params(out1), flatten_params(out2))
+        assert np.array_equal(flatten_params(out1.arrays), flatten_params(out2.arrays))
         assert hist1 == hist2
 
     def test_epochs_zero_rejected(self):
@@ -456,7 +520,7 @@ class TestPermutationProperties:
         g = build_graph(FeatureMatrix("v", feats), SimilarityConfig())
         # orthogonal/opposite directions leave only clamped zero edges
         assert g.edge_weights.max() == 0.0
-        msgs = aggregate_neighbors(g, g.node_features, kind="mean")
+        msgs = layer0_messages(g, "mean")
         assert np.array_equal(msgs, np.zeros_like(feats))
 
 
@@ -466,16 +530,19 @@ class TestCheckpoint:
             (5, 6, 4), "gated", "attention", seed=21, a_dim=3, attention_averaged=False
         )
         sim = SimilarityConfig(metric="knn_cosine", knn_k=4)
+        seg = SegmentationConfig(penalty=None, min_len=3)
         path = tmp_path / "m.cegm"
-        save_checkpoint(params, path, similarity=sim)
-        loaded, sim_back = load_checkpoint(path)
-        assert np.array_equal(flatten_params(loaded), flatten_params(params))
+        save_checkpoint(params, path, similarity=sim, segmentation=seg)
+        loaded, sim_back, seg_back = load_checkpoint(path)
+        assert list(loaded.arrays) == list(params.arrays)
+        assert np.array_equal(flatten_params(loaded.arrays), flatten_params(params.arrays))
         assert loaded.layer_dims == params.layer_dims
         assert loaded.aggregator_kind == "gated"
         assert loaded.readout_kind == "attention"
         assert loaded.a_dim == 3
         assert loaded.attention_averaged is False
         assert sim_back == sim
+        assert seg_back == seg
 
     def test_corrupted_magic(self, tmp_path):
         params = init_params((3, 3, 2), seed=1)

@@ -4,46 +4,7 @@ import numpy as np
 import pytest
 
 from cegl.errors import NumericError
-from cegl.numerics import finite_diff_grad, gemm, make_rng, sigmoid, softmax
-
-
-def naive_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
-
-
-class TestGemm:
-    def test_identity(self):
-        b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(gemm(np.eye(2), b), b)
-
-    def test_selector_row(self):
-        out = gemm(np.array([[1.0, 0.0]]), np.array([[5.0], [7.0]]))
-        assert np.array_equal(out, [[5.0]])
-
-    def test_matches_triple_loop(self):
-        rng = make_rng(11)
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((4, 2))
-        assert np.allclose(gemm(a, b), naive_matmul(a, b), rtol=0, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="inner dimensions"):
-            gemm(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_associativity(self):
-        rng = make_rng(3)
-        for _ in range(20):
-            a = rng.standard_normal((3, 5))
-            b = rng.standard_normal((5, 4))
-            c = rng.standard_normal((4, 2))
-            left = gemm(gemm(a, b), c)
-            right = gemm(a, gemm(b, c))
-            assert np.allclose(left, right, rtol=1e-9, atol=1e-12)
+from cegl.numerics import finite_diff_grad, make_rng, sigmoid, softmax
 
 
 class TestSigmoid:
