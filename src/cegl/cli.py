@@ -12,16 +12,15 @@ Exit codes: 0 success, 1 runtime/numeric failure, 2 usage/config failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import dataio, metrics, segmentation
-from .dataio import Annotations, FeatureMatrix, SynthConfig
+from .dataio import Annotations, FeatureMatrix, SynthConfig, check_types, config_from_json
 from .errors import CeglError, ConfigError, DataError, FormatError, NumericError
 from .graph import SegmentGraph, SimilarityConfig, build_segment_graphs
 from .localization import LocalizationResult, node_scores, topk_select, write_localization
@@ -44,123 +43,63 @@ SEED_ENV_VAR = "CEGL_SEED"
 
 
 @dataclass(frozen=True)
+class ModelConfig:
+    """The model section; layer_dims None means (feature dim, 32, 16)."""
+
+    layer_dims: tuple[int, ...] | None = None
+    aggregator_kind: str = "gated"
+    readout_kind: str = "attention"
+    a_dim: int | None = None
+    attention_averaged: bool = True
+
+    def __post_init__(self):
+        check_types(self)
+
+
+@dataclass(frozen=True)
 class RunConfig:
+    """The JSON run configuration, one config dataclass per section.
+
+    An absent section takes its dataclass's defaults; synth has none and
+    only `cegl synth` needs it.
+    """
+
     synth: SynthConfig | None
-    synth_videos: int
     segmentation: SegmentationConfig
     similarity: SimilarityConfig
-    layer_dims: tuple[int, ...] | None
-    aggregator_kind: str
-    readout_kind: str
-    a_dim: int | None
-    attention_averaged: bool
+    model: ModelConfig
     train: TrainConfig
-    ks: tuple[int, ...]
-    localize_all: bool
-
-
-def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {where} config keys: {sorted(unknown)}")
 
 
 def load_run_config(path) -> RunConfig:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
-    try:
-        obj = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed config JSON {path}: {exc}") from exc
+    obj = dataio.read_json(path, "config", ConfigError)
     if not isinstance(obj, dict):
         raise ConfigError(f"config root must be a JSON object: {path}")
-    return parse_run_config(obj)
+    unknown = set(obj) - {f.name for f in fields(RunConfig)}
+    if unknown:
+        raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
 
+    def section(cls, name):
+        return config_from_json(cls, obj.get(name, {}), name)
 
-def parse_run_config(obj: dict) -> RunConfig:
-    _require_keys(
-        obj,
-        {"synth", "segmentation", "similarity", "model", "train", "ks", "localize_all_segments"},
-        "top-level",
+    cfg = RunConfig(
+        synth=section(SynthConfig, "synth") if "synth" in obj else None,
+        segmentation=section(SegmentationConfig, "segmentation"),
+        similarity=section(SimilarityConfig, "similarity"),
+        model=section(ModelConfig, "model"),
+        train=section(TrainConfig, "train"),
     )
-    seed_override = os.environ.get(SEED_ENV_VAR)
-    if seed_override is not None:
-        try:
-            seed_override = int(seed_override)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from exc
-
-    synth_obj = obj.get("synth")
-    synth_cfg = None
-    synth_videos = 1
-    if synth_obj is not None:
-        allowed = {
-            "segment_count",
-            "mean_segment_len",
-            "feature_dim",
-            "abnormal_segment_fraction",
-            "abnormal_frame_fraction",
-            "cluster_spread",
-            "abnormal_offset_norm",
-            "seed",
-            "videos",
-        }
-        _require_keys(synth_obj, allowed, "synth")
-        synth_videos = int(synth_obj.get("videos", 1))
-        if synth_videos < 1:
-            raise ConfigError("synth.videos must be at least 1")
-        kwargs = {k: v for k, v in synth_obj.items() if k != "videos"}
-        if seed_override is not None:
-            kwargs["seed"] = seed_override
-        try:
-            synth_cfg = SynthConfig(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"incomplete synth config: {exc}") from exc
-
-    segmentation_cfg = SegmentationConfig.from_dict(obj.get("segmentation", {}))
-    similarity = SimilarityConfig.from_dict(obj.get("similarity", {}))
-
-    model_obj = obj.get("model", {})
-    _require_keys(
-        model_obj,
-        {"layer_dims", "aggregator_kind", "readout_kind", "a_dim", "attention_averaged"},
-        "model",
-    )
-    layer_dims = model_obj.get("layer_dims")
-    if layer_dims is not None:
-        layer_dims = tuple(int(d) for d in layer_dims)
-    a_dim = model_obj.get("a_dim")
-    if a_dim is not None:
-        a_dim = int(a_dim)
-
-    train_obj = dict(obj.get("train", {}))
-    _require_keys(
-        train_obj,
-        {"learning_rate", "batch_size", "epochs", "seed", "init_scale", "shuffle", "class_weighting"},
-        "train",
-    )
-    if seed_override is not None:
-        train_obj["seed"] = seed_override
-    train_cfg = TrainConfig(**train_obj)
-
-    ks = tuple(int(k) for k in obj.get("ks", (1, 2, 3, 5, 7, 9)))
-    if not ks or list(ks) != sorted(ks) or ks[0] < 1:
-        raise ConfigError("ks must be an ascending list of positive ints")
-
-    return RunConfig(
-        synth=synth_cfg,
-        synth_videos=synth_videos,
-        segmentation=segmentation_cfg,
-        similarity=similarity,
-        layer_dims=layer_dims,
-        aggregator_kind=model_obj.get("aggregator_kind", "gated"),
-        readout_kind=model_obj.get("readout_kind", "attention"),
-        a_dim=a_dim,
-        attention_averaged=bool(model_obj.get("attention_averaged", True)),
-        train=train_cfg,
-        ks=ks,
-        localize_all=bool(obj.get("localize_all_segments", False)),
+    seed = os.environ.get(SEED_ENV_VAR)
+    if seed is None:
+        return cfg
+    try:
+        seed = int(seed)
+    except ValueError as exc:
+        raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from exc
+    return replace(
+        cfg,
+        synth=None if cfg.synth is None else replace(cfg.synth, seed=seed),
+        train=replace(cfg.train, seed=seed),
     )
 
 
@@ -178,11 +117,12 @@ def _list_videos(data_dir: Path) -> list[Path]:
 
 
 def _load_video(cegf_path: Path) -> tuple[FeatureMatrix, Annotations]:
+    """A video's features and its annotations, which must carry frame labels."""
     features = dataio.read_feature_matrix(cegf_path)
-    ann_path = cegf_path.with_name(cegf_path.stem + ".annotations.json")
-    if not ann_path.exists():
-        raise FileNotFoundError(f"annotations file not found: {ann_path}")
-    return features, dataio.read_annotations(ann_path)
+    ann = dataio.read_annotations(cegf_path.with_name(cegf_path.stem + ".annotations.json"))
+    if ann.frame_labels is None:
+        raise ConfigError(f"annotations for {features.video_id} carry no frame labels")
+    return features, ann
 
 
 def _predictions_obj(features, partition, graphs, params) -> dict:
@@ -213,18 +153,9 @@ def cmd_synth(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     created: list[Path] = []
     try:
-        for i in range(cfg.synth_videos):
+        for i in range(cfg.synth.videos):
             video_id = f"video-{i:03d}"
-            per_video = SynthConfig(
-                segment_count=cfg.synth.segment_count,
-                mean_segment_len=cfg.synth.mean_segment_len,
-                feature_dim=cfg.synth.feature_dim,
-                abnormal_segment_fraction=cfg.synth.abnormal_segment_fraction,
-                abnormal_frame_fraction=cfg.synth.abnormal_frame_fraction,
-                cluster_spread=cfg.synth.cluster_spread,
-                abnormal_offset_norm=cfg.synth.abnormal_offset_norm,
-                seed=cfg.synth.seed + i,
-            )
+            per_video = replace(cfg.synth, seed=cfg.synth.seed + i)
             features, ann, true_partition = dataio.synth_video(per_video, video_id)
             cegf = out_dir / f"{video_id}.cegf"
             created.append(cegf)
@@ -257,8 +188,6 @@ def cmd_train(args) -> int:
     feature_dim = None
     for cegf in videos:
         features, ann = _load_video(cegf)
-        if ann.frame_labels is None:
-            raise ConfigError(f"annotations for {features.video_id} carry no frame labels")
         if feature_dim is None:
             feature_dim = features.feature_dim
         elif features.feature_dim != feature_dim:
@@ -269,19 +198,20 @@ def cmd_train(args) -> int:
         graphs = build_segment_graphs(features, partition, cfg.similarity, annotations=ann)
         labelled.extend((g, g.weak_label) for g in graphs)
 
-    layer_dims = cfg.layer_dims or (feature_dim, 32, 16)
+    model_cfg = cfg.model
+    layer_dims = model_cfg.layer_dims or (feature_dim, 32, 16)
     if layer_dims[0] != feature_dim:
         raise ConfigError(
             f"model layer_dims[0]={layer_dims[0]} does not match feature dim {feature_dim}"
         )
     params = init_params(
         layer_dims,
-        aggregator_kind=cfg.aggregator_kind,
-        readout_kind=cfg.readout_kind,
+        aggregator_kind=model_cfg.aggregator_kind,
+        readout_kind=model_cfg.readout_kind,
         seed=cfg.train.seed,
-        a_dim=cfg.a_dim,
+        a_dim=model_cfg.a_dim,
         init_scale=cfg.train.init_scale,
-        attention_averaged=cfg.attention_averaged,
+        attention_averaged=model_cfg.attention_averaged,
     )
     params, _history = train(labelled, params, cfg.train)
     save_checkpoint(params, args.out, similarity=cfg.similarity, segmentation=cfg.segmentation)
@@ -358,8 +288,6 @@ def cmd_coverage_curve(args) -> int:
     data = []
     for cegf in _list_videos(Path(args.data)):
         features, ann = _load_video(cegf)
-        if ann.frame_labels is None:
-            raise ConfigError(f"annotations for {features.video_id} carry no frame labels")
         data.append((features, ann, pelt(features, segmentation_cfg)))
 
     curve = metrics.coverage_curve(params, data, ks, similarity=similarity)
@@ -368,15 +296,9 @@ def cmd_coverage_curve(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    preds_path = Path(args.preds)
-    if not preds_path.exists():
-        raise FileNotFoundError(f"predictions file not found: {preds_path}")
-    try:
-        preds_obj = json.loads(preds_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"malformed predictions JSON {preds_path}: {exc}") from exc
+    preds_obj = dataio.read_json(args.preds, "predictions")
     if not isinstance(preds_obj, dict) or "segments" not in preds_obj:
-        raise FormatError(f"predictions JSON must hold a segments list: {preds_path}")
+        raise FormatError(f"predictions JSON must hold a segments list: {args.preds}")
 
     ann = dataio.read_annotations(args.annotations)
     _video_id, partition = segmentation.read_partition(args.partition)
@@ -387,7 +309,7 @@ def cmd_evaluate(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(
             f"every predictions segment needs a segment_id and a predicted label "
-            f"({type(exc).__name__}: {exc}): {preds_path}"
+            f"({type(exc).__name__}: {exc}): {args.preds}"
         ) from exc
     if len(segments) != partition.segment_count:
         raise ConfigError(

@@ -20,8 +20,11 @@ Values are widened to float64 in memory regardless of on-disk precision.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
+import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -88,12 +91,71 @@ class Annotations:
             object.__setattr__(self, "frame_labels", labels)
 
 
+def config_from_json(cls, obj, section: str):
+    """Read one run-config section, a JSON object, into the dataclass cls.
+
+    Keys must be fields of cls; absent fields take cls's defaults. A
+    section that is not an object, an unknown key, a missing required
+    field or a value cls rejects raises ConfigError naming the section.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{section} config must be a JSON object, got {obj!r}")
+    unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {section} config keys: {sorted(unknown)}")
+    try:
+        return cls(**obj)
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{section} config: {exc}") from exc
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+#: Annotation part of a config field -> (does a value have it, what the error calls it).
+_JSON_TYPES = {
+    "int": (_is_count, "an integer"),
+    "float": (_is_real, "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "None": (lambda v: v is None, "null"),
+    "tuple[int, ...]": (
+        lambda v: isinstance(v, (list, tuple)) and all(map(_is_count, v)),
+        "a list of integers",
+    ),
+}
+
+
+def check_types(cfg) -> None:
+    """Check every field of a config dataclass against its annotation.
+
+    Annotations are strings (postponed evaluation) of _JSON_TYPES keys
+    joined by " | "; a bool is neither an int nor a float. Reals are
+    stored as float and integer lists as tuples.
+    """
+    for f in dataclasses.fields(cfg):
+        value, kinds = getattr(cfg, f.name), f.type.split(" | ")
+        if not any(_JSON_TYPES[kind][0](value) for kind in kinds):
+            what = " or ".join(_JSON_TYPES[kind][1] for kind in kinds)
+            raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+        if "float" in kinds and _is_real(value):
+            object.__setattr__(cfg, f.name, float(value))
+        elif isinstance(value, list):
+            object.__setattr__(cfg, f.name, tuple(value))
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Controls for the synthetic video generator.
 
     Separability of abnormal frames scales with
-    abnormal_offset_norm / cluster_spread.
+    abnormal_offset_norm / cluster_spread. `synth_video` makes one video;
+    `cegl synth` makes `videos` of them, seeded seed, seed + 1, ...
     """
 
     segment_count: int
@@ -104,8 +166,10 @@ class SynthConfig:
     cluster_spread: float
     abnormal_offset_norm: float
     seed: int
+    videos: int = 1
 
     def __post_init__(self):
+        check_types(self)
         if self.segment_count < 2:
             raise ConfigError("segment_count must be at least 2")
         if self.mean_segment_len < MIN_SYNTH_SEGMENT_LEN:
@@ -124,6 +188,8 @@ class SynthConfig:
             raise ConfigError("abnormal_offset_norm must be non-negative")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        if self.videos < 1:
+            raise ConfigError("videos must be at least 1")
 
 
 def write_atomic(path, data: bytes | str) -> None:
@@ -145,6 +211,17 @@ def write_atomic(path, data: bytes | str) -> None:
 def write_json(obj, path) -> None:
     """Atomically write obj as indented, key-sorted JSON plus a newline."""
     write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def read_json(path, what: str, error=FormatError):
+    """Parse a JSON file; a missing file or bad JSON raises one line naming what."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"{what} file not found: {path}")
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise error(f"malformed {what} JSON {path}: {exc}") from exc
 
 
 def write_feature_matrix(m: FeatureMatrix, path, format: str = "cegf") -> None:
@@ -198,9 +275,7 @@ def _parse_cegf(raw: bytes, video_id: str) -> FeatureMatrix:
             f"CEGF payload length mismatch: expected {expected} bytes, got {len(raw)}"
         )
     flat = np.frombuffer(raw, dtype="<f4", offset=24)
-    values = flat.astype(np.float64).reshape(t, d)
-    _check_finite(values)
-    return FeatureMatrix(video_id, values)
+    return FeatureMatrix(video_id, flat.astype(np.float64).reshape(t, d))
 
 
 def _parse_csv(path: Path, video_id: str) -> FeatureMatrix:
@@ -208,14 +283,7 @@ def _parse_csv(path: Path, video_id: str) -> FeatureMatrix:
         values = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise FormatError(f"malformed CSV feature file {path}: {exc}") from exc
-    _check_finite(values)
     return FeatureMatrix(video_id, values)
-
-
-def _check_finite(values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
-        r, c = np.argwhere(~np.isfinite(values))[0]
-        raise DataError(f"non-finite feature at row {r}, col {c}")
 
 
 def write_annotations(ann: Annotations, path) -> None:
@@ -228,13 +296,7 @@ def write_annotations(ann: Annotations, path) -> None:
 
 
 def read_annotations(path) -> Annotations:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"annotations file not found: {path}")
-    try:
-        obj = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"malformed annotations JSON {path}: {exc}") from exc
+    obj = read_json(path, "annotations")
     if not isinstance(obj, dict) or "video_id" not in obj:
         raise FormatError(f"annotations JSON must be an object with a video_id: {path}")
     unknown = set(obj) - {"video_id", "frame_labels", "notes"}

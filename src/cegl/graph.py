@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import Annotations, FeatureMatrix, derive_segment_labels
+from .dataio import Annotations, FeatureMatrix, check_types, derive_segment_labels
 from .errors import ConfigError
+from .segmentation import split_video
 
 log = logging.getLogger(__name__)
 
@@ -31,6 +32,7 @@ class SimilarityConfig:
     rbf_sigma: float | str = MEDIAN_HEURISTIC
 
     def __post_init__(self):
+        check_types(self)
         if self.metric not in METRICS:
             raise ConfigError(f"unknown similarity metric {self.metric!r}")
         if self.metric == "knn_cosine":
@@ -41,20 +43,6 @@ class SimilarityConfig:
                 raise ConfigError(f"rbf_sigma must be a positive real or {MEDIAN_HEURISTIC!r}")
         elif self.rbf_sigma <= 0:
             raise ConfigError("explicit rbf_sigma must be positive")
-
-    def to_dict(self) -> dict:
-        return {"metric": self.metric, "knn_k": self.knn_k, "rbf_sigma": self.rbf_sigma}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SimilarityConfig":
-        unknown = set(obj) - {"metric", "knn_k", "rbf_sigma"}
-        if unknown:
-            raise ConfigError(f"unknown similarity config keys {sorted(unknown)}")
-        return cls(
-            metric=obj.get("metric", "cosine"),
-            knn_k=obj.get("knn_k"),
-            rbf_sigma=obj.get("rbf_sigma", MEDIAN_HEURISTIC),
-        )
 
 
 @dataclass(frozen=True)
@@ -201,18 +189,11 @@ def build_segment_graphs(
     annotations: Annotations | None = None,
 ) -> list[SegmentGraph]:
     """One graph per partition segment, labelled weakly when annotations allow."""
-    labels = None
+    segments = split_video(features, partition)
+    labels = [None] * len(segments)
     if annotations is not None and annotations.frame_labels is not None:
-        labels = derive_segment_labels(annotations, partition)
-    graphs = []
-    for idx, (s, e) in enumerate(partition.spans()):
-        seg = FeatureMatrix(features.video_id, features.values[s:e])
-        graphs.append(
-            build_graph(
-                seg,
-                cfg,
-                offset=s,
-                weak_label=None if labels is None else int(labels[idx]),
-            )
-        )
-    return graphs
+        labels = [int(label) for label in derive_segment_labels(annotations, partition)]
+    return [
+        build_graph(segment, cfg, offset=s, weak_label=label)
+        for segment, (s, _e), label in zip(segments, partition.spans(), labels)
+    ]

@@ -9,14 +9,12 @@ descending, earlier frame first on ties) so selections are nested in k.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataio import Annotations, derive_segment_labels, write_json
+from .dataio import Annotations, derive_segment_labels, read_json, write_json
 from .errors import FormatError
 
 # `forward` is not called here: frame scores come from the caller's pass.
@@ -136,13 +134,7 @@ def write_localization(results: list[LocalizationResult], path) -> None:
 
 
 def read_localization(path) -> list[dict]:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"localization file not found: {path}")
-    try:
-        obj = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"malformed localization JSON {path}: {exc}") from exc
+    obj = read_json(path, "localization")
     if not isinstance(obj, list):
         raise FormatError(f"localization JSON must be a list: {path}")
     return obj

@@ -9,7 +9,7 @@ than propagating NaN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,10 +40,9 @@ class MetricsReport:
     fscore: float
     per_class: dict
     degenerate: tuple[str, ...] = ()
-    coverage_curve: tuple[tuple[int, float], ...] = field(default=())
 
     def to_json_obj(self) -> dict:
-        obj = {
+        return {
             "accuracy": self.accuracy,
             "sensitivity": self.sensitivity,
             "specificity": self.specificity,
@@ -51,9 +50,6 @@ class MetricsReport:
             "per_class": self.per_class,
             "degenerate": list(self.degenerate),
         }
-        if self.coverage_curve:
-            obj["coverage_curve"] = [[k, c] for k, c in self.coverage_curve]
-        return obj
 
 
 def confusion(preds, labels) -> ConfusionCounts:

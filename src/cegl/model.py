@@ -41,12 +41,12 @@ import json
 import logging
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import write_atomic
+from .dataio import check_types, config_from_json, write_atomic
 from .errors import ConfigError, FormatError, NumericError, TruncatedFileError
 from .graph import SegmentGraph, SimilarityConfig
 from .numerics import make_rng, sigmoid, softmax
@@ -148,6 +148,7 @@ class TrainConfig:
     class_weighting: bool = False
 
     def __post_init__(self):
+        check_types(self)
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         if self.batch_size < 1:
@@ -590,8 +591,8 @@ def save_checkpoint(
         "readout_kind": params.readout_kind,
         "a_dim": params.a_dim,
         "attention_averaged": params.attention_averaged,
-        "similarity": None if similarity is None else similarity.to_dict(),
-        "segmentation": None if segmentation is None else segmentation.to_dict(),
+        "similarity": None if similarity is None else asdict(similarity),
+        "segmentation": None if segmentation is None else asdict(segmentation),
         "params": [{"name": name, "shape": list(a.shape)} for name, a in params.arrays.items()],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -641,8 +642,10 @@ def load_checkpoint(
         if not isinstance(averaged, bool):
             raise ConfigError(f"attention_averaged must be true or false, got {averaged!r}")
         sim, seg = header["similarity"], header["segmentation"]
-        similarity = None if sim is None else SimilarityConfig.from_dict(sim)
-        segmentation = None if seg is None else SegmentationConfig.from_dict(seg)
+        similarity = None if sim is None else config_from_json(SimilarityConfig, sim, "similarity")
+        segmentation = (
+            None if seg is None else config_from_json(SegmentationConfig, seg, "segmentation")
+        )
     except (ConfigError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed checkpoint header: {exc}") from exc
     if header["params"] != [{"name": n, "shape": list(s)} for n, s in shapes.items()]:

@@ -21,14 +21,12 @@ then toward the earlier candidate start, in both solvers.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .dataio import FeatureMatrix, write_json
+from .dataio import FeatureMatrix, check_types, read_json, write_json
 from .errors import ConfigError, FormatError
 
 #: Largest input the quadratic-time oracle accepts.
@@ -67,13 +65,14 @@ class Partition:
 
 @dataclass(frozen=True)
 class SegmentationConfig:
-    penalty: float | None  # None selects default_penalty per video
+    penalty: float | None = None  # None selects default_penalty per video
     min_len: int = 5
     cost_kind: str = "gaussian_mean_l2"
 
     def __post_init__(self):
-        if self.penalty is not None and not (math.isfinite(self.penalty) and self.penalty > 0):
-            raise ConfigError(f"penalty must be a positive finite real, got {self.penalty}")
+        check_types(self)
+        if self.penalty is not None and self.penalty <= 0:
+            raise ConfigError(f"penalty must be positive, got {self.penalty}")
         if self.min_len < 1:
             raise ConfigError("min_len must be at least 1")
         if self.cost_kind not in COST_KINDS:
@@ -83,21 +82,6 @@ class SegmentationConfig:
         if self.penalty is None:
             return default_penalty(f.frame_count, f.feature_dim)
         return self.penalty
-
-    def to_dict(self) -> dict:
-        return {"penalty": self.penalty, "min_len": self.min_len, "cost_kind": self.cost_kind}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SegmentationConfig":
-        unknown = set(obj) - {"penalty", "min_len", "cost_kind"}
-        if unknown:
-            raise ConfigError(f"unknown segmentation config keys: {sorted(unknown)}")
-        penalty = obj.get("penalty")
-        return cls(
-            penalty=None if penalty is None else float(penalty),
-            min_len=int(obj.get("min_len", 5)),
-            cost_kind=obj.get("cost_kind", "gaussian_mean_l2"),
-        )
 
 
 def default_penalty(frame_count: int, feature_dim: int) -> float:
@@ -259,13 +243,7 @@ def write_partition(p: Partition, video_id: str, path) -> None:
 
 
 def read_partition(path) -> tuple[str, Partition]:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"partition file not found: {path}")
-    try:
-        obj = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"malformed partition JSON {path}: {exc}") from exc
+    obj = read_json(path, "partition")
     if not isinstance(obj, dict) or set(obj) != {"video_id", "boundaries"}:
         raise FormatError(f"partition JSON must hold video_id and boundaries: {path}")
     try:

@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -42,7 +43,6 @@ def write_config(path, **overrides):
             "shuffle": True,
             "class_weighting": True,
         },
-        "ks": [1, 2, 3, 5, 7, 9],
     }
     cfg.update(overrides)
     path.write_text(json.dumps(cfg))
@@ -166,7 +166,7 @@ class TestPipeline:
         assert params.layer_dims == (8, 12, 8)
         assert params.aggregator_kind == "mean"
         assert sim.metric == "cosine"
-        assert seg.to_dict() == {"penalty": 8.0, "min_len": 5, "cost_kind": "gaussian_mean_l2"}
+        assert asdict(seg) == {"penalty": 8.0, "min_len": 5, "cost_kind": "gaussian_mean_l2"}
 
     def test_predictions_schema(self, tmp_path):
         base = run_pipeline(tmp_path)
@@ -377,3 +377,72 @@ def test_localize_runs_one_forward_per_segment(pipeline, tmp_path, monkeypatch, 
             "--partition", str(partition), "--k", "2", "--out", str(tmp_path / "loc.json")]
     assert main(argv + (["--all-segments"] if all_segments else [])) == 0
     assert len(calls) == read_partition(partition)[1].segment_count
+
+
+# Per section: a count field, a flag field and a real field, or None where
+# the section has no field of that type.
+SECTION_FIELDS = {
+    "synth": ("segment_count", None, "cluster_spread"),
+    "segmentation": ("min_len", None, "penalty"),
+    "similarity": ("knn_k", None, "rbf_sigma"),
+    "model": ("a_dim", "attention_averaged", None),
+    "train": ("epochs", "class_weighting", "learning_rate"),
+}
+
+
+def malformed_config_cases():
+    """(id, section, section value): each malformed kind each section can hold."""
+    for section, (count, flag, real) in SECTION_FIELDS.items():
+        yield f"{section}-non-object", section, 5
+        yield f"{section}-string-count", section, {count: "5"}
+        if flag is not None:
+            yield f"{section}-string-flag", section, {flag: "false"}
+        if real is not None:
+            yield f"{section}-list-real", section, {real: [1.0]}
+        yield f"{section}-bool-count", section, {count: True}
+        yield f"{section}-unknown-key", section, {"bogus": 1}
+    yield "model-int-layer-dims", "model", {"layer_dims": 5}
+    yield "segmentation-float-min-len", "segmentation", {"min_len": 5.0}
+    yield "similarity-string-knn-k", "similarity", {"metric": "knn_cosine", "knn_k": "3"}
+    yield "train-nan-learning-rate", "train", {"learning_rate": float("nan")}
+    yield "top-level-ks", "top-level", 5
+
+
+MALFORMED_CONFIGS = list(malformed_config_cases())
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+@pytest.mark.parametrize(
+    "section, value", [case[1:] for case in MALFORMED_CONFIGS],
+    ids=[case[0] for case in MALFORMED_CONFIGS],
+)
+def test_malformed_config_value_exits_2(pipeline, tmp_path, capsys, command, section, value):
+    cfg = json.loads((pipeline / "config.json").read_text())
+    if section == "top-level":
+        cfg["ks"] = value
+    elif isinstance(value, dict):
+        cfg[section] = {**cfg[section], **value}
+    else:
+        cfg[section] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    if command == "synth":
+        out = tmp_path / "data"
+        argv = ["synth", "--config", config, "--out", out]
+    else:
+        out = tmp_path / "model.cegm"
+        argv = ["train", "--data", pipeline / "data", "--config", config, "--out", out]
+    assert_exit_2_without_output(argv, out, capsys, f"{section} config")
+
+
+def test_classify_rejects_partition_past_last_frame(pipeline, tmp_path, capsys):
+    frames = read_feature_matrix(pipeline / "data" / "video-000.cegf").frame_count
+    partition = tmp_path / "part.json"
+    partition.write_text(json.dumps({"video_id": "video-000", "boundaries": [0, frames + 7]}))
+    out = tmp_path / "preds.json"
+    assert_exit_2_without_output(
+        ["classify", "--model", pipeline / "model.cegm",
+         "--features", pipeline / "data" / "video-000.cegf", "--partition", partition,
+         "--out", out],
+        out, capsys, f"partition covers {frames + 7} frames",
+    )

@@ -6,6 +6,7 @@ from cegl.dataio import (
     Annotations,
     FeatureMatrix,
     SynthConfig,
+    config_from_json,
     derive_segment_labels,
     read_annotations,
     read_feature_matrix,
@@ -14,8 +15,9 @@ from cegl.dataio import (
     write_feature_matrix,
 )
 from cegl.errors import ConfigError, DataError, FormatError, TruncatedFileError
+from cegl.graph import SimilarityConfig
 from cegl.numerics import make_rng
-from cegl.segmentation import Partition
+from cegl.segmentation import Partition, SegmentationConfig
 
 
 def f32_exact(rng, t, d):
@@ -266,3 +268,21 @@ class TestSynthVideo:
             small_cfg(abnormal_frame_fraction=0.0)
         with pytest.raises(ConfigError):
             small_cfg(abnormal_segment_fraction=1.5)
+
+
+class TestConfigFromJson:
+    def test_defaults_apply_and_reals_become_floats(self):
+        seg = config_from_json(SegmentationConfig, {"penalty": 12}, "segmentation")
+        assert seg == SegmentationConfig(penalty=12.0, min_len=5)
+        assert type(seg.penalty) is float
+        assert config_from_json(SegmentationConfig, {}, "segmentation").penalty is None
+
+    def test_none_only_where_it_is_the_default(self):
+        sim = config_from_json(SimilarityConfig, {"knn_k": None}, "similarity")
+        assert sim.knn_k is None
+        with pytest.raises(ConfigError, match="similarity config: metric must be a string"):
+            config_from_json(SimilarityConfig, {"metric": None}, "similarity")
+
+    def test_missing_required_field(self):
+        with pytest.raises(ConfigError, match="synth config: .*seed"):
+            config_from_json(SynthConfig, {"segment_count": 4}, "synth")
