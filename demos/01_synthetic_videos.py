@@ -44,7 +44,7 @@ for (s, e), label in zip(planted.spans(), labels):
     )
 
 # Round-trip through the binary feature format is bit-exact.
-write_feature_matrix(features, "/tmp/demo.cegf", format="cegf")
+write_feature_matrix(features, "/tmp/demo.cegf")
 again = read_feature_matrix("/tmp/demo.cegf")
 quantized = features.values.astype(np.float32).astype(np.float64)
 print(f"binary round-trip exact: {np.array_equal(again.values, quantized)}")

@@ -36,7 +36,6 @@ from .segmentation import (
     default_penalty,
     optimal_partition_oracle,
     pelt,
-    segment_cost,
     split_video,
 )
 
@@ -71,7 +70,6 @@ __all__ = [
     "read_annotations",
     "read_feature_matrix",
     "save_checkpoint",
-    "segment_cost",
     "split_video",
     "synth_video",
     "topk_select",

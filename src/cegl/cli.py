@@ -30,6 +30,7 @@ from .model import (
     forward,
     init_params,
     load_checkpoint,
+    param_shapes,
     save_checkpoint,
     train,
 )
@@ -54,6 +55,14 @@ class ModelConfig:
 
     def __post_init__(self):
         check_types(self)
+        # The model's own checks; the placeholders stand in for the
+        # defaults, which are valid whatever the data.
+        param_shapes(
+            (1, 1) if self.layer_dims is None else self.layer_dims,
+            self.aggregator_kind,
+            self.readout_kind,
+            1 if self.a_dim is None else self.a_dim,
+        )
 
 
 @dataclass(frozen=True)
@@ -159,7 +168,7 @@ def cmd_synth(args) -> int:
             features, ann, true_partition = dataio.synth_video(per_video, video_id)
             cegf = out_dir / f"{video_id}.cegf"
             created.append(cegf)
-            dataio.write_feature_matrix(features, cegf, format="cegf")
+            dataio.write_feature_matrix(features, cegf)
             ann_path = out_dir / f"{video_id}.annotations.json"
             created.append(ann_path)
             dataio.write_annotations(ann, ann_path)
@@ -272,18 +281,18 @@ def cmd_localize(args) -> int:
 
 
 def cmd_coverage_curve(args) -> int:
-    params, similarity, segmentation_cfg = _load_model(args.model)
-    if segmentation_cfg is None:
-        raise ConfigError(
-            f"checkpoint {args.model} records no segmentation settings; "
-            "retrain it with cegl train"
-        )
     try:
         ks = [int(k) for k in args.ks.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--ks must be comma-separated ints: {args.ks!r}") from exc
     if not ks or ks != sorted(ks) or ks[0] < 1:
         raise ConfigError("--ks must be ascending positive ints")
+    params, similarity, segmentation_cfg = _load_model(args.model)
+    if segmentation_cfg is None:
+        raise ConfigError(
+            f"checkpoint {args.model} records no segmentation settings; "
+            "retrain it with cegl train"
+        )
 
     data = []
     for cegf in _list_videos(Path(args.data)):

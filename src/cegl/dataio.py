@@ -21,7 +21,6 @@ Values are widened to float64 in memory regardless of on-disk precision.
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import math
 import numbers
@@ -224,18 +223,11 @@ def read_json(path, what: str, error=FormatError):
         raise error(f"malformed {what} JSON {path}: {exc}") from exc
 
 
-def write_feature_matrix(m: FeatureMatrix, path, format: str = "cegf") -> None:
-    """Write a feature matrix as CEGF (float32 payload) or CSV."""
-    if format == "cegf":
-        header = CEGF_MAGIC + struct.pack("<I", CEGF_VERSION)
-        header += struct.pack("<QQ", m.frame_count, m.feature_dim)
-        write_atomic(path, header + m.values.astype("<f4").tobytes())
-    elif format == "csv":
-        text = io.StringIO()
-        np.savetxt(text, m.values, delimiter=",", fmt="%.9g")
-        write_atomic(path, text.getvalue())
-    else:
-        raise ConfigError(f"unknown feature file format {format!r}")
+def write_feature_matrix(m: FeatureMatrix, path) -> None:
+    """Write a feature matrix as CEGF (float32 payload)."""
+    header = CEGF_MAGIC + struct.pack("<I", CEGF_VERSION)
+    header += struct.pack("<QQ", m.frame_count, m.feature_dim)
+    write_atomic(path, header + m.values.astype("<f4").tobytes())
 
 
 def read_feature_matrix(path, video_id: str | None = None) -> FeatureMatrix:

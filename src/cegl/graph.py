@@ -2,9 +2,10 @@
 
 Every metric produces a symmetric matrix with zero diagonal and entries
 in [0, 1]; negative cosine/correlation values clamp to zero, i.e. pairs
-with no similarity are simply unconnected. Entries are computed with the
-same scalar kernel as `cosine_similarity` so the matrix agrees with
-pairwise calls bit for bit.
+with no similarity are simply unconnected, and so is a zero-norm frame.
+Identical frames get weight exactly 1. All metrics read one Gram matrix
+whose entries each depend on their own two frames only, so a pair's
+cosine or distance is the same in every segment that holds both frames.
 """
 
 from __future__ import annotations
@@ -82,47 +83,32 @@ class SegmentGraph:
         return self.node_features.shape[1]
 
 
-def cosine_similarity(x: np.ndarray, y: np.ndarray) -> float:
-    """Cosine of two vectors, clamped into [0, 1].
+def _gram(values: np.ndarray) -> np.ndarray:
+    """Row dot products, each summed over its own two rows alone.
 
-    A zero-norm vector (a degenerate, e.g. black, frame) yields similarity
-    0 rather than an error.
+    `X @ X.T` is not used: BLAS blocks the sums by the matrix shape, so an
+    entry would round differently in segments of different sizes.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"vectors must share one dimension, got {x.shape} and {y.shape}")
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(y)
-    if nx == 0.0 or ny == 0.0:
-        log.debug("zero-norm vector in cosine similarity; treating as dissimilar")
-        return 0.0
-    if np.array_equal(x, y):  # avoid rounding below 1 for identical frames
-        return 1.0
-    return min(max(float(np.dot(x, y)) / (nx * ny), 0.0), 1.0)
+    return np.einsum("ik,jk->ij", values, values)
 
 
-def _pairwise(values: np.ndarray, kernel) -> np.ndarray:
-    n = values.shape[0]
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = kernel(i, j)
-    return out
+def _identical_rows(values: np.ndarray) -> np.ndarray:
+    return (values[:, None, :] == values[None, :, :]).all(axis=2)
 
 
 def _cosine_matrix(values: np.ndarray) -> np.ndarray:
-    norms = np.array([np.linalg.norm(values[i]) for i in range(values.shape[0])])
-
-    def kernel(i: int, j: int) -> float:
-        if norms[i] == 0.0 or norms[j] == 0.0:
-            log.debug("zero-norm frame %d or %d; edge weight 0", i, j)
-            return 0.0
-        if np.array_equal(values[i], values[j]):
-            return 1.0
-        return min(max(float(np.dot(values[i], values[j])) / (norms[i] * norms[j]), 0.0), 1.0)
-
-    return _pairwise(values, kernel)
+    gram = _gram(values)
+    norms = np.sqrt(np.diagonal(gram))
+    zero = norms == 0.0
+    if zero.any():
+        log.debug("%d of %d frames have zero norm; their edge weights are 0", zero.sum(), zero.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = np.clip(gram / np.outer(norms, norms), 0.0, 1.0)
+    weights[_identical_rows(values)] = 1.0  # avoid rounding below 1 for identical frames
+    weights[zero, :] = 0.0
+    weights[:, zero] = 0.0
+    np.fill_diagonal(weights, 0.0)
+    return weights
 
 
 def similarity_matrix(segment: FeatureMatrix, cfg: SimilarityConfig) -> np.ndarray:
@@ -140,28 +126,30 @@ def similarity_matrix(segment: FeatureMatrix, cfg: SimilarityConfig) -> np.ndarr
         return _cosine_matrix(centered)
 
     if cfg.metric == "euclidean_rbf":
-        dists = _pairwise(values, lambda i, j: float(np.linalg.norm(values[i] - values[j])))
+        gram = _gram(values)
+        sq_norms = np.diagonal(gram)
+        # Identical frames give exactly 0: their gram entries are all equal.
+        sq_dists = np.maximum(sq_norms[:, None] + sq_norms[None, :] - 2.0 * gram, 0.0)
         if isinstance(cfg.rbf_sigma, str):
-            upper = dists[np.triu_indices(n, k=1)]
+            upper = np.sqrt(sq_dists[np.triu_indices(n, k=1)])
             sigma = float(np.median(upper)) if upper.size else 0.0
         else:
             sigma = float(cfg.rbf_sigma)
         if sigma <= 0.0:
-            weights = (dists == 0.0).astype(np.float64)
+            weights = _identical_rows(values).astype(np.float64)
         else:
-            weights = np.exp(-(dists**2) / (2.0 * sigma**2))
+            weights = np.exp(-sq_dists / (2.0 * sigma**2))
         np.fill_diagonal(weights, 0.0)
         return weights
 
     if cfg.metric == "knn_cosine":
         weights = _cosine_matrix(values)
-        k = min(cfg.knn_k, n - 1) if n > 1 else 0
+        k = min(cfg.knn_k, n - 1)
+        order = np.argsort(-weights, axis=1, kind="stable")
         keep = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            order = np.argsort(-weights[i], kind="stable")
-            keep[i, order[:k]] = True
+        np.put_along_axis(keep, order[:, :k], True, axis=1)
         keep |= keep.T
-        keep[np.diag_indices(n)] = False
+        np.fill_diagonal(keep, False)
         return np.where(keep, weights, 0.0)
 
     raise ConfigError(f"unknown similarity metric {cfg.metric!r}")

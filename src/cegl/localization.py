@@ -14,8 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataio import Annotations, derive_segment_labels, read_json, write_json
-from .errors import FormatError
+from .dataio import Annotations, derive_segment_labels, write_json
 
 # `forward` is not called here: frame scores come from the caller's pass.
 # It stays importable as localization.forward because pipebench/tracing.py
@@ -31,7 +30,6 @@ __all__ = [
     "coverage",
     "coverage_counts",
     "write_localization",
-    "read_localization",
 ]
 
 
@@ -131,10 +129,3 @@ def coverage(
 
 def write_localization(results: list[LocalizationResult], path) -> None:
     write_json([r.to_json_obj() for r in results], path)
-
-
-def read_localization(path) -> list[dict]:
-    obj = read_json(path, "localization")
-    if not isinstance(obj, list):
-        raise FormatError(f"localization JSON must be a list: {path}")
-    return obj

@@ -213,8 +213,6 @@ class _GatedStep:
     state: np.ndarray  # state entering the step, (n, d)
     neighbor: np.ndarray  # neighbor index per node, (n,)
     weight: np.ndarray  # edge weight per node, (n,)
-    gate_in: np.ndarray  # [state, message], (n, 2d)
-    cand_in: np.ndarray  # [reset * state, message], (n, 2d)
     z: np.ndarray
     r: np.ndarray
     cand: np.ndarray
@@ -256,7 +254,7 @@ def _gated_messages(edge_w: np.ndarray, h: np.ndarray, update, reset, candidate)
         r = sigmoid(gate_in @ reset.T)
         cand_in = np.concatenate([r * state, msg], axis=1)
         cand = np.tanh(cand_in @ candidate.T)
-        steps.append(_GatedStep(state, j, w, gate_in, cand_in, z, r, cand))
+        steps.append(_GatedStep(state, j, w, z, r, cand))
         state = (1.0 - z) * state + z * cand
     return state, steps
 
@@ -388,12 +386,16 @@ def _gated_backward(gates, grad_gates, steps, d_msgs, h):
     dh = np.zeros_like(h)
     dstate = d_msgs.copy()
     for st in reversed(steps):
+        # The step's inputs are rebuilt as forward built them, not stored.
+        msg = st.weight[:, None] * h[st.neighbor]
+        gate_in = np.concatenate([st.state, msg], axis=1)
+        cand_in = np.concatenate([st.r * st.state, msg], axis=1)
         dz = dstate * (st.cand - st.state)
         dcand = dstate * st.z
         dprev = dstate * (1.0 - st.z)
 
         dpre_c = dcand * (1.0 - st.cand**2)
-        grad_candidate += dpre_c.T @ st.cand_in
+        grad_candidate += dpre_c.T @ cand_in
         dcand_in = dpre_c @ candidate
         d_rs = dcand_in[:, :d]
         dmsg = dcand_in[:, d:].copy()
@@ -401,13 +403,13 @@ def _gated_backward(gates, grad_gates, steps, d_msgs, h):
         dprev += d_rs * st.r
 
         dpre_r = dr * st.r * (1.0 - st.r)
-        grad_reset += dpre_r.T @ st.gate_in
+        grad_reset += dpre_r.T @ gate_in
         dgate_in = dpre_r @ reset
         dprev += dgate_in[:, :d]
         dmsg += dgate_in[:, d:]
 
         dpre_z = dz * st.z * (1.0 - st.z)
-        grad_update += dpre_z.T @ st.gate_in
+        grad_update += dpre_z.T @ gate_in
         dgate_in = dpre_z @ update
         dprev += dgate_in[:, :d]
         dmsg += dgate_in[:, d:]

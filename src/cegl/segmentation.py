@@ -2,9 +2,9 @@
 
 The optimization target over boundary candidates 0 = b_0 < ... < b_k = T is
 
-    sum_j segment_cost(b_j, b_{j+1}) + penalty * (k - 1)
+    sum_j cost(b_j, b_{j+1}) + penalty * (k - 1)
 
-where segment_cost is the summed squared deviation of each frame from its
+where cost (`SegmentCost`) is the summed squared deviation of each frame from its
 segment mean (a Gaussian mean-shift cost). `pelt` solves this with the
 pruned-exact recursion; `optimal_partition_oracle` is an independent
 full dynamic program kept around for equivalence testing.
@@ -112,11 +112,6 @@ class SegmentCost:
         total = self._sums[e] - self._sums[s]
         cost = (self._sq[e] - self._sq[s]) - float(total @ total) / (e - s)
         return max(cost, 0.0)
-
-
-def segment_cost(f: FeatureMatrix, s: int, e: int) -> float:
-    """Cost of treating frames [s, e) as one segment."""
-    return SegmentCost(f)(s, e)
 
 
 def _better(value, n_seg, best_value, best_n_seg) -> bool:

@@ -286,7 +286,7 @@ def test_criterion_6_format_round_trips(tmp_path):
         values = rng.standard_normal((t, d)).astype(np.float32).astype(np.float64)
         m = FeatureMatrix(f"m{i}", values)
         path = tmp_path / f"m{i}.cegf"
-        write_feature_matrix(m, path, format="cegf")
+        write_feature_matrix(m, path)
         back = read_feature_matrix(path)
         assert np.array_equal(back.values, m.values)
 

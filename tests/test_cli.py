@@ -231,11 +231,15 @@ class TestErrorPaths:
         assert code == 2
         assert "momentum" in capsys.readouterr().err
 
-    def test_bad_ks_rejected(self, tmp_path, capsys):
-        config = write_config(tmp_path / "config.json")
-        code = main(["coverage-curve", "--model", str(tmp_path / "m.cegm"),
-                     "--data", str(tmp_path), "--ks", "3,1", "--out", str(tmp_path / "c.csv")])
-        assert code == 2
+    @pytest.mark.parametrize("ks", ["3,1", "0,1", "a,b"])
+    def test_bad_ks_rejected(self, tmp_path, capsys, ks):
+        # --ks is checked before the checkpoint is read, so a missing one is no excuse.
+        out = tmp_path / "c.csv"
+        assert_exit_2_without_output(
+            ["coverage-curve", "--model", tmp_path / "m.cegm", "--data", tmp_path,
+             "--ks", ks, "--out", out],
+            out, capsys, "--ks",
+        )
 
     def test_no_partial_output_on_failure(self, tmp_path):
         # evaluate with mismatched partition must not leave an output file
@@ -402,6 +406,11 @@ def malformed_config_cases():
         yield f"{section}-bool-count", section, {count: True}
         yield f"{section}-unknown-key", section, {"bogus": 1}
     yield "model-int-layer-dims", "model", {"layer_dims": 5}
+    yield "model-unknown-aggregator", "model", {"aggregator_kind": "bogus"}
+    yield "model-unknown-readout", "model", {"readout_kind": "bogus"}
+    yield "model-zero-a-dim", "model", {"a_dim": 0}
+    yield "model-short-layer-dims", "model", {"layer_dims": [8]}
+    yield "model-zero-layer-dim", "model", {"layer_dims": [8, 0, 4]}
     yield "segmentation-float-min-len", "segmentation", {"min_len": 5.0}
     yield "similarity-string-knn-k", "similarity", {"metric": "knn_cosine", "knn_k": "3"}
     yield "train-nan-learning-rate", "train", {"learning_rate": float("nan")}

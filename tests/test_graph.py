@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from cegl.graph import (
     SimilarityConfig,
     build_graph,
     build_segment_graphs,
-    cosine_similarity,
     similarity_matrix,
 )
 from cegl.numerics import make_rng
@@ -18,28 +19,40 @@ def fm(values):
     return FeatureMatrix("v", np.asarray(values, dtype=np.float64))
 
 
+def pair_cosine(x, y):
+    """The cosine edge weight of a two-frame segment."""
+    return similarity_matrix(fm([x, y]), SimilarityConfig())[0, 1]
+
+
 class TestCosineSimilarity:
     def test_identical_direction(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 1.0
+        assert pair_cosine(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 1.0
 
     def test_orthogonal(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert pair_cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
     def test_forty_five_degrees(self):
-        got = cosine_similarity(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+        got = pair_cosine(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
         assert got == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
     def test_opposite_clamps_to_zero(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == 0.0
+        assert pair_cosine(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == 0.0
 
     def test_zero_norm_is_zero_not_error(self):
-        assert cosine_similarity(np.zeros(3), np.ones(3)) == 0.0
+        assert pair_cosine(np.zeros(3), np.ones(3)) == 0.0
+
+    def test_zero_norm_frames_logged_once_per_matrix(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="cegl.graph"):
+            similarity_matrix(fm([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]), SimilarityConfig())
+        assert [r.getMessage() for r in caplog.records] == [
+            "2 of 3 frames have zero norm; their edge weights are 0"
+        ]
 
     def test_self_similarity_one(self):
         rng = make_rng(1)
         for _ in range(20):
             x = rng.standard_normal(5)
-            assert cosine_similarity(x, x) == pytest.approx(1.0, abs=1e-12)
+            assert pair_cosine(x, x) == pytest.approx(1.0, abs=1e-12)
 
     def test_scale_invariance(self):
         rng = make_rng(2)
@@ -47,13 +60,9 @@ class TestCosineSimilarity:
             x = rng.standard_normal(4)
             y = rng.standard_normal(4)
             a, b = rng.uniform(0.1, 10, size=2)
-            assert cosine_similarity(a * x, b * y) == pytest.approx(
-                cosine_similarity(x, y), abs=1e-12
+            assert pair_cosine(a * x, b * y) == pytest.approx(
+                pair_cosine(x, y), abs=1e-12
             )
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            cosine_similarity(np.ones(2), np.ones(3))
 
 
 class TestSimilarityMatrix:
@@ -62,13 +71,22 @@ class TestSimilarityMatrix:
         assert np.array_equal(w, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_matches_pairwise_calls_exactly(self):
+        # At shapes like these a BLAS `X @ X.T` can round entries differently
+        # from the two-row product; each weight must depend on its own pair only.
         rng = make_rng(3)
-        values = rng.standard_normal((4, 6))
-        w = similarity_matrix(fm(values), SimilarityConfig())
-        for i in range(4):
-            for j in range(4):
-                want = 0.0 if i == j else cosine_similarity(values[i], values[j])
-                assert w[i, j] == want
+        configs = (
+            SimilarityConfig(),
+            SimilarityConfig(metric="correlation"),
+            SimilarityConfig(metric="euclidean_rbf", rbf_sigma=4.0),
+        )
+        for n, d in ((13, 16), (57, 33)):
+            values = rng.standard_normal((n, d))
+            for cfg in configs:
+                w = similarity_matrix(fm(values), cfg)
+                for i in range(n):
+                    for j in range(n):
+                        pair = similarity_matrix(fm(values[[i, j]]), cfg)[0, 1]
+                        assert w[i, j] == (0.0 if i == j else pair)
 
     def test_knn_without_pruning_equals_cosine(self):
         rng = make_rng(4)

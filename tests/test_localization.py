@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from cegl.dataio import Annotations, FeatureMatrix
+from cegl.dataio import Annotations, FeatureMatrix, read_json
 from cegl.graph import SimilarityConfig, build_graph
 from cegl.localization import (
     LocalizationResult,
     coverage,
     coverage_counts,
     node_scores,
-    read_localization,
     topk_select,
     write_localization,
 )
@@ -168,7 +167,7 @@ class TestLocalizationJson:
         ]
         path = tmp_path / "loc.json"
         write_localization(results, path)
-        back = read_localization(path)
+        back = read_json(path, "localization")
         assert back[0]["segment_id"] == 0
         assert back[0]["selected_frames"] == [3, 7]
         assert back[0]["scores"] == [0.25, 0.5]

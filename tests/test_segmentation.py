@@ -7,13 +7,13 @@ from cegl.numerics import make_rng
 from cegl.segmentation import (
     ORACLE_MAX_FRAMES,
     Partition,
+    SegmentCost,
     SegmentationConfig,
     default_penalty,
     optimal_partition_oracle,
     partition_objective,
     pelt,
     read_partition,
-    segment_cost,
     split_video,
     write_partition,
 )
@@ -57,15 +57,15 @@ class TestPartition:
 class TestSegmentCost:
     def test_identical_frames_zero(self):
         f = fm([[2.0, 1.0]] * 3)
-        assert segment_cost(f, 0, 3) == 0.0
+        assert SegmentCost(f)(0, 3) == 0.0
 
     def test_hand_evaluated(self):
         # frames 0 and 2: mean 1, two unit deviations
-        assert segment_cost(fm([[0.0], [2.0]]), 0, 2) == pytest.approx(2.0, abs=1e-12)
+        assert SegmentCost(fm([[0.0], [2.0]]))(0, 2) == pytest.approx(2.0, abs=1e-12)
 
     def test_empty_span_rejected(self):
         with pytest.raises(ValueError):
-            segment_cost(fm([[1.0]]), 1, 1)
+            SegmentCost(fm([[1.0]]))(1, 1)
 
     def test_matches_naive(self):
         rng = make_rng(21)
@@ -76,7 +76,7 @@ class TestSegmentCost:
             f = fm(values)
             s = int(rng.integers(0, t - 1))
             e = int(rng.integers(s + 1, t + 1))
-            got = segment_cost(f, s, e)
+            got = SegmentCost(f)(s, e)
             want = naive_cost(values, s, e)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
@@ -85,10 +85,10 @@ class TestSegmentCost:
         for _ in range(20):
             t = int(rng.integers(3, 20))
             values = rng.standard_normal((t, 1)) * 3
-            f = fm(values)
-            whole = segment_cost(f, 0, t)
+            cost = SegmentCost(fm(values))
+            whole = cost(0, t)
             for m in range(1, t):
-                assert whole >= segment_cost(f, 0, m) + segment_cost(f, m, t) - 1e-9
+                assert whole >= cost(0, m) + cost(m, t) - 1e-9
 
 
 class TestPelt:
