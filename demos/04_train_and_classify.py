@@ -59,9 +59,9 @@ print(f"loss: {history[0]:.3f} -> {history[-1]:.3f} over {len(history)} epochs")
 preds, labels = [], []
 for features, annotations, _ in videos[4:]:
     partition = pelt(features, seg_cfg)
-    for g in build_segment_graphs(features, partition, similarity, annotations=annotations):
-        preds.append(int(forward(g, params).prediction >= 0.5))
-        labels.append(g.weak_label)
+    graphs = build_segment_graphs(features, partition, similarity, annotations=annotations)
+    preds += (forward(graphs, params).prediction >= 0.5).astype(int).tolist()  # one batch
+    labels += [g.weak_label for g in graphs]
 
 report = weighted_metrics(confusion(preds, labels))
 print(f"held-out segments:  {len(labels)}")

@@ -67,7 +67,7 @@ for i, g in enumerate(graphs):
     if not labels[i] or shown >= 5:
         continue
     s, e = spans[i]
-    scores = node_scores(forward(g, params))
+    (scores,) = node_scores(forward([g], params))
     picked = topk_select(scores, 2) + s
     truth = np.flatnonzero(annotations.frame_labels[s:e]) + s
     hit = bool(set(picked) & set(truth))

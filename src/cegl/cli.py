@@ -137,7 +137,7 @@ def _load_video(cegf_path: Path) -> tuple[FeatureMatrix, Annotations]:
 def _predictions_obj(features, partition, graphs, params) -> dict:
     segments = []
     for i, ((s, e), g) in enumerate(zip(partition.spans(), graphs)):
-        y_hat = forward(g, params).prediction
+        y_hat = float(forward([g], params).prediction[0])
         segments.append(
             {
                 "segment_id": i,
@@ -247,11 +247,11 @@ def _localize_segment(g: SegmentGraph, params: ModelParams, k: int, all_segments
     A function of its own so that the pass's cache is freed before the
     next segment's forward pass runs.
     """
-    cache = forward(g, params)
-    predicted = int(cache.prediction >= 0.5)
+    cache = forward([g], params)
+    predicted = int(cache.prediction[0] >= 0.5)
     if not (predicted or all_segments):
         return predicted, np.zeros(0), np.zeros(0, dtype=np.int64)
-    scores = node_scores(cache)
+    scores = node_scores(cache)[0]
     return predicted, scores, topk_select(scores, k)
 
 

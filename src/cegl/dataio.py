@@ -82,12 +82,12 @@ class Annotations:
 
     def __post_init__(self):
         if self.frame_labels is not None:
-            labels = np.asarray(self.frame_labels, dtype=np.int64)
+            labels = np.asarray(self.frame_labels)
             if labels.ndim != 1:
                 raise ValueError("frame_labels must be 1-D")
-            if not np.isin(labels, (0, 1)).all():
-                raise ValueError("frame_labels must contain only 0 or 1")
-            object.__setattr__(self, "frame_labels", labels)
+            if labels.dtype.kind not in "iu" or not np.isin(labels, (0, 1)).all():
+                raise ValueError("frame_labels must contain only the integers 0 and 1")
+            object.__setattr__(self, "frame_labels", labels.astype(np.int64))
 
 
 def config_from_json(cls, obj, section: str):
@@ -208,8 +208,12 @@ def write_atomic(path, data: bytes | str) -> None:
 
 
 def write_json(obj, path) -> None:
-    """Atomically write obj as indented, key-sorted JSON plus a newline."""
-    write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Atomically write obj as indented, key-sorted JSON plus a newline.
+
+    NaN and infinities are not JSON; a value holding one raises ValueError
+    and nothing is written.
+    """
+    write_atomic(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def read_json(path, what: str, error=FormatError):
@@ -295,6 +299,10 @@ def read_annotations(path) -> Annotations:
     if unknown:
         raise FormatError(f"unknown annotation keys {sorted(unknown)} in {path}")
     labels = obj.get("frame_labels")
+    # JSON true/false and reals such as 0.5 are not labels, even where an
+    # integer cast would take them.
+    if labels is not None and not (isinstance(labels, list) and set(map(type, labels)) <= {int}):
+        raise FormatError(f"frame_labels must be a list of the integers 0 and 1: {path}")
     return Annotations(
         video_id=obj["video_id"],
         frame_labels=None if labels is None else np.asarray(labels, dtype=np.int64),

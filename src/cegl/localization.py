@@ -55,21 +55,22 @@ class LocalizationResult:
         }
 
 
-def node_scores(cache: ForwardCache) -> np.ndarray:
-    """Per-frame activation scores from a trained model's forward pass.
+def node_scores(cache: ForwardCache) -> list[np.ndarray]:
+    """Per-frame activation scores of each graph in a trained model's forward pass.
 
     score_i = alpha_i * logistic(w . h_i + b) over the final node
     embeddings. With a non-attention readout there are no attention
     weights to reuse, so alpha falls back to uniform and the ranking is
     the head's alone. Taking the cache lets one pass give both the
-    segment's prediction and its frame scores.
+    segments' predictions and their frame scores.
     """
     p = cache.params.arrays
-    h = cache.node_embeddings[-1]
+    head = sigmoid(cache.node_embeddings[-1] @ p[CLASSIFIER_WEIGHTS] + p[CLASSIFIER_BIAS])
     alpha = cache.attention_weights
-    if alpha is None:
-        alpha = np.full(h.shape[0], 1.0 / h.shape[0])
-    return alpha * sigmoid(h @ p[CLASSIFIER_WEIGHTS] + p[CLASSIFIER_BIAS])
+    return [
+        (np.full(n, 1.0 / n) if alpha is None else alpha[b, :n]) * head[b, :n]
+        for b, n in enumerate(cache.sizes.tolist())
+    ]
 
 
 def topk_select(scores: np.ndarray, k: int) -> np.ndarray:

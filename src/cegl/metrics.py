@@ -129,9 +129,9 @@ def _localized_scores(g: SegmentGraph, params: ModelParams, localize_all: bool):
     One forward pass gives both the prediction and the scores; returning
     frees its cache before the next segment's pass.
     """
-    cache = forward(g, params)
-    if localize_all or cache.prediction >= 0.5:
-        return node_scores(cache)
+    cache = forward([g], params)
+    if localize_all or cache.prediction[0] >= 0.5:
+        return node_scores(cache)[0]
     return None
 
 

@@ -30,9 +30,12 @@ Parameters live in one ordered name -> array table (`param_shapes`);
 gradients use the same table. Gate weights exist only for the gated
 aggregator and attention weights only for the attention readout.
 
-Gradients are derived by hand (no autodiff) and checked against central
-finite differences in the test suite. Training is plain SGD on the
-binary cross entropy of the segment labels.
+`forward` runs a batch of graphs at once, padded to the largest one
+with a node mask, and `backward` returns the weighted sum of the batch's
+gradients; inference passes a one-graph batch. Gradients are derived by
+hand (no autodiff) and checked against central finite differences in
+the test suite. Training is plain SGD on the binary cross entropy of the
+segment labels, with one forward and one backward per mini-batch.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import json
 import logging
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -205,114 +209,150 @@ def zero_gradients(params: ModelParams) -> dict[str, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Neighborhood aggregation
+# Neighborhood aggregation, batched over (B, N, .) arrays
 
 
 @dataclass
 class _GatedStep:
-    state: np.ndarray  # state entering the step, (n, d)
-    neighbor: np.ndarray  # neighbor index per node, (n,)
-    weight: np.ndarray  # edge weight per node, (n,)
-    z: np.ndarray
+    state: np.ndarray  # state entering the step, (B, N, d)
+    neighbor: np.ndarray  # neighbor index per node, (N,)
+    weight: np.ndarray  # edge weight per node, (B, N)
+    z: np.ndarray  # update gate, zero for graphs whose recurrence has ended
     r: np.ndarray
     cand: np.ndarray
 
 
-def _mean_messages(edge_w: np.ndarray, h: np.ndarray):
-    deg = edge_w.sum(axis=1)
-    msgs = edge_w @ h
-    nz = deg > 0
-    msgs[nz] /= deg[nz, None]
-    msgs[~nz] = 0.0
-    return msgs, deg
+def _rows(a: np.ndarray) -> np.ndarray:
+    """A (B, N, k) array as (B*N, k) rows, for one matmul over the batch."""
+    return a.reshape(-1, a.shape[-1])
 
 
-def _maxpool_messages(edge_w: np.ndarray, h: np.ndarray):
-    n, d = h.shape
-    if n == 1:
-        return np.zeros_like(h), None
-    prod = edge_w[:, :, None] * h[None, :, :]
-    prod[np.arange(n), np.arange(n), :] = -np.inf
-    argmax = prod.argmax(axis=1)  # (n, d), first index wins on ties
-    msgs = np.take_along_axis(prod, argmax[:, None, :], axis=1)[:, 0, :]
+def _mean_messages(edges: np.ndarray, h: np.ndarray):
+    """Degree-scaled neighbor sums and the divisor used (1 where a node has no edge)."""
+    deg = edges.sum(axis=2)
+    # A node without positive edges has an all-zero row, so its message is 0/1.
+    divisor = np.where(deg > 0, deg, 1.0)
+    return (edges @ h) / divisor[..., None], divisor
+
+
+def _maxpool_messages(edges: np.ndarray, h: np.ndarray, sizes, mask):
+    n_max = h.shape[1]
+    # A node's own row and padded neighbors never win the max.
+    valid = ~np.eye(n_max, dtype=bool)
+    if mask is not None:
+        valid = valid & mask[:, None, :]
+    prod = np.where(valid[..., None], edges[..., None] * h[:, None, :, :], -np.inf)
+    argmax = prod.argmax(axis=2)  # (B, N, d), first index wins on ties
+    msgs = np.take_along_axis(prod, argmax[:, :, None, :], axis=2)[:, :, 0, :]
+    msgs[sizes == 1] = 0.0  # a lone node has no neighbor to pool
     return msgs, argmax
 
 
-def _gated_messages(edge_w: np.ndarray, h: np.ndarray, update, reset, candidate):
-    n, d = h.shape
+def _gated_messages(edges: np.ndarray, h: np.ndarray, sizes, update, reset, candidate):
+    n_max = h.shape[1]
     state = h.copy()
     steps: list[_GatedStep] = []
-    idx = np.arange(n)
+    idx = np.arange(n_max)
+    n_min = sizes.min()
     # Node i's p-th neighbor in ascending temporal order is p for p < i,
-    # else p + 1; all nodes advance one step together.
-    for p in range(n - 1):
+    # else p + 1; all nodes of all graphs advance one step together. Graph
+    # b has n_b - 1 steps; after them its update gate is held at zero,
+    # which leaves its state unchanged.
+    for p in range(n_max - 1):
         j = np.where(p < idx, p, p + 1)
-        w = edge_w[idx, j]
-        msg = w[:, None] * h[j]
-        gate_in = np.concatenate([state, msg], axis=1)
+        w = edges[:, idx, j]
+        msg = w[..., None] * h[:, j]
+        gate_in = np.concatenate([state, msg], axis=2)
         z = sigmoid(gate_in @ update.T)
+        if p >= n_min - 1:
+            z = z * (p < sizes - 1)[:, None, None]
         r = sigmoid(gate_in @ reset.T)
-        cand_in = np.concatenate([r * state, msg], axis=1)
+        cand_in = np.concatenate([r * state, msg], axis=2)
         cand = np.tanh(cand_in @ candidate.T)
         steps.append(_GatedStep(state, j, w, z, r, cand))
         state = (1.0 - z) * state + z * cand
     return state, steps
 
 
-def loss(y_hat: float, y: int) -> float:
-    """Binary cross entropy with clamped logs."""
-    p = min(max(y_hat, LOSS_CLAMP), 1.0 - LOSS_CLAMP)
+def loss(y_hat, y):
+    """Binary cross entropy with clamped logs, elementwise over arrays."""
+    p = np.clip(y_hat, LOSS_CLAMP, 1.0 - LOSS_CLAMP)
     return -(y * np.log(p) + (1 - y) * np.log1p(-p))
 
 
 # ---------------------------------------------------------------------------
-# Forward with cache, exact backward
+# Batched forward with cache, exact backward
 
 
 @dataclass
 class ForwardCache:
-    graph: SegmentGraph
+    """Everything one batched pass computed; arrays lead with the batch axis B."""
+
     params: ModelParams
-    node_embeddings: list[np.ndarray]  # H^0 .. H^L
+    sizes: np.ndarray  # (B,) node count per graph; N is the largest
+    edge_weights: np.ndarray  # (B, N, N)
+    node_embeddings: list[np.ndarray]  # H^0 .. H^L, each (B, N, d_l)
     messages: list[np.ndarray]  # per layer
     stacked_inputs: list[np.ndarray]  # per layer, [H, messages]
     preacts: list[np.ndarray]  # per layer, before ReLU
-    mean_degrees: list[np.ndarray | None]  # per layer (mean kind)
+    mean_degrees: list[np.ndarray | None]  # per layer (mean kind), the divisor used
     maxpool_argmax: list[np.ndarray | None]  # per layer (maxpool kind)
     gated_steps: list[list[_GatedStep] | None]  # per layer (gated kind)
     attn_tanh: np.ndarray | None
-    attention_weights: np.ndarray | None  # alpha
-    readout_argmax: np.ndarray | None  # maxpool readout
-    graph_embedding: np.ndarray
-    logit: float
-    prediction: float  # y_hat
+    attention_weights: np.ndarray | None  # alpha, (B, N), zero on padding
+    readout_argmax: np.ndarray | None  # maxpool readout, (B, d)
+    graph_embedding: np.ndarray  # (B, d)
+    logit: np.ndarray  # (B,)
+    prediction: np.ndarray  # y_hat, (B,)
 
 
-def forward(g: SegmentGraph, params: ModelParams) -> ForwardCache:
-    """Full forward pass caching every intermediate needed by backward."""
-    if g.feature_dim != params.layer_dims[0]:
-        raise ValueError(
-            f"graph features have dim {g.feature_dim}, model expects {params.layer_dims[0]}"
-        )
+def forward(graphs: Sequence[SegmentGraph], params: ModelParams) -> ForwardCache:
+    """One pass over a batch of graphs, caching every intermediate backward needs.
+
+    The graphs are packed into (B, N, d) features and (B, N, N) edges, N
+    the largest node count. A padded node has zero features and no edges,
+    so every layer leaves its embedding at exactly zero (a zero message,
+    a zero pre-activation, a ReLU of zero): the mean, sum and maxpool
+    readouts read it as nothing, the attention softmax masks it out, and
+    no gradient reaches it. A graph alone in its batch is used as a view,
+    without padding, so a one-graph pass does the per-graph arithmetic.
+    """
+    if not graphs:
+        raise ValueError("forward needs at least one graph")
+    d_in = params.layer_dims[0]
+    for g in graphs:
+        if g.feature_dim != d_in:
+            raise ValueError(f"graph features have dim {g.feature_dim}, model expects {d_in}")
+    sizes = np.array([g.n for g in graphs])
+    n_max = int(sizes.max())
+    if len(graphs) == 1:
+        h = graphs[0].node_features[None]
+        edges = graphs[0].edge_weights[None]
+    else:
+        h = np.zeros((len(graphs), n_max, d_in))
+        edges = np.zeros((len(graphs), n_max, n_max))
+        for b, g in enumerate(graphs):
+            h[b, : g.n] = g.node_features
+            edges[b, : g.n, : g.n] = g.edge_weights
+    mask = None if sizes.min() == n_max else np.arange(n_max) < sizes[:, None]
+
     p = params.arrays
     kind = params.aggregator_kind
-    h = g.node_features
     embeddings = [h]
     messages, stacked_inputs, preacts = [], [], []
     mean_degrees, maxpool_argmax, gated_steps = [], [], []
-
     for layer in range(len(params.layer_dims) - 1):
         deg = argmax = steps = None
         if kind == "mean":
-            msgs, deg = _mean_messages(g.edge_weights, h)
+            msgs, deg = _mean_messages(edges, h)
         elif kind == "maxpool":
-            msgs, argmax = _maxpool_messages(g.edge_weights, h)
+            msgs, argmax = _maxpool_messages(edges, h, sizes, mask)
         elif kind == "gated":
             gates = [p[gate_name(layer, gate)] for gate in GATE_NAMES]
-            msgs, steps = _gated_messages(g.edge_weights, h, *gates)
+            msgs, steps = _gated_messages(edges, h, sizes, *gates)
         else:
             raise ConfigError(f"unknown aggregator kind {kind!r}")
-        stacked = np.concatenate([h, msgs], axis=1)
+        stacked = np.concatenate([h, msgs], axis=2)
         pre = stacked @ p[transform_name(layer)].T
         h = np.maximum(pre, 0.0)
         messages.append(msgs)
@@ -324,26 +364,32 @@ def forward(g: SegmentGraph, params: ModelParams) -> ForwardCache:
         embeddings.append(h)
 
     attn_tanh = alpha = readout_argmax = None
+    n = sizes[:, None]
     if params.readout_kind == "attention":
         attn_tanh = np.tanh(h @ p[ATTENTION_TRANSFORM].T)
         scores = attn_tanh @ p[ATTENTION_VECTOR]
+        if mask is not None:
+            scores = np.where(mask, scores, -np.inf)
         alpha = softmax(scores)
-        denom = g.n if params.attention_averaged else 1
-        h_g = (alpha[:, None] * h).sum(axis=0) / denom
+        denom = n if params.attention_averaged else 1
+        h_g = (alpha[..., None] * h).sum(axis=1) / denom
     elif params.readout_kind == "mean":
-        h_g = h.mean(axis=0)
+        h_g = h.sum(axis=1) / n
     elif params.readout_kind == "sum":
-        h_g = h.sum(axis=0)
+        h_g = h.sum(axis=1)
     elif params.readout_kind == "maxpool":
-        readout_argmax = h.argmax(axis=0)
-        h_g = h[readout_argmax, np.arange(h.shape[1])]
+        # Embeddings are ReLU outputs and padding is zero and comes last,
+        # so the first-index argmax always picks a real node.
+        readout_argmax = h.argmax(axis=1)
+        h_g = np.take_along_axis(h, readout_argmax[:, None, :], axis=1)[:, 0, :]
     else:
         raise ConfigError(f"unknown readout kind {params.readout_kind!r}")
 
-    logit = float(p[CLASSIFIER_WEIGHTS] @ h_g + p[CLASSIFIER_BIAS][0])
+    logit = h_g @ p[CLASSIFIER_WEIGHTS] + p[CLASSIFIER_BIAS][0]
     return ForwardCache(
-        graph=g,
         params=params,
+        sizes=sizes,
+        edge_weights=edges,
         node_embeddings=embeddings,
         messages=messages,
         stacked_inputs=stacked_inputs,
@@ -356,25 +402,18 @@ def forward(g: SegmentGraph, params: ModelParams) -> ForwardCache:
         readout_argmax=readout_argmax,
         graph_embedding=h_g,
         logit=logit,
-        prediction=float(sigmoid(logit)),
+        prediction=sigmoid(logit),
     )
 
 
-def _mean_backward(edge_w, deg, d_msgs):
-    scaled = np.zeros_like(d_msgs)
-    nz = deg > 0
-    scaled[nz] = d_msgs[nz] / deg[nz, None]
-    return edge_w.T @ scaled
-
-
-def _maxpool_backward(edge_w, argmax, d_msgs, n, d):
-    dh = np.zeros((n, d))
-    if argmax is None:  # single node, messages were constant zero
-        return dh
-    rows = argmax.ravel()
-    cols = np.tile(np.arange(d), n)
-    weights = edge_w[np.repeat(np.arange(n), d), rows]
-    np.add.at(dh, (rows, cols), weights * d_msgs.ravel())
+def _maxpool_backward(edges, argmax, d_msgs):
+    batch, n_max, d = d_msgs.shape
+    b = np.arange(batch)[:, None, None]
+    i = np.arange(n_max)[None, :, None]
+    dh = np.zeros_like(d_msgs)
+    # A lone node's argmax points at its own zero-weight diagonal entry,
+    # and padded rows have no edges, so neither passes a gradient.
+    np.add.at(dh, (b, argmax, np.arange(d)), edges[b, i, argmax] * d_msgs)
     return dh
 
 
@@ -382,99 +421,112 @@ def _gated_backward(gates, grad_gates, steps, d_msgs, h):
     """Backward through one layer's recurrence; gates and their gradients in GATE_NAMES order."""
     update, reset, candidate = gates
     grad_update, grad_reset, grad_candidate = grad_gates
-    d = h.shape[1]
+    d = h.shape[2]
     dh = np.zeros_like(h)
-    dstate = d_msgs.copy()
-    for st in reversed(steps):
+    dstate = d_msgs
+    for p in reversed(range(len(steps))):
+        st = steps[p]
         # The step's inputs are rebuilt as forward built them, not stored.
-        msg = st.weight[:, None] * h[st.neighbor]
-        gate_in = np.concatenate([st.state, msg], axis=1)
-        cand_in = np.concatenate([st.r * st.state, msg], axis=1)
+        msg = st.weight[..., None] * h[:, st.neighbor]
+        gate_in = np.concatenate([st.state, msg], axis=2)
+        cand_in = np.concatenate([st.r * st.state, msg], axis=2)
         dz = dstate * (st.cand - st.state)
         dcand = dstate * st.z
         dprev = dstate * (1.0 - st.z)
 
         dpre_c = dcand * (1.0 - st.cand**2)
-        grad_candidate += dpre_c.T @ cand_in
+        grad_candidate += _rows(dpre_c).T @ _rows(cand_in)
         dcand_in = dpre_c @ candidate
-        d_rs = dcand_in[:, :d]
-        dmsg = dcand_in[:, d:].copy()
+        d_rs = dcand_in[..., :d]
+        dmsg = dcand_in[..., d:]
         dr = d_rs * st.state
         dprev += d_rs * st.r
 
         dpre_r = dr * st.r * (1.0 - st.r)
-        grad_reset += dpre_r.T @ gate_in
+        grad_reset += _rows(dpre_r).T @ _rows(gate_in)
         dgate_in = dpre_r @ reset
-        dprev += dgate_in[:, :d]
-        dmsg += dgate_in[:, d:]
+        dprev += dgate_in[..., :d]
+        dmsg += dgate_in[..., d:]
 
         dpre_z = dz * st.z * (1.0 - st.z)
-        grad_update += dpre_z.T @ gate_in
+        grad_update += _rows(dpre_z).T @ _rows(gate_in)
         dgate_in = dpre_z @ update
-        dprev += dgate_in[:, :d]
-        dmsg += dgate_in[:, d:]
+        dprev += dgate_in[..., :d]
+        dmsg += dgate_in[..., d:]
 
-        np.add.at(dh, st.neighbor, st.weight[:, None] * dmsg)
+        # Nodes after p read neighbor p; nodes up to p read neighbor p + 1.
+        dneighbor = st.weight[..., None] * dmsg
+        dh[:, p] += dneighbor[:, p + 1 :].sum(axis=1)
+        dh[:, p + 1] += dneighbor[:, : p + 1].sum(axis=1)
         dstate = dprev
     dh += dstate  # recurrence started from the node's own embedding
     return dh
 
 
-def backward(
-    cache: ForwardCache, g: SegmentGraph, params: ModelParams, y: int
-) -> dict[str, np.ndarray]:
-    """Exact gradients of the cross-entropy loss, as a table like params.arrays."""
-    if cache.graph is not g or cache.params is not params:
-        raise ConfigError("stale cache: backward needs the cache from forward on the same graph and params")
+def backward(cache: ForwardCache, labels, weights) -> dict[str, np.ndarray]:
+    """Exact gradients of sum_b weights[b] * loss(prediction_b, labels[b]).
+
+    One label and one weight per graph of the cached batch; the result is
+    a table like params.arrays.
+    """
+    params = cache.params
+    labels = np.asarray(labels, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if labels.shape != cache.prediction.shape or weights.shape != labels.shape:
+        raise ValueError(
+            f"backward needs one label and one weight for each of the batch's "
+            f"{cache.prediction.size} graphs, got {labels.shape} and {weights.shape}"
+        )
     p = params.arrays
     grads = zero_gradients(params)
-    n = g.n
     h_final = cache.node_embeddings[-1]
 
-    dlogit = cache.prediction - y  # sigmoid + cross entropy identity
-    grads[CLASSIFIER_WEIGHTS] += dlogit * cache.graph_embedding
-    grads[CLASSIFIER_BIAS] += dlogit
-    dh_g = dlogit * p[CLASSIFIER_WEIGHTS]
+    dlogit = (cache.prediction - labels) * weights  # sigmoid + cross entropy identity
+    grads[CLASSIFIER_WEIGHTS] += dlogit @ cache.graph_embedding
+    grads[CLASSIFIER_BIAS] += dlogit.sum()
+    dh_g = dlogit[:, None] * p[CLASSIFIER_WEIGHTS]
 
+    # Padded rows of dh need no masking: their pre-activations are exactly
+    # zero, so the last layer's ReLU passes them no gradient.
     kind = params.readout_kind
     if kind == "attention":
         alpha = cache.attention_weights
         t = cache.attn_tanh
-        denom = n if params.attention_averaged else 1
-        dalpha = (h_final @ dh_g) / denom
-        dh = alpha[:, None] * dh_g[None, :] / denom
-        dscores = alpha * (dalpha - float(alpha @ dalpha))
-        grads[ATTENTION_VECTOR] += t.T @ dscores
-        dt = np.outer(dscores, p[ATTENTION_VECTOR])
-        dpre = dt * (1.0 - t**2)
-        grads[ATTENTION_TRANSFORM] += dpre.T @ h_final
+        if params.attention_averaged:
+            dh_g = dh_g / cache.sizes[:, None]
+        dalpha = (h_final @ dh_g[..., None])[..., 0]
+        dh = alpha[..., None] * dh_g[:, None, :]
+        dscores = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
+        grads[ATTENTION_VECTOR] += _rows(t).T @ dscores.ravel()
+        dpre = dscores[..., None] * p[ATTENTION_VECTOR] * (1.0 - t**2)
+        grads[ATTENTION_TRANSFORM] += _rows(dpre).T @ _rows(h_final)
         dh = dh + dpre @ p[ATTENTION_TRANSFORM]
     elif kind == "mean":
-        dh = np.broadcast_to(dh_g / n, h_final.shape).copy()
+        dh = np.broadcast_to((dh_g / cache.sizes[:, None])[:, None, :], h_final.shape)
     elif kind == "sum":
-        dh = np.broadcast_to(dh_g, h_final.shape).copy()
+        dh = np.broadcast_to(dh_g[:, None, :], h_final.shape)
     else:  # maxpool
         dh = np.zeros_like(h_final)
-        cols = np.arange(h_final.shape[1])
-        dh[cache.readout_argmax, cols] += dh_g
+        np.put_along_axis(dh, cache.readout_argmax[:, None, :], dh_g[:, None, :], axis=1)
 
     agg = params.aggregator_kind
+    edges = cache.edge_weights
     for layer in reversed(range(len(params.layer_dims) - 1)):
         name = transform_name(layer)
         prev_dim = params.layer_dims[layer]
         dpre = dh * (cache.preacts[layer] > 0)
-        grads[name] += dpre.T @ cache.stacked_inputs[layer]
+        grads[name] += _rows(dpre).T @ _rows(cache.stacked_inputs[layer])
+        if layer == 0 and agg != "gated":
+            break  # nothing below reads the input features' gradient
         dstacked = dpre @ p[name]
-        dh_self = dstacked[:, :prev_dim]
-        d_msgs = dstacked[:, prev_dim:]
+        dh_self = dstacked[..., :prev_dim]
+        d_msgs = dstacked[..., prev_dim:]
 
-        h_in = cache.node_embeddings[layer]
         if agg == "mean":
-            dh_in = _mean_backward(g.edge_weights, cache.mean_degrees[layer], d_msgs)
+            # Edges are symmetric, so they are their own transpose.
+            dh_in = edges @ (d_msgs / cache.mean_degrees[layer][..., None])
         elif agg == "maxpool":
-            dh_in = _maxpool_backward(
-                g.edge_weights, cache.maxpool_argmax[layer], d_msgs, n, prev_dim
-            )
+            dh_in = _maxpool_backward(edges, cache.maxpool_argmax[layer], d_msgs)
         else:
             names = [gate_name(layer, gate) for gate in GATE_NAMES]
             dh_in = _gated_backward(
@@ -482,7 +534,7 @@ def backward(
                 [grads[k] for k in names],
                 cache.gated_steps[layer],
                 d_msgs,
-                h_in,
+                cache.node_embeddings[layer],
             )
         dh = dh_self + dh_in
 
@@ -502,11 +554,6 @@ def sgd_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> Mo
     )
 
 
-def _accumulate(total: dict[str, np.ndarray], part: dict[str, np.ndarray], scale: float) -> None:
-    for name, acc in total.items():
-        acc += scale * part[name]
-
-
 def train(
     graphs: list[tuple[SegmentGraph, int]],
     params: ModelParams,
@@ -514,9 +561,10 @@ def train(
 ) -> tuple[ModelParams, list[float]]:
     """Mini-batch SGD over labelled segment graphs.
 
-    Shuffling is deterministic from cfg.seed; within a batch, gradients
-    are accumulated in fixed index order and averaged. Returns the final
-    parameters and the mean per-graph loss of each epoch.
+    Shuffling is deterministic from cfg.seed. Each mini-batch is one
+    batched forward and one backward, whose gradient is the batch's
+    class-weighted loss gradient divided by the batch size. Returns the
+    final parameters and the mean per-graph weighted loss of each epoch.
     """
     if not graphs:
         raise ConfigError("training needs at least one labelled graph")
@@ -528,6 +576,7 @@ def train(
             )
         if label not in (0, 1):
             raise ConfigError(f"labels must be 0 or 1, got {label!r}")
+    segment_graphs = [g for g, _ in graphs]
     labels = np.array([label for _, label in graphs])
     if labels.min() == labels.max():
         log.warning("training data holds a single class (%d) only", labels[0])
@@ -538,6 +587,7 @@ def train(
             count = int((labels == c).sum())
             if count:
                 class_weight[c] = len(graphs) / (2.0 * count)
+    sample_weight = np.array([class_weight[label] for label in labels.tolist()])
 
     rng = make_rng(cfg.seed)
     history: list[float] = []
@@ -546,38 +596,17 @@ def train(
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            total = zero_gradients(params)
-            for i in batch:
-                g, y = graphs[int(i)]
-                w = class_weight[y]
-                cache = forward(g, params)
-                epoch_loss += w * loss(cache.prediction, y)
-                _accumulate(total, backward(cache, g, params, y), w / len(batch))
-            params = sgd_step(params, total, cfg.learning_rate)
+            y, w = labels[batch], sample_weight[batch]
+            cache = forward([segment_graphs[i] for i in batch], params)
+            epoch_loss += float(w @ loss(cache.prediction, y))
+            grads = backward(cache, y, w / len(batch))
+            params = sgd_step(params, grads, cfg.learning_rate)
         history.append(epoch_loss / len(graphs))
     return params, history
 
 
 # ---------------------------------------------------------------------------
-# Parameter vector packing (gradient checks) and checkpoints
-
-
-def flatten_params(table: dict[str, np.ndarray]) -> np.ndarray:
-    """A parameter or gradient table as one vector, in table order."""
-    return np.concatenate([a.ravel() for a in table.values()])
-
-
-def _split(vector: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-    sizes = [math.prod(shape) for shape in shapes.values()]
-    if vector.size != sum(sizes):
-        raise ValueError(f"vector has {vector.size} entries, expected {sum(sizes)}")
-    chunks = np.split(np.asarray(vector, dtype=np.float64), np.cumsum(sizes)[:-1])
-    return {name: c.reshape(shape).copy() for c, (name, shape) in zip(chunks, shapes.items())}
-
-
-def unflatten_params(vector: np.ndarray, template: ModelParams) -> ModelParams:
-    shapes = {name: a.shape for name, a in template.arrays.items()}
-    return replace(template, arrays=_split(vector, shapes))
+# Checkpoints
 
 
 def save_checkpoint(
@@ -614,8 +643,9 @@ def load_checkpoint(
 ) -> tuple[ModelParams, SimilarityConfig | None, SegmentationConfig | None]:
     """Parameters plus the similarity and segmentation configs saved with them.
 
-    The header is checked here, once: every key present, known kinds, and
-    a name/shape table equal to the one its model config implies.
+    The file is checked here, once: every header key present, known kinds,
+    a name/shape table equal to the one its model config implies, and
+    finite weights.
     """
     path = Path(path)
     if not path.exists():
@@ -653,17 +683,24 @@ def load_checkpoint(
     if header["params"] != [{"name": n, "shape": list(s)} for n, s in shapes.items()]:
         raise FormatError("checkpoint parameter table differs from the one its config implies")
 
-    expected = 12 + header_len + 8 * sum(math.prod(s) for s in shapes.values())
+    sizes = [math.prod(s) for s in shapes.values()]
+    expected = 12 + header_len + 8 * sum(sizes)
     if len(raw) != expected:
         raise TruncatedFileError(
             f"checkpoint payload length mismatch: expected {expected} bytes, got {len(raw)}"
         )
+    blob = np.frombuffer(raw, dtype="<f8", offset=12 + header_len).astype(np.float64)
+    chunks = np.split(blob, np.cumsum(sizes)[:-1])
+    arrays = {name: c.reshape(shape) for c, (name, shape) in zip(chunks, shapes.items())}
+    non_finite = [name for name, a in arrays.items() if not np.isfinite(a).all()]
+    if non_finite:
+        raise FormatError(f"checkpoint weights are not finite in {non_finite}")
     params = ModelParams(
         layer_dims=layer_dims,
         aggregator_kind=header["aggregator_kind"],
         readout_kind=header["readout_kind"],
         a_dim=header["a_dim"],
         attention_averaged=averaged,
-        arrays=_split(np.frombuffer(raw, dtype="<f8", offset=12 + header_len), shapes),
+        arrays=arrays,
     )
     return params, similarity, segmentation

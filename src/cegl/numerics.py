@@ -1,4 +1,4 @@
-"""Stable activations, seeded randomness, gradient checking.
+"""Stable activations and seeded randomness.
 
 Everything here operates on 64-bit floats. Random streams come from
 numpy's PCG64 so that a given seed yields a bit-identical sequence on
@@ -7,16 +7,11 @@ every platform and every run.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
-
-from .errors import NumericError
 
 __all__ = [
     "sigmoid",
     "softmax",
-    "finite_diff_grad",
     "make_rng",
 ]
 
@@ -46,40 +41,12 @@ def sigmoid(x):
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
-    """Max-subtracted softmax over a 1-D vector; components sum to 1."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"softmax needs a non-empty 1-D vector, got shape {v.shape}")
-    e = np.exp(v - v.max())
-    return e / e.sum()
+    """Max-subtracted softmax along the last axis; each row sums to 1.
 
-
-def finite_diff_grad(
-    f: Callable[[np.ndarray], float],
-    theta: np.ndarray,
-    eps: float = 1e-5,
-) -> np.ndarray:
-    """Central-difference gradient estimate of a scalar function.
-
-    Per coordinate i: (f(theta + eps*e_i) - f(theta - eps*e_i)) / (2*eps).
-    `f` must be pure and deterministic; raises NumericError naming the
-    offending coordinate if it returns a non-finite value.
+    An entry of -inf gets weight exactly 0, which is how a row is masked.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    theta = np.asarray(theta, dtype=np.float64)
-    grad = np.zeros_like(theta)
-    flat = grad.ravel()
-    work = theta.copy()
-    wflat = work.ravel()
-    for i in range(wflat.size):
-        orig = wflat[i]
-        wflat[i] = orig + eps
-        f_plus = f(work)
-        wflat[i] = orig - eps
-        f_minus = f(work)
-        wflat[i] = orig
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise NumericError(f"non-finite function value at coordinate {i}")
-        flat[i] = (f_plus - f_minus) / (2.0 * eps)
-    return grad
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim == 0 or v.shape[-1] == 0:
+        raise ValueError(f"softmax needs a non-empty last axis, got shape {v.shape}")
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)

@@ -22,6 +22,7 @@ then toward the earlier candidate start, in both solvers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,10 @@ class Partition:
     boundaries: tuple[int, ...]
 
     def __post_init__(self):
+        # int() would take True as 1 and 10.5 as 10; neither is a frame index.
+        bad = [x for x in self.boundaries if isinstance(x, bool) or not isinstance(x, numbers.Integral)]
+        if bad:
+            raise TypeError(f"boundaries must be integers, got {bad[0]!r}")
         b = tuple(int(x) for x in self.boundaries)
         if len(b) < 2:
             raise ValueError("partition needs at least [0, T]")

@@ -1,0 +1,75 @@
+"""Gradient-check oracles: central finite differences over a flat parameter vector."""
+
+from dataclasses import replace
+from typing import Callable
+
+import numpy as np
+
+from cegl.errors import NumericError
+from cegl.model import backward, forward, loss
+
+
+def finite_diff_grad(
+    f: Callable[[np.ndarray], float],
+    theta: np.ndarray,
+    eps: float = 1e-5,
+) -> np.ndarray:
+    """Central-difference gradient estimate of a scalar function.
+
+    Per coordinate i: (f(theta + eps*e_i) - f(theta - eps*e_i)) / (2*eps).
+    `f` must be pure and deterministic; raises NumericError naming the
+    offending coordinate if it returns a non-finite value.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    theta = np.asarray(theta, dtype=np.float64)
+    grad = np.zeros_like(theta)
+    flat = grad.ravel()
+    work = theta.copy()
+    wflat = work.ravel()
+    for i in range(wflat.size):
+        orig = wflat[i]
+        wflat[i] = orig + eps
+        f_plus = f(work)
+        wflat[i] = orig - eps
+        f_minus = f(work)
+        wflat[i] = orig
+        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+            raise NumericError(f"non-finite function value at coordinate {i}")
+        flat[i] = (f_plus - f_minus) / (2.0 * eps)
+    return grad
+
+
+def flatten_params(table: dict[str, np.ndarray]) -> np.ndarray:
+    """A parameter or gradient table as one vector, in table order."""
+    return np.concatenate([a.ravel() for a in table.values()])
+
+
+def unflatten_params(vector: np.ndarray, template):
+    """ModelParams like template with its table read back from a flat vector."""
+    arrays, offset = {}, 0
+    for name, a in template.arrays.items():
+        arrays[name] = np.array(vector[offset : offset + a.size], dtype=np.float64).reshape(a.shape)
+        offset += a.size
+    if offset != vector.size:
+        raise ValueError(f"vector has {vector.size} entries, expected {offset}")
+    return replace(template, arrays=arrays)
+
+
+def check_gradients(graphs, params, labels, weights=None, rtol=1e-4, atol=1e-8):
+    """Assert that backward matches finite differences of the batch's weighted loss."""
+    labels = np.asarray(labels)
+    weights = np.ones(len(graphs)) if weights is None else np.asarray(weights)
+    analytic = flatten_params(backward(forward(graphs, params), labels, weights))
+
+    def f(vec):
+        return float(weights @ loss(forward(graphs, unflatten_params(vec, params)).prediction, labels))
+
+    numeric = finite_diff_grad(f, flatten_params(params.arrays), eps=1e-5)
+    err = np.abs(analytic - numeric)
+    bound = atol + rtol * np.maximum(np.abs(analytic), np.abs(numeric))
+    bad = np.flatnonzero(err > bound)
+    assert bad.size == 0, (
+        f"{params.aggregator_kind}/{params.readout_kind}: mismatch at {bad[:5]}, "
+        f"analytic {analytic[bad[:5]]}, numeric {numeric[bad[:5]]}"
+    )

@@ -26,17 +26,13 @@ from cegl.model import (
     AGGREGATOR_KINDS,
     READOUT_KINDS,
     TrainConfig,
-    backward,
-    flatten_params,
     forward,
     init_params,
     load_checkpoint,
-    loss,
     save_checkpoint,
     train,
-    unflatten_params,
 )
-from cegl.numerics import finite_diff_grad, make_rng
+from cegl.numerics import make_rng
 from cegl.segmentation import (
     Partition,
     SegmentationConfig,
@@ -44,6 +40,7 @@ from cegl.segmentation import (
     partition_objective,
     pelt,
 )
+from gradcheck import check_gradients, flatten_params
 
 
 def report(line):
@@ -87,23 +84,6 @@ def test_criterion_1_pelt_oracle_equivalence():
 # 2. Analytic gradients match central finite differences
 
 
-def _check_gradients(g, params, y, rtol=1e-4, atol=1e-8):
-    cache = forward(g, params)
-    analytic = flatten_params(backward(cache, g, params, y))
-
-    def f(vec):
-        return loss(forward(g, unflatten_params(vec, params)).prediction, y)
-
-    numeric = finite_diff_grad(f, flatten_params(params.arrays), eps=1e-5)
-    err = np.abs(analytic - numeric)
-    bound = atol + rtol * np.maximum(np.abs(analytic), np.abs(numeric))
-    bad = np.flatnonzero(err > bound)
-    assert bad.size == 0, (
-        f"{params.aggregator_kind}/{params.readout_kind}: mismatch at {bad[:5]}, "
-        f"analytic {analytic[bad[:5]]}, numeric {numeric[bad[:5]]}"
-    )
-
-
 def test_criterion_2_gradient_correctness():
     started = time.time()
     for agg in AGGREGATOR_KINDS:
@@ -121,7 +101,7 @@ def test_criterion_2_gradient_correctness():
                     readout,
                     seed=int(rng.integers(0, 1000)),
                 )
-                _check_gradients(g, params, y=seed % 2)
+                check_gradients([g], params, [seed % 2])
     elapsed = time.time() - started
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     report(
@@ -141,7 +121,7 @@ def test_criterion_3_permutation_properties():
         d = int(rng.integers(2, 6))
         g = build_graph(FeatureMatrix("v", rng.standard_normal((n, d))), SimilarityConfig())
         params = init_params((d, 5, 4), "mean", "attention", seed=int(rng.integers(0, 1000)))
-        base = forward(g, params).prediction
+        base = forward([g], params).prediction[0]
         perm = rng.permutation(n)
         from cegl.graph import SegmentGraph
 
@@ -149,7 +129,7 @@ def test_criterion_3_permutation_properties():
             node_features=g.node_features[perm],
             edge_weights=g.edge_weights[np.ix_(perm, perm)],
         )
-        assert abs(forward(permuted, params).prediction - base) <= 1e-9
+        assert abs(forward([permuted], params).prediction[0] - base) <= 1e-9
 
     # gated runs reproduce bit-identically from a fixed seed
     rng = make_rng(3004)
@@ -163,7 +143,7 @@ def test_criterion_3_permutation_properties():
         labelled = [(g, g.weak_label) for g in graphs]
         params, _ = train(labelled, params, TrainConfig(epochs=2, seed=5))
         return np.concatenate(
-            [flatten_params(params.arrays)] + [[forward(g, params).prediction] for g in graphs]
+            [flatten_params(params.arrays), forward(graphs, params).prediction]
         )
 
     first, second = gated_run(), gated_run()
@@ -229,9 +209,8 @@ def test_criterion_4_end_to_end_synthetic_protocol():
     for features, ann, _planted in videos[4:]:
         partition = pelt(features, seg_cfg)
         graphs = build_segment_graphs(features, partition, sim, annotations=ann)
-        for g in graphs:
-            preds.append(int(forward(g, params).prediction >= 0.5))
-            labels.append(g.weak_label)
+        preds += (forward(graphs, params).prediction >= 0.5).astype(int).tolist()
+        labels += [g.weak_label for g in graphs]
         test_data.append((features, ann, partition))
 
     accuracy = weighted_metrics(confusion(preds, labels)).accuracy

@@ -358,14 +358,59 @@ class TestEvaluateMalformedInput:
         assert_exit_2_without_output(argv, out, capsys, "boundaries")
 
 
+def test_classify_rejects_non_finite_checkpoint_weight(pipeline, tmp_path, capsys):
+    raw = bytearray((pipeline / "model.cegm").read_bytes())
+    raw[-8:] = struct.pack("<d", float("nan"))  # the classifier bias
+    model = tmp_path / "nan.cegm"
+    model.write_bytes(bytes(raw))
+    out = tmp_path / "preds.json"
+    assert_exit_2_without_output(
+        ["classify", "--model", model, "--features", pipeline / "data" / "video-000.cegf",
+         "--partition", pipeline / "video-000.partition.json", "--out", out],
+        out, capsys, "not finite", "classifier.bias",
+    )
+
+
+@pytest.mark.parametrize("label", [0.5, True, 1.0], ids=["half", "true", "real-one"])
+def test_evaluate_rejects_non_integer_frame_label(pipeline, tmp_path, capsys, label):
+    ann = json.loads((pipeline / "data" / "video-000.annotations.json").read_text())
+    ann["frame_labels"][3] = label
+    annotations = tmp_path / "ann.json"
+    annotations.write_text(json.dumps(ann))
+    out = tmp_path / "metrics.json"
+    assert_exit_2_without_output(
+        ["evaluate", "--preds", pipeline / "preds.json", "--annotations", annotations,
+         "--partition", pipeline / "video-000.partition.json", "--out", out],
+        out, capsys, "frame_labels",
+    )
+
+
+@pytest.mark.parametrize("edit", [
+    lambda b: [0, True] + b[1:],
+    lambda b: [0, b[1] + 0.5] + b[2:],
+], ids=["true", "real"])
+def test_classify_rejects_non_integer_boundary(pipeline, tmp_path, capsys, edit):
+    part = json.loads((pipeline / "video-000.partition.json").read_text())
+    part["boundaries"] = edit(part["boundaries"])
+    partition = tmp_path / "part.json"
+    partition.write_text(json.dumps(part))
+    out = tmp_path / "preds.json"
+    assert_exit_2_without_output(
+        ["classify", "--model", pipeline / "model.cegm",
+         "--features", pipeline / "data" / "video-000.cegf", "--partition", partition,
+         "--out", out],
+        out, capsys, "bad partition boundaries", "boundaries must be integers",
+    )
+
+
 def count_forward_calls(monkeypatch) -> list:
     """Record every forward pass made through any module that imports forward."""
     calls = []
     real_forward = model.forward
 
-    def counting_forward(g, params):
-        calls.append(g)
-        return real_forward(g, params)
+    def counting_forward(graphs, params):
+        calls.extend(graphs)
+        return real_forward(graphs, params)
 
     for module in (cli, localization, metrics, model):
         monkeypatch.setattr(module, "forward", counting_forward)

@@ -13,6 +13,7 @@ from cegl.dataio import (
     synth_video,
     write_annotations,
     write_feature_matrix,
+    write_json,
 )
 from cegl.errors import ConfigError, DataError, FormatError, TruncatedFileError
 from cegl.graph import SimilarityConfig
@@ -136,6 +137,20 @@ class TestAnnotations:
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):
             Annotations("v", frame_labels=np.array([0, 2]))
+
+    @pytest.mark.parametrize("labels", [[0.0, 1.0], [0, 0.5], [True, False]],
+                             ids=["float", "half", "bool"])
+    def test_non_integer_labels_rejected(self, labels):
+        # an integer cast would turn every one of these into 0/1 labels
+        with pytest.raises(ValueError, match="integers 0 and 1"):
+            Annotations("v", frame_labels=np.array(labels))
+
+
+def test_write_json_refuses_nan(tmp_path):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        write_json({"score": float("nan")}, path)
+    assert not path.exists() and not list(tmp_path.iterdir())
 
 
 class TestDeriveSegmentLabels:

@@ -24,7 +24,7 @@ class TestNodeScores:
     def test_identical_nodes_equal_scores(self):
         g = graph_of([[1.0, 2.0]] * 4)
         params = init_params((2, 3, 2), seed=1)
-        scores = node_scores(forward(g, params))
+        (scores,) = node_scores(forward([g], params))
         assert np.allclose(scores, scores[0], atol=1e-12)
 
     def test_constant_head_reduces_to_attention(self):
@@ -33,14 +33,14 @@ class TestNodeScores:
         params = init_params((3, 4, 2), "mean", "attention", seed=3)
         params.arrays["classifier.weights"][:] = 0.0
         params.arrays["classifier.bias"][:] = 0.0
-        cache = forward(g, params)
-        assert np.allclose(node_scores(cache), 0.5 * cache.attention_weights, atol=1e-15)
+        cache = forward([g], params)
+        assert np.allclose(node_scores(cache)[0], 0.5 * cache.attention_weights[0], atol=1e-15)
 
     def test_uniform_attention_for_non_attention_readout(self):
         rng = make_rng(3)
         g = graph_of(rng.standard_normal((4, 3)))
         params = init_params((3, 4, 2), "mean", "mean", seed=4)
-        scores = node_scores(forward(g, params))
+        (scores,) = node_scores(forward([g], params))
         assert scores.shape == (4,)
         assert (scores > 0).all() and (scores < 1).all()
 
@@ -48,9 +48,19 @@ class TestNodeScores:
         rng = make_rng(4)
         g = graph_of(rng.standard_normal((6, 4)))
         params = init_params((4, 5, 3), "gated", "attention", seed=5)
-        a = node_scores(forward(g, params))
-        b = node_scores(forward(g, params))
+        (a,) = node_scores(forward([g], params))
+        (b,) = node_scores(forward([g], params))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("readout", ["attention", "mean"])
+    def test_padded_batch_matches_one_graph_passes(self, readout):
+        rng = make_rng(6)
+        graphs = [graph_of(rng.standard_normal((n, 3))) for n in (4, 1, 7)]
+        params = init_params((3, 4, 2), "mean", readout, seed=7)
+        batched = node_scores(forward(graphs, params))
+        assert [s.shape for s in batched] == [(4,), (1,), (7,)]
+        for g, got in zip(graphs, batched):
+            assert np.allclose(got, node_scores(forward([g], params))[0], rtol=0, atol=1e-15)
 
 
 class TestTopkSelect:

@@ -163,15 +163,15 @@ class TestCoverageCurve:
         calls = []
         real_forward = model.forward
 
-        def counting_forward(g, p):
-            calls.append(g)
-            return real_forward(g, p)
+        def counting_forward(graphs, p):
+            calls.extend(graphs)
+            return real_forward(graphs, p)
 
         for module in (localization, metrics, model):
             monkeypatch.setattr(module, "forward", counting_forward)
         coverage_curve(params, [(features, ann, partition)], [1, 2], localize_all=localize_all)
         assert len(calls) == partition.segment_count
-        assert all(real_forward(g, params).prediction >= 0.5 for g in calls)
+        assert (real_forward(calls, params).prediction >= 0.5).all()
 
     def test_rejects_unordered_ks(self):
         features, ann, partition = separable_video(33)

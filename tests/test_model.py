@@ -11,7 +11,6 @@ from cegl.model import (
     READOUT_KINDS,
     TrainConfig,
     backward,
-    flatten_params,
     forward,
     init_params,
     load_checkpoint,
@@ -20,10 +19,10 @@ from cegl.model import (
     save_checkpoint,
     sgd_step,
     train,
-    unflatten_params,
     zero_gradients,
 )
-from cegl.numerics import finite_diff_grad, make_rng
+from cegl.numerics import make_rng
+from gradcheck import check_gradients, flatten_params
 from cegl.segmentation import SegmentationConfig
 
 
@@ -44,21 +43,6 @@ def permute_graph(g, perm):
     )
 
 
-def check_gradients(g, params, y, rtol=1e-4, atol=1e-8):
-    cache = forward(g, params)
-    analytic = flatten_params(backward(cache, g, params, y))
-
-    def f(vec):
-        return loss(forward(g, unflatten_params(vec, params)).prediction, y)
-
-    numeric = finite_diff_grad(f, flatten_params(params.arrays), eps=1e-5)
-    err = np.abs(analytic - numeric)
-    bound = atol + rtol * np.maximum(np.abs(analytic), np.abs(numeric))
-    bad = np.flatnonzero(err > bound)
-    assert bad.size == 0, f"gradient mismatch at flat indices {bad[:5]}: " \
-        f"analytic {analytic[bad[:5]]}, numeric {numeric[bad[:5]]}"
-
-
 class TestInitParams:
     def test_deterministic(self):
         a = init_params((4, 3, 2), seed=5)
@@ -68,7 +52,7 @@ class TestInitParams:
     def test_zero_scale_gives_half_probability(self):
         params = init_params((3, 4, 4), init_scale=0.0, seed=1)
         g = random_graph(make_rng(2), n=4, d=3)
-        assert forward(g, params).prediction == 0.5
+        assert forward([g], params).prediction[0] == 0.5
 
     def test_uniform_bounds(self):
         params = init_params((8, 4, 4), seed=3)
@@ -135,7 +119,7 @@ def layer0_messages(g, kind, **overrides):
     """Forward's first-layer messages: the aggregator applied to the raw features."""
     params = init_params((g.feature_dim, 3), kind, "mean", seed=1)
     params.arrays.update(overrides)
-    return forward(g, params).messages[0]
+    return forward([g], params).messages[0][0]
 
 
 def attention_params(h_dim, transform, vector, averaged=True):
@@ -206,15 +190,15 @@ class TestAggregateNeighbors:
 class TestLayerForward:
     def test_zero_weights_zero_output(self):
         g = random_graph(make_rng(10), n=3, d=4)
-        cache = forward(g, init_params((4, 5), "mean", init_scale=0.0))
-        assert np.array_equal(cache.node_embeddings[1], np.zeros((3, 5)))
+        cache = forward([g], init_params((4, 5), "mean", init_scale=0.0))
+        assert np.array_equal(cache.node_embeddings[1][0], np.zeros((3, 5)))
 
     def test_selector_of_self_half(self):
         g = build_graph(FeatureMatrix("v", np.abs(make_rng(11).standard_normal((3, 2))) + 0.5),
                         SimilarityConfig())
         params = init_params((2, 2), "mean")
         params.arrays["layer0.transform"] = np.hstack([np.eye(2), np.zeros((2, 2))])
-        out = forward(g, params).node_embeddings[1]
+        out = forward([g], params).node_embeddings[1][0]
         assert np.allclose(out, g.node_features, atol=1e-15)
 
     def test_matches_direct_formula(self):
@@ -223,40 +207,40 @@ class TestLayerForward:
         params = init_params((3, 5), "mean")
         transform = rng.standard_normal((5, 6))
         params.arrays["layer0.transform"] = transform
-        cache = forward(g, params)
-        msgs = cache.messages[0]
+        cache = forward([g], params)
+        msgs = cache.messages[0][0]
         for i in range(4):
             stacked = np.concatenate([g.node_features[i], msgs[i]])
-            assert np.allclose(cache.node_embeddings[1][i], np.maximum(transform @ stacked, 0.0),
-                               atol=1e-12)
+            assert np.allclose(cache.node_embeddings[1][0, i],
+                               np.maximum(transform @ stacked, 0.0), atol=1e-12)
 
     def test_preactivation_matches_triple_loop(self):
         rng = make_rng(11)
         g = random_graph(rng, n=3, d=2)
         params = init_params((2, 2), "mean", seed=4)
-        cache = forward(g, params)
-        a, b = cache.stacked_inputs[0], params.arrays["layer0.transform"].T
+        cache = forward([g], params)
+        a, b = cache.stacked_inputs[0][0], params.arrays["layer0.transform"].T
         want = np.zeros((a.shape[0], b.shape[1]))
         for i in range(a.shape[0]):
             for j in range(b.shape[1]):
                 for k in range(a.shape[1]):
                     want[i, j] += a[i, k] * b[k, j]
-        assert np.allclose(cache.preacts[0], want, rtol=0, atol=1e-12)
+        assert np.allclose(cache.preacts[0][0], want, rtol=0, atol=1e-12)
 
 
 class TestAttentionReadout:
     def test_two_identical_nodes(self):
         g = build_graph(FeatureMatrix("v", np.array([[2.0, 2.0], [2.0, 2.0]])), SimilarityConfig())
-        cache = forward(g, attention_params(2, np.eye(2), np.ones(2)))
-        assert np.allclose(cache.attention_weights, [0.5, 0.5], atol=1e-15)
+        cache = forward([g], attention_params(2, np.eye(2), np.ones(2)))
+        assert np.allclose(cache.attention_weights[0], [0.5, 0.5], atol=1e-15)
         # literal 1/n factor: (1/2) * (0.5+0.5) * (2,2) = (1,1)
-        assert np.allclose(cache.graph_embedding, [1.0, 1.0], atol=1e-15)
+        assert np.allclose(cache.graph_embedding[0], [1.0, 1.0], atol=1e-15)
 
     def test_single_node(self):
         g = build_graph(FeatureMatrix("v", np.array([[3.0, 1.0]])), SimilarityConfig())
-        cache = forward(g, attention_params(2, np.eye(2), np.ones(2)))
-        assert np.array_equal(cache.attention_weights, [1.0])
-        assert np.allclose(cache.graph_embedding, [3.0, 1.0], atol=1e-15)
+        cache = forward([g], attention_params(2, np.eye(2), np.ones(2)))
+        assert np.array_equal(cache.attention_weights[0], [1.0])
+        assert np.allclose(cache.graph_embedding[0], [3.0, 1.0], atol=1e-15)
 
     def test_matches_scripted(self):
         rng = make_rng(13)
@@ -266,14 +250,14 @@ class TestAttentionReadout:
         params = init_params((3, 3), "mean", "attention", seed=2, a_dim=2)
         params.arrays["attention.transform"] = wa
         params.arrays["attention.vector"] = u
-        cache = forward(g, params)
-        h = cache.node_embeddings[-1]
+        cache = forward([g], params)
+        h = cache.node_embeddings[-1][0]
         scores = np.array([u @ np.tanh(wa @ h[i]) for i in range(4)])
         e = np.exp(scores - scores.max())
         want_alpha = e / e.sum()
         want_hg = (want_alpha[:, None] * h).sum(axis=0) / 4
-        assert np.allclose(cache.attention_weights, want_alpha, atol=1e-12)
-        assert np.allclose(cache.graph_embedding, want_hg, atol=1e-12)
+        assert np.allclose(cache.attention_weights[0], want_alpha, atol=1e-12)
+        assert np.allclose(cache.graph_embedding[0], want_hg, atol=1e-12)
         assert cache.attention_weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -281,25 +265,25 @@ class TestClassifyAndLoss:
     def test_zero_head(self):
         g = random_graph(make_rng(14), n=3, d=2)
         params = init_params((2, 2), init_scale=0.0)
-        assert forward(g, params).prediction == 0.5
+        assert forward([g], params).prediction[0] == 0.5
 
     def test_bias_only(self):
         g = random_graph(make_rng(14), n=3, d=2)
         params = init_params((2, 2), init_scale=0.0)
         params.arrays["classifier.bias"][0] = np.log(3.0)
-        cache = forward(g, params)
-        assert np.array_equal(cache.graph_embedding, np.zeros(2))
-        assert cache.prediction == pytest.approx(0.75, abs=1e-15)
+        cache = forward([g], params)
+        assert np.array_equal(cache.graph_embedding[0], np.zeros(2))
+        assert cache.prediction[0] == pytest.approx(0.75, abs=1e-15)
 
     def test_matches_manual_dot(self):
         rng = make_rng(14)
         params = init_params((3, 4, 2), seed=2)
         params.arrays["classifier.bias"][0] = 0.3
-        cache = forward(random_graph(rng, d=3), params)
-        h_g = cache.graph_embedding
+        cache = forward([random_graph(rng, d=3)], params)
+        h_g = cache.graph_embedding[0]
         w, b = params.arrays["classifier.weights"], params.arrays["classifier.bias"][0]
         want = 1.0 / (1.0 + np.exp(-(w @ h_g + b)))
-        assert cache.prediction == pytest.approx(want, abs=1e-15)
+        assert cache.prediction[0] == pytest.approx(want, abs=1e-15)
 
     def test_loss_values(self):
         assert loss(0.5, 0) == pytest.approx(np.log(2.0), abs=1e-12)
@@ -315,15 +299,15 @@ class TestForward:
         for agg in AGGREGATOR_KINDS:
             for readout in READOUT_KINDS:
                 params = init_params((3, 4, 2), agg, readout, init_scale=0.0)
-                assert forward(g, params).prediction == 0.5
+                assert forward([g], params).prediction[0] == 0.5
 
     def test_single_node_graph_all_kinds(self):
         g = build_graph(FeatureMatrix("v", np.array([[0.5, -1.5, 2.0]])), SimilarityConfig())
         for agg in AGGREGATOR_KINDS:
             for readout in READOUT_KINDS:
                 params = init_params((3, 4, 2), agg, readout, seed=4)
-                cache = forward(g, params)
-                assert 0.0 < cache.prediction < 1.0
+                cache = forward([g], params)
+                assert 0.0 < cache.prediction[0] < 1.0
 
     def test_matches_scripted_three_node_mean_attention(self):
         rng = make_rng(16)
@@ -343,12 +327,12 @@ class TestForward:
         h_g = (alpha[:, None] * h).sum(axis=0) / 3
         want = 1.0 / (1.0 + np.exp(-(a["classifier.weights"] @ h_g + a["classifier.bias"][0])))
 
-        assert forward(g, params).prediction == pytest.approx(want, abs=1e-12)
+        assert forward([g], params).prediction[0] == pytest.approx(want, abs=1e-12)
 
     def test_dimension_mismatch(self):
         g = random_graph(make_rng(17), n=3, d=4)
         with pytest.raises(ValueError):
-            forward(g, init_params((3, 4, 2)))
+            forward([g], init_params((3, 4, 2)))
 
 
 class TestBackward:
@@ -356,34 +340,36 @@ class TestBackward:
         rng = make_rng(18)
         g = random_graph(rng, n=4, d=3)
         params = init_params((3, 4, 2), "mean", "attention", seed=7)
-        cache = forward(g, params)
-        grads = backward(cache, g, params, 1)
-        assert grads["classifier.bias"].tolist() == [cache.prediction - 1]
+        cache = forward([g], params)
+        grads = backward(cache, [1], [1.0])
+        assert grads["classifier.bias"].tolist() == [cache.prediction[0] - 1]
 
     def test_unused_gate_branch_gets_zero_gradient(self):
         # A mean model has no gate weights, so there is no gate gradient
         # at all; the gradient table mirrors the parameter table.
         g = random_graph(make_rng(19), n=4, d=3)
         params = init_params((3, 4, 2), "mean", "attention", seed=8)
-        grads = backward(forward(g, params), g, params, 0)
+        grads = backward(forward([g], params), [0], [1.0])
         assert list(grads) == list(params.arrays)
         assert not any("gate" in name for name in grads)
 
     def test_unused_attention_branch_gets_zero_gradient(self):
         g = random_graph(make_rng(20), n=4, d=3)
         params = init_params((3, 4, 2), "mean", "mean", seed=9)
-        grads = backward(forward(g, params), g, params, 0)
+        grads = backward(forward([g], params), [0], [1.0])
         assert list(grads) == list(params.arrays)
         assert not any(name.startswith("attention.") for name in grads)
 
-    def test_stale_cache_rejected(self):
+    def test_label_count_must_match_batch(self):
+        # backward reads graphs and params from the cache, so the only
+        # pairing it can get wrong is labels or weights for another batch.
         rng = make_rng(21)
-        g1 = random_graph(rng, n=3, d=3)
-        g2 = random_graph(rng, n=3, d=3)
         params = init_params((3, 4, 2))
-        cache = forward(g1, params)
-        with pytest.raises(ConfigError, match="stale"):
-            backward(cache, g2, params, 1)
+        cache = forward([random_graph(rng, n=3, d=3), random_graph(rng, n=3, d=3)], params)
+        with pytest.raises(ValueError, match="one label and one weight"):
+            backward(cache, [1], [1.0])
+        with pytest.raises(ValueError, match="one label and one weight"):
+            backward(cache, [1, 0], [1.0])
 
     @pytest.mark.parametrize("agg", AGGREGATOR_KINDS)
     @pytest.mark.parametrize("readout", READOUT_KINDS)
@@ -398,7 +384,7 @@ class TestBackward:
                 readout,
                 seed=int(rng.integers(0, 1000)),
             )
-            check_gradients(g, params, y=trial % 2)
+            check_gradients([g], params, [trial % 2])
 
     def test_gradients_with_unaveraged_attention(self):
         rng = make_rng(77)
@@ -411,14 +397,62 @@ class TestBackward:
                 seed=int(rng.integers(0, 1000)),
                 attention_averaged=False,
             )
-            check_gradients(g, params, y=trial % 2)
+            check_gradients([g], params, [trial % 2])
+
+
+class TestBatchedPass:
+    """A padded batch against one-graph passes, which need no padding."""
+
+    @pytest.mark.parametrize("agg", AGGREGATOR_KINDS)
+    @pytest.mark.parametrize("readout", READOUT_KINDS)
+    def test_gradients_equal_sum_of_one_graph_backwards(self, agg, readout):
+        rng = make_rng(zlib.crc32(f"batch/{agg}/{readout}".encode()))
+        for _ in range(3):
+            # mixed sizes with a lone node, in a random position
+            graphs = [random_graph(rng, n=int(n), d=3) for n in rng.permutation([1, 2, 3, 5, 7])]
+            labels = rng.integers(0, 2, size=len(graphs))
+            weights = rng.uniform(0.1, 2.0, size=len(graphs))
+            params = init_params((3, 5, 4), agg, readout, seed=int(rng.integers(0, 1000)))
+            batched = backward(forward(graphs, params), labels, weights)
+            parts = [
+                backward(forward([g], params), [y], [w])
+                for g, y, w in zip(graphs, labels, weights)
+            ]
+            got = flatten_params(batched)
+            want = flatten_params({name: sum(part[name] for part in parts) for name in batched})
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("agg", AGGREGATOR_KINDS)
+    @pytest.mark.parametrize("readout", READOUT_KINDS)
+    def test_padded_batch_matches_finite_differences(self, agg, readout):
+        rng = make_rng(zlib.crc32(f"padded/{agg}/{readout}".encode()))
+        graphs = [random_graph(rng, n=n, d=3) for n in (4, 1, 6, 2)]
+        params = init_params((3, 4, 3), agg, readout, seed=int(rng.integers(0, 1000)))
+        check_gradients(graphs, params, [1, 0, 1, 0], rng.uniform(0.1, 2.0, size=4))
+
+    @pytest.mark.parametrize("agg", AGGREGATOR_KINDS)
+    def test_larger_graph_leaves_other_predictions_unchanged(self, agg):
+        rng = make_rng(zlib.crc32(f"grow/{agg}".encode()))
+        graphs = [random_graph(rng, n=n, d=3) for n in (3, 1, 4)]
+        larger = random_graph(rng, n=9, d=3)
+        for readout in READOUT_KINDS:
+            params = init_params((3, 5, 4), agg, readout, seed=3)
+            alone = [forward([g], params).prediction[0] for g in graphs]
+            batched = forward(graphs, params).prediction
+            grown = forward(graphs + [larger], params).prediction
+            assert np.allclose(batched, alone, rtol=0, atol=1e-12), readout
+            assert np.allclose(grown[:3], alone, rtol=0, atol=1e-12), readout
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="at least one graph"):
+            forward([], init_params((3, 4, 2)))
 
 
 class TestSgdStep:
     def test_zero_lr_keeps_params(self):
         params = init_params((3, 4, 2), seed=1)
         g = random_graph(make_rng(22), n=3, d=3)
-        grads = backward(forward(g, params), g, params, 1)
+        grads = backward(forward([g], params), [1], [1.0])
         updated = sgd_step(params, grads, 0.0)
         assert np.array_equal(flatten_params(updated.arrays), flatten_params(params.arrays))
 
@@ -503,16 +537,16 @@ class TestPermutationProperties:
                 for _ in range(5):
                     g = random_graph(rng)
                     params = init_params((g.feature_dim, 5, 4), agg, readout, seed=11)
-                    base = forward(g, params).prediction
+                    base = forward([g], params).prediction[0]
                     perm = rng.permutation(g.n)
-                    permuted = forward(permute_graph(g, perm), params).prediction
+                    permuted = forward([permute_graph(g, perm)], params).prediction[0]
                     assert abs(base - permuted) <= 1e-9
 
     def test_gated_is_bitwise_reproducible(self):
         rng = make_rng(24)
         g = random_graph(rng, n=5, d=4)
         params = init_params((4, 5, 4), "gated", "attention", seed=12)
-        runs = {forward(g, params).prediction for _ in range(5)}
+        runs = {forward([g], params).prediction[0] for _ in range(5)}
         assert len(runs) == 1
 
     def test_zero_edges_zero_mean_messages(self):
@@ -572,4 +606,4 @@ def test_full_model_loss_gradient_on_four_node_graph():
     rng = make_rng(25)
     g = random_graph(rng, n=4, d=3)
     params = init_params((3, 4, 3), "gated", "attention", seed=13)
-    check_gradients(g, params, y=1)
+    check_gradients([g], params, [1])

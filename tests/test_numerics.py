@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cegl.errors import NumericError
-from cegl.numerics import finite_diff_grad, make_rng, sigmoid, softmax
+from cegl.numerics import make_rng, sigmoid, softmax
+from gradcheck import finite_diff_grad
 
 
 class TestSigmoid:

@@ -40,6 +40,16 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition(bounds)
 
+    @pytest.mark.parametrize("bounds", [(0, 10.5, 20), (0, True, 20), (0, 5.0)],
+                             ids=["half", "true", "real"])
+    def test_non_integer_boundary_rejected(self, bounds):
+        # int() would read these as (0, 10, 20), (0, 1, 20) and (0, 5)
+        with pytest.raises(TypeError, match="integers"):
+            Partition(bounds)
+
+    def test_numpy_integer_boundaries_accepted(self):
+        assert Partition(tuple(np.array([0, 4, 9]))).boundaries == (0, 4, 9)
+
     def test_json_round_trip(self, tmp_path):
         p = Partition((0, 4, 9))
         path = tmp_path / "p.json"
