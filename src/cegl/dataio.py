@@ -2,15 +2,16 @@
 
 File formats
 ------------
-CEGF (binary feature file):
+CEGF (binary feature file, suffix ``.cegf``):
     bytes 0-3   magic ``CEGF``
     bytes 4-7   version, 32-bit little-endian unsigned (currently 1)
     bytes 8-15  frame count T, 64-bit little-endian unsigned
     bytes 16-23 feature dim d, 64-bit little-endian unsigned
     then T*d 32-bit little-endian floats, row-major. No padding, no trailer.
 
-CSV feature file: one frame per line, d comma-separated decimal reals,
-no header. Values survive a round trip to within 32-bit float rounding.
+CSV feature file (suffix ``.csv``): one frame per line, d comma-separated
+decimal reals, no header. Values survive a round trip to within 32-bit
+float rounding.
 
 Annotations: JSON object {"video_id": str, "frame_labels": [0|1, ...]
 (optional), "notes": str (optional)}.
@@ -85,7 +86,10 @@ class Annotations:
             labels = np.asarray(self.frame_labels)
             if labels.ndim != 1:
                 raise ValueError("frame_labels must be 1-D")
-            if labels.dtype.kind not in "iu" or not np.isin(labels, (0, 1)).all():
+            # np.asarray reads [0, True, 1] as integers; a bool is not a label.
+            listed = () if isinstance(self.frame_labels, np.ndarray) else self.frame_labels
+            has_bool = any(isinstance(x, (bool, np.bool_)) for x in listed)
+            if has_bool or labels.dtype.kind not in "iu" or not np.isin(labels, (0, 1)).all():
                 raise ValueError("frame_labels must contain only the integers 0 and 1")
             object.__setattr__(self, "frame_labels", labels.astype(np.int64))
 
@@ -235,28 +239,24 @@ def write_feature_matrix(m: FeatureMatrix, path) -> None:
 
 
 def read_feature_matrix(path, video_id: str | None = None) -> FeatureMatrix:
-    """Load a CEGF or CSV feature file; format is sniffed from the magic bytes."""
+    """Load a feature file: a `.cegf` path is read as CEGF, a `.csv` path as CSV."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"feature file not found: {path}")
+    if path.suffix not in (".cegf", ".csv"):
+        raise FormatError(f"feature file must end in .cegf or .csv: {path}")
     raw = path.read_bytes()
     if video_id is None:
         video_id = path.stem.removesuffix(".features")
-    if raw[:4] == CEGF_MAGIC:
+    if path.suffix == ".cegf":
         return _parse_cegf(raw, video_id)
-    # Heuristic: binary-looking header that is not CEGF is a corrupt file,
-    # anything text-like is treated as CSV.
-    head = raw[:4]
-    if len(head) == 4 and not _looks_textual(head):
-        raise FormatError(f"bad magic {head!r}, expected {CEGF_MAGIC!r}")
-    return _parse_csv(path, video_id)
-
-
-def _looks_textual(head: bytes) -> bool:
-    return all(b in b"0123456789+-.eE, \t\r\n" for b in head)
+    return _parse_csv(raw, path, video_id)
 
 
 def _parse_cegf(raw: bytes, video_id: str) -> FeatureMatrix:
+    # A file cut inside the magic is truncated, not mislabelled.
+    if not CEGF_MAGIC.startswith(raw[:4]):
+        raise FormatError(f"bad magic {raw[:4]!r}, expected {CEGF_MAGIC!r}")
     if len(raw) < 24:
         raise TruncatedFileError(f"CEGF header truncated: {len(raw)} bytes")
     (version,) = struct.unpack_from("<I", raw, 4)
@@ -274,7 +274,10 @@ def _parse_cegf(raw: bytes, video_id: str) -> FeatureMatrix:
     return FeatureMatrix(video_id, flat.astype(np.float64).reshape(t, d))
 
 
-def _parse_csv(path: Path, video_id: str) -> FeatureMatrix:
+def _parse_csv(raw: bytes, path: Path, video_id: str) -> FeatureMatrix:
+    # numpy warns on empty input before it fails; say it in one line instead.
+    if not raw.strip():
+        raise FormatError(f"empty CSV feature file {path}")
     try:
         values = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:

@@ -1,22 +1,28 @@
 """Penalized change-point segmentation of long feature sequences.
 
-The optimization target over boundary candidates 0 = b_0 < ... < b_k = T is
+Over boundaries 0 = b_0 < ... < b_k = T the target is
 
-    sum_j cost(b_j, b_{j+1}) + penalty * (k - 1)
+    sum_j cost(b_j, b_{j+1}) + penalty * (k - 1),
 
-where cost (`SegmentCost`) is the summed squared deviation of each frame from its
-segment mean (a Gaussian mean-shift cost). `pelt` solves this with the
-pruned-exact recursion; `optimal_partition_oracle` is an independent
-full dynamic program kept around for equivalence testing.
+where cost (`SegmentCost.costs`) is the summed squared deviation of each
+frame from its segment mean. `pelt` solves it with the pruned-exact
+recursion F(t) = min over admissible starts s of F(s) + cost(s, t) +
+penalty, F(0) = -penalty; `optimal_partition_oracle` is an unpruned
+dynamic program kept for equivalence testing.
 
-Pruning note: a candidate start s dominated at time t (F(s) + cost(s, t)
-exceeding F(t)) is only discarded once the dominating path through t is
-itself admissible, i.e. from time t + min_len onward. With a minimum
-segment length greater than one, discarding immediately can lose the
-optimum; the delay preserves exactness for this concave-splitting cost.
+Pruning: a start s dominated at end t (F(s) + cost(s, t) > F(t)) leaves
+the candidates only from end t + min_len on, once the path through t is
+itself admissible; with min_len above one, dropping it at once can lose
+the optimum.
 
-Ties between equal-objective partitions break toward fewer boundaries,
-then toward the earlier candidate start, in both solvers.
+Blocks: F(t) reads F(s) only for s <= t - min_len, and a domination found
+at t acts from t + min_len on, so min_len consecutive ends depend on
+nothing their own block computes. `pelt` scores each such block as one
+(starts x ends) matrix.
+
+Ties: both solvers take the lexicographic minimum of (objective, number
+of segments, start). `costs` rounds each entry from its own span alone,
+so the two see bit-identical values.
 """
 
 from __future__ import annotations
@@ -34,6 +40,9 @@ from .errors import ConfigError, FormatError
 ORACLE_MAX_FRAMES = 500
 
 COST_KINDS = ("gaussian_mean_l2",)
+
+#: dominated_at of a start that no end has dominated yet.
+_NEVER = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -111,122 +120,108 @@ class SegmentCost:
         np.cumsum(np.einsum("ij,ij->i", v, v), out=self._sq[1:])
         self.frame_count = v.shape[0]
 
-    def __call__(self, s: int, e: int) -> float:
-        if not 0 <= s < e <= self.frame_count:
-            raise ValueError(f"empty or out-of-range span [{s}, {e})")
-        total = self._sums[e] - self._sums[s]
-        cost = (self._sq[e] - self._sq[s]) - float(total @ total) / (e - s)
-        return max(cost, 0.0)
+    def costs(self, starts, ends) -> np.ndarray:
+        """cost(s, e) for the spans [s, e) of starts and ends broadcast together.
+
+        The squared norm is an einsum over the feature axis, not a BLAS
+        product, so each entry is rounded the same way wherever it sits.
+        """
+        starts, ends = np.asarray(starts), np.asarray(ends)
+        lengths = ends - starts
+        if lengths.min() < 1 or starts.min() < 0 or ends.max() > self.frame_count:
+            raise ValueError(f"empty span or span outside the {self.frame_count} frames")
+        total = self._sums[ends] - self._sums[starts]
+        sq = np.einsum("...k,...k->...", total, total)
+        return np.maximum((self._sq[ends] - self._sq[starts]) - sq / lengths, 0.0)
 
 
-def _better(value, n_seg, best_value, best_n_seg) -> bool:
-    # Tie rule: lower objective, then fewer segments; equal on both keeps
-    # the earlier candidate (callers scan starts in ascending order).
-    if value < best_value:
-        return True
-    return value == best_value and n_seg < best_n_seg
+def _best_starts(values: np.ndarray, n_seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best row and its value for each column of a (starts x ends) value matrix.
+
+    The best is the lexicographic minimum of (value, segments, start):
+    starts ascend, so the first row of equal value and segment count is
+    the earliest start.
+    """
+    minima = values.min(axis=0)
+    rows = np.where(values == minima, n_seg[:, None], _NEVER).argmin(axis=0)
+    return rows, minima
 
 
-def _backtrack(prev: list[int], t: int) -> Partition:
+def _tables(f: FeatureMatrix, penalty: float):
+    """F, segment count and best start per end 0..T, with F(0) = -penalty."""
+    f_best = np.r_[-penalty, np.full(f.frame_count, np.inf)]
+    return f_best, np.zeros(f_best.size, dtype=np.int64), np.zeros(f_best.size, dtype=np.int64)
+
+
+def _backtrack(prev: np.ndarray, t: int) -> Partition:
     bounds = [t]
     while t > 0:
-        t = prev[t]
+        t = int(prev[t])
         bounds.append(t)
     return Partition(tuple(reversed(bounds)))
 
 
 def pelt(f: FeatureMatrix, cfg: SegmentationConfig) -> Partition:
-    """Optimal penalized partition via the pruned-exact recursion.
+    """Optimal penalized partition: the pruned recursion, min_len ends per step.
 
-    F(t) = min over admissible starts s of F(s) + cost(s, t) + penalty,
-    with F(0) = -penalty. Candidates are pruned per the module docstring.
     Inputs shorter than 2 * min_len yield the single-segment partition.
     """
-    t_total = f.frame_count
-    if t_total < 2 * cfg.min_len:
+    t_total, min_len = f.frame_count, cfg.min_len
+    if t_total < 2 * min_len:
         return Partition((0, t_total))
+    cost, beta = SegmentCost(f), cfg.penalty_for(f)
+    f_best, n_seg, prev = _tables(f, beta)
 
-    cost = SegmentCost(f)
-    beta = cfg.penalty_for(f)
-    min_len = cfg.min_len
+    never = np.full(min_len, _NEVER)
+    starts, dominated_at = np.zeros(1, dtype=np.int64), never[:1]  # starts ascend
+    for first in range(min_len, t_total + 1, min_len):
+        stop = min(first + min_len, t_total + 1)
+        ts = np.arange(first, stop)
+        latest = ts - min_len  # the last admissible start of each end
+        if first > min_len:  # each end from 2 * min_len on adds one start
+            starts = np.concatenate((starts, latest))
+            dominated_at = np.concatenate((dominated_at, never[: latest.size]))
+        keep = dominated_at > first - min_len
+        starts, dominated_at = starts[keep], dominated_at[keep]
 
-    f_best = np.full(t_total + 1, np.inf)
-    f_best[0] = -beta
-    n_seg = np.zeros(t_total + 1, dtype=np.int64)
-    prev = [0] * (t_total + 1)
+        valid = (starts[:, None] <= latest) & (dominated_at[:, None] > latest)
+        base = f_best[starts, None] + cost.costs(starts[:, None], ts)
+        values = np.where(valid, base + beta, np.inf)
+        best, f_best[first:stop] = _best_starts(values, n_seg[starts])
+        prev[first:stop] = starts[best]
+        n_seg[first:stop] = n_seg[prev[first:stop]] + 1
 
-    candidates: list[int] = [0]
-    dominated_at: dict[int, int] = {}
-
-    for t in range(min_len, t_total + 1):
-        fresh = t - min_len
-        if fresh >= min_len:
-            candidates.append(fresh)
-        candidates = [
-            s
-            for s in candidates
-            if s not in dominated_at or t < dominated_at[s] + min_len
-        ]
-
-        best_value, best_s, best_n = np.inf, -1, 0
-        for s in candidates:
-            value = f_best[s] + cost(s, t) + beta
-            if best_s < 0 or _better(value, n_seg[s] + 1, best_value, best_n):
-                best_value, best_s, best_n = value, s, n_seg[s] + 1
-        f_best[t] = best_value
-        prev[t] = best_s
-        n_seg[t] = best_n
-
-        for s in candidates:
-            if s not in dominated_at and f_best[s] + cost(s, t) > f_best[t]:
-                dominated_at[s] = t
+        # A start keeps the first end that dominates it.
+        hit = valid & (base > f_best[first:stop])
+        dominated_at = np.minimum(dominated_at, np.where(hit, ts, _NEVER).min(axis=1))
 
     return _backtrack(prev, t_total)
 
 
 def optimal_partition_oracle(f: FeatureMatrix, cfg: SegmentationConfig) -> Partition:
-    """Exact quadratic-time dynamic program over all admissible starts.
-
-    Deliberately unpruned; limited to ORACLE_MAX_FRAMES frames.
-    """
-    t_total = f.frame_count
+    """Unpruned exact recursion, one end at a time; at most ORACLE_MAX_FRAMES frames."""
+    t_total, min_len = f.frame_count, cfg.min_len
     if t_total > ORACLE_MAX_FRAMES:
-        raise ConfigError(
-            f"oracle accepts at most {ORACLE_MAX_FRAMES} frames, got {t_total}"
-        )
-    if t_total < 2 * cfg.min_len:
+        raise ConfigError(f"oracle accepts at most {ORACLE_MAX_FRAMES} frames, got {t_total}")
+    if t_total < 2 * min_len:
         return Partition((0, t_total))
-
-    cost = SegmentCost(f)
-    beta = cfg.penalty_for(f)
-    min_len = cfg.min_len
-
-    f_best = np.full(t_total + 1, np.inf)
-    f_best[0] = -beta
-    n_seg = np.zeros(t_total + 1, dtype=np.int64)
-    prev = [0] * (t_total + 1)
+    cost, beta = SegmentCost(f), cfg.penalty_for(f)
+    f_best, n_seg, prev = _tables(f, beta)
 
     for t in range(min_len, t_total + 1):
-        starts = [0] + [s for s in range(min_len, t - min_len + 1)]
-        best_value, best_s, best_n = np.inf, -1, 0
-        for s in starts:
-            if not np.isfinite(f_best[s]):
-                continue
-            value = f_best[s] + cost(s, t) + beta
-            if best_s < 0 or _better(value, n_seg[s] + 1, best_value, best_n):
-                best_value, best_s, best_n = value, s, n_seg[s] + 1
-        f_best[t] = best_value
-        prev[t] = best_s
-        n_seg[t] = best_n
+        starts = np.r_[0, min_len : t - min_len + 1]
+        values = f_best[starts, None] + cost.costs(starts[:, None], [t]) + beta
+        (best,), (f_best[t],) = _best_starts(values, n_seg[starts])
+        prev[t] = starts[best]
+        n_seg[t] = n_seg[prev[t]] + 1
 
     return _backtrack(prev, t_total)
 
 
 def partition_objective(f: FeatureMatrix, p: Partition, penalty: float) -> float:
     """Penalized objective achieved by a partition (interior boundaries taxed)."""
-    cost = SegmentCost(f)
-    segs = p.spans()
-    return sum(cost(s, e) for s, e in segs) + penalty * (len(segs) - 1)
+    b = np.array(p.boundaries)
+    return float(sum(SegmentCost(f).costs(b[:-1], b[1:]))) + penalty * (len(b) - 2)
 
 
 def split_video(f: FeatureMatrix, p: Partition) -> list[FeatureMatrix]:

@@ -500,3 +500,26 @@ def test_classify_rejects_partition_past_last_frame(pipeline, tmp_path, capsys):
          "--out", out],
         out, capsys, f"partition covers {frames + 7} frames",
     )
+
+
+@pytest.mark.parametrize(
+    "name, text, fragment",
+    [
+        ("empty.csv", "", "empty CSV"),
+        ("blank.csv", "\n  \n", "empty CSV"),
+        ("header.csv", "f0,f1\n1.0,2.0\n", "malformed CSV"),
+        ("nan.csv", "nan,1.0\n2.0,3.0\n", "non-finite feature at row 0"),
+        ("frames.txt", "1.0,2.0\n", ".cegf or .csv"),
+    ],
+    ids=["empty", "whitespace", "header-row", "leading-nan", "other-suffix"],
+)
+def test_segment_rejects_bad_feature_file(tmp_path, capsys, recwarn, name, text, fragment):
+    features = tmp_path / name
+    features.write_text(text)
+    out = tmp_path / "part.json"
+    assert_exit_2_without_output(
+        ["segment", "--features", features, "--config", write_config(tmp_path / "config.json"),
+         "--out", out],
+        out, capsys, fragment,
+    )
+    assert not recwarn.list  # numpy's empty-input warning would be a second message

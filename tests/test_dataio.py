@@ -111,6 +111,47 @@ class TestCsv:
         with pytest.raises(FormatError):
             read_feature_matrix(path)
 
+    def test_header_row_is_malformed_csv(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("f0,f1\n1.0,2.0\n")
+        with pytest.raises(FormatError, match="malformed CSV"):
+            read_feature_matrix(path)
+
+    def test_leading_nan_is_non_finite(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("nan,1.0\n2.0,3.0\n")
+        with pytest.raises(DataError, match="row 0, col 0"):
+            read_feature_matrix(path)
+
+    @pytest.mark.parametrize("text", ["", " \n\t\n"], ids=["empty", "whitespace"])
+    def test_empty_rejected_without_warning(self, tmp_path, recwarn, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="empty CSV"):
+            read_feature_matrix(path)
+        assert not recwarn.list
+
+
+class TestSuffix:
+    def test_csv_text_in_cegf_file_is_bad_magic(self, tmp_path):
+        path = tmp_path / "m.cegf"
+        path.write_text("1.0,2.0\n")
+        with pytest.raises(FormatError, match="magic"):
+            read_feature_matrix(path)
+
+    def test_cegf_cut_inside_magic_is_truncated(self, tmp_path):
+        path = tmp_path / "m.cegf"
+        path.write_bytes(b"CE")
+        with pytest.raises(TruncatedFileError):
+            read_feature_matrix(path)
+
+    @pytest.mark.parametrize("name", ["m.txt", "m.features", "m"])
+    def test_other_suffix_rejected(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_text("1.0,2.0\n")
+        with pytest.raises(FormatError, match=r"\.cegf or \.csv"):
+            read_feature_matrix(path)
+
 
 class TestAnnotations:
     def test_json_round_trip(self, tmp_path):
@@ -144,6 +185,18 @@ class TestAnnotations:
         # an integer cast would turn every one of these into 0/1 labels
         with pytest.raises(ValueError, match="integers 0 and 1"):
             Annotations("v", frame_labels=np.array(labels))
+
+    @pytest.mark.parametrize("labels", [[0, True, 1], (1, np.True_)],
+                             ids=["list", "tuple-numpy-bool"])
+    def test_bool_elements_rejected(self, labels):
+        # np.asarray makes [0, True, 1] an int64 array of 0/1 labels
+        with pytest.raises(ValueError, match="integers 0 and 1"):
+            Annotations("v", frame_labels=labels)
+
+    def test_integer_list_accepted(self):
+        ann = Annotations("v", frame_labels=[0, 1, 1])
+        assert ann.frame_labels.dtype == np.int64
+        assert ann.frame_labels.tolist() == [0, 1, 1]
 
 
 def test_write_json_refuses_nan(tmp_path):

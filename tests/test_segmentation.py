@@ -64,18 +64,29 @@ class TestPartition:
             read_partition(path)
 
 
+def span_cost(cost, s, e):
+    (value,) = cost.costs([s], [e])
+    return value
+
+
 class TestSegmentCost:
     def test_identical_frames_zero(self):
         f = fm([[2.0, 1.0]] * 3)
-        assert SegmentCost(f)(0, 3) == 0.0
+        assert span_cost(SegmentCost(f), 0, 3) == 0.0
 
     def test_hand_evaluated(self):
         # frames 0 and 2: mean 1, two unit deviations
-        assert SegmentCost(fm([[0.0], [2.0]]))(0, 2) == pytest.approx(2.0, abs=1e-12)
+        assert span_cost(SegmentCost(fm([[0.0], [2.0]])), 0, 2) == pytest.approx(2.0, abs=1e-12)
 
     def test_empty_span_rejected(self):
         with pytest.raises(ValueError):
-            SegmentCost(fm([[1.0]]))(1, 1)
+            SegmentCost(fm([[1.0]])).costs([1], [1])
+
+    @pytest.mark.parametrize("starts, ends", [([0, 2], [1, 1]), ([-1], [1]), ([0], [2])],
+                             ids=["reversed", "negative", "past-end"])
+    def test_out_of_range_span_rejected(self, starts, ends):
+        with pytest.raises(ValueError):
+            SegmentCost(fm([[1.0]])).costs(starts, ends)
 
     def test_matches_naive(self):
         rng = make_rng(21)
@@ -86,7 +97,7 @@ class TestSegmentCost:
             f = fm(values)
             s = int(rng.integers(0, t - 1))
             e = int(rng.integers(s + 1, t + 1))
-            got = SegmentCost(f)(s, e)
+            got = span_cost(SegmentCost(f), s, e)
             want = naive_cost(values, s, e)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
@@ -96,9 +107,26 @@ class TestSegmentCost:
             t = int(rng.integers(3, 20))
             values = rng.standard_normal((t, 1)) * 3
             cost = SegmentCost(fm(values))
-            whole = cost(0, t)
+            whole = span_cost(cost, 0, t)
             for m in range(1, t):
-                assert whole >= cost(0, m) + cost(m, t) - 1e-9
+                assert whole >= span_cost(cost, 0, m) + span_cost(cost, m, t) - 1e-9
+
+    def test_entry_bit_identical_alone_in_a_row_and_in_a_block(self):
+        # pelt scores (starts x ends) blocks, the oracle one row per end:
+        # ties between them are exact only if an entry ignores its neighbours.
+        rng = make_rng(23)
+        for _ in range(20):
+            t = int(rng.integers(20, 60))
+            cost = SegmentCost(fm(rng.standard_normal((t, int(rng.integers(1, 40)))) * 7))
+            starts = np.sort(rng.choice(t // 2, size=int(rng.integers(1, 6)), replace=False))
+            ends = np.arange(t // 2 + 1, t // 2 + 1 + int(rng.integers(1, 9)))
+            block = cost.costs(starts[:, None], ends)
+            assert block.shape == (starts.size, ends.size)
+            for j, e in enumerate(ends):
+                row = cost.costs(starts, e)
+                for i, s in enumerate(starts):
+                    alone = span_cost(cost, s, e)
+                    assert block[i, j].tobytes() == row[i].tobytes() == alone.tobytes()
 
 
 class TestPelt:
@@ -148,6 +176,45 @@ class TestPelt:
             slow = optimal_partition_oracle(f, cfg)
             assert partition_objective(f, fast, beta) == partition_objective(f, slow, beta)
             assert fast.boundaries == slow.boundaries
+
+    def test_blocks_match_oracle_with_ties_and_long_flat_stretches(self):
+        # pelt scores min_len ends per step; lengths off the block grid end on
+        # a short block, integer features make equal objectives common, and
+        # flat stretches keep many starts alive at once.
+        rng = make_rng(91)
+        for trial in range(48):
+            min_len = trial % 8 + 1
+            t = int(rng.integers(2 * min_len, 480))
+            if t % min_len == 0:
+                t += 1
+            d = int(rng.integers(1, 4))
+            values = rng.integers(-2, 3, size=(t, d)).astype(float)
+            for _ in range(int(rng.integers(1, 4))):
+                lo = int(rng.integers(0, t))
+                values[lo : lo + int(rng.integers(20, 200))] = rng.integers(-2, 3, size=d)
+            f = fm(values)
+            beta = float(rng.choice([0.5, 1.0, 2.0, 4.0, 8.0]))
+            cfg = SegmentationConfig(penalty=beta, min_len=min_len)
+            fast, slow = pelt(f, cfg), optimal_partition_oracle(f, cfg)
+            assert fast.boundaries == slow.boundaries, f"trial {trial}"
+
+    @pytest.mark.parametrize(
+        "values, min_len, penalty, want, rival",
+        [
+            # the fewer segments win, though the rival's last start is earlier
+            ([2, 1, 3, 3, 1, 2, 0, 1], 2, 2.0, (0, 6, 8), (0, 2, 4, 8)),
+            # with as many segments, the earlier last start wins
+            ([3, 2, 1], 1, 1.0, (0, 1, 3), (0, 2, 3)),
+        ],
+        ids=["fewer-segments", "earlier-start"],
+    )
+    def test_tie_rule(self, values, min_len, penalty, want, rival):
+        f = fm(np.array(values, dtype=float)[:, None])
+        tied = partition_objective(f, Partition(rival), penalty)
+        assert partition_objective(f, Partition(want), penalty) == tied
+        cfg = SegmentationConfig(penalty=penalty, min_len=min_len)
+        assert pelt(f, cfg).boundaries == want
+        assert optimal_partition_oracle(f, cfg).boundaries == want
 
     def test_more_penalty_fewer_boundaries(self):
         rng = make_rng(17)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import cegl
 import cegl.cli
+from cegl.dataio import read_feature_matrix
+from cegl.segmentation import read_partition
 from test_cli import write_config
 
 TRACING = Path(__file__).resolve().parents[1] / "pipebench" / "tracing.py"
@@ -68,3 +70,22 @@ def test_traced_train_and_localize_spans(tmp_path):
     tracer = traced(["localize", "--model", model, "--features", features,
                      "--partition", partition, "--k", 2, "--out", tmp_path / "loc.json"])
     assert tracer.layer_metrics(1)["localization.forward_per_segment"] == (1.0, "ratio")
+
+
+def test_traced_segment_has_one_pelt_span_sized_by_its_input_and_output(tmp_path):
+    config = write_config(tmp_path / "config.json")
+    data = tmp_path / "data"
+    assert cegl.cli.main(["synth", "--config", str(config), "--out", str(data)]) == 0
+    features = data / "video-000.cegf"
+    partition = tmp_path / "part.json"
+
+    tracer = traced(["segment", "--features", features, "--config", config, "--out", partition])
+    spans = [i for i, name_id in enumerate(tracer.name)
+             if tracer.names[name_id] == "segmentation.pelt"]
+    assert len(spans) == 1
+    span = spans[0]
+    assert tracer.names[tracer.name[tracer.parent[span]]] == "cli.segment"
+    assert tracer.sizes[span] == {
+        "frames": read_feature_matrix(features).frame_count,
+        "segments": read_partition(partition)[1].segment_count,
+    }
