@@ -17,10 +17,9 @@ from cegl import (
     build_segment_graphs,
     coverage_curve,
     derive_segment_labels,
-    forward,
     init_params,
-    node_scores,
     pelt,
+    score_segments,
     synth_video,
     topk_select,
     train,
@@ -57,21 +56,23 @@ params, _ = train(
 # Localize one held-out video and show a few abnormal segments.
 features, annotations, _ = videos[4]
 partition = pelt(features, seg_cfg)
-graphs = build_segment_graphs(features, partition, similarity, annotations=annotations)
+graphs = build_segment_graphs(features, partition, similarity)
 labels = derive_segment_labels(annotations, partition)
 spans = partition.spans()
 
+# One forward pass per segment gives its score and its frame scores.
+scored = score_segments(graphs, params, frames="all")
+
 print("top-2 selections in the first abnormal segments of a held-out video:")
 shown = 0
-for i, g in enumerate(graphs):
+for i, (score, frame_scores) in enumerate(scored):
     if not labels[i] or shown >= 5:
         continue
     s, e = spans[i]
-    (scores,) = node_scores(forward([g], params))
-    picked = topk_select(scores, 2) + s
+    picked = topk_select(frame_scores, 2) + s
     truth = np.flatnonzero(annotations.frame_labels[s:e]) + s
     hit = bool(set(picked) & set(truth))
-    print(f"  segment [{s:3d},{e:3d}): picked {picked.tolist()} "
+    print(f"  segment [{s:3d},{e:3d}) score {score:.2f}: picked {picked.tolist()} "
           f"truth {truth.tolist()} -> {'hit' if hit else 'miss'}")
     shown += 1
 

@@ -19,7 +19,7 @@ from .dataio import (
     write_feature_matrix,
 )
 from .graph import SegmentGraph, SimilarityConfig, build_graph, build_segment_graphs
-from .localization import LocalizationResult, coverage, node_scores, topk_select
+from .localization import node_scores, score_segments, topk_select
 from .metrics import ConfusionCounts, MetricsReport, confusion, coverage_curve, weighted_metrics
 from .model import (
     ModelParams,
@@ -45,7 +45,6 @@ __all__ = [
     "Annotations",
     "ConfusionCounts",
     "FeatureMatrix",
-    "LocalizationResult",
     "MetricsReport",
     "ModelParams",
     "Partition",
@@ -57,7 +56,6 @@ __all__ = [
     "build_graph",
     "build_segment_graphs",
     "confusion",
-    "coverage",
     "coverage_curve",
     "default_penalty",
     "derive_segment_labels",
@@ -70,6 +68,7 @@ __all__ = [
     "read_annotations",
     "read_feature_matrix",
     "save_checkpoint",
+    "score_segments",
     "split_video",
     "synth_video",
     "topk_select",

@@ -17,17 +17,14 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import dataio, metrics, segmentation
 from .dataio import Annotations, FeatureMatrix, SynthConfig, check_types, config_from_json
 from .errors import CeglError, ConfigError, DataError, FormatError, NumericError
-from .graph import SegmentGraph, SimilarityConfig, build_segment_graphs
-from .localization import LocalizationResult, node_scores, topk_select, write_localization
+from .graph import SimilarityConfig, build_segment_graphs
+from .localization import score_segments, topk_select
 from .model import (
     ModelParams,
     TrainConfig,
-    forward,
     init_params,
     load_checkpoint,
     param_shapes,
@@ -35,6 +32,10 @@ from .model import (
     train,
 )
 from .segmentation import SegmentationConfig, pelt
+
+# Not called here: pipebench/tracing.py patches these names in this module.
+from .localization import node_scores  # noqa: F401
+from .model import forward  # noqa: F401
 
 SEED_ENV_VAR = "CEGL_SEED"
 
@@ -134,20 +135,12 @@ def _load_video(cegf_path: Path) -> tuple[FeatureMatrix, Annotations]:
     return features, ann
 
 
-def _predictions_obj(features, partition, graphs, params) -> dict:
-    segments = []
-    for i, ((s, e), g) in enumerate(zip(partition.spans(), graphs)):
-        y_hat = float(forward([g], params).prediction[0])
-        segments.append(
-            {
-                "segment_id": i,
-                "start": s,
-                "end": e,
-                "score": y_hat,
-                "predicted": int(y_hat >= 0.5),
-            }
-        )
-    return {"video_id": features.video_id, "segments": segments}
+def _same_video(**video_ids: str) -> None:
+    """Refuse input files made for different videos; keywords name the files."""
+    (first, first_id), *rest = video_ids.items()
+    for name, video_id in rest:
+        if video_id != first_id:
+            raise ConfigError(f"{first} is for video {first_id!r} but {name} for {video_id!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -232,51 +225,43 @@ def _load_model(path) -> tuple[ModelParams, SimilarityConfig, SegmentationConfig
     return params, similarity or SimilarityConfig(), segmentation_cfg
 
 
-def cmd_classify(args) -> int:
+def _score_video(args, frames: str):
+    """(video id, spans, `score_segments` output) of --features cut by --partition.
+
+    The --model checkpoint scores the segments; `frames` is passed on to
+    `score_segments`.
+    """
     params, similarity, _ = _load_model(args.model)
     features = dataio.read_feature_matrix(args.features)
-    _video_id, partition = segmentation.read_partition(args.partition)
+    video_id, partition = segmentation.read_partition(args.partition)
+    _same_video(partition=video_id, features=features.video_id)
     graphs = build_segment_graphs(features, partition, similarity)
-    dataio.write_json(_predictions_obj(features, partition, graphs, params), args.out)
+    return video_id, partition.spans(), score_segments(graphs, params, frames)
+
+
+def cmd_classify(args) -> int:
+    video_id, spans, scored = _score_video(args, "none")
+    segments = [
+        {"segment_id": i, "start": s, "end": e, "score": score, "predicted": int(score >= 0.5)}
+        for i, ((s, e), (score, _)) in enumerate(zip(spans, scored))
+    ]
+    dataio.write_json({"video_id": video_id, "segments": segments}, args.out)
     return 0
 
 
-def _localize_segment(g: SegmentGraph, params: ModelParams, k: int, all_segments: bool):
-    """(predicted, frame scores, local top-k) of one segment, from one forward pass.
-
-    A function of its own so that the pass's cache is freed before the
-    next segment's forward pass runs.
-    """
-    cache = forward([g], params)
-    predicted = int(cache.prediction[0] >= 0.5)
-    if not (predicted or all_segments):
-        return predicted, np.zeros(0), np.zeros(0, dtype=np.int64)
-    scores = node_scores(cache)[0]
-    return predicted, scores, topk_select(scores, k)
-
-
 def cmd_localize(args) -> int:
-    params, similarity, _ = _load_model(args.model)
-    features = dataio.read_feature_matrix(args.features)
-    _video_id, partition = segmentation.read_partition(args.partition)
     if args.k < 1:
         raise ConfigError(f"k must be at least 1, got {args.k}")
-    graphs = build_segment_graphs(features, partition, similarity)
-    results = []
-    for i, ((s, e), g) in enumerate(zip(partition.spans(), graphs)):
-        predicted, scores, selected = _localize_segment(g, params, args.k, args.all_segments)
-        results.append(
-            LocalizationResult(
-                segment_id=i,
-                start=s,
-                end=e,
-                predicted=predicted,
-                k=args.k,
-                scores=scores,
-                selected=selected + s,
-            )
-        )
-    write_localization(results, args.out)
+    _, spans, scored = _score_video(args, "all" if args.all_segments else "predicted")
+    entries = []
+    for i, ((s, e), (score, frame_scores)) in enumerate(zip(spans, scored)):
+        selected, scores = [], []
+        if frame_scores is not None:
+            selected = (topk_select(frame_scores, args.k) + s).tolist()
+            scores = frame_scores.tolist()
+        entries.append({"segment_id": i, "start": s, "end": e, "predicted": int(score >= 0.5),
+                        "k": args.k, "selected_frames": selected, "scores": scores})
+    dataio.write_json(entries, args.out)
     return 0
 
 
@@ -306,11 +291,16 @@ def cmd_coverage_curve(args) -> int:
 
 def cmd_evaluate(args) -> int:
     preds_obj = dataio.read_json(args.preds, "predictions")
-    if not isinstance(preds_obj, dict) or "segments" not in preds_obj:
-        raise FormatError(f"predictions JSON must hold a segments list: {args.preds}")
+    if not isinstance(preds_obj, dict) or not {"video_id", "segments"} <= set(preds_obj):
+        raise FormatError(
+            f"predictions JSON must hold a video_id and a segments list: {args.preds}"
+        )
 
     ann = dataio.read_annotations(args.annotations)
-    _video_id, partition = segmentation.read_partition(args.partition)
+    video_id, partition = segmentation.read_partition(args.partition)
+    _same_video(
+        partition=video_id, annotations=ann.video_id, predictions=preds_obj["video_id"]
+    )
     labels = dataio.derive_segment_labels(ann, partition)
     try:
         segments = sorted(preds_obj["segments"], key=lambda s: s["segment_id"])

@@ -275,8 +275,9 @@ def _parse_cegf(raw: bytes, video_id: str) -> FeatureMatrix:
 
 
 def _parse_csv(raw: bytes, path: Path, video_id: str) -> FeatureMatrix:
-    # numpy warns on empty input before it fails; say it in one line instead.
-    if not raw.strip():
+    # numpy warns on input with no data line before it fails; say it in one
+    # line instead. loadtxt reads anything after a '#' as a comment.
+    if not any(line.split(b"#", 1)[0].strip() for line in raw.splitlines()):
         raise FormatError(f"empty CSV feature file {path}")
     try:
         values = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)

@@ -1,58 +1,32 @@
 """Inference-time frame localization: score, rank, select top-k per segment.
 
-A trained classifier's readout is repurposed as a temporal pool: each
-frame's score is its attention weight times the sigmoid head applied to
-its own final embedding, i.e. the frame's weighted contribution to the
-abnormal prediction. Top-k selection uses a fixed total order (score
-descending, earlier frame first on ties) so selections are nested in k.
+`score_segments` is the one inference path, shared by `cegl classify`,
+`cegl localize` and the coverage curve. A trained classifier's readout
+is repurposed as a temporal pool: each frame's score is its attention
+weight times the sigmoid head applied to its own final embedding, i.e.
+the frame's weighted contribution to the abnormal prediction. Top-k
+selection uses a fixed total order (score descending, earlier frame
+first on ties) so selections are nested in k.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataio import Annotations, derive_segment_labels, write_json
-
-# `forward` is not called here: frame scores come from the caller's pass.
-# It stays importable as localization.forward because pipebench/tracing.py
-# patches that name.
-from .model import CLASSIFIER_BIAS, CLASSIFIER_WEIGHTS, ForwardCache, forward  # noqa: F401
+from .dataio import Annotations, derive_segment_labels
+from .graph import SegmentGraph
+from .model import CLASSIFIER_BIAS, CLASSIFIER_WEIGHTS, ForwardCache, ModelParams, forward
 from .numerics import sigmoid
 from .segmentation import Partition
 
 __all__ = [
-    "LocalizationResult",
     "node_scores",
+    "score_segments",
     "topk_select",
-    "coverage",
     "coverage_counts",
-    "write_localization",
 ]
-
-
-@dataclass(frozen=True)
-class LocalizationResult:
-    segment_id: int
-    start: int  # global index of the segment's first frame
-    end: int  # one past the last frame
-    predicted: int
-    k: int
-    scores: np.ndarray  # per-frame, empty when the segment was not scored
-    selected: np.ndarray  # global frame indices, ascending
-
-    def to_json_obj(self) -> dict:
-        return {
-            "segment_id": self.segment_id,
-            "start": self.start,
-            "end": self.end,
-            "predicted": self.predicted,
-            "k": self.k,
-            "selected_frames": [int(i) for i in self.selected],
-            "scores": [float(s) for s in self.scores],
-        }
 
 
 def node_scores(cache: ForwardCache) -> list[np.ndarray]:
@@ -71,6 +45,28 @@ def node_scores(cache: ForwardCache) -> list[np.ndarray]:
         (np.full(n, 1.0 / n) if alpha is None else alpha[b, :n]) * head[b, :n]
         for b, n in enumerate(cache.sizes.tolist())
     ]
+
+
+def score_segments(
+    graphs: Sequence[SegmentGraph], params: ModelParams, frames: str
+) -> list[tuple[float, np.ndarray | None]]:
+    """(abnormal score, frame scores or None) of each segment, one forward pass each.
+
+    `frames` picks the segments that get frame scores: "none",
+    "predicted" (score >= 0.5) or "all".
+    """
+    if frames not in ("none", "predicted", "all"):
+        raise ValueError(f"frames must be 'none', 'predicted' or 'all', got {frames!r}")
+    return [_score_segment(g, params, frames) for g in graphs]
+
+
+def _score_segment(g: SegmentGraph, params: ModelParams, frames: str):
+    # A function of its own so that the pass's cache is freed before the
+    # next segment's pass runs.
+    cache = forward([g], params)
+    score = float(cache.prediction[0])
+    wanted = frames == "all" or (frames == "predicted" and score >= 0.5)
+    return score, node_scores(cache)[0] if wanted else None
 
 
 def topk_select(scores: np.ndarray, k: int) -> np.ndarray:
@@ -93,7 +89,12 @@ def coverage_counts(
     ann: Annotations,
     partition: Partition,
 ) -> tuple[int, int]:
-    """(hit count, abnormal segment count) behind the coverage fraction."""
+    """(hits, abnormal segments), whose ratio is the coverage.
+
+    `selections` maps segment index to selected global frame indices; a
+    truly abnormal segment is a hit if its selection holds an abnormal
+    frame, and a miss if it has no entry.
+    """
     seg_labels = derive_segment_labels(ann, partition)
     spans = partition.spans()
     abnormal = [i for i, label in enumerate(seg_labels) if label == 1]
@@ -109,24 +110,3 @@ def coverage_counts(
                 )
         hits += int(any(frame_labels[f] == 1 for f in chosen))
     return hits, len(abnormal)
-
-
-def coverage(
-    selections: Mapping[int, Sequence[int]],
-    ann: Annotations,
-    partition: Partition,
-) -> float | None:
-    """Fraction of truly abnormal segments whose selection hits an abnormal frame.
-
-    `selections` maps segment index to selected global frame indices;
-    abnormal segments without an entry count as misses. Returns None when
-    the video has no abnormal segments (the metric is undefined there).
-    """
-    hits, n_ab = coverage_counts(selections, ann, partition)
-    if n_ab == 0:
-        return None
-    return hits / n_ab
-
-
-def write_localization(results: list[LocalizationResult], path) -> None:
-    write_json([r.to_json_obj() for r in results], path)

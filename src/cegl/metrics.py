@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import Annotations, FeatureMatrix, write_atomic, write_json
-from .graph import SegmentGraph, SimilarityConfig, build_segment_graphs
-from .localization import coverage_counts, node_scores, topk_select
-from .model import ModelParams, forward
+from .graph import SimilarityConfig, build_segment_graphs
+from .localization import coverage_counts, score_segments, topk_select
+from .model import ModelParams
 from .segmentation import Partition
 
 
@@ -123,18 +123,6 @@ def weighted_metrics(c: ConfusionCounts) -> MetricsReport:
     )
 
 
-def _localized_scores(g: SegmentGraph, params: ModelParams, localize_all: bool):
-    """Frame scores of a segment the curve localizes, else None.
-
-    One forward pass gives both the prediction and the scores; returning
-    frees its cache before the next segment's pass.
-    """
-    cache = forward([g], params)
-    if localize_all or cache.prediction[0] >= 0.5:
-        return node_scores(cache)[0]
-    return None
-
-
 def coverage_curve(
     params: ModelParams,
     data: list[tuple[FeatureMatrix, Annotations, Partition]],
@@ -152,15 +140,16 @@ def coverage_curve(
     if not ks or list(ks) != sorted(ks):
         raise ValueError("ks must be a non-empty ascending list")
     similarity = similarity or SimilarityConfig()
+    frames = "all" if localize_all else "predicted"
 
     per_video: list[tuple[dict[int, np.ndarray], Annotations, Partition]] = []
     for features, ann, partition in data:
-        graphs = build_segment_graphs(features, partition, similarity, annotations=ann)
-        scored: dict[int, np.ndarray] = {}
-        for i, g in enumerate(graphs):
-            scores = _localized_scores(g, params, localize_all)
-            if scores is not None:
-                scored[i] = scores
+        graphs = build_segment_graphs(features, partition, similarity)
+        scored = {
+            i: frame_scores
+            for i, (_score, frame_scores) in enumerate(score_segments(graphs, params, frames))
+            if frame_scores is not None
+        }
         per_video.append((scored, ann, partition))
 
     curve = []

@@ -32,7 +32,8 @@ aggregator and attention weights only for the attention readout.
 
 `forward` runs a batch of graphs at once, padded to the largest one
 with a node mask, and `backward` returns the weighted sum of the batch's
-gradients; inference passes a one-graph batch. Gradients are derived by
+gradients. Inference goes through `localization.score_segments`, which
+passes a one-graph batch per segment. Gradients are derived by
 hand (no autodiff) and checked against central finite differences in
 the test suite. Training is plain SGD on the binary cross entropy of the
 segment labels, with one forward and one backward per mini-batch.

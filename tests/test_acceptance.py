@@ -20,7 +20,7 @@ from cegl.dataio import (
 )
 from cegl.errors import FormatError, TruncatedFileError
 from cegl.graph import SimilarityConfig, build_graph, build_segment_graphs
-from cegl.localization import coverage
+from cegl.localization import coverage_counts
 from cegl.metrics import confusion, coverage_curve, weighted_metrics
 from cegl.model import (
     AGGREGATOR_KINDS,
@@ -248,8 +248,10 @@ def test_criterion_5_coverage_arithmetic():
             i: [10 * i] if i < hits else [10 * i + 5] for i in range(n_seg)
         }
 
-    assert coverage(selections(37), ann, partition) == 0.925
-    assert coverage(selections(39), ann, partition) == 0.975
+    for hits, want in ((37, 0.925), (39, 0.975)):
+        counted, n_abnormal = coverage_counts(selections(hits), ann, partition)
+        assert (counted, n_abnormal) == (hits, n_seg)
+        assert counted / n_abnormal == want
     report("5. coverage arithmetic: 37/40 = 0.925 and 39/40 = 0.975 exactly")
 
 

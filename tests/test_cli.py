@@ -5,9 +5,11 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from cegl import cli, localization, metrics, model
+from cegl import cli, localization, model
 from cegl.cli import main
 from cegl.dataio import read_annotations, read_feature_matrix
+from cegl.graph import build_segment_graphs
+from cegl.localization import topk_select
 from cegl.metrics import coverage_curve
 from cegl.model import load_checkpoint
 from cegl.segmentation import read_partition
@@ -247,11 +249,11 @@ class TestErrorPaths:
         data = tmp_path / "data"
         assert main(["synth", "--config", str(config), "--out", str(data)]) == 0
         preds = tmp_path / "preds.json"
-        preds.write_text(json.dumps({"video_id": "v", "segments": [
+        preds.write_text(json.dumps({"video_id": "video-000", "segments": [
             {"segment_id": 0, "start": 0, "end": 4, "score": 0.9, "predicted": 1}
         ]}))
         bad_partition = tmp_path / "part.json"
-        bad_partition.write_text(json.dumps({"video_id": "v", "boundaries": [0, 7]}))
+        bad_partition.write_text(json.dumps({"video_id": "video-000", "boundaries": [0, 7]}))
         out = tmp_path / "metrics.json"
         code = main(["evaluate", "--preds", str(preds),
                      "--annotations", str(data / "video-000.annotations.json"),
@@ -412,20 +414,91 @@ def count_forward_calls(monkeypatch) -> list:
         calls.extend(graphs)
         return real_forward(graphs, params)
 
-    for module in (cli, localization, metrics, model):
+    for module in (cli, localization, model):
         monkeypatch.setattr(module, "forward", counting_forward)
     return calls
+
+
+def inference_argv(pipeline, command, out, partition=None):
+    """classify or localize (k=2) argv for the pipeline's first video."""
+    argv = [command, "--model", pipeline / "model.cegm",
+            "--features", pipeline / "data" / "video-000.cegf",
+            "--partition", partition or pipeline / "video-000.partition.json", "--out", out]
+    return [str(a) for a in argv] + (["--k", "2"] if command == "localize" else [])
 
 
 @pytest.mark.parametrize("all_segments", [True, False])
 def test_localize_runs_one_forward_per_segment(pipeline, tmp_path, monkeypatch, all_segments):
     calls = count_forward_calls(monkeypatch)
     partition = pipeline / "video-000.partition.json"
-    argv = ["localize", "--model", str(pipeline / "model.cegm"),
-            "--features", str(pipeline / "data" / "video-000.cegf"),
-            "--partition", str(partition), "--k", "2", "--out", str(tmp_path / "loc.json")]
+    argv = inference_argv(pipeline, "localize", tmp_path / "loc.json")
     assert main(argv + (["--all-segments"] if all_segments else [])) == 0
     assert len(calls) == read_partition(partition)[1].segment_count
+
+
+def test_classify_runs_one_forward_per_segment_and_no_frame_scores(
+    pipeline, tmp_path, monkeypatch
+):
+    calls = count_forward_calls(monkeypatch)
+    frame_scored = []
+    real_node_scores = localization.node_scores
+
+    def counting_node_scores(cache):
+        frame_scored.append(cache)
+        return real_node_scores(cache)
+
+    monkeypatch.setattr(localization, "node_scores", counting_node_scores)
+    assert main(inference_argv(pipeline, "classify", tmp_path / "preds.json")) == 0
+    partition = pipeline / "video-000.partition.json"
+    assert len(calls) == read_partition(partition)[1].segment_count
+    assert frame_scored == []
+
+
+def test_localize_json_holds_score_segments_output(pipeline):
+    """loc.json (--all-segments, k=2) is score_segments' output with its top-2 frames."""
+    params, similarity, _ = load_checkpoint(pipeline / "model.cegm")
+    features = read_feature_matrix(pipeline / "data" / "video-000.cegf")
+    _, partition = read_partition(pipeline / "video-000.partition.json")
+    graphs = build_segment_graphs(features, partition, similarity)
+    scored = localization.score_segments(graphs, params, "all")
+    loc = json.loads((pipeline / "loc.json").read_text())
+    assert len(loc) == len(scored)
+    for i, (entry, (s, e), (score, frame_scores)) in enumerate(
+        zip(loc, partition.spans(), scored)
+    ):
+        assert (entry["segment_id"], entry["start"], entry["end"], entry["k"]) == (i, s, e, 2)
+        assert entry["predicted"] == int(score >= 0.5)
+        assert entry["scores"] == frame_scores.tolist()
+        assert entry["selected_frames"] == (topk_select(frame_scores, 2) + s).tolist()
+
+
+def other_video(path, out):
+    """Copy a JSON input file with its video_id changed to another video's."""
+    obj = json.loads(path.read_text())
+    obj["video_id"] = "video-001"
+    out.write_text(json.dumps(obj))
+    return out
+
+
+@pytest.mark.parametrize(
+    "command, swapped",
+    [("classify", "partition"), ("localize", "partition"),
+     ("evaluate", "annotations"), ("evaluate", "preds")],
+)
+def test_inputs_for_different_videos_exit_2(pipeline, tmp_path, capsys, command, swapped):
+    inputs = {
+        "partition": pipeline / "video-000.partition.json",
+        "annotations": pipeline / "data" / "video-000.annotations.json",
+        "preds": pipeline / "preds.json",
+    }
+    inputs[swapped] = other_video(inputs[swapped], tmp_path / f"{swapped}.json")
+    out = tmp_path / "out.json"
+    if command == "evaluate":
+        argv = ["evaluate", "--preds", inputs["preds"], "--annotations", inputs["annotations"],
+                "--partition", inputs["partition"], "--out", out]
+    else:
+        argv = inference_argv(pipeline, command, out, inputs["partition"])
+    assert_exit_2_without_output(argv, out, capsys, "'video-000'", "'video-001'")
 
 
 # Per section: a count field, a flag field and a real field, or None where
@@ -510,8 +583,9 @@ def test_classify_rejects_partition_past_last_frame(pipeline, tmp_path, capsys):
         ("header.csv", "f0,f1\n1.0,2.0\n", "malformed CSV"),
         ("nan.csv", "nan,1.0\n2.0,3.0\n", "non-finite feature at row 0"),
         ("frames.txt", "1.0,2.0\n", ".cegf or .csv"),
+        ("comments.csv", "# frames\n", "empty CSV"),
     ],
-    ids=["empty", "whitespace", "header-row", "leading-nan", "other-suffix"],
+    ids=["empty", "whitespace", "header-row", "leading-nan", "other-suffix", "comments-only"],
 )
 def test_segment_rejects_bad_feature_file(tmp_path, capsys, recwarn, name, text, fragment):
     features = tmp_path / name

@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from cegl.dataio import Annotations, FeatureMatrix, read_json
+from cegl.dataio import Annotations, FeatureMatrix
 from cegl.graph import SimilarityConfig, build_graph
-from cegl.localization import (
-    LocalizationResult,
-    coverage,
-    coverage_counts,
-    node_scores,
-    topk_select,
-    write_localization,
-)
+from cegl.localization import coverage_counts, node_scores, score_segments, topk_select
 from cegl.model import forward, init_params
 from cegl.numerics import make_rng
 from cegl.segmentation import Partition
@@ -109,6 +102,11 @@ def forty_segment_fixture(ranks_with_hits):
     return ann, partition, selections_by_k
 
 
+def coverage(selections, ann, partition):
+    hits, n_ab = coverage_counts(selections, ann, partition)
+    return hits / n_ab
+
+
 class TestCoverage:
     def test_table_arithmetic_37_of_40(self):
         # 37 segments hit at k=1, 2 more at k=2, one never (rank 10)
@@ -127,21 +125,23 @@ class TestCoverage:
         miss = {i: order[1:2] for i, order in orders.items()}
         assert coverage(miss, ann, partition) == 0.0
 
-    def test_no_abnormal_segments_returns_none(self):
+    def test_no_abnormal_segments_counts_nothing(self):
+        # coverage is undefined there; the curve refuses such data
         ann = Annotations("v", frame_labels=np.zeros(20, dtype=np.int64))
         partition = Partition((0, 10, 20))
-        assert coverage({}, ann, partition) is None
+        assert coverage_counts({}, ann, partition) == (0, 0)
 
     def test_missing_selection_counts_as_miss(self):
         ranks = [1, 1]
         ann, partition, orders = forty_segment_fixture(ranks)
+        assert coverage_counts({0: orders[0][:1]}, ann, partition) == (1, 2)
         assert coverage({0: orders[0][:1]}, ann, partition) == 0.5
 
     def test_selection_outside_segment_rejected(self):
         ranks = [1, 1]
         ann, partition, _ = forty_segment_fixture(ranks)
         with pytest.raises(ValueError, match="outside"):
-            coverage({0: [15]}, ann, partition)
+            coverage_counts({0: [15]}, ann, partition)
 
     def test_monotone_in_k_with_nested_selections(self):
         rng = make_rng(6)
@@ -157,28 +157,34 @@ class TestCoverage:
         ranks = [1, 2, 3]
         ann, partition, orders = forty_segment_fixture(ranks)
         sel = {i: order[:2] for i, order in orders.items()}
-        hits, n_ab = coverage_counts(sel, ann, partition)
-        assert (hits, n_ab) == (2, 3)
-        assert coverage(sel, ann, partition) == hits / n_ab
+        assert coverage_counts(sel, ann, partition) == (2, 3)
 
 
-class TestLocalizationJson:
-    def test_round_trip(self, tmp_path):
-        results = [
-            LocalizationResult(
-                segment_id=0,
-                start=0,
-                end=10,
-                predicted=1,
-                k=2,
-                scores=np.array([0.25, 0.5]),
-                selected=np.array([3, 7]),
-            )
-        ]
-        path = tmp_path / "loc.json"
-        write_localization(results, path)
-        back = read_json(path, "localization")
-        assert back[0]["segment_id"] == 0
-        assert back[0]["selected_frames"] == [3, 7]
-        assert back[0]["scores"] == [0.25, 0.5]
-        assert back[0]["k"] == 2
+class TestScoreSegments:
+    @pytest.mark.parametrize("aggregator", ["mean", "maxpool", "gated"])
+    @pytest.mark.parametrize("frames", ["none", "predicted", "all"])
+    def test_equals_one_graph_forward_and_node_scores(self, aggregator, frames):
+        rng = make_rng(8)
+        graphs = [graph_of(rng.standard_normal((n, 3))) for n in (4, 1, 7, 5, 6)]
+        params = init_params((3, 4, 2), aggregator, "attention", seed=9)
+        predictions = [forward([g], params).prediction[0] for g in graphs]
+        # a bias at the median prediction's logit puts segments on both sides of 0.5
+        params.arrays["classifier.bias"][0] -= np.log(np.median(predictions) /
+                                                      (1 - np.median(predictions)))
+        scored = score_segments(graphs, params, frames)
+        assert len(scored) == len(graphs)
+        predicted = []
+        for g, (score, frame_scores) in zip(graphs, scored):
+            cache = forward([g], params)
+            assert score == cache.prediction[0]
+            predicted.append(score >= 0.5)
+            if frames == "all" or (frames == "predicted" and score >= 0.5):
+                assert np.array_equal(frame_scores, node_scores(cache)[0])
+            else:
+                assert frame_scores is None
+        assert any(predicted) and not all(predicted)
+
+    def test_rejects_unknown_frames_mode(self):
+        params = init_params((2, 3, 2), seed=1)
+        with pytest.raises(ValueError, match="frames"):
+            score_segments([graph_of([[1.0, 2.0]] * 3)], params, "abnormal")

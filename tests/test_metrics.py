@@ -3,7 +3,7 @@ import pytest
 
 from cegl.dataio import SynthConfig, synth_video
 from cegl.graph import SimilarityConfig, build_segment_graphs
-from cegl import localization, metrics, model
+from cegl import localization, model
 from cegl.metrics import (
     ConfusionCounts,
     confusion,
@@ -167,7 +167,7 @@ class TestCoverageCurve:
             calls.extend(graphs)
             return real_forward(graphs, p)
 
-        for module in (localization, metrics, model):
+        for module in (localization, model):
             monkeypatch.setattr(module, "forward", counting_forward)
         coverage_curve(params, [(features, ann, partition)], [1, 2], localize_all=localize_all)
         assert len(calls) == partition.segment_count

@@ -89,3 +89,25 @@ def test_traced_segment_has_one_pelt_span_sized_by_its_input_and_output(tmp_path
         "frames": read_feature_matrix(features).frame_count,
         "segments": read_partition(partition)[1].segment_count,
     }
+
+
+def test_traced_classify_and_localize_run_one_forward_per_segment(tmp_path):
+    config = write_config(tmp_path / "config.json")
+    data = tmp_path / "data"
+    features = data / "video-000.cegf"
+    partition = tmp_path / "part.json"
+    model = tmp_path / "model.cegm"
+    for argv in (["synth", "--config", config, "--out", data],
+                 ["segment", "--features", features, "--config", config, "--out", partition],
+                 ["train", "--data", data, "--config", config, "--out", model]):
+        assert cegl.cli.main([str(a) for a in argv]) == 0
+    segments = read_partition(partition)[1].segment_count
+    inputs = ["--model", model, "--features", features, "--partition", partition]
+
+    for command, extra in (("classify", []), ("localize", ["--k", 2, "--all-segments"])):
+        tracer = traced([command, *inputs, *extra, "--out", tmp_path / f"{command}.json"])
+        forwards = [i for i, name_id in enumerate(tracer.name)
+                    if tracer.names[name_id] == "model.forward"]
+        assert len(forwards) == segments, command
+        assert all(tracer._under(i, f"cli.{command}") for i in forwards), command
+    assert tracer.layer_metrics(1)["localization.forward_per_segment"] == (1.0, "ratio")
