@@ -6,6 +6,7 @@ used); two held-out videos measure generalization. Takes ~half a minute.
 """
 
 from cegl import (
+    ModelConfig,
     SegmentationConfig,
     SimilarityConfig,
     SynthConfig,
@@ -41,14 +42,10 @@ for features, annotations, _ in videos[:4]:
     train_graphs += [(g, g.weak_label) for g in graphs]
 print(f"training on {len(train_graphs)} segment graphs from 4 videos")
 
-params = init_params(
-    (16, 32, 16),
-    aggregator_kind="mean",
-    readout_kind="attention",
-    seed=5,
-    init_scale=2.0,
-    attention_averaged=False,
+model_cfg = ModelConfig(
+    (16, 32, 16), aggregator_kind="mean", readout_kind="attention", attention_averaged=False
 )
+params = init_params(model_cfg, seed=5, init_scale=2.0)
 cfg = TrainConfig(
     learning_rate=0.001, batch_size=8, epochs=600, seed=6, init_scale=2.0,
     class_weighting=True,

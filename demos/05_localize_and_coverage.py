@@ -10,6 +10,7 @@ frame. Takes ~half a minute (training dominates).
 import numpy as np
 
 from cegl import (
+    ModelConfig,
     SegmentationConfig,
     SimilarityConfig,
     SynthConfig,
@@ -44,8 +45,8 @@ for features, annotations, _ in videos[:4]:
     partition = pelt(features, seg_cfg)
     graphs = build_segment_graphs(features, partition, similarity, annotations=annotations)
     train_graphs += [(g, g.weak_label) for g in graphs]
-params = init_params((16, 32, 16), "mean", "attention", seed=5, init_scale=2.0,
-                     attention_averaged=False)
+model_cfg = ModelConfig((16, 32, 16), "mean", "attention", attention_averaged=False)
+params = init_params(model_cfg, seed=5, init_scale=2.0)
 params, _ = train(
     train_graphs,
     params,

@@ -22,6 +22,7 @@ from .graph import SegmentGraph, SimilarityConfig, build_graph, build_segment_gr
 from .localization import node_scores, score_segments, topk_select
 from .metrics import ConfusionCounts, MetricsReport, confusion, coverage_curve, weighted_metrics
 from .model import (
+    ModelConfig,
     ModelParams,
     TrainConfig,
     forward,
@@ -46,6 +47,7 @@ __all__ = [
     "ConfusionCounts",
     "FeatureMatrix",
     "MetricsReport",
+    "ModelConfig",
     "ModelParams",
     "Partition",
     "SegmentGraph",

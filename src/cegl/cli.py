@@ -18,16 +18,16 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import dataio, metrics, segmentation
-from .dataio import Annotations, FeatureMatrix, SynthConfig, check_types, config_from_json
+from .dataio import Annotations, FeatureMatrix, SynthConfig, config_from_json
 from .errors import CeglError, ConfigError, DataError, FormatError, NumericError
 from .graph import SimilarityConfig, build_segment_graphs
 from .localization import score_segments, topk_select
 from .model import (
+    ModelConfig,
     ModelParams,
     TrainConfig,
     init_params,
     load_checkpoint,
-    param_shapes,
     save_checkpoint,
     train,
 )
@@ -42,28 +42,6 @@ SEED_ENV_VAR = "CEGL_SEED"
 
 # ---------------------------------------------------------------------------
 # Run configuration
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    """The model section; layer_dims None means (feature dim, 32, 16)."""
-
-    layer_dims: tuple[int, ...] | None = None
-    aggregator_kind: str = "gated"
-    readout_kind: str = "attention"
-    a_dim: int | None = None
-    attention_averaged: bool = True
-
-    def __post_init__(self):
-        check_types(self)
-        # The model's own checks; the placeholders stand in for the
-        # defaults, which are valid whatever the data.
-        param_shapes(
-            (1, 1) if self.layer_dims is None else self.layer_dims,
-            self.aggregator_kind,
-            self.readout_kind,
-            1 if self.a_dim is None else self.a_dim,
-        )
 
 
 @dataclass(frozen=True)
@@ -130,6 +108,7 @@ def _load_video(cegf_path: Path) -> tuple[FeatureMatrix, Annotations]:
     """A video's features and its annotations, which must carry frame labels."""
     features = dataio.read_feature_matrix(cegf_path)
     ann = dataio.read_annotations(cegf_path.with_name(cegf_path.stem + ".annotations.json"))
+    _same_video(features=features.video_id, annotations=ann.video_id)
     if ann.frame_labels is None:
         raise ConfigError(f"annotations for {features.video_id} carry no frame labels")
     return features, ann
@@ -201,20 +180,12 @@ def cmd_train(args) -> int:
         labelled.extend((g, g.weak_label) for g in graphs)
 
     model_cfg = cfg.model
-    layer_dims = model_cfg.layer_dims or (feature_dim, 32, 16)
-    if layer_dims[0] != feature_dim:
-        raise ConfigError(
-            f"model layer_dims[0]={layer_dims[0]} does not match feature dim {feature_dim}"
-        )
-    params = init_params(
-        layer_dims,
-        aggregator_kind=model_cfg.aggregator_kind,
-        readout_kind=model_cfg.readout_kind,
-        seed=cfg.train.seed,
-        a_dim=model_cfg.a_dim,
-        init_scale=cfg.train.init_scale,
-        attention_averaged=model_cfg.attention_averaged,
-    )
+    if model_cfg.layer_dims is None:
+        model_cfg = replace(model_cfg, layer_dims=(feature_dim, 32, 16))
+    d_in = model_cfg.layer_dims[0]
+    if d_in != feature_dim:
+        raise ConfigError(f"model layer_dims[0]={d_in} does not match feature dim {feature_dim}")
+    params = init_params(model_cfg, seed=cfg.train.seed, init_scale=cfg.train.init_scale)
     params, _history = train(labelled, params, cfg.train)
     save_checkpoint(params, args.out, similarity=cfg.similarity, segmentation=cfg.segmentation)
     return 0
@@ -304,12 +275,18 @@ def cmd_evaluate(args) -> int:
     labels = dataio.derive_segment_labels(ann, partition)
     try:
         segments = sorted(preds_obj["segments"], key=lambda s: s["segment_id"])
-        preds = [int(s["predicted"]) for s in segments]
-    except (KeyError, TypeError, ValueError) as exc:
+        ids, preds = [s["segment_id"] for s in segments], [s["predicted"] for s in segments]
+    except (KeyError, TypeError) as exc:
         raise FormatError(
             f"every predictions segment needs a segment_id and a predicted label "
             f"({type(exc).__name__}: {exc}): {args.preds}"
         ) from exc
+    # JSON true and reals such as 0.7 are neither ids nor labels, even where int() takes them.
+    if set(map(type, ids + preds)) - {int} or ids != list(range(len(ids))) or set(preds) - {0, 1}:
+        raise FormatError(
+            f"predictions need segment_ids 0..{len(ids) - 1} and predicted labels 0 or 1: "
+            f"{args.preds}"
+        )
     if len(segments) != partition.segment_count:
         raise ConfigError(
             f"predictions cover {len(segments)} segments, partition has {partition.segment_count}"

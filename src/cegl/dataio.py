@@ -139,7 +139,8 @@ def check_types(cfg) -> None:
 
     Annotations are strings (postponed evaluation) of _JSON_TYPES keys
     joined by " | "; a bool is neither an int nor a float. Reals are
-    stored as float and integer lists as tuples.
+    stored as float, integers (numpy's too) as int and integer lists as
+    tuples of int.
     """
     for f in dataclasses.fields(cfg):
         value, kinds = getattr(cfg, f.name), f.type.split(" | ")
@@ -148,8 +149,10 @@ def check_types(cfg) -> None:
             raise ConfigError(f"{f.name} must be {what}, got {value!r}")
         if "float" in kinds and _is_real(value):
             object.__setattr__(cfg, f.name, float(value))
-        elif isinstance(value, list):
-            object.__setattr__(cfg, f.name, tuple(value))
+        elif "int" in kinds and _is_count(value):
+            object.__setattr__(cfg, f.name, int(value))
+        elif "tuple[int, ...]" in kinds and value is not None:
+            object.__setattr__(cfg, f.name, tuple(map(int, value)))
 
 
 @dataclass(frozen=True)

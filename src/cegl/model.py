@@ -26,9 +26,12 @@ gated    a gated recurrence walked over neighbors j in ascending
 Readout kinds: attention (softmax over u . tanh(W_a h_i), then the
 attention-weighted node sum divided by n), mean, sum, maxpool.
 
-Parameters live in one ordered name -> array table (`param_shapes`);
-gradients use the same table. Gate weights exist only for the gated
-aggregator and attention weights only for the attention readout.
+One frozen `ModelConfig` holds the layer dims, the two kinds, a_dim and
+the attention flag. It is the run config's model section, the argument of
+`init_params` and the checkpoint header's model keys. Parameters live in
+one ordered name -> array table (`param_shapes(config)`); gradients use
+the same table. Gate weights exist only for the gated aggregator and
+attention weights only for the attention readout.
 
 `forward` runs a batch of graphs at once, padded to the largest one
 with a node mask, and `backward` returns the weighted sum of the batch's
@@ -46,7 +49,7 @@ import logging
 import math
 import struct
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,19 +64,6 @@ log = logging.getLogger(__name__)
 
 AGGREGATOR_KINDS = ("mean", "maxpool", "gated")
 READOUT_KINDS = ("attention", "mean", "sum", "maxpool")
-
-CEGM_MAGIC = b"CEGM"
-CEGM_VERSION = 2
-CEGM_HEADER_KEYS = (
-    "layer_dims",
-    "aggregator_kind",
-    "readout_kind",
-    "a_dim",
-    "attention_averaged",
-    "similarity",
-    "segmentation",
-    "params",
-)
 
 LOSS_CLAMP = 1e-12
 
@@ -93,31 +83,63 @@ def gate_name(layer: int, gate: str) -> str:
     return f"layer{layer}.gate_{gate}"
 
 
-def param_shapes(layer_dims, aggregator_kind, readout_kind, a_dim) -> dict[str, tuple[int, ...]]:
+@dataclass(frozen=True)
+class ModelConfig:
+    """The model's configuration: the run config's model section and the checkpoint header.
+
+    `cegl train` reads a None layer_dims as (feature dim, 32, 16). Once
+    layer_dims is set, a None a_dim means layer_dims[-1]. The attention
+    readout divides the weighted node sum by n on top of the softmax
+    normalization when attention_averaged; False drops the extra 1/n,
+    which keeps the graph embedding scale independent of segment length.
+    """
+
+    layer_dims: tuple[int, ...] | None = None  # (d_in, h1, h2)
+    aggregator_kind: str = "gated"
+    readout_kind: str = "attention"
+    a_dim: int | None = None
+    attention_averaged: bool = True
+
+    def __post_init__(self):
+        check_types(self)
+        if self.layer_dims is not None:
+            if len(self.layer_dims) < 2 or min(self.layer_dims) < 1:
+                raise ConfigError(f"layer_dims must be positive ints, got {self.layer_dims}")
+            if self.a_dim is None:
+                object.__setattr__(self, "a_dim", self.layer_dims[-1])
+        if self.aggregator_kind not in AGGREGATOR_KINDS:
+            raise ConfigError(f"unknown aggregator_kind {self.aggregator_kind!r}")
+        if self.readout_kind not in READOUT_KINDS:
+            raise ConfigError(f"unknown readout_kind {self.readout_kind!r}")
+        if self.a_dim is not None and self.a_dim < 1:
+            raise ConfigError(f"a_dim must be a positive int, got {self.a_dim!r}")
+
+
+MODEL_KEYS = tuple(f.name for f in fields(ModelConfig))
+CEGM_MAGIC = b"CEGM"
+CEGM_VERSION = 2
+CEGM_HEADER_KEYS = (*MODEL_KEYS, "similarity", "segmentation", "params")
+
+
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter the configured model reads, in table order.
 
     Layer l's transform maps [state, message] of width 2*dims[l] to
-    dims[l+1]; its gates (gated only) are square in dims[l]. Raises
-    ConfigError on an invalid configuration.
+    dims[l+1]; its gates (gated only) are square in dims[l].
     """
-    if len(layer_dims) < 2 or any(not isinstance(d, int) or d < 1 for d in layer_dims):
-        raise ConfigError(f"layer_dims must be positive ints, got {layer_dims}")
-    if aggregator_kind not in AGGREGATOR_KINDS:
-        raise ConfigError(f"unknown aggregator_kind {aggregator_kind!r}")
-    if readout_kind not in READOUT_KINDS:
-        raise ConfigError(f"unknown readout_kind {readout_kind!r}")
-    if not isinstance(a_dim, int) or a_dim < 1:
-        raise ConfigError(f"a_dim must be a positive int, got {a_dim!r}")
+    dims = config.layer_dims
+    if dims is None:
+        raise ConfigError("the model config sets no layer_dims")
     shapes: dict[str, tuple[int, ...]] = {}
-    for layer, (prev, cur) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
+    for layer, (prev, cur) in enumerate(zip(dims[:-1], dims[1:])):
         shapes[transform_name(layer)] = (cur, 2 * prev)
-        if aggregator_kind == "gated":
+        if config.aggregator_kind == "gated":
             for gate in GATE_NAMES:
                 shapes[gate_name(layer, gate)] = (prev, 2 * prev)
-    if readout_kind == "attention":
-        shapes[ATTENTION_TRANSFORM] = (a_dim, layer_dims[-1])
-        shapes[ATTENTION_VECTOR] = (a_dim,)
-    shapes[CLASSIFIER_WEIGHTS] = (layer_dims[-1],)
+    if config.readout_kind == "attention":
+        shapes[ATTENTION_TRANSFORM] = (config.a_dim, dims[-1])
+        shapes[ATTENTION_VECTOR] = (config.a_dim,)
+    shapes[CLASSIFIER_WEIGHTS] = (dims[-1],)
     shapes[CLASSIFIER_BIAS] = (1,)
     return shapes
 
@@ -126,19 +148,11 @@ def param_shapes(layer_dims, aggregator_kind, readout_kind, a_dim) -> dict[str, 
 class ModelParams:
     """A model's configuration plus its parameter table.
 
-    `arrays` holds exactly the entries of `param_shapes` for this
-    configuration, in that order.
+    `arrays` holds exactly the entries of `param_shapes(config)`, in that
+    order.
     """
 
-    layer_dims: tuple[int, ...]  # (d_in, h1, h2)
-    aggregator_kind: str
-    readout_kind: str
-    a_dim: int
-    # The attention readout divides the weighted node sum by n on top of
-    # the softmax normalization (the default). Setting this False drops
-    # the extra 1/n (softmax already sums to one), which keeps the graph
-    # embedding scale independent of segment length.
-    attention_averaged: bool
+    config: ModelConfig
     arrays: dict[str, np.ndarray]
 
 
@@ -166,20 +180,9 @@ class TrainConfig:
             raise ConfigError("init_scale must be non-negative")
 
 
-def init_params(
-    layer_dims,
-    aggregator_kind: str = "gated",
-    readout_kind: str = "attention",
-    seed: int = 0,
-    a_dim: int | None = None,
-    init_scale: float = 1.0,
-    attention_averaged: bool = True,
-) -> ModelParams:
+def init_params(config: ModelConfig, seed: int = 0, init_scale: float = 1.0) -> ModelParams:
     """Seeded uniform(-s, s) weights with s = init_scale / sqrt(fan_in); biases 0."""
-    layer_dims = tuple(int(d) for d in layer_dims)
-    if a_dim is None and layer_dims:
-        a_dim = layer_dims[-1]
-    kept = param_shapes(layer_dims, aggregator_kind, readout_kind, a_dim)
+    kept = param_shapes(config)
 
     # Every configuration draws the full gated-and-attention table in one
     # fixed order and keeps only the arrays it reads. A seed thus gives each
@@ -187,7 +190,8 @@ def init_params(
     # when every model still stored the unused arrays.
     rng = make_rng(seed)
     arrays = {}
-    for name, shape in param_shapes(layer_dims, "gated", "attention", a_dim).items():
+    full = replace(config, aggregator_kind="gated", readout_kind="attention")
+    for name, shape in param_shapes(full).items():
         if name == CLASSIFIER_BIAS:
             w = np.zeros(shape)
         else:
@@ -195,14 +199,7 @@ def init_params(
             w = rng.uniform(-1.0, 1.0, size=shape) * s
         if name in kept:
             arrays[name] = w
-    return ModelParams(
-        layer_dims=layer_dims,
-        aggregator_kind=aggregator_kind,
-        readout_kind=readout_kind,
-        a_dim=a_dim,
-        attention_averaged=attention_averaged,
-        arrays=arrays,
-    )
+    return ModelParams(config, arrays)
 
 
 def zero_gradients(params: ModelParams) -> dict[str, np.ndarray]:
@@ -320,7 +317,8 @@ def forward(graphs: Sequence[SegmentGraph], params: ModelParams) -> ForwardCache
     """
     if not graphs:
         raise ValueError("forward needs at least one graph")
-    d_in = params.layer_dims[0]
+    cfg = params.config
+    d_in = cfg.layer_dims[0]
     for g in graphs:
         if g.feature_dim != d_in:
             raise ValueError(f"graph features have dim {g.feature_dim}, model expects {d_in}")
@@ -338,21 +336,18 @@ def forward(graphs: Sequence[SegmentGraph], params: ModelParams) -> ForwardCache
     mask = None if sizes.min() == n_max else np.arange(n_max) < sizes[:, None]
 
     p = params.arrays
-    kind = params.aggregator_kind
     embeddings = [h]
     messages, stacked_inputs, preacts = [], [], []
     mean_degrees, maxpool_argmax, gated_steps = [], [], []
-    for layer in range(len(params.layer_dims) - 1):
+    for layer in range(len(cfg.layer_dims) - 1):
         deg = argmax = steps = None
-        if kind == "mean":
+        if cfg.aggregator_kind == "mean":
             msgs, deg = _mean_messages(edges, h)
-        elif kind == "maxpool":
+        elif cfg.aggregator_kind == "maxpool":
             msgs, argmax = _maxpool_messages(edges, h, sizes, mask)
-        elif kind == "gated":
+        else:  # gated
             gates = [p[gate_name(layer, gate)] for gate in GATE_NAMES]
             msgs, steps = _gated_messages(edges, h, sizes, *gates)
-        else:
-            raise ConfigError(f"unknown aggregator kind {kind!r}")
         stacked = np.concatenate([h, msgs], axis=2)
         pre = stacked @ p[transform_name(layer)].T
         h = np.maximum(pre, 0.0)
@@ -366,25 +361,23 @@ def forward(graphs: Sequence[SegmentGraph], params: ModelParams) -> ForwardCache
 
     attn_tanh = alpha = readout_argmax = None
     n = sizes[:, None]
-    if params.readout_kind == "attention":
+    if cfg.readout_kind == "attention":
         attn_tanh = np.tanh(h @ p[ATTENTION_TRANSFORM].T)
         scores = attn_tanh @ p[ATTENTION_VECTOR]
         if mask is not None:
             scores = np.where(mask, scores, -np.inf)
         alpha = softmax(scores)
-        denom = n if params.attention_averaged else 1
+        denom = n if cfg.attention_averaged else 1
         h_g = (alpha[..., None] * h).sum(axis=1) / denom
-    elif params.readout_kind == "mean":
+    elif cfg.readout_kind == "mean":
         h_g = h.sum(axis=1) / n
-    elif params.readout_kind == "sum":
+    elif cfg.readout_kind == "sum":
         h_g = h.sum(axis=1)
-    elif params.readout_kind == "maxpool":
+    else:  # maxpool
         # Embeddings are ReLU outputs and padding is zero and comes last,
         # so the first-index argmax always picks a real node.
         readout_argmax = h.argmax(axis=1)
         h_g = np.take_along_axis(h, readout_argmax[:, None, :], axis=1)[:, 0, :]
-    else:
-        raise ConfigError(f"unknown readout kind {params.readout_kind!r}")
 
     logit = h_g @ p[CLASSIFIER_WEIGHTS] + p[CLASSIFIER_BIAS][0]
     return ForwardCache(
@@ -471,6 +464,7 @@ def backward(cache: ForwardCache, labels, weights) -> dict[str, np.ndarray]:
     a table like params.arrays.
     """
     params = cache.params
+    cfg = params.config
     labels = np.asarray(labels, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     if labels.shape != cache.prediction.shape or weights.shape != labels.shape:
@@ -489,11 +483,11 @@ def backward(cache: ForwardCache, labels, weights) -> dict[str, np.ndarray]:
 
     # Padded rows of dh need no masking: their pre-activations are exactly
     # zero, so the last layer's ReLU passes them no gradient.
-    kind = params.readout_kind
+    kind = cfg.readout_kind
     if kind == "attention":
         alpha = cache.attention_weights
         t = cache.attn_tanh
-        if params.attention_averaged:
+        if cfg.attention_averaged:
             dh_g = dh_g / cache.sizes[:, None]
         dalpha = (h_final @ dh_g[..., None])[..., 0]
         dh = alpha[..., None] * dh_g[:, None, :]
@@ -510,11 +504,11 @@ def backward(cache: ForwardCache, labels, weights) -> dict[str, np.ndarray]:
         dh = np.zeros_like(h_final)
         np.put_along_axis(dh, cache.readout_argmax[:, None, :], dh_g[:, None, :], axis=1)
 
-    agg = params.aggregator_kind
+    agg = cfg.aggregator_kind
     edges = cache.edge_weights
-    for layer in reversed(range(len(params.layer_dims) - 1)):
+    for layer in reversed(range(len(cfg.layer_dims) - 1)):
         name = transform_name(layer)
-        prev_dim = params.layer_dims[layer]
+        prev_dim = cfg.layer_dims[layer]
         dpre = dh * (cache.preacts[layer] > 0)
         grads[name] += _rows(dpre).T @ _rows(cache.stacked_inputs[layer])
         if layer == 0 and agg != "gated":
@@ -569,7 +563,7 @@ def train(
     """
     if not graphs:
         raise ConfigError("training needs at least one labelled graph")
-    d_in = params.layer_dims[0]
+    d_in = params.config.layer_dims[0]
     for g, label in graphs:
         if g.feature_dim != d_in:
             raise ConfigError(
@@ -618,11 +612,7 @@ def save_checkpoint(
 ) -> None:
     """Binary checkpoint: magic, version, JSON header, float64 LE blobs."""
     header = {
-        "layer_dims": list(params.layer_dims),
-        "aggregator_kind": params.aggregator_kind,
-        "readout_kind": params.readout_kind,
-        "a_dim": params.a_dim,
-        "attention_averaged": params.attention_averaged,
+        **asdict(params.config),
         "similarity": None if similarity is None else asdict(similarity),
         "segmentation": None if segmentation is None else asdict(segmentation),
         "params": [{"name": name, "shape": list(a.shape)} for name, a in params.arrays.items()],
@@ -644,8 +634,9 @@ def load_checkpoint(
 ) -> tuple[ModelParams, SimilarityConfig | None, SegmentationConfig | None]:
     """Parameters plus the similarity and segmentation configs saved with them.
 
-    The file is checked here, once: every header key present, known kinds,
-    a name/shape table equal to the one its model config implies, and
+    The file is checked here, once: every header key present, the model
+    keys non-null and read like the run config's model section, a
+    name/shape table equal to the one its model config implies, and
     finite weights.
     """
     path = Path(path)
@@ -664,16 +655,13 @@ def load_checkpoint(
         raise TruncatedFileError("checkpoint header truncated")
     try:
         header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
-        missing = [key for key in CEGM_HEADER_KEYS if key not in header]
+        # A null model key counts as missing: the model config would fill in a default.
+        missing = [key for key in CEGM_HEADER_KEYS
+                   if key not in header or key in MODEL_KEYS and header[key] is None]
         if missing:
             raise FormatError(f"checkpoint header lacks {missing}")
-        layer_dims = tuple(header["layer_dims"])
-        shapes = param_shapes(
-            layer_dims, header["aggregator_kind"], header["readout_kind"], header["a_dim"]
-        )
-        averaged = header["attention_averaged"]
-        if not isinstance(averaged, bool):
-            raise ConfigError(f"attention_averaged must be true or false, got {averaged!r}")
+        config = config_from_json(ModelConfig, {key: header[key] for key in MODEL_KEYS}, "model")
+        shapes = param_shapes(config)
         sim, seg = header["similarity"], header["segmentation"]
         similarity = None if sim is None else config_from_json(SimilarityConfig, sim, "similarity")
         segmentation = (
@@ -696,12 +684,4 @@ def load_checkpoint(
     non_finite = [name for name, a in arrays.items() if not np.isfinite(a).all()]
     if non_finite:
         raise FormatError(f"checkpoint weights are not finite in {non_finite}")
-    params = ModelParams(
-        layer_dims=layer_dims,
-        aggregator_kind=header["aggregator_kind"],
-        readout_kind=header["readout_kind"],
-        a_dim=header["a_dim"],
-        attention_averaged=averaged,
-        arrays=arrays,
-    )
-    return params, similarity, segmentation
+    return ModelParams(config, arrays), similarity, segmentation

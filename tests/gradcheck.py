@@ -70,6 +70,6 @@ def check_gradients(graphs, params, labels, weights=None, rtol=1e-4, atol=1e-8):
     bound = atol + rtol * np.maximum(np.abs(analytic), np.abs(numeric))
     bad = np.flatnonzero(err > bound)
     assert bad.size == 0, (
-        f"{params.aggregator_kind}/{params.readout_kind}: mismatch at {bad[:5]}, "
+        f"{params.config.aggregator_kind}/{params.config.readout_kind}: mismatch at {bad[:5]}, "
         f"analytic {analytic[bad[:5]]}, numeric {numeric[bad[:5]]}"
     )

@@ -25,6 +25,7 @@ from cegl.metrics import confusion, coverage_curve, weighted_metrics
 from cegl.model import (
     AGGREGATOR_KINDS,
     READOUT_KINDS,
+    ModelConfig,
     TrainConfig,
     forward,
     init_params,
@@ -95,11 +96,9 @@ def test_criterion_2_gradient_correctness():
                 g = build_graph(
                     FeatureMatrix("v", rng.standard_normal((n, d))), SimilarityConfig()
                 )
+                dims = (d, int(rng.integers(2, 7)), int(rng.integers(2, 7)))
                 params = init_params(
-                    (d, int(rng.integers(2, 7)), int(rng.integers(2, 7))),
-                    agg,
-                    readout,
-                    seed=int(rng.integers(0, 1000)),
+                    ModelConfig(dims, agg, readout), seed=int(rng.integers(0, 1000))
                 )
                 check_gradients([g], params, [seed % 2])
     elapsed = time.time() - started
@@ -120,7 +119,9 @@ def test_criterion_3_permutation_properties():
         n = int(rng.integers(2, 8))
         d = int(rng.integers(2, 6))
         g = build_graph(FeatureMatrix("v", rng.standard_normal((n, d))), SimilarityConfig())
-        params = init_params((d, 5, 4), "mean", "attention", seed=int(rng.integers(0, 1000)))
+        params = init_params(
+            ModelConfig((d, 5, 4), "mean", "attention"), seed=int(rng.integers(0, 1000))
+        )
         base = forward([g], params).prediction[0]
         perm = rng.permutation(n)
         from cegl.graph import SegmentGraph
@@ -139,7 +140,7 @@ def test_criterion_3_permutation_properties():
         for i in range(6)
     ]
     def gated_run():
-        params = init_params((4, 5, 4), "gated", "attention", seed=99)
+        params = init_params(ModelConfig((4, 5, 4), "gated", "attention"), seed=99)
         labelled = [(g, g.weak_label) for g in graphs]
         params, _ = train(labelled, params, TrainConfig(epochs=2, seed=5))
         return np.concatenate(
@@ -195,12 +196,14 @@ def test_criterion_4_end_to_end_synthetic_protocol():
         train_graphs += [(g, g.weak_label) for g in graphs]
 
     params = init_params(
-        END_TO_END["layer_dims"],
-        END_TO_END["aggregator"],
-        END_TO_END["readout"],
+        ModelConfig(
+            END_TO_END["layer_dims"],
+            END_TO_END["aggregator"],
+            END_TO_END["readout"],
+            attention_averaged=False,
+        ),
         seed=5,
         init_scale=END_TO_END["init_scale"],
-        attention_averaged=False,
     )
     params, history = train(train_graphs, params, TrainConfig(**END_TO_END["train"]))
     assert history[-1] < history[0]
@@ -278,17 +281,16 @@ def test_criterion_6_format_round_trips(tmp_path):
             int(rng.integers(1, 6)),
         )
         params = init_params(
-            dims,
-            AGGREGATOR_KINDS[i % 3],
-            READOUT_KINDS[i % 4],
+            ModelConfig(
+                dims, AGGREGATOR_KINDS[i % 3], READOUT_KINDS[i % 4], a_dim=int(rng.integers(1, 5))
+            ),
             seed=i,
-            a_dim=int(rng.integers(1, 5)),
         )
         path = tmp_path / f"p{i}.cegm"
         save_checkpoint(params, path, similarity=SimilarityConfig())
         loaded, _sim, _seg = load_checkpoint(path)
         assert np.array_equal(flatten_params(loaded.arrays), flatten_params(params.arrays))
-        assert loaded.layer_dims == params.layer_dims
+        assert loaded.config.layer_dims == params.config.layer_dims
 
     good_feature = tmp_path / "m0.cegf"
     corrupt = tmp_path / "bad.cegf"

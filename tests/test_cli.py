@@ -1,4 +1,5 @@
 import json
+import shutil
 import struct
 from dataclasses import asdict
 
@@ -165,8 +166,8 @@ class TestPipeline:
     def test_checkpoint_loadable_and_echoes_similarity(self, tmp_path):
         base = run_pipeline(tmp_path)
         params, sim, seg = load_checkpoint(base / "model.cegm")
-        assert params.layer_dims == (8, 12, 8)
-        assert params.aggregator_kind == "mean"
+        assert params.config.layer_dims == (8, 12, 8)
+        assert params.config.aggregator_kind == "mean"
         assert sim.metric == "cosine"
         assert asdict(seg) == {"penalty": 8.0, "min_len": 5, "cost_kind": "gaussian_mean_l2"}
 
@@ -297,8 +298,15 @@ class TestCheckpointHeader:
             (lambda h: h.update(attention_averaged="false"), "attention_averaged"),
             # a mean model's table under a gated header lacks the gate entries
             (lambda h: h.update(aggregator_kind="gated"), "parameter table"),
+            # the model keys are read like the run config's model section
+            (lambda h: h.update(layer_dims=[8, True, 8]), "layer_dims"),
+            (lambda h: h.update(a_dim=True), "a_dim"),
+            # a null must not fall back to the model config's default
+            (lambda h: h.update(a_dim=None), "a_dim"),
+            (lambda h: h.update(layer_dims=None), "layer_dims"),
         ],
-        ids=["missing-key", "unknown-kind", "non-bool-flag", "table-mismatch"],
+        ids=["missing-key", "unknown-kind", "non-bool-flag", "table-mismatch",
+             "bool-layer-dim", "bool-a-dim", "null-a-dim", "null-layer-dims"],
     )
     def test_classify_rejects_bad_header(self, pipeline, tmp_path, capsys, edit, fragment):
         model = tmp_path / "bad.cegm"
@@ -343,14 +351,38 @@ class TestEvaluateMalformedInput:
                 "--annotations", pipeline / "data" / "video-000.annotations.json",
                 "--partition", partition, "--out", out]
 
-    def test_segment_without_predicted(self, pipeline, tmp_path, capsys):
+    def assert_segments_rejected(self, pipeline, tmp_path, capsys, edit, fragment):
+        """evaluate exits 2 on preds.json with its segments list changed by edit."""
         preds = json.loads((pipeline / "preds.json").read_text())
-        del preds["segments"][0]["predicted"]
+        edit(preds["segments"])
         bad = tmp_path / "preds.json"
         bad.write_text(json.dumps(preds))
         out = tmp_path / "metrics.json"
         argv = self.evaluate_argv(pipeline, bad, pipeline / "video-000.partition.json", out)
-        assert_exit_2_without_output(argv, out, capsys, "predicted")
+        assert_exit_2_without_output(argv, out, capsys, fragment)
+
+    def test_segment_without_predicted(self, pipeline, tmp_path, capsys):
+        self.assert_segments_rejected(
+            pipeline, tmp_path, capsys, lambda segs: segs[0].pop("predicted"), "predicted"
+        )
+
+    @pytest.mark.parametrize(
+        "edit, fragment",
+        [
+            (lambda segs: segs[0].update(predicted=0.7), "predicted"),
+            (lambda segs: segs[0].update(predicted="1"), "predicted"),
+            (lambda segs: segs[0].update(predicted=True), "predicted"),
+            (lambda segs: segs[0].update(predicted=2), "predicted"),
+            (lambda segs: segs[1].update(segment_id=0), "segment_id"),
+            (lambda segs: segs[0].update(segment_id=-1), "segment_id"),
+            (lambda segs: segs[0].update(segment_id=0.0), "segment_id"),
+            (lambda segs: segs[0].update(segment_id="0"), "segment_id"),
+        ],
+        ids=["real-predicted", "string-predicted", "true-predicted", "two-predicted",
+             "duplicate-id", "negative-id", "real-id", "string-id"],
+    )
+    def test_malformed_segment_value(self, pipeline, tmp_path, capsys, edit, fragment):
+        self.assert_segments_rejected(pipeline, tmp_path, capsys, edit, fragment)
 
     def test_non_list_boundaries(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "part.json"
@@ -483,7 +515,8 @@ def other_video(path, out):
 @pytest.mark.parametrize(
     "command, swapped",
     [("classify", "partition"), ("localize", "partition"),
-     ("evaluate", "annotations"), ("evaluate", "preds")],
+     ("evaluate", "annotations"), ("evaluate", "preds"),
+     ("train", "annotations"), ("coverage-curve", "annotations")],
 )
 def test_inputs_for_different_videos_exit_2(pipeline, tmp_path, capsys, command, swapped):
     inputs = {
@@ -493,7 +526,15 @@ def test_inputs_for_different_videos_exit_2(pipeline, tmp_path, capsys, command,
     }
     inputs[swapped] = other_video(inputs[swapped], tmp_path / f"{swapped}.json")
     out = tmp_path / "out.json"
-    if command == "evaluate":
+    if command in ("train", "coverage-curve"):
+        # a data directory whose video-000 annotations name another video
+        data = tmp_path / "data"
+        shutil.copytree(pipeline / "data", data)
+        shutil.copy(inputs["annotations"], data / "video-000.annotations.json")
+        argv = (["train", "--config", pipeline / "config.json"] if command == "train"
+                else ["coverage-curve", "--model", pipeline / "model.cegm", "--ks", "1,2"])
+        argv += ["--data", data, "--out", out]
+    elif command == "evaluate":
         argv = ["evaluate", "--preds", inputs["preds"], "--annotations", inputs["annotations"],
                 "--partition", inputs["partition"], "--out", out]
     else:

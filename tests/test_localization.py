@@ -4,7 +4,7 @@ import pytest
 from cegl.dataio import Annotations, FeatureMatrix
 from cegl.graph import SimilarityConfig, build_graph
 from cegl.localization import coverage_counts, node_scores, score_segments, topk_select
-from cegl.model import forward, init_params
+from cegl.model import ModelConfig, forward, init_params
 from cegl.numerics import make_rng
 from cegl.segmentation import Partition
 
@@ -16,14 +16,14 @@ def graph_of(values):
 class TestNodeScores:
     def test_identical_nodes_equal_scores(self):
         g = graph_of([[1.0, 2.0]] * 4)
-        params = init_params((2, 3, 2), seed=1)
+        params = init_params(ModelConfig((2, 3, 2)), seed=1)
         (scores,) = node_scores(forward([g], params))
         assert np.allclose(scores, scores[0], atol=1e-12)
 
     def test_constant_head_reduces_to_attention(self):
         rng = make_rng(2)
         g = graph_of(rng.standard_normal((5, 3)))
-        params = init_params((3, 4, 2), "mean", "attention", seed=3)
+        params = init_params(ModelConfig((3, 4, 2), "mean", "attention"), seed=3)
         params.arrays["classifier.weights"][:] = 0.0
         params.arrays["classifier.bias"][:] = 0.0
         cache = forward([g], params)
@@ -32,7 +32,7 @@ class TestNodeScores:
     def test_uniform_attention_for_non_attention_readout(self):
         rng = make_rng(3)
         g = graph_of(rng.standard_normal((4, 3)))
-        params = init_params((3, 4, 2), "mean", "mean", seed=4)
+        params = init_params(ModelConfig((3, 4, 2), "mean", "mean"), seed=4)
         (scores,) = node_scores(forward([g], params))
         assert scores.shape == (4,)
         assert (scores > 0).all() and (scores < 1).all()
@@ -40,7 +40,7 @@ class TestNodeScores:
     def test_deterministic(self):
         rng = make_rng(4)
         g = graph_of(rng.standard_normal((6, 4)))
-        params = init_params((4, 5, 3), "gated", "attention", seed=5)
+        params = init_params(ModelConfig((4, 5, 3), "gated", "attention"), seed=5)
         (a,) = node_scores(forward([g], params))
         (b,) = node_scores(forward([g], params))
         assert np.array_equal(a, b)
@@ -49,7 +49,7 @@ class TestNodeScores:
     def test_padded_batch_matches_one_graph_passes(self, readout):
         rng = make_rng(6)
         graphs = [graph_of(rng.standard_normal((n, 3))) for n in (4, 1, 7)]
-        params = init_params((3, 4, 2), "mean", readout, seed=7)
+        params = init_params(ModelConfig((3, 4, 2), "mean", readout), seed=7)
         batched = node_scores(forward(graphs, params))
         assert [s.shape for s in batched] == [(4,), (1,), (7,)]
         for g, got in zip(graphs, batched):
@@ -166,7 +166,7 @@ class TestScoreSegments:
     def test_equals_one_graph_forward_and_node_scores(self, aggregator, frames):
         rng = make_rng(8)
         graphs = [graph_of(rng.standard_normal((n, 3))) for n in (4, 1, 7, 5, 6)]
-        params = init_params((3, 4, 2), aggregator, "attention", seed=9)
+        params = init_params(ModelConfig((3, 4, 2), aggregator, "attention"), seed=9)
         predictions = [forward([g], params).prediction[0] for g in graphs]
         # a bias at the median prediction's logit puts segments on both sides of 0.5
         params.arrays["classifier.bias"][0] -= np.log(np.median(predictions) /
@@ -185,6 +185,6 @@ class TestScoreSegments:
         assert any(predicted) and not all(predicted)
 
     def test_rejects_unknown_frames_mode(self):
-        params = init_params((2, 3, 2), seed=1)
+        params = init_params(ModelConfig((2, 3, 2)), seed=1)
         with pytest.raises(ValueError, match="frames"):
             score_segments([graph_of([[1.0, 2.0]] * 3)], params, "abnormal")

@@ -12,7 +12,7 @@ from cegl.metrics import (
     write_coverage_csv,
     write_metrics,
 )
-from cegl.model import TrainConfig, init_params, train
+from cegl.model import ModelConfig, TrainConfig, init_params, train
 from cegl.numerics import make_rng
 
 
@@ -117,12 +117,11 @@ class TestCoverageCurve:
         graphs = build_segment_graphs(features, partition, sim, annotations=ann)
         labelled = [(g, g.weak_label) for g in graphs]
         params = init_params(
-            (features.feature_dim, 16, 8),
-            "mean",
-            "attention",
+            ModelConfig(
+                (features.feature_dim, 16, 8), "mean", "attention", attention_averaged=False
+            ),
             seed=2,
             init_scale=1.5,
-            attention_averaged=False,
         )
         cfg = TrainConfig(learning_rate=0.05, batch_size=8, epochs=600, seed=3)
         params, history = train(labelled, params, cfg)
@@ -158,7 +157,7 @@ class TestCoverageCurve:
     @pytest.mark.parametrize("localize_all", [True, False])
     def test_one_forward_per_segment(self, monkeypatch, localize_all):
         features, ann, partition = separable_video(34)
-        params = init_params((features.feature_dim, 4, 3), "mean", "attention", seed=1)
+        params = init_params(ModelConfig((features.feature_dim, 4, 3), "mean", "attention"), seed=1)
         params.arrays["classifier.bias"][0] = 5.0  # every segment predicted abnormal
         calls = []
         real_forward = model.forward
@@ -175,7 +174,7 @@ class TestCoverageCurve:
 
     def test_rejects_unordered_ks(self):
         features, ann, partition = separable_video(33)
-        params = init_params((features.feature_dim, 4, 3), seed=1)
+        params = init_params(ModelConfig((features.feature_dim, 4, 3)), seed=1)
         with pytest.raises(ValueError):
             coverage_curve(params, [(features, ann, partition)], [3, 1])
 

@@ -9,6 +9,7 @@ from cegl.dataio import FeatureMatrix
 from cegl.model import (
     AGGREGATOR_KINDS,
     READOUT_KINDS,
+    ModelConfig,
     TrainConfig,
     backward,
     forward,
@@ -45,17 +46,17 @@ def permute_graph(g, perm):
 
 class TestInitParams:
     def test_deterministic(self):
-        a = init_params((4, 3, 2), seed=5)
-        b = init_params((4, 3, 2), seed=5)
+        a = init_params(ModelConfig((4, 3, 2)), seed=5)
+        b = init_params(ModelConfig((4, 3, 2)), seed=5)
         assert np.array_equal(flatten_params(a.arrays), flatten_params(b.arrays))
 
     def test_zero_scale_gives_half_probability(self):
-        params = init_params((3, 4, 4), init_scale=0.0, seed=1)
+        params = init_params(ModelConfig((3, 4, 4)), init_scale=0.0, seed=1)
         g = random_graph(make_rng(2), n=4, d=3)
         assert forward([g], params).prediction[0] == 0.5
 
     def test_uniform_bounds(self):
-        params = init_params((8, 4, 4), seed=3)
+        params = init_params(ModelConfig((8, 4, 4)), seed=3)
         for name, fan_in in [
             ("layer0.transform", 16),
             ("layer1.transform", 8),
@@ -71,29 +72,29 @@ class TestInitParams:
     def test_table_holds_only_parameters_the_model_reads(self):
         for agg in AGGREGATOR_KINDS:
             for readout in READOUT_KINDS:
-                params = init_params((5, 4, 3), agg, readout, seed=1, a_dim=2)
+                params = init_params(ModelConfig((5, 4, 3), agg, readout, a_dim=2), seed=1)
                 names = list(params.arrays)
-                assert names == list(param_shapes((5, 4, 3), agg, readout, 2))
+                assert names == list(param_shapes(params.config))
                 assert any("gate" in n for n in names) == (agg == "gated")
                 assert any(n.startswith("attention.") for n in names) == (readout == "attention")
                 for name, a in params.arrays.items():
-                    assert a.shape == param_shapes((5, 4, 3), agg, readout, 2)[name]
+                    assert a.shape == param_shapes(params.config)[name]
 
     def test_dropped_arrays_leave_seeded_draws_unchanged(self):
-        full = init_params((5, 4, 3), "gated", "attention", seed=11, init_scale=1.5)
+        full = init_params(ModelConfig((5, 4, 3), "gated", "attention"), seed=11, init_scale=1.5)
         for agg in AGGREGATOR_KINDS:
             for readout in READOUT_KINDS:
-                params = init_params((5, 4, 3), agg, readout, seed=11, init_scale=1.5)
+                params = init_params(ModelConfig((5, 4, 3), agg, readout), seed=11, init_scale=1.5)
                 for name, a in params.arrays.items():
                     assert np.array_equal(a, full.arrays[name]), (agg, readout, name)
 
     def test_invalid(self):
         with pytest.raises(ConfigError):
-            init_params((4, 0, 2))
+            ModelConfig((4, 0, 2))
         with pytest.raises(ConfigError):
-            init_params((4, 3), aggregator_kind="median")
+            ModelConfig((4, 3), aggregator_kind="median")
         with pytest.raises(ConfigError):
-            init_params((4, 3), readout_kind="lstm")
+            ModelConfig((4, 3), readout_kind="lstm")
 
 
 def scripted_gated(edge_w, h, update, reset, candidate):
@@ -117,15 +118,15 @@ def scripted_gated(edge_w, h, update, reset, candidate):
 
 def layer0_messages(g, kind, **overrides):
     """Forward's first-layer messages: the aggregator applied to the raw features."""
-    params = init_params((g.feature_dim, 3), kind, "mean", seed=1)
+    params = init_params(ModelConfig((g.feature_dim, 3), kind, "mean"), seed=1)
     params.arrays.update(overrides)
     return forward([g], params).messages[0][0]
 
 
 def attention_params(h_dim, transform, vector, averaged=True):
     """One mean layer that passes positive features through unchanged, then attention."""
-    params = init_params((h_dim, h_dim), "mean", "attention", a_dim=len(vector),
-                         attention_averaged=averaged)
+    params = init_params(ModelConfig((h_dim, h_dim), "mean", "attention", a_dim=len(vector),
+                                     attention_averaged=averaged))
     params.arrays["layer0.transform"] = np.hstack([np.eye(h_dim), np.zeros((h_dim, h_dim))])
     params.arrays["attention.transform"] = np.asarray(transform, dtype=np.float64)
     params.arrays["attention.vector"] = np.asarray(vector, dtype=np.float64)
@@ -190,13 +191,13 @@ class TestAggregateNeighbors:
 class TestLayerForward:
     def test_zero_weights_zero_output(self):
         g = random_graph(make_rng(10), n=3, d=4)
-        cache = forward([g], init_params((4, 5), "mean", init_scale=0.0))
+        cache = forward([g], init_params(ModelConfig((4, 5), "mean"), init_scale=0.0))
         assert np.array_equal(cache.node_embeddings[1][0], np.zeros((3, 5)))
 
     def test_selector_of_self_half(self):
         g = build_graph(FeatureMatrix("v", np.abs(make_rng(11).standard_normal((3, 2))) + 0.5),
                         SimilarityConfig())
-        params = init_params((2, 2), "mean")
+        params = init_params(ModelConfig((2, 2), "mean"))
         params.arrays["layer0.transform"] = np.hstack([np.eye(2), np.zeros((2, 2))])
         out = forward([g], params).node_embeddings[1][0]
         assert np.allclose(out, g.node_features, atol=1e-15)
@@ -204,7 +205,7 @@ class TestLayerForward:
     def test_matches_direct_formula(self):
         rng = make_rng(12)
         g = random_graph(rng, n=4, d=3)
-        params = init_params((3, 5), "mean")
+        params = init_params(ModelConfig((3, 5), "mean"))
         transform = rng.standard_normal((5, 6))
         params.arrays["layer0.transform"] = transform
         cache = forward([g], params)
@@ -217,7 +218,7 @@ class TestLayerForward:
     def test_preactivation_matches_triple_loop(self):
         rng = make_rng(11)
         g = random_graph(rng, n=3, d=2)
-        params = init_params((2, 2), "mean", seed=4)
+        params = init_params(ModelConfig((2, 2), "mean"), seed=4)
         cache = forward([g], params)
         a, b = cache.stacked_inputs[0][0], params.arrays["layer0.transform"].T
         want = np.zeros((a.shape[0], b.shape[1]))
@@ -247,7 +248,7 @@ class TestAttentionReadout:
         g = random_graph(rng, n=4, d=3)
         wa = rng.standard_normal((2, 3))
         u = rng.standard_normal(2)
-        params = init_params((3, 3), "mean", "attention", seed=2, a_dim=2)
+        params = init_params(ModelConfig((3, 3), "mean", "attention", a_dim=2), seed=2)
         params.arrays["attention.transform"] = wa
         params.arrays["attention.vector"] = u
         cache = forward([g], params)
@@ -264,12 +265,12 @@ class TestAttentionReadout:
 class TestClassifyAndLoss:
     def test_zero_head(self):
         g = random_graph(make_rng(14), n=3, d=2)
-        params = init_params((2, 2), init_scale=0.0)
+        params = init_params(ModelConfig((2, 2)), init_scale=0.0)
         assert forward([g], params).prediction[0] == 0.5
 
     def test_bias_only(self):
         g = random_graph(make_rng(14), n=3, d=2)
-        params = init_params((2, 2), init_scale=0.0)
+        params = init_params(ModelConfig((2, 2)), init_scale=0.0)
         params.arrays["classifier.bias"][0] = np.log(3.0)
         cache = forward([g], params)
         assert np.array_equal(cache.graph_embedding[0], np.zeros(2))
@@ -277,7 +278,7 @@ class TestClassifyAndLoss:
 
     def test_matches_manual_dot(self):
         rng = make_rng(14)
-        params = init_params((3, 4, 2), seed=2)
+        params = init_params(ModelConfig((3, 4, 2)), seed=2)
         params.arrays["classifier.bias"][0] = 0.3
         cache = forward([random_graph(rng, d=3)], params)
         h_g = cache.graph_embedding[0]
@@ -298,21 +299,21 @@ class TestForward:
         g = random_graph(make_rng(15), n=4, d=3)
         for agg in AGGREGATOR_KINDS:
             for readout in READOUT_KINDS:
-                params = init_params((3, 4, 2), agg, readout, init_scale=0.0)
+                params = init_params(ModelConfig((3, 4, 2), agg, readout), init_scale=0.0)
                 assert forward([g], params).prediction[0] == 0.5
 
     def test_single_node_graph_all_kinds(self):
         g = build_graph(FeatureMatrix("v", np.array([[0.5, -1.5, 2.0]])), SimilarityConfig())
         for agg in AGGREGATOR_KINDS:
             for readout in READOUT_KINDS:
-                params = init_params((3, 4, 2), agg, readout, seed=4)
+                params = init_params(ModelConfig((3, 4, 2), agg, readout), seed=4)
                 cache = forward([g], params)
                 assert 0.0 < cache.prediction[0] < 1.0
 
     def test_matches_scripted_three_node_mean_attention(self):
         rng = make_rng(16)
         g = random_graph(rng, n=3, d=3)
-        params = init_params((3, 4, 2), "mean", "attention", seed=6)
+        params = init_params(ModelConfig((3, 4, 2), "mean", "attention"), seed=6)
 
         h = g.node_features
         w = g.edge_weights
@@ -332,14 +333,14 @@ class TestForward:
     def test_dimension_mismatch(self):
         g = random_graph(make_rng(17), n=3, d=4)
         with pytest.raises(ValueError):
-            forward([g], init_params((3, 4, 2)))
+            forward([g], init_params(ModelConfig((3, 4, 2))))
 
 
 class TestBackward:
     def test_bias_gradient_is_residual(self):
         rng = make_rng(18)
         g = random_graph(rng, n=4, d=3)
-        params = init_params((3, 4, 2), "mean", "attention", seed=7)
+        params = init_params(ModelConfig((3, 4, 2), "mean", "attention"), seed=7)
         cache = forward([g], params)
         grads = backward(cache, [1], [1.0])
         assert grads["classifier.bias"].tolist() == [cache.prediction[0] - 1]
@@ -348,14 +349,14 @@ class TestBackward:
         # A mean model has no gate weights, so there is no gate gradient
         # at all; the gradient table mirrors the parameter table.
         g = random_graph(make_rng(19), n=4, d=3)
-        params = init_params((3, 4, 2), "mean", "attention", seed=8)
+        params = init_params(ModelConfig((3, 4, 2), "mean", "attention"), seed=8)
         grads = backward(forward([g], params), [0], [1.0])
         assert list(grads) == list(params.arrays)
         assert not any("gate" in name for name in grads)
 
     def test_unused_attention_branch_gets_zero_gradient(self):
         g = random_graph(make_rng(20), n=4, d=3)
-        params = init_params((3, 4, 2), "mean", "mean", seed=9)
+        params = init_params(ModelConfig((3, 4, 2), "mean", "mean"), seed=9)
         grads = backward(forward([g], params), [0], [1.0])
         assert list(grads) == list(params.arrays)
         assert not any(name.startswith("attention.") for name in grads)
@@ -364,7 +365,7 @@ class TestBackward:
         # backward reads graphs and params from the cache, so the only
         # pairing it can get wrong is labels or weights for another batch.
         rng = make_rng(21)
-        params = init_params((3, 4, 2))
+        params = init_params(ModelConfig((3, 4, 2)))
         cache = forward([random_graph(rng, n=3, d=3), random_graph(rng, n=3, d=3)], params)
         with pytest.raises(ValueError, match="one label and one weight"):
             backward(cache, [1], [1.0])
@@ -378,11 +379,9 @@ class TestBackward:
         rng = make_rng(seed)
         for trial in range(3):
             g = random_graph(rng)
+            dims = (g.feature_dim, int(rng.integers(2, 7)), int(rng.integers(2, 7)))
             params = init_params(
-                (g.feature_dim, int(rng.integers(2, 7)), int(rng.integers(2, 7))),
-                agg,
-                readout,
-                seed=int(rng.integers(0, 1000)),
+                ModelConfig(dims, agg, readout), seed=int(rng.integers(0, 1000))
             )
             check_gradients([g], params, [trial % 2])
 
@@ -391,11 +390,8 @@ class TestBackward:
         for trial in range(3):
             g = random_graph(rng)
             params = init_params(
-                (g.feature_dim, 4, 3),
-                "mean",
-                "attention",
+                ModelConfig((g.feature_dim, 4, 3), "mean", "attention", attention_averaged=False),
                 seed=int(rng.integers(0, 1000)),
-                attention_averaged=False,
             )
             check_gradients([g], params, [trial % 2])
 
@@ -412,7 +408,9 @@ class TestBatchedPass:
             graphs = [random_graph(rng, n=int(n), d=3) for n in rng.permutation([1, 2, 3, 5, 7])]
             labels = rng.integers(0, 2, size=len(graphs))
             weights = rng.uniform(0.1, 2.0, size=len(graphs))
-            params = init_params((3, 5, 4), agg, readout, seed=int(rng.integers(0, 1000)))
+            params = init_params(
+                ModelConfig((3, 5, 4), agg, readout), seed=int(rng.integers(0, 1000))
+            )
             batched = backward(forward(graphs, params), labels, weights)
             parts = [
                 backward(forward([g], params), [y], [w])
@@ -427,7 +425,7 @@ class TestBatchedPass:
     def test_padded_batch_matches_finite_differences(self, agg, readout):
         rng = make_rng(zlib.crc32(f"padded/{agg}/{readout}".encode()))
         graphs = [random_graph(rng, n=n, d=3) for n in (4, 1, 6, 2)]
-        params = init_params((3, 4, 3), agg, readout, seed=int(rng.integers(0, 1000)))
+        params = init_params(ModelConfig((3, 4, 3), agg, readout), seed=int(rng.integers(0, 1000)))
         check_gradients(graphs, params, [1, 0, 1, 0], rng.uniform(0.1, 2.0, size=4))
 
     @pytest.mark.parametrize("agg", AGGREGATOR_KINDS)
@@ -436,7 +434,7 @@ class TestBatchedPass:
         graphs = [random_graph(rng, n=n, d=3) for n in (3, 1, 4)]
         larger = random_graph(rng, n=9, d=3)
         for readout in READOUT_KINDS:
-            params = init_params((3, 5, 4), agg, readout, seed=3)
+            params = init_params(ModelConfig((3, 5, 4), agg, readout), seed=3)
             alone = [forward([g], params).prediction[0] for g in graphs]
             batched = forward(graphs, params).prediction
             grown = forward(graphs + [larger], params).prediction
@@ -445,19 +443,19 @@ class TestBatchedPass:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="at least one graph"):
-            forward([], init_params((3, 4, 2)))
+            forward([], init_params(ModelConfig((3, 4, 2))))
 
 
 class TestSgdStep:
     def test_zero_lr_keeps_params(self):
-        params = init_params((3, 4, 2), seed=1)
+        params = init_params(ModelConfig((3, 4, 2)), seed=1)
         g = random_graph(make_rng(22), n=3, d=3)
         grads = backward(forward([g], params), [1], [1.0])
         updated = sgd_step(params, grads, 0.0)
         assert np.array_equal(flatten_params(updated.arrays), flatten_params(params.arrays))
 
     def test_scalar_arithmetic(self):
-        params = init_params((2, 1), init_scale=0.0)
+        params = init_params(ModelConfig((2, 1)), init_scale=0.0)
         params.arrays["classifier.bias"][0] = 1.0
         grads = zero_gradients(params)
         grads["classifier.bias"][0] = 2.0
@@ -465,7 +463,7 @@ class TestSgdStep:
 
     def test_converges_on_quadratic(self):
         # minimize (b - 3)^2 through the bias alone
-        params = init_params((2, 1), init_scale=0.0)
+        params = init_params(ModelConfig((2, 1)), init_scale=0.0)
         for _ in range(200):
             grads = zero_gradients(params)
             grads["classifier.bias"] = 2.0 * (params.arrays["classifier.bias"] - 3.0)
@@ -473,7 +471,7 @@ class TestSgdStep:
         assert params.arrays["classifier.bias"][0] == pytest.approx(3.0, abs=1e-8)
 
     def test_nonfinite_gradient_aborts(self):
-        params = init_params((3, 4, 2))
+        params = init_params(ModelConfig((3, 4, 2)))
         grads = zero_gradients(params)
         grads["classifier.weights"][0] = np.nan
         with pytest.raises(NumericError):
@@ -489,7 +487,7 @@ def toy_training_set():
 class TestTrain:
     def test_loss_decreases_on_separable_toy(self):
         graphs = toy_training_set()
-        params = init_params((2, 4, 3), "mean", "attention", seed=3)
+        params = init_params(ModelConfig((2, 4, 3), "mean", "attention"), seed=3)
         cfg = TrainConfig(learning_rate=0.1, batch_size=8, epochs=12, seed=1)
         _, history = train(graphs, params, cfg)
         for earlier, later in zip(history[:10], history[1:11]):
@@ -498,8 +496,8 @@ class TestTrain:
     def test_deterministic(self):
         graphs = toy_training_set()
         cfg = TrainConfig(learning_rate=0.05, batch_size=1, epochs=5, seed=9)
-        out1, hist1 = train(graphs, init_params((2, 4, 3), seed=3), cfg)
-        out2, hist2 = train(graphs, init_params((2, 4, 3), seed=3), cfg)
+        out1, hist1 = train(graphs, init_params(ModelConfig((2, 4, 3)), seed=3), cfg)
+        out2, hist2 = train(graphs, init_params(ModelConfig((2, 4, 3)), seed=3), cfg)
         assert np.array_equal(flatten_params(out1.arrays), flatten_params(out2.arrays))
         assert hist1 == hist2
 
@@ -510,20 +508,20 @@ class TestTrain:
     def test_feature_dim_mismatch(self):
         g1 = build_graph(FeatureMatrix("a", np.ones((2, 2))), SimilarityConfig())
         g2 = build_graph(FeatureMatrix("b", np.ones((2, 3))), SimilarityConfig())
-        params = init_params((2, 3, 2))
+        params = init_params(ModelConfig((2, 3, 2)))
         with pytest.raises(ConfigError):
             train([(g1, 0), (g2, 1)], params, TrainConfig(epochs=1))
 
     def test_single_class_warns(self, caplog):
         g = build_graph(FeatureMatrix("a", np.ones((2, 2))), SimilarityConfig())
-        params = init_params((2, 3, 2))
+        params = init_params(ModelConfig((2, 3, 2)))
         with caplog.at_level("WARNING"):
             train([(g, 1), (g, 1)], params, TrainConfig(epochs=1))
         assert any("single class" in r.message for r in caplog.records)
 
     def test_class_weighting_runs(self):
         graphs = toy_training_set() + [toy_training_set()[0]]
-        params = init_params((2, 4, 3), seed=3)
+        params = init_params(ModelConfig((2, 4, 3)), seed=3)
         cfg = TrainConfig(learning_rate=0.05, epochs=2, seed=1, class_weighting=True)
         _, history = train(graphs, params, cfg)
         assert len(history) == 2
@@ -536,7 +534,7 @@ class TestPermutationProperties:
             for readout in READOUT_KINDS:
                 for _ in range(5):
                     g = random_graph(rng)
-                    params = init_params((g.feature_dim, 5, 4), agg, readout, seed=11)
+                    params = init_params(ModelConfig((g.feature_dim, 5, 4), agg, readout), seed=11)
                     base = forward([g], params).prediction[0]
                     perm = rng.permutation(g.n)
                     permuted = forward([permute_graph(g, perm)], params).prediction[0]
@@ -545,7 +543,7 @@ class TestPermutationProperties:
     def test_gated_is_bitwise_reproducible(self):
         rng = make_rng(24)
         g = random_graph(rng, n=5, d=4)
-        params = init_params((4, 5, 4), "gated", "attention", seed=12)
+        params = init_params(ModelConfig((4, 5, 4), "gated", "attention"), seed=12)
         runs = {forward([g], params).prediction[0] for _ in range(5)}
         assert len(runs) == 1
 
@@ -561,7 +559,8 @@ class TestPermutationProperties:
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         params = init_params(
-            (5, 6, 4), "gated", "attention", seed=21, a_dim=3, attention_averaged=False
+            ModelConfig((5, 6, 4), "gated", "attention", a_dim=3, attention_averaged=False),
+            seed=21,
         )
         sim = SimilarityConfig(metric="knn_cosine", knn_k=4)
         seg = SegmentationConfig(penalty=None, min_len=3)
@@ -570,16 +569,24 @@ class TestCheckpoint:
         loaded, sim_back, seg_back = load_checkpoint(path)
         assert list(loaded.arrays) == list(params.arrays)
         assert np.array_equal(flatten_params(loaded.arrays), flatten_params(params.arrays))
-        assert loaded.layer_dims == params.layer_dims
-        assert loaded.aggregator_kind == "gated"
-        assert loaded.readout_kind == "attention"
-        assert loaded.a_dim == 3
-        assert loaded.attention_averaged is False
+        assert loaded.config.layer_dims == params.config.layer_dims
+        assert loaded.config.aggregator_kind == "gated"
+        assert loaded.config.readout_kind == "attention"
+        assert loaded.config.a_dim == 3
+        assert loaded.config.attention_averaged is False
         assert sim_back == sim
         assert seg_back == seg
 
+    def test_numpy_int_dims_save_as_json_ints(self, tmp_path):
+        # A feature dim read off an array is a numpy integer; the header is JSON.
+        config = ModelConfig((np.int64(3), 4, 2), "mean", "attention")
+        assert all(type(d) is int for d in (*config.layer_dims, config.a_dim))
+        path = tmp_path / "m.cegm"
+        save_checkpoint(init_params(config, seed=1), path)
+        assert load_checkpoint(path)[0].config == ModelConfig((3, 4, 2), "mean", "attention")
+
     def test_corrupted_magic(self, tmp_path):
-        params = init_params((3, 3, 2), seed=1)
+        params = init_params(ModelConfig((3, 3, 2)), seed=1)
         path = tmp_path / "m.cegm"
         save_checkpoint(params, path)
         bad = tmp_path / "bad.cegm"
@@ -588,7 +595,7 @@ class TestCheckpoint:
             load_checkpoint(bad)
 
     def test_truncated(self, tmp_path):
-        params = init_params((3, 3, 2), seed=1)
+        params = init_params(ModelConfig((3, 3, 2)), seed=1)
         path = tmp_path / "m.cegm"
         save_checkpoint(params, path)
         trunc = tmp_path / "t.cegm"
@@ -605,5 +612,5 @@ def test_full_model_loss_gradient_on_four_node_graph():
     # The finite-difference checker applied to the whole pipeline loss.
     rng = make_rng(25)
     g = random_graph(rng, n=4, d=3)
-    params = init_params((3, 4, 3), "gated", "attention", seed=13)
+    params = init_params(ModelConfig((3, 4, 3), "gated", "attention"), seed=13)
     check_gradients([g], params, [1])
