@@ -291,6 +291,17 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(
             f"predictions cover {len(segments)} segments, partition has {partition.segment_count}"
         )
+    for i, ((s, e), seg) in enumerate(zip(partition.spans(), segments)):
+        start, end, score = seg.get("start"), seg.get("end"), seg.get("score")
+        if type(start) is not int or type(end) is not int or (start, end) != (s, e):
+            raise FormatError(
+                f"predictions segment {i} spans start {start!r}, end {end!r}; "
+                f"the partition's span is [{s}, {e}): {args.preds}"
+            )
+        if type(score) not in (int, float) or not 0.0 <= score <= 1.0:
+            raise FormatError(
+                f"predictions segment {i} has score {score!r}, not a number in [0, 1]: {args.preds}"
+            )
     report = metrics.weighted_metrics(metrics.confusion(preds, labels))
     metrics.write_metrics(report, args.out)
     return 0

@@ -36,10 +36,12 @@ attention weights only for the attention readout.
 `forward` runs a batch of graphs at once, padded to the largest one
 with a node mask, and `backward` returns the weighted sum of the batch's
 gradients. Inference goes through `localization.score_segments`, which
-passes a one-graph batch per segment. Gradients are derived by
-hand (no autodiff) and checked against central finite differences in
-the test suite. Training is plain SGD on the binary cross entropy of the
-segment labels, with one forward and one backward per mini-batch.
+batches segments of equal node count, so nothing is padded, and runs
+`forward(..., record=False)`, which keeps no gated step for a backward.
+Gradients are derived by hand (no autodiff) and checked against central
+finite differences in the test suite. Training is plain SGD on the
+binary cross entropy of the segment labels, with one forward and one
+backward per mini-batch.
 """
 
 from __future__ import annotations
@@ -246,10 +248,11 @@ def _maxpool_messages(edges: np.ndarray, h: np.ndarray, sizes, mask):
     return msgs, argmax
 
 
-def _gated_messages(edges: np.ndarray, h: np.ndarray, sizes, update, reset, candidate):
+def _gated_messages(edges: np.ndarray, h: np.ndarray, sizes, update, reset, candidate, record):
+    """The recurrence's final states, and its steps for backward (None unless record)."""
     n_max = h.shape[1]
     state = h.copy()
-    steps: list[_GatedStep] = []
+    steps: list[_GatedStep] | None = [] if record else None
     idx = np.arange(n_max)
     n_min = sizes.min()
     # Node i's p-th neighbor in ascending temporal order is p for p < i,
@@ -267,7 +270,8 @@ def _gated_messages(edges: np.ndarray, h: np.ndarray, sizes, update, reset, cand
         r = sigmoid(gate_in @ reset.T)
         cand_in = np.concatenate([r * state, msg], axis=2)
         cand = np.tanh(cand_in @ candidate.T)
-        steps.append(_GatedStep(state, j, w, z, r, cand))
+        if record:
+            steps.append(_GatedStep(state, j, w, z, r, cand))
         state = (1.0 - z) * state + z * cand
     return state, steps
 
@@ -295,16 +299,19 @@ class ForwardCache:
     preacts: list[np.ndarray]  # per layer, before ReLU
     mean_degrees: list[np.ndarray | None]  # per layer (mean kind), the divisor used
     maxpool_argmax: list[np.ndarray | None]  # per layer (maxpool kind)
-    gated_steps: list[list[_GatedStep] | None]  # per layer (gated kind)
+    gated_steps: list[list[_GatedStep] | None]  # per layer (gated kind, recorded passes)
     attn_tanh: np.ndarray | None
     attention_weights: np.ndarray | None  # alpha, (B, N), zero on padding
     readout_argmax: np.ndarray | None  # maxpool readout, (B, d)
     graph_embedding: np.ndarray  # (B, d)
     logit: np.ndarray  # (B,)
     prediction: np.ndarray  # y_hat, (B,)
+    recorded: bool  # whether backward can run on this cache
 
 
-def forward(graphs: Sequence[SegmentGraph], params: ModelParams) -> ForwardCache:
+def forward(
+    graphs: Sequence[SegmentGraph], params: ModelParams, *, record: bool = True
+) -> ForwardCache:
     """One pass over a batch of graphs, caching every intermediate backward needs.
 
     The graphs are packed into (B, N, d) features and (B, N, N) edges, N
@@ -313,7 +320,11 @@ def forward(graphs: Sequence[SegmentGraph], params: ModelParams) -> ForwardCache
     a zero pre-activation, a ReLU of zero): the mean, sum and maxpool
     readouts read it as nothing, the attention softmax masks it out, and
     no gradient reaches it. A graph alone in its batch is used as a view,
-    without padding, so a one-graph pass does the per-graph arithmetic.
+    without padding. Every product is taken per graph, so a graph in a
+    batch of graphs of its own size gets the bits a one-graph pass gives.
+
+    With record=False the pass is inference only: the gated recurrence
+    keeps none of its n-1 steps per layer, and backward rejects the cache.
     """
     if not graphs:
         raise ValueError("forward needs at least one graph")
@@ -347,7 +358,7 @@ def forward(graphs: Sequence[SegmentGraph], params: ModelParams) -> ForwardCache
             msgs, argmax = _maxpool_messages(edges, h, sizes, mask)
         else:  # gated
             gates = [p[gate_name(layer, gate)] for gate in GATE_NAMES]
-            msgs, steps = _gated_messages(edges, h, sizes, *gates)
+            msgs, steps = _gated_messages(edges, h, sizes, *gates, record)
         stacked = np.concatenate([h, msgs], axis=2)
         pre = stacked @ p[transform_name(layer)].T
         h = np.maximum(pre, 0.0)
@@ -379,7 +390,9 @@ def forward(graphs: Sequence[SegmentGraph], params: ModelParams) -> ForwardCache
         readout_argmax = h.argmax(axis=1)
         h_g = np.take_along_axis(h, readout_argmax[:, None, :], axis=1)[:, 0, :]
 
-    logit = h_g @ p[CLASSIFIER_WEIGHTS] + p[CLASSIFIER_BIAS][0]
+    # One (1, d) @ (d,) product per graph: a (B, d) gemv can round a row
+    # differently from the same row alone.
+    logit = (h_g[:, None, :] @ p[CLASSIFIER_WEIGHTS])[:, 0] + p[CLASSIFIER_BIAS][0]
     return ForwardCache(
         params=params,
         sizes=sizes,
@@ -397,6 +410,7 @@ def forward(graphs: Sequence[SegmentGraph], params: ModelParams) -> ForwardCache
         graph_embedding=h_g,
         logit=logit,
         prediction=sigmoid(logit),
+        recorded=record,
     )
 
 
@@ -461,8 +475,10 @@ def backward(cache: ForwardCache, labels, weights) -> dict[str, np.ndarray]:
     """Exact gradients of sum_b weights[b] * loss(prediction_b, labels[b]).
 
     One label and one weight per graph of the cached batch; the result is
-    a table like params.arrays.
+    a table like params.arrays. The cache must come from a recorded pass.
     """
+    if not cache.recorded:
+        raise ValueError("backward needs a cache from forward(..., record=True)")
     params = cache.params
     cfg = params.config
     labels = np.asarray(labels, dtype=np.float64)

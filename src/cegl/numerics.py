@@ -26,15 +26,17 @@ def make_rng(seed: int) -> np.random.Generator:
 def sigmoid(x):
     """Logistic function 1/(1+e^-x), overflow-safe for any finite input.
 
-    Branches on sign so the exponential argument is always non-positive.
-    Accepts scalars or arrays; saturates to 0/1 instead of overflowing.
+    With e = exp(-|x|), never above 1, it is 1/(1+e) where x >= 0 and
+    e/(1+e) elsewhere: one exponential and one division per element and
+    no branch. -|x| is taken as min(x, -x), which passes a NaN on with
+    its sign bit. Accepts scalars or arrays; saturates to 0/1 instead of
+    overflowing.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(np.minimum(x, -x))
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     if out.ndim == 0:
         return float(out)
     return out

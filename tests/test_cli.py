@@ -14,6 +14,7 @@ from cegl.localization import topk_select
 from cegl.metrics import coverage_curve
 from cegl.model import load_checkpoint
 from cegl.segmentation import read_partition
+from forward_calls import assert_each_segment_scored_once, record_forward_calls
 
 
 def write_config(path, **overrides):
@@ -384,6 +385,39 @@ class TestEvaluateMalformedInput:
     def test_malformed_segment_value(self, pipeline, tmp_path, capsys, edit, fragment):
         self.assert_segments_rejected(pipeline, tmp_path, capsys, edit, fragment)
 
+    @pytest.mark.parametrize(
+        "edit, fragment",
+        [
+            (lambda segs: segs[0].update(start=999, end=-5, score="high"), "start 999"),
+            (lambda segs: segs[1].update(start=segs[1]["start"] + 1), "segment 1"),
+            (lambda segs: segs[-1].update(end=segs[-1]["end"] - 1), "span"),
+            (lambda segs: segs[0].update(start=0.0), "start 0.0"),
+            (lambda segs: segs[0].update(start=False), "start False"),
+            (lambda segs: segs[0].pop("end"), "end None"),
+            (lambda segs: segs[0].update(score="high"), "score 'high'"),
+            (lambda segs: segs[0].update(score=True), "score True"),
+            (lambda segs: segs[0].update(score=1.5), "score 1.5"),
+            (lambda segs: segs[0].update(score=-0.25), "score -0.25"),
+            (lambda segs: segs[0].update(score=float("nan")), "score nan"),
+            (lambda segs: segs[0].update(score=None), "score None"),
+        ],
+        ids=["reproduced", "shifted-start", "short-end", "real-start", "false-start",
+             "no-end", "string-score", "true-score", "score-above-one", "negative-score",
+             "nan-score", "null-score"],
+    )
+    def test_malformed_span_or_score(self, pipeline, tmp_path, capsys, edit, fragment):
+        self.assert_segments_rejected(pipeline, tmp_path, capsys, edit, fragment)
+
+    def test_integer_score_accepted(self, pipeline, tmp_path):
+        preds = json.loads((pipeline / "preds.json").read_text())
+        preds["segments"][0]["score"] = preds["segments"][0]["predicted"]
+        edited = tmp_path / "preds.json"
+        edited.write_text(json.dumps(preds))
+        out = tmp_path / "metrics.json"
+        argv = self.evaluate_argv(pipeline, edited, pipeline / "video-000.partition.json", out)
+        assert main([str(a) for a in argv]) == 0
+        assert out.read_bytes() == (pipeline / "metrics.json").read_bytes()
+
     def test_non_list_boundaries(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "part.json"
         bad.write_text(json.dumps({"video_id": "video-000", "boundaries": 5}))
@@ -437,20 +471,6 @@ def test_classify_rejects_non_integer_boundary(pipeline, tmp_path, capsys, edit)
     )
 
 
-def count_forward_calls(monkeypatch) -> list:
-    """Record every forward pass made through any module that imports forward."""
-    calls = []
-    real_forward = model.forward
-
-    def counting_forward(graphs, params):
-        calls.extend(graphs)
-        return real_forward(graphs, params)
-
-    for module in (cli, localization, model):
-        monkeypatch.setattr(module, "forward", counting_forward)
-    return calls
-
-
 def inference_argv(pipeline, command, out, partition=None):
     """classify or localize (k=2) argv for the pipeline's first video."""
     argv = [command, "--model", pipeline / "model.cegm",
@@ -461,17 +481,17 @@ def inference_argv(pipeline, command, out, partition=None):
 
 @pytest.mark.parametrize("all_segments", [True, False])
 def test_localize_runs_one_forward_per_segment(pipeline, tmp_path, monkeypatch, all_segments):
-    calls = count_forward_calls(monkeypatch)
+    calls = record_forward_calls(monkeypatch, cli, localization, model)
     partition = pipeline / "video-000.partition.json"
     argv = inference_argv(pipeline, "localize", tmp_path / "loc.json")
     assert main(argv + (["--all-segments"] if all_segments else [])) == 0
-    assert len(calls) == read_partition(partition)[1].segment_count
+    assert_each_segment_scored_once(calls, read_partition(partition)[1].spans())
 
 
 def test_classify_runs_one_forward_per_segment_and_no_frame_scores(
     pipeline, tmp_path, monkeypatch
 ):
-    calls = count_forward_calls(monkeypatch)
+    calls = record_forward_calls(monkeypatch, cli, localization, model)
     frame_scored = []
     real_node_scores = localization.node_scores
 
@@ -482,7 +502,7 @@ def test_classify_runs_one_forward_per_segment_and_no_frame_scores(
     monkeypatch.setattr(localization, "node_scores", counting_node_scores)
     assert main(inference_argv(pipeline, "classify", tmp_path / "preds.json")) == 0
     partition = pipeline / "video-000.partition.json"
-    assert len(calls) == read_partition(partition)[1].segment_count
+    assert_each_segment_scored_once(calls, read_partition(partition)[1].spans())
     assert frame_scored == []
 
 

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from cegl import localization
 from cegl.dataio import Annotations, FeatureMatrix
 from cegl.graph import SimilarityConfig, build_graph
 from cegl.localization import coverage_counts, node_scores, score_segments, topk_select
 from cegl.model import ModelConfig, forward, init_params
 from cegl.numerics import make_rng
 from cegl.segmentation import Partition
+from forward_calls import assert_each_segment_scored_once, record_forward_calls
 
 
 def graph_of(values):
@@ -163,15 +165,26 @@ class TestCoverage:
 class TestScoreSegments:
     @pytest.mark.parametrize("aggregator", ["mean", "maxpool", "gated"])
     @pytest.mark.parametrize("frames", ["none", "predicted", "all"])
-    def test_equals_one_graph_forward_and_node_scores(self, aggregator, frames):
+    def test_equals_one_graph_forward_and_node_scores(self, aggregator, frames, monkeypatch):
         rng = make_rng(8)
-        graphs = [graph_of(rng.standard_normal((n, 3))) for n in (4, 1, 7, 5, 6)]
+        # Sizes repeat, 10 more often than one batch of 40 holds, and 70
+        # is past the 65 nodes from which a segment runs alone.
+        sizes = (4, 1, 7, 5, 6, 1, 5, 5, *[10] * 45, 70, 4, 70)
+        offsets = np.cumsum((0, *sizes))
+        graphs = [
+            build_graph(FeatureMatrix("v", rng.standard_normal((n, 3))), SimilarityConfig(),
+                        offset=int(s))
+            for n, s in zip(sizes, offsets)
+        ]
         params = init_params(ModelConfig((3, 4, 2), aggregator, "attention"), seed=9)
         predictions = [forward([g], params).prediction[0] for g in graphs]
         # a bias at the median prediction's logit puts segments on both sides of 0.5
         params.arrays["classifier.bias"][0] -= np.log(np.median(predictions) /
                                                       (1 - np.median(predictions)))
+        calls = record_forward_calls(monkeypatch, localization)
         scored = score_segments(graphs, params, frames)
+        assert_each_segment_scored_once(calls, list(zip(offsets[:-1], offsets[1:])))
+        assert max(map(len, calls)) == 40
         assert len(scored) == len(graphs)
         predicted = []
         for g, (score, frame_scores) in zip(graphs, scored):

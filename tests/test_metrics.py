@@ -12,8 +12,9 @@ from cegl.metrics import (
     write_coverage_csv,
     write_metrics,
 )
-from cegl.model import ModelConfig, TrainConfig, init_params, train
+from cegl.model import ModelConfig, TrainConfig, forward, init_params, train
 from cegl.numerics import make_rng
+from forward_calls import assert_each_segment_scored_once, record_forward_calls
 
 
 class TestConfusion:
@@ -159,18 +160,11 @@ class TestCoverageCurve:
         features, ann, partition = separable_video(34)
         params = init_params(ModelConfig((features.feature_dim, 4, 3), "mean", "attention"), seed=1)
         params.arrays["classifier.bias"][0] = 5.0  # every segment predicted abnormal
-        calls = []
-        real_forward = model.forward
-
-        def counting_forward(graphs, p):
-            calls.extend(graphs)
-            return real_forward(graphs, p)
-
-        for module in (localization, model):
-            monkeypatch.setattr(module, "forward", counting_forward)
+        calls = record_forward_calls(monkeypatch, localization, model)
         coverage_curve(params, [(features, ann, partition)], [1, 2], localize_all=localize_all)
-        assert len(calls) == partition.segment_count
-        assert (real_forward(calls, params).prediction >= 0.5).all()
+        assert_each_segment_scored_once(calls, partition.spans())
+        graphs = [g for batch in calls for g in batch]
+        assert (forward(graphs, params).prediction >= 0.5).all()
 
     def test_rejects_unordered_ks(self):
         features, ann, partition = separable_video(33)

@@ -373,6 +373,17 @@ class TestBackward:
             backward(cache, [1, 0], [1.0])
 
     @pytest.mark.parametrize("agg", AGGREGATOR_KINDS)
+    def test_unrecorded_cache_rejected(self, agg):
+        g = random_graph(make_rng(22), n=5, d=3)
+        params = init_params(ModelConfig((3, 4, 2), agg, "attention"), seed=10)
+        cache = forward([g], params, record=False)
+        assert cache.prediction[0] == forward([g], params).prediction[0]
+        if agg == "gated":
+            assert cache.gated_steps == [None, None]
+        with pytest.raises(ValueError, match="record=True"):
+            backward(cache, [1], [1.0])
+
+    @pytest.mark.parametrize("agg", AGGREGATOR_KINDS)
     @pytest.mark.parametrize("readout", READOUT_KINDS)
     def test_gradients_match_finite_differences(self, agg, readout):
         seed = zlib.crc32(f"{agg}/{readout}".encode())

@@ -29,6 +29,35 @@ class TestSigmoid:
         for x in xs:
             assert abs(sigmoid(x) + sigmoid(-x) - 1.0) < 1e-12
 
+    def test_bit_identical_to_masked_formula(self):
+        rng = make_rng(6)
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                   709.0, -709.0, 710.0, -710.0, 1e-300, -1e-300]
+        arrays = [rng.standard_normal((7, 11)) * scale for scale in range(1, 41)]
+        for x in [np.array(special), *arrays]:
+            got, want = sigmoid(x), masked_sigmoid(x)
+            # bit patterns, so ±0 and the sign of a NaN count too
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_scalar_in_float_out(self):
+        for x in (0.3, -2, np.float64(-0.0), np.array(1e-300)):
+            got = sigmoid(x)
+            assert type(got) is float
+            assert got == masked_sigmoid(x)
+
+
+def masked_sigmoid(x):
+    """The sign-branching sigmoid `sigmoid` replaced, kept as its reference."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
 
 class TestSoftmax:
     def test_uniform(self):
