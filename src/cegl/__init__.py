@@ -37,7 +37,6 @@ from .segmentation import (
     default_penalty,
     optimal_partition_oracle,
     pelt,
-    split_video,
 )
 
 __version__ = "0.1.0"
@@ -71,7 +70,6 @@ __all__ = [
     "read_feature_matrix",
     "save_checkpoint",
     "score_segments",
-    "split_video",
     "synth_video",
     "topk_select",
     "train",

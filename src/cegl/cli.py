@@ -298,9 +298,11 @@ def cmd_evaluate(args) -> int:
                 f"predictions segment {i} spans start {start!r}, end {end!r}; "
                 f"the partition's span is [{s}, {e}): {args.preds}"
             )
-        if type(score) not in (int, float) or not 0.0 <= score <= 1.0:
+        bad_score = type(score) not in (int, float) or not 0.0 <= score <= 1.0
+        if bad_score or seg["predicted"] != (score >= 0.5):
             raise FormatError(
-                f"predictions segment {i} has score {score!r}, not a number in [0, 1]: {args.preds}"
+                f"predictions segment {i} has score {score!r} and predicted {seg['predicted']}; the "
+                f"score must lie in [0, 1] and predict 1 exactly when it is >= 0.5: {args.preds}"
             )
     report = metrics.weighted_metrics(metrics.confusion(preds, labels))
     metrics.write_metrics(report, args.out)

@@ -6,24 +6,45 @@ with no similarity are simply unconnected, and so is a zero-norm frame.
 Identical frames get weight exactly 1. All metrics read one Gram matrix
 whose entries each depend on their own two frames only, so a pair's
 cosine or distance is the same in every segment that holds both frames.
+
+`build_segment_graphs` buckets segments by length n. One unpadded call of
+the kernel behind `similarity_matrix` makes each chunk of at most
+max(1, BATCH_CELLS // n^2) of them, bit-identical to one-segment calls;
+one check covers the chunk, and one debug line counts its zero-norm
+frames. Node features are views of the video.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .dataio import Annotations, FeatureMatrix, check_types, derive_segment_labels
 from .errors import ConfigError
-from .segmentation import split_video
 
 log = logging.getLogger(__name__)
 
 METRICS = ("cosine", "correlation", "euclidean_rbf", "knn_cosine")
 
 MEDIAN_HEURISTIC = "median_heuristic"
+
+# The cap on B * n^2, the edge cells of a batch of B graphs of n nodes, to
+# build or score: 40 ten-frame segments share a batch, one of 65 frames or
+# more is a batch alone. A larger cap raises peak memory for little time.
+BATCH_CELLS = 4096
+
+
+def size_chunks(sizes: Sequence[int]) -> Iterator[list[int]]:
+    """Indices of equal sizes n, in input order, at most max(1, BATCH_CELLS // n^2) per chunk."""
+    by_size: dict[int, list[int]] = {}
+    for i, n in enumerate(sizes):
+        by_size.setdefault(n, []).append(i)
+    for n, indices in by_size.items():
+        step = max(1, BATCH_CELLS // (n * n))
+        yield from (indices[k : k + step] for k in range(0, len(indices), step))
 
 
 @dataclass(frozen=True)
@@ -46,6 +67,16 @@ class SimilarityConfig:
             raise ConfigError("explicit rbf_sigma must be positive")
 
 
+def _check_edge_weights(w: np.ndarray) -> None:
+    """Raise ValueError unless w, shaped (..., n, n), holds only valid edge-weight matrices."""
+    if not np.array_equal(w, np.swapaxes(w, -1, -2)):
+        raise ValueError("edge weights must be symmetric")
+    if np.diagonal(w, axis1=-2, axis2=-1).any():
+        raise ValueError("edge weights must have a zero diagonal")
+    if w.min() < 0.0 or w.max() > 1.0:
+        raise ValueError("edge weights must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class SegmentGraph:
     """Complete weighted graph over one segment's frames, in temporal order."""
@@ -63,16 +94,24 @@ class SegmentGraph:
         n = feats.shape[0]
         if w.shape != (n, n):
             raise ValueError(f"edge weights must be ({n}, {n}), got {w.shape}")
-        if not np.array_equal(w, w.T):
-            raise ValueError("edge weights must be symmetric")
-        if np.diagonal(w).any():
-            raise ValueError("edge weights must have a zero diagonal")
-        if w.min() < 0.0 or w.max() > 1.0:
-            raise ValueError("edge weights must lie in [0, 1]")
+        _check_edge_weights(w)
         if self.weak_label is not None and self.weak_label not in (0, 1):
             raise ValueError("weak_label must be 0 or 1 when present")
         object.__setattr__(self, "node_features", feats)
         object.__setattr__(self, "edge_weights", w)
+
+    @classmethod
+    def _of_checked_chunk(cls, node_features, edge_weights, global_frame_offset, weak_label):
+        # Fields that `build_segment_graphs` has checked as a chunk: one more
+        # check per graph took a quarter of a screening exam's build.
+        graph = object.__new__(cls)
+        graph.__dict__.update(
+            node_features=node_features,
+            edge_weights=edge_weights,
+            global_frame_offset=global_frame_offset,
+            weak_label=weak_label,
+        )
+        return graph
 
     @property
     def n(self) -> int:
@@ -83,76 +122,54 @@ class SegmentGraph:
         return self.node_features.shape[1]
 
 
-def _gram(values: np.ndarray) -> np.ndarray:
-    """Row dot products, each summed over its own two rows alone.
+def _similarity_batch(values: np.ndarray, cfg: SimilarityConfig) -> np.ndarray:
+    """Edge-weight matrices (B, n, n) of B segments of n frames, given as (B, n, d)."""
+    values = np.ascontiguousarray(values)  # einsum's summation order depends on the layout
+    if cfg.metric == "correlation":
+        values = values - values.mean(axis=2, keepdims=True)
+    # Not `X @ X.T`: BLAS blocks the sums by the matrix shape, so an entry
+    # would round differently in segments of different sizes.
+    gram = np.einsum("bik,bjk->bij", values, values)
+    diagonals = np.diagonal(gram, axis1=1, axis2=2)
 
-    `X @ X.T` is not used: BLAS blocks the sums by the matrix shape, so an
-    entry would round differently in segments of different sizes.
-    """
-    return np.einsum("ik,jk->ij", values, values)
+    if cfg.metric == "euclidean_rbf":
+        # Identical frames give exactly 0: their gram entries are all equal.
+        sq_dists = np.maximum(diagonals[:, :, None] + diagonals[:, None, :] - 2.0 * gram, 0.0)
+        if isinstance(cfg.rbf_sigma, str):
+            i, j = np.triu_indices(values.shape[1], k=1)
+            sigmas = np.median(np.sqrt(sq_dists[:, i, j]), axis=1) if i.size else np.zeros(len(gram))
+        else:
+            sigmas = np.full(len(gram), cfg.rbf_sigma)
+        # Each graph's 2 sigma^2 from its own Python float, as one graph alone
+        # takes it: numpy's square of a sigma array can round 1 ulp away.
+        scales = np.array([2.0 * s**2 if s > 0.0 else 1.0 for s in sigmas.tolist()])
+        weights = np.exp(-sq_dists / scales[:, None, None])
+        for b in np.flatnonzero(sigmas <= 0.0):  # then only identical frames connect
+            weights[b] = (values[b, :, None] == values[b, None]).all(axis=2)
+        np.einsum("bii->bi", weights)[...] = 0.0
+        return weights
 
-
-def _identical_rows(values: np.ndarray) -> np.ndarray:
-    return (values[:, None, :] == values[None, :, :]).all(axis=2)
-
-
-def _cosine_matrix(values: np.ndarray) -> np.ndarray:
-    gram = _gram(values)
-    norms = np.sqrt(np.diagonal(gram))
+    norms = np.sqrt(diagonals)
     zero = norms == 0.0
     if zero.any():
         log.debug("%d of %d frames have zero norm; their edge weights are 0", zero.sum(), zero.size)
     with np.errstate(divide="ignore", invalid="ignore"):
-        weights = np.clip(gram / np.outer(norms, norms), 0.0, 1.0)
-    weights[_identical_rows(values)] = 1.0  # avoid rounding below 1 for identical frames
-    weights[zero, :] = 0.0
-    weights[:, zero] = 0.0
-    np.fill_diagonal(weights, 0.0)
-    return weights
+        weights = np.clip(gram / (norms[:, :, None] * norms[:, None, :]), 0.0, 1.0)
+    weights[(values[:, :, None] == values[:, None]).all(axis=3)] = 1.0  # exactly 1, not 1 ulp below
+    weights[zero[:, :, None] | zero[:, None, :]] = 0.0
+    np.einsum("bii->bi", weights)[...] = 0.0
+    if cfg.metric != "knn_cosine":
+        return weights
+    # Each row keeps its k strongest edges, and an edge kept by either end stays.
+    order = np.argsort(-weights, axis=2, kind="stable")
+    keep = np.zeros(weights.shape, dtype=bool)
+    np.put_along_axis(keep, order[:, :, : min(cfg.knn_k, values.shape[1] - 1)], True, axis=2)
+    return np.where(keep | np.swapaxes(keep, 1, 2), weights, 0.0)
 
 
 def similarity_matrix(segment: FeatureMatrix, cfg: SimilarityConfig) -> np.ndarray:
     """Edge-weight matrix for one segment under the configured metric."""
-    values = segment.values
-    n = values.shape[0]
-    if n < 1:
-        raise ValueError("similarity matrix needs at least one frame")
-
-    if cfg.metric == "cosine":
-        return _cosine_matrix(values)
-
-    if cfg.metric == "correlation":
-        centered = values - values.mean(axis=1, keepdims=True)
-        return _cosine_matrix(centered)
-
-    if cfg.metric == "euclidean_rbf":
-        gram = _gram(values)
-        sq_norms = np.diagonal(gram)
-        # Identical frames give exactly 0: their gram entries are all equal.
-        sq_dists = np.maximum(sq_norms[:, None] + sq_norms[None, :] - 2.0 * gram, 0.0)
-        if isinstance(cfg.rbf_sigma, str):
-            upper = np.sqrt(sq_dists[np.triu_indices(n, k=1)])
-            sigma = float(np.median(upper)) if upper.size else 0.0
-        else:
-            sigma = float(cfg.rbf_sigma)
-        if sigma <= 0.0:
-            weights = _identical_rows(values).astype(np.float64)
-        else:
-            weights = np.exp(-sq_dists / (2.0 * sigma**2))
-        np.fill_diagonal(weights, 0.0)
-        return weights
-
-    if cfg.metric == "knn_cosine":
-        weights = _cosine_matrix(values)
-        k = min(cfg.knn_k, n - 1)
-        order = np.argsort(-weights, axis=1, kind="stable")
-        keep = np.zeros((n, n), dtype=bool)
-        np.put_along_axis(keep, order[:, :k], True, axis=1)
-        keep |= keep.T
-        np.fill_diagonal(keep, False)
-        return np.where(keep, weights, 0.0)
-
-    raise ConfigError(f"unknown similarity metric {cfg.metric!r}")
+    return _similarity_batch(segment.values[None], cfg)[0]
 
 
 def build_graph(
@@ -176,12 +193,22 @@ def build_segment_graphs(
     cfg: SimilarityConfig,
     annotations: Annotations | None = None,
 ) -> list[SegmentGraph]:
-    """One graph per partition segment, labelled weakly when annotations allow."""
-    segments = split_video(features, partition)
-    labels = [None] * len(segments)
+    """One graph per partition segment, in order, labelled weakly when annotations allow."""
+    if partition.frame_count != features.frame_count:
+        raise ValueError(
+            f"partition covers {partition.frame_count} frames but video has {features.frame_count}"
+        )
+    spans = partition.spans()
+    labels = [None] * len(spans)
     if annotations is not None and annotations.frame_labels is not None:
         labels = [int(label) for label in derive_segment_labels(annotations, partition)]
-    return [
-        build_graph(segment, cfg, offset=s, weak_label=label)
-        for segment, (s, _e), label in zip(segments, partition.spans(), labels)
-    ]
+    values = features.values
+    graphs: list = [None] * len(spans)
+    for chunk in size_chunks([e - s for s, e in spans]):
+        starts = [spans[i][0] for i in chunk]
+        n = spans[chunk[0]][1] - starts[0]
+        weights = _similarity_batch(values[np.add.outer(starts, range(n))], cfg)
+        _check_edge_weights(weights)
+        for i, s, w in zip(chunk, starts, weights):
+            graphs[i] = SegmentGraph._of_checked_chunk(values[s : s + n], w, s, labels[i])
+    return graphs

@@ -16,15 +16,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataio import Annotations, derive_segment_labels
-from .graph import SegmentGraph
+from .graph import SegmentGraph, size_chunks
 from .model import CLASSIFIER_BIAS, CLASSIFIER_WEIGHTS, ForwardCache, ModelParams, forward
 from .numerics import sigmoid
 from .segmentation import Partition
-
-# The cap on B * n^2, the edge cells of one inference batch of B graphs of
-# n nodes: 40 ten-frame segments share a pass, one of 65 frames or more
-# runs alone. A larger cap raises peak memory for little time.
-BATCH_CELLS = 4096
 
 __all__ = [
     "node_scores",
@@ -65,17 +60,11 @@ def score_segments(
     """
     if frames not in ("none", "predicted", "all"):
         raise ValueError(f"frames must be 'none', 'predicted' or 'all', got {frames!r}")
-    by_size: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        by_size.setdefault(g.n, []).append(i)
     scored: list = [None] * len(graphs)
-    for n, indices in by_size.items():
-        chunk = max(1, BATCH_CELLS // (n * n))
-        for start in range(0, len(indices), chunk):
-            batch = indices[start : start + chunk]
-            results = _score_batch([graphs[i] for i in batch], params, frames)
-            for i, result in zip(batch, results):
-                scored[i] = result
+    for batch in size_chunks([g.n for g in graphs]):
+        results = _score_batch([graphs[i] for i in batch], params, frames)
+        for i, result in zip(batch, results):
+            scored[i] = result
     return scored
 
 

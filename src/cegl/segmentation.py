@@ -224,15 +224,6 @@ def partition_objective(f: FeatureMatrix, p: Partition, penalty: float) -> float
     return float(sum(SegmentCost(f).costs(b[:-1], b[1:]))) + penalty * (len(b) - 2)
 
 
-def split_video(f: FeatureMatrix, p: Partition) -> list[FeatureMatrix]:
-    """Views of the video's rows per segment; concatenation reproduces f."""
-    if p.frame_count != f.frame_count:
-        raise ValueError(
-            f"partition covers {p.frame_count} frames but video has {f.frame_count}"
-        )
-    return [FeatureMatrix(f.video_id, f.values[s:e]) for s, e in p.spans()]
-
-
 def write_partition(p: Partition, video_id: str, path) -> None:
     write_json({"video_id": video_id, "boundaries": list(p.boundaries)}, path)
 

@@ -3,7 +3,7 @@
 from collections import Counter
 
 from cegl import model
-from cegl.localization import BATCH_CELLS
+from cegl.graph import BATCH_CELLS
 
 
 def record_forward_calls(monkeypatch, *modules) -> list[list]:

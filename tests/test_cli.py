@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import struct
 from dataclasses import asdict
@@ -6,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from cegl import cli, localization, model
+from cegl import cli, graph, localization, model
 from cegl.cli import main
 from cegl.dataio import read_annotations, read_feature_matrix
 from cegl.graph import build_segment_graphs
@@ -408,6 +409,18 @@ class TestEvaluateMalformedInput:
     def test_malformed_span_or_score(self, pipeline, tmp_path, capsys, edit, fragment):
         self.assert_segments_rejected(pipeline, tmp_path, capsys, edit, fragment)
 
+    @pytest.mark.parametrize(
+        "score, predicted",
+        [(0.99, 0), (0.01, 1), (0.5, 0)],
+        ids=["high-score-predicted-0", "low-score-predicted-1", "half-score-predicted-0"],
+    )
+    def test_predicted_disagrees_with_score(self, pipeline, tmp_path, capsys, score, predicted):
+        self.assert_segments_rejected(
+            pipeline, tmp_path, capsys,
+            lambda segs: segs[0].update(score=score, predicted=predicted),
+            f"segment 0 has score {score} and predicted {predicted}; ",
+        )
+
     def test_integer_score_accepted(self, pipeline, tmp_path):
         preds = json.loads((pipeline / "preds.json").read_text())
         preds["segments"][0]["score"] = preds["segments"][0]["predicted"]
@@ -504,6 +517,45 @@ def test_classify_runs_one_forward_per_segment_and_no_frame_scores(
     partition = pipeline / "video-000.partition.json"
     assert_each_segment_scored_once(calls, read_partition(partition)[1].spans())
     assert frame_scored == []
+
+
+def make_asymmetric(w):
+    w[0, 1] = np.nextafter(w[1, 0], 2.0)
+
+
+def make_out_of_range(w):
+    w[0, 1] = w[1, 0] = 1.5
+
+
+@pytest.mark.parametrize(
+    "corrupt, fragment",
+    [(make_asymmetric, "symmetric"), (make_out_of_range, "[0, 1]")],
+    ids=["asymmetric", "out-of-range"],
+)
+def test_every_chunk_of_edge_weights_is_checked(
+    pipeline, tmp_path, monkeypatch, capsys, corrupt, fragment
+):
+    """A bad matrix in the last chunk of the batched kernel's output fails the build."""
+    features = read_feature_matrix(pipeline / "data" / "video-000.cegf")
+    _, partition = read_partition(pipeline / "video-000.partition.json")
+    chunks = len(list(graph.size_chunks([e - s for s, e in partition.spans()])))
+    real_kernel = graph._similarity_batch
+    calls = []
+
+    def corrupting_kernel(values, cfg):
+        weights = real_kernel(values, cfg)
+        calls.append(values.shape)
+        if len(calls) == chunks:
+            corrupt(weights[-1])
+        return weights
+
+    monkeypatch.setattr(graph, "_similarity_batch", corrupting_kernel)
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        build_segment_graphs(features, partition, load_checkpoint(pipeline / "model.cegm")[1])
+    assert len(calls) == chunks
+    out = tmp_path / "preds.json"
+    calls.clear()
+    assert_exit_2_without_output(inference_argv(pipeline, "classify", out), out, capsys, fragment)
 
 
 def test_localize_json_holds_score_segments_output(pipeline):

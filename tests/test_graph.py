@@ -3,9 +3,10 @@ import logging
 import numpy as np
 import pytest
 
-from cegl.dataio import FeatureMatrix, SynthConfig, derive_segment_labels, synth_video
+from cegl.dataio import Annotations, FeatureMatrix, SynthConfig, derive_segment_labels, synth_video
 from cegl.errors import ConfigError
 from cegl.graph import (
+    BATCH_CELLS,
     SegmentGraph,
     SimilarityConfig,
     build_graph,
@@ -13,6 +14,7 @@ from cegl.graph import (
     similarity_matrix,
 )
 from cegl.numerics import make_rng
+from cegl.segmentation import Partition
 
 
 def fm(values):
@@ -208,3 +210,68 @@ class TestBuildGraph:
         assert [g.weak_label for g in graphs] == [0, 1]
         assert [g.global_frame_offset for g in graphs] == [0, 5]
         assert graphs[0].n == 5
+
+
+class TestBatchedBuild:
+    @staticmethod
+    def video_and_partition():
+        """Sizes 1, 2, 3 and 70, some repeated, and more ten-frame segments than one chunk holds."""
+        tens = BATCH_CELLS // 10**2 + 5
+        lengths = [10, 1, 2, 10, 3, 70, 2, 1, 3] + [10] * tens + [70, 2]
+        rng = make_rng(9)
+        values = rng.standard_normal((sum(lengths), 4))
+        values[[0, 4, 10]] = 0.0  # zero-norm frames, two in a ten-frame segment and a lone one
+        values[[14, 15, 16]] = values[17]  # duplicate frames in a ten-frame segment
+        values[12] = values[11]  # a two-frame segment of one frame twice
+        values[24:26] = values[23]  # a three-frame segment of one frame
+        return FeatureMatrix("v", values), Partition(tuple(np.cumsum([0] + lengths).tolist()))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SimilarityConfig(),
+            SimilarityConfig(metric="correlation"),
+            SimilarityConfig(metric="euclidean_rbf"),
+            SimilarityConfig(metric="euclidean_rbf", rbf_sigma=0.7),
+            SimilarityConfig(metric="knn_cosine", knn_k=3),
+        ],
+        ids=["cosine", "correlation", "rbf-median", "rbf-explicit", "knn"],
+    )
+    def test_bit_identical_to_one_segment_builds(self, cfg):
+        features, partition = self.video_and_partition()
+        labels = np.zeros(features.frame_count, dtype=np.int64)
+        labels[::7] = 1
+        ann = Annotations("v", frame_labels=labels)
+        graphs = build_segment_graphs(features, partition, cfg, ann)
+        weak = derive_segment_labels(ann, partition)
+        assert len(graphs) == partition.segment_count
+        for g, (s, e), label in zip(graphs, partition.spans(), weak):
+            alone = build_graph(FeatureMatrix("v", features.values[s:e]), cfg, s, int(label))
+            assert g.edge_weights.tobytes() == alone.edge_weights.tobytes()
+            assert g.node_features.tobytes() == alone.node_features.tobytes()
+            assert (g.global_frame_offset, g.weak_label) == (s, label)
+            assert np.shares_memory(g.node_features, features.values)
+
+    def test_rbf_median_zero_connects_only_identical_frames(self):
+        # Six of the first segment's ten pairs are identical frames, so its
+        # median distance is 0; the second segment, in the same chunk, is not.
+        values = make_rng(10).standard_normal((10, 3))
+        values[1:4] = values[0]
+        graphs = build_segment_graphs(
+            fm(values), Partition((0, 5, 10)), SimilarityConfig(metric="euclidean_rbf")
+        )
+        expected = np.zeros((5, 5))
+        expected[:4, :4] = 1.0 - np.eye(4)
+        assert np.array_equal(graphs[0].edge_weights, expected)
+        assert (graphs[1].edge_weights[~np.eye(5, dtype=bool)] > 0.0).all()
+
+    def test_rbf_median_weights_keep_the_one_graph_formula(self):
+        # For these sigmas, 2 * sigma**2 and numpy's 2 * square(sigma) round
+        # apart in the last bit, and so do the weights: the former is today's.
+        sigmas = [1.8903560604397107, 0.8652184011534257, 1.1871341484964986, 0.5584296731335034]
+        values = np.zeros((2 * len(sigmas), 3))
+        values[1::2, 0] = sigmas  # two-frame segments at distance sigma
+        partition = Partition(tuple(range(0, values.shape[0] + 1, 2)))
+        graphs = build_segment_graphs(fm(values), partition, SimilarityConfig(metric="euclidean_rbf"))
+        for g, sigma in zip(graphs, sigmas):
+            assert g.edge_weights[0, 1] == np.exp(-(sigma * sigma) / (2.0 * sigma**2))

@@ -3,6 +3,7 @@ import pytest
 
 from cegl.dataio import FeatureMatrix
 from cegl.errors import ConfigError, FormatError
+from cegl.graph import SimilarityConfig, build_segment_graphs
 from cegl.numerics import make_rng
 from cegl.segmentation import (
     ORACLE_MAX_FRAMES,
@@ -14,7 +15,6 @@ from cegl.segmentation import (
     partition_objective,
     pelt,
     read_partition,
-    split_video,
     write_partition,
 )
 
@@ -251,30 +251,35 @@ class TestOracle:
 
 
 class TestSplitVideo:
+    """`build_segment_graphs` splits a video into one graph per segment."""
+
+    @staticmethod
+    def split(f, p):
+        return [g.node_features for g in build_segment_graphs(f, p, SimilarityConfig())]
+
     def test_two_segments(self):
         f = fm(np.arange(8, dtype=float).reshape(4, 2))
-        parts = split_video(f, Partition((0, 2, 4)))
+        parts = self.split(f, Partition((0, 2, 4)))
         assert len(parts) == 2
-        assert np.array_equal(parts[0].values, f.values[:2])
-        assert np.array_equal(parts[1].values, f.values[2:])
+        assert np.array_equal(parts[0], f.values[:2])
+        assert np.array_equal(parts[1], f.values[2:])
 
     def test_identity_partition(self):
         f = fm(np.arange(6, dtype=float).reshape(3, 2))
-        (only,) = split_video(f, Partition((0, 3)))
-        assert np.array_equal(only.values, f.values)
+        (only,) = self.split(f, Partition((0, 3)))
+        assert np.array_equal(only, f.values)
 
     def test_concat_round_trip(self):
         rng = make_rng(6)
         f = fm(rng.standard_normal((12, 3)))
         p = Partition((0, 3, 7, 12))
-        parts = split_video(f, p)
-        rebuilt = np.concatenate([s.values for s in parts])
+        rebuilt = np.concatenate(self.split(f, p))
         assert np.array_equal(rebuilt, f.values)
 
     def test_mismatched_length(self):
         f = fm(np.ones((4, 1)))
-        with pytest.raises(ValueError):
-            split_video(f, Partition((0, 5)))
+        with pytest.raises(ValueError, match="partition covers 5 frames but video has 4"):
+            self.split(f, Partition((0, 5)))
 
 
 def test_default_penalty_scales_with_dim_and_length():

@@ -95,7 +95,8 @@ def test_traced_segment_has_one_pelt_span_sized_by_its_input_and_output(tmp_path
     }
 
 
-def test_traced_classify_and_localize_run_one_forward_per_segment(tmp_path):
+def trained_video(tmp_path):
+    """(features, partition, model) paths of a synthesised, segmented and trained video."""
     config = write_config(tmp_path / "config.json")
     data = tmp_path / "data"
     features = data / "video-000.cegf"
@@ -105,6 +106,11 @@ def test_traced_classify_and_localize_run_one_forward_per_segment(tmp_path):
                  ["segment", "--features", features, "--config", config, "--out", partition],
                  ["train", "--data", data, "--config", config, "--out", model]):
         assert cegl.cli.main([str(a) for a in argv]) == 0
+    return features, partition, model
+
+
+def test_traced_classify_and_localize_run_one_forward_per_segment(tmp_path):
+    features, partition, model = trained_video(tmp_path)
     spans = read_partition(partition)[1].spans()
     batches = expected_batches([e - s for s, e in spans])
     inputs = ["--model", model, "--features", features, "--partition", partition]
@@ -118,3 +124,17 @@ def test_traced_classify_and_localize_run_one_forward_per_segment(tmp_path):
     per_segment, unit = tracer.layer_metrics(1)["localization.forward_per_segment"]
     assert unit == "ratio"
     assert per_segment == batches / len(spans) <= 1.0
+
+
+def test_traced_classify_has_one_graph_build_span_sized_by_the_partition(tmp_path):
+    features, partition, model = trained_video(tmp_path)
+    sizes = [e - s for s, e in read_partition(partition)[1].spans()]
+
+    tracer = traced(["classify", "--model", model, "--features", features,
+                     "--partition", partition, "--out", tmp_path / "preds.json"])
+    builds = [i for i, name_id in enumerate(tracer.name)
+              if tracer.names[name_id] == "graph.build"]
+    assert len(builds) == 1
+    assert tracer.names[tracer.name[tracer.parent[builds[0]]]] == "cli.classify"
+    assert tracer.sizes[builds[0]] == {
+        "graphs": len(sizes), "pairs": sum(n * (n - 1) // 2 for n in sizes)}
