@@ -69,6 +69,8 @@ class SimilarityConfig:
 
 def _check_edge_weights(w: np.ndarray) -> None:
     """Raise ValueError unless w, shaped (..., n, n), holds only valid edge-weight matrices."""
+    if not np.isfinite(w).all():
+        raise ValueError("edge weights must be finite")
     if not np.array_equal(w, np.swapaxes(w, -1, -2)):
         raise ValueError("edge weights must be symmetric")
     if np.diagonal(w, axis1=-2, axis2=-1).any():

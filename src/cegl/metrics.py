@@ -9,7 +9,7 @@ than propagating NaN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,16 +40,6 @@ class MetricsReport:
     fscore: float
     per_class: dict
     degenerate: tuple[str, ...] = ()
-
-    def to_json_obj(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "sensitivity": self.sensitivity,
-            "specificity": self.specificity,
-            "fscore": self.fscore,
-            "per_class": self.per_class,
-            "degenerate": list(self.degenerate),
-        }
 
 
 def confusion(preds, labels) -> ConfusionCounts:
@@ -172,7 +162,7 @@ def coverage_curve(
 
 
 def write_metrics(report: MetricsReport, path) -> None:
-    write_json(report.to_json_obj(), path)
+    write_json(asdict(report), path)
 
 
 def write_coverage_csv(curve: list[tuple[int, float]], path) -> None:

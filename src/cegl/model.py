@@ -28,10 +28,10 @@ attention-weighted node sum divided by n), mean, sum, maxpool.
 
 One frozen `ModelConfig` holds the layer dims, the two kinds, a_dim and
 the attention flag. It is the run config's model section, the argument of
-`init_params` and the checkpoint header's model keys. Parameters live in
-one ordered name -> array table (`param_shapes(config)`); gradients use
-the same table. Gate weights exist only for the gated aggregator and
-attention weights only for the attention readout.
+`init_params` and the checkpoint header's model keys. Parameters and
+gradients are each one float64 vector with a view per name, in
+`param_shapes(config)` order. Gate weights exist only for the gated
+aggregator and attention weights only for the attention readout.
 
 `forward` runs a batch of graphs at once, padded to the largest one
 with a node mask, and `backward` returns the weighted sum of the batch's
@@ -50,9 +50,11 @@ import json
 import logging
 import math
 import struct
-from collections.abc import Sequence
-from dataclasses import asdict, dataclass, fields, replace
+from collections.abc import Mapping, Sequence
+from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import accumulate
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -146,16 +148,26 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelParams:
-    """A model's configuration plus its parameter table.
+    """A model's configuration plus its parameters as one float64 vector.
 
-    `arrays` holds exactly the entries of `param_shapes(config)`, in that
-    order.
+    `arrays` maps each `param_shapes(config)` name, in order, to a view of
+    its slice of `vector`; entries are written in place, never rebound.
     """
 
     config: ModelConfig
-    arrays: dict[str, np.ndarray]
+    vector: np.ndarray
+    arrays: Mapping[str, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        shapes = param_shapes(self.config)
+        ends = list(accumulate(math.prod(s) for s in shapes.values()))
+        if self.vector.dtype != np.float64 or self.vector.shape != (ends[-1],):
+            raise ValueError(f"parameters must be a float64 vector of {ends[-1]} entries")
+        views = {name: self.vector[end - math.prod(shape) : end].reshape(shape)
+                 for (name, shape), end in zip(shapes.items(), ends)}
+        object.__setattr__(self, "arrays", MappingProxyType(views))
 
 
 @dataclass(frozen=True)
@@ -191,7 +203,7 @@ def init_params(config: ModelConfig, seed: int = 0, init_scale: float = 1.0) -> 
     # kept array the same values whatever the kinds, and the same values as
     # when every model still stored the unused arrays.
     rng = make_rng(seed)
-    arrays = {}
+    parts = []
     full = replace(config, aggregator_kind="gated", readout_kind="attention")
     for name, shape in param_shapes(full).items():
         if name == CLASSIFIER_BIAS:
@@ -200,12 +212,8 @@ def init_params(config: ModelConfig, seed: int = 0, init_scale: float = 1.0) -> 
             s = init_scale / np.sqrt(shape[-1])  # the last axis is the fan-in
             w = rng.uniform(-1.0, 1.0, size=shape) * s
         if name in kept:
-            arrays[name] = w
-    return ModelParams(config, arrays)
-
-
-def zero_gradients(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(w) for name, w in params.arrays.items()}
+            parts.append(w.ravel())
+    return ModelParams(config, np.concatenate(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +327,9 @@ def forward(
     so every layer leaves its embedding at exactly zero (a zero message,
     a zero pre-activation, a ReLU of zero): the mean, sum and maxpool
     readouts read it as nothing, the attention softmax masks it out, and
-    no gradient reaches it. A graph alone in its batch is used as a view,
-    without padding. Every product is taken per graph, so a graph in a
-    batch of graphs of its own size gets the bits a one-graph pass gives.
+    no gradient reaches it. Every product is taken per graph, so a graph
+    in a batch of graphs of its own size gets the bits a one-graph pass
+    gives.
 
     With record=False the pass is inference only: the gated recurrence
     keeps none of its n-1 steps per layer, and backward rejects the cache.
@@ -335,15 +343,11 @@ def forward(
             raise ValueError(f"graph features have dim {g.feature_dim}, model expects {d_in}")
     sizes = np.array([g.n for g in graphs])
     n_max = int(sizes.max())
-    if len(graphs) == 1:
-        h = graphs[0].node_features[None]
-        edges = graphs[0].edge_weights[None]
-    else:
-        h = np.zeros((len(graphs), n_max, d_in))
-        edges = np.zeros((len(graphs), n_max, n_max))
-        for b, g in enumerate(graphs):
-            h[b, : g.n] = g.node_features
-            edges[b, : g.n, : g.n] = g.edge_weights
+    h = np.zeros((len(graphs), n_max, d_in))
+    edges = np.zeros((len(graphs), n_max, n_max))
+    for b, g in enumerate(graphs):
+        h[b, : g.n] = g.node_features
+        edges[b, : g.n, : g.n] = g.edge_weights
     mask = None if sizes.min() == n_max else np.arange(n_max) < sizes[:, None]
 
     p = params.arrays
@@ -471,11 +475,11 @@ def _gated_backward(gates, grad_gates, steps, d_msgs, h):
     return dh
 
 
-def backward(cache: ForwardCache, labels, weights) -> dict[str, np.ndarray]:
+def backward(cache: ForwardCache, labels, weights) -> ModelParams:
     """Exact gradients of sum_b weights[b] * loss(prediction_b, labels[b]).
 
     One label and one weight per graph of the cached batch; the result is
-    a table like params.arrays. The cache must come from a recorded pass.
+    laid out like cache.params. The cache must come from a recorded pass.
     """
     if not cache.recorded:
         raise ValueError("backward needs a cache from forward(..., record=True)")
@@ -489,12 +493,13 @@ def backward(cache: ForwardCache, labels, weights) -> dict[str, np.ndarray]:
             f"{cache.prediction.size} graphs, got {labels.shape} and {weights.shape}"
         )
     p = params.arrays
-    grads = zero_gradients(params)
+    grads = ModelParams(cfg, np.zeros_like(params.vector))
+    g = grads.arrays
     h_final = cache.node_embeddings[-1]
 
     dlogit = (cache.prediction - labels) * weights  # sigmoid + cross entropy identity
-    grads[CLASSIFIER_WEIGHTS] += dlogit @ cache.graph_embedding
-    grads[CLASSIFIER_BIAS] += dlogit.sum()
+    g[CLASSIFIER_WEIGHTS][...] += dlogit @ cache.graph_embedding
+    g[CLASSIFIER_BIAS][...] += dlogit.sum()
     dh_g = dlogit[:, None] * p[CLASSIFIER_WEIGHTS]
 
     # Padded rows of dh need no masking: their pre-activations are exactly
@@ -508,9 +513,9 @@ def backward(cache: ForwardCache, labels, weights) -> dict[str, np.ndarray]:
         dalpha = (h_final @ dh_g[..., None])[..., 0]
         dh = alpha[..., None] * dh_g[:, None, :]
         dscores = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
-        grads[ATTENTION_VECTOR] += _rows(t).T @ dscores.ravel()
+        g[ATTENTION_VECTOR][...] += _rows(t).T @ dscores.ravel()
         dpre = dscores[..., None] * p[ATTENTION_VECTOR] * (1.0 - t**2)
-        grads[ATTENTION_TRANSFORM] += _rows(dpre).T @ _rows(h_final)
+        g[ATTENTION_TRANSFORM][...] += _rows(dpre).T @ _rows(h_final)
         dh = dh + dpre @ p[ATTENTION_TRANSFORM]
     elif kind == "mean":
         dh = np.broadcast_to((dh_g / cache.sizes[:, None])[:, None, :], h_final.shape)
@@ -526,7 +531,7 @@ def backward(cache: ForwardCache, labels, weights) -> dict[str, np.ndarray]:
         name = transform_name(layer)
         prev_dim = cfg.layer_dims[layer]
         dpre = dh * (cache.preacts[layer] > 0)
-        grads[name] += _rows(dpre).T @ _rows(cache.stacked_inputs[layer])
+        g[name][...] += _rows(dpre).T @ _rows(cache.stacked_inputs[layer])
         if layer == 0 and agg != "gated":
             break  # nothing below reads the input features' gradient
         dstacked = dpre @ p[name]
@@ -542,7 +547,7 @@ def backward(cache: ForwardCache, labels, weights) -> dict[str, np.ndarray]:
             names = [gate_name(layer, gate) for gate in GATE_NAMES]
             dh_in = _gated_backward(
                 [p[k] for k in names],
-                [grads[k] for k in names],
+                [g[k] for k in names],
                 cache.gated_steps[layer],
                 d_msgs,
                 cache.node_embeddings[layer],
@@ -556,13 +561,11 @@ def backward(cache: ForwardCache, labels, weights) -> dict[str, np.ndarray]:
 # Optimization
 
 
-def sgd_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> ModelParams:
-    """One plain gradient-descent update; rejects non-finite gradients."""
-    if not all(np.isfinite(gw).all() for gw in grads.values()):
+def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
+    """One plain SGD update into new params (caches keep the old); rejects non-finite gradients."""
+    if not np.isfinite(grads.vector).all():
         raise NumericError("non-finite gradient; step aborted")
-    return replace(
-        params, arrays={name: w - lr * grads[name] for name, w in params.arrays.items()}
-    )
+    return ModelParams(params.config, params.vector - lr * grads.vector)
 
 
 def train(
@@ -626,7 +629,7 @@ def save_checkpoint(
     similarity: SimilarityConfig | None = None,
     segmentation: SegmentationConfig | None = None,
 ) -> None:
-    """Binary checkpoint: magic, version, JSON header, float64 LE blobs."""
+    """Binary checkpoint: magic, version, JSON header, the float64 LE parameter vector."""
     header = {
         **asdict(params.config),
         "similarity": None if similarity is None else asdict(similarity),
@@ -634,7 +637,7 @@ def save_checkpoint(
         "params": [{"name": name, "shape": list(a.shape)} for name, a in params.arrays.items()],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    blob = b"".join(a.astype("<f8").tobytes() for a in params.arrays.values())
+    blob = params.vector.astype("<f8").tobytes()
     write_atomic(
         path,
         CEGM_MAGIC
@@ -688,16 +691,14 @@ def load_checkpoint(
     if header["params"] != [{"name": n, "shape": list(s)} for n, s in shapes.items()]:
         raise FormatError("checkpoint parameter table differs from the one its config implies")
 
-    sizes = [math.prod(s) for s in shapes.values()]
-    expected = 12 + header_len + 8 * sum(sizes)
+    expected = 12 + header_len + 8 * sum(math.prod(s) for s in shapes.values())
     if len(raw) != expected:
         raise TruncatedFileError(
             f"checkpoint payload length mismatch: expected {expected} bytes, got {len(raw)}"
         )
-    blob = np.frombuffer(raw, dtype="<f8", offset=12 + header_len).astype(np.float64)
-    chunks = np.split(blob, np.cumsum(sizes)[:-1])
-    arrays = {name: c.reshape(shape) for c, (name, shape) in zip(chunks, shapes.items())}
-    non_finite = [name for name, a in arrays.items() if not np.isfinite(a).all()]
+    vector = np.frombuffer(raw, dtype="<f8", offset=12 + header_len).astype(np.float64)
+    params = ModelParams(config, vector)
+    non_finite = [name for name, a in params.arrays.items() if not np.isfinite(a).all()]
     if non_finite:
         raise FormatError(f"checkpoint weights are not finite in {non_finite}")
-    return ModelParams(config, arrays), similarity, segmentation
+    return params, similarity, segmentation

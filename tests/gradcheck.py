@@ -1,12 +1,11 @@
-"""Gradient-check oracles: central finite differences over a flat parameter vector."""
+"""Gradient-check oracles: central finite differences over the flat parameter vector."""
 
-from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
 from cegl.errors import NumericError
-from cegl.model import backward, forward, loss
+from cegl.model import ModelParams, backward, forward, loss
 
 
 def finite_diff_grad(
@@ -40,32 +39,23 @@ def finite_diff_grad(
     return grad
 
 
-def flatten_params(table: dict[str, np.ndarray]) -> np.ndarray:
-    """A parameter or gradient table as one vector, in table order."""
-    return np.concatenate([a.ravel() for a in table.values()])
-
-
-def unflatten_params(vector: np.ndarray, template):
-    """ModelParams like template with its table read back from a flat vector."""
-    arrays, offset = {}, 0
-    for name, a in template.arrays.items():
-        arrays[name] = np.array(vector[offset : offset + a.size], dtype=np.float64).reshape(a.shape)
-        offset += a.size
-    if offset != vector.size:
-        raise ValueError(f"vector has {vector.size} entries, expected {offset}")
-    return replace(template, arrays=arrays)
-
-
 def check_gradients(graphs, params, labels, weights=None, rtol=1e-4, atol=1e-8):
-    """Assert that backward matches finite differences of the batch's weighted loss."""
+    """Assert that backward matches finite differences of the batch's weighted loss.
+
+    The analytic side comes from a recorded pass. Each finite-difference
+    evaluation writes the perturbed vector into one probe's parameters and
+    runs an inference-only pass, which reads only the prediction.
+    """
     labels = np.asarray(labels)
     weights = np.ones(len(graphs)) if weights is None else np.asarray(weights)
-    analytic = flatten_params(backward(forward(graphs, params), labels, weights))
+    analytic = backward(forward(graphs, params), labels, weights).vector
+    probe = ModelParams(params.config, params.vector.copy())
 
     def f(vec):
-        return float(weights @ loss(forward(graphs, unflatten_params(vec, params)).prediction, labels))
+        probe.vector[...] = vec
+        return float(weights @ loss(forward(graphs, probe, record=False).prediction, labels))
 
-    numeric = finite_diff_grad(f, flatten_params(params.arrays), eps=1e-5)
+    numeric = finite_diff_grad(f, params.vector, eps=1e-5)
     err = np.abs(analytic - numeric)
     bound = atol + rtol * np.maximum(np.abs(analytic), np.abs(numeric))
     bad = np.flatnonzero(err > bound)

@@ -41,7 +41,7 @@ from cegl.segmentation import (
     partition_objective,
     pelt,
 )
-from gradcheck import check_gradients, flatten_params
+from gradcheck import check_gradients
 
 
 def report(line):
@@ -144,7 +144,7 @@ def test_criterion_3_permutation_properties():
         labelled = [(g, g.weak_label) for g in graphs]
         params, _ = train(labelled, params, TrainConfig(epochs=2, seed=5))
         return np.concatenate(
-            [flatten_params(params.arrays), forward(graphs, params).prediction]
+            [params.vector, forward(graphs, params).prediction]
         )
 
     first, second = gated_run(), gated_run()
@@ -289,7 +289,7 @@ def test_criterion_6_format_round_trips(tmp_path):
         path = tmp_path / f"p{i}.cegm"
         save_checkpoint(params, path, similarity=SimilarityConfig())
         loaded, _sim, _seg = load_checkpoint(path)
-        assert np.array_equal(flatten_params(loaded.arrays), flatten_params(params.arrays))
+        assert np.array_equal(loaded.vector, params.vector)
         assert loaded.config.layer_dims == params.config.layer_dims
 
     good_feature = tmp_path / "m0.cegf"

@@ -170,6 +170,19 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             SegmentGraph(np.ones((2, 2)), np.array([[0.0, 1.5], [1.5, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [[0.0, np.nan], [np.nan, 0.0]],
+            [[np.nan, 0.5], [0.5, 0.0]],
+            [[0.0, np.inf], [np.inf, 0.0]],
+        ],
+        ids=["nan-off-diagonal", "nan-on-diagonal", "inf"],
+    )
+    def test_non_finite_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="edge weights must be finite"):
+            SegmentGraph(np.ones((2, 2)), np.array(weights))
+
     def test_separable_segment_cluster_weights(self):
         # Intra-cluster similarity must dominate the normal-abnormal one.
         cfg = SynthConfig(

@@ -1,3 +1,4 @@
+import struct
 import zlib
 
 import numpy as np
@@ -10,6 +11,7 @@ from cegl.model import (
     AGGREGATOR_KINDS,
     READOUT_KINDS,
     ModelConfig,
+    ModelParams,
     TrainConfig,
     backward,
     forward,
@@ -20,10 +22,9 @@ from cegl.model import (
     save_checkpoint,
     sgd_step,
     train,
-    zero_gradients,
 )
 from cegl.numerics import make_rng
-from gradcheck import check_gradients, flatten_params
+from gradcheck import check_gradients
 from cegl.segmentation import SegmentationConfig
 
 
@@ -48,7 +49,7 @@ class TestInitParams:
     def test_deterministic(self):
         a = init_params(ModelConfig((4, 3, 2)), seed=5)
         b = init_params(ModelConfig((4, 3, 2)), seed=5)
-        assert np.array_equal(flatten_params(a.arrays), flatten_params(b.arrays))
+        assert np.array_equal(a.vector, b.vector)
 
     def test_zero_scale_gives_half_probability(self):
         params = init_params(ModelConfig((3, 4, 4)), init_scale=0.0, seed=1)
@@ -97,6 +98,44 @@ class TestInitParams:
             ModelConfig((4, 3), readout_kind="lstm")
 
 
+class TestParamVector:
+    @pytest.mark.parametrize("agg", AGGREGATOR_KINDS)
+    @pytest.mark.parametrize("readout", READOUT_KINDS)
+    def test_every_entry_is_a_view_of_the_vector_in_table_order(self, agg, readout):
+        params = init_params(ModelConfig((5, 4, 3), agg, readout, a_dim=2), seed=1)
+        grads = backward(forward([random_graph(make_rng(3), d=5)], params), [1], [1.0])
+        for table in (params, grads):
+            assert list(table.arrays) == list(param_shapes(params.config))
+            offset = 0
+            for name, a in table.arrays.items():
+                assert np.shares_memory(a, table.vector), name
+                assert np.array_equal(a.ravel(), table.vector[offset : offset + a.size]), name
+                offset += a.size
+            assert offset == table.vector.size
+
+    def test_entries_cannot_be_rebound(self):
+        params = init_params(ModelConfig((3, 4, 2)), seed=1)
+        with pytest.raises(TypeError):
+            params.arrays["classifier.bias"] = np.ones(1)
+        params.arrays["classifier.bias"][...] = 2.0
+        assert params.vector[-1] == 2.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: v[:-1],
+            lambda v: np.append(v, 0.0),
+            lambda v: v.astype(np.float32),
+            lambda v: v.reshape(1, -1),
+        ],
+        ids=["short", "long", "float32", "2-d"],
+    )
+    def test_wrong_vector_rejected(self, make):
+        params = init_params(ModelConfig((3, 4, 2)), seed=1)
+        with pytest.raises(ValueError, match="float64 vector"):
+            ModelParams(params.config, make(params.vector))
+
+
 def scripted_gated(edge_w, h, update, reset, candidate):
     """Plain per-node sequential evaluation of the gated recurrence."""
     n, d = h.shape
@@ -119,7 +158,8 @@ def scripted_gated(edge_w, h, update, reset, candidate):
 def layer0_messages(g, kind, **overrides):
     """Forward's first-layer messages: the aggregator applied to the raw features."""
     params = init_params(ModelConfig((g.feature_dim, 3), kind, "mean"), seed=1)
-    params.arrays.update(overrides)
+    for name, value in overrides.items():
+        params.arrays[name][...] = value
     return forward([g], params).messages[0][0]
 
 
@@ -127,9 +167,9 @@ def attention_params(h_dim, transform, vector, averaged=True):
     """One mean layer that passes positive features through unchanged, then attention."""
     params = init_params(ModelConfig((h_dim, h_dim), "mean", "attention", a_dim=len(vector),
                                      attention_averaged=averaged))
-    params.arrays["layer0.transform"] = np.hstack([np.eye(h_dim), np.zeros((h_dim, h_dim))])
-    params.arrays["attention.transform"] = np.asarray(transform, dtype=np.float64)
-    params.arrays["attention.vector"] = np.asarray(vector, dtype=np.float64)
+    params.arrays["layer0.transform"][...] = np.hstack([np.eye(h_dim), np.zeros((h_dim, h_dim))])
+    params.arrays["attention.transform"][...] = np.asarray(transform, dtype=np.float64)
+    params.arrays["attention.vector"][...] = np.asarray(vector, dtype=np.float64)
     return params
 
 
@@ -198,7 +238,7 @@ class TestLayerForward:
         g = build_graph(FeatureMatrix("v", np.abs(make_rng(11).standard_normal((3, 2))) + 0.5),
                         SimilarityConfig())
         params = init_params(ModelConfig((2, 2), "mean"))
-        params.arrays["layer0.transform"] = np.hstack([np.eye(2), np.zeros((2, 2))])
+        params.arrays["layer0.transform"][...] = np.hstack([np.eye(2), np.zeros((2, 2))])
         out = forward([g], params).node_embeddings[1][0]
         assert np.allclose(out, g.node_features, atol=1e-15)
 
@@ -207,7 +247,7 @@ class TestLayerForward:
         g = random_graph(rng, n=4, d=3)
         params = init_params(ModelConfig((3, 5), "mean"))
         transform = rng.standard_normal((5, 6))
-        params.arrays["layer0.transform"] = transform
+        params.arrays["layer0.transform"][...] = transform
         cache = forward([g], params)
         msgs = cache.messages[0][0]
         for i in range(4):
@@ -249,8 +289,8 @@ class TestAttentionReadout:
         wa = rng.standard_normal((2, 3))
         u = rng.standard_normal(2)
         params = init_params(ModelConfig((3, 3), "mean", "attention", a_dim=2), seed=2)
-        params.arrays["attention.transform"] = wa
-        params.arrays["attention.vector"] = u
+        params.arrays["attention.transform"][...] = wa
+        params.arrays["attention.vector"][...] = u
         cache = forward([g], params)
         h = cache.node_embeddings[-1][0]
         scores = np.array([u @ np.tanh(wa @ h[i]) for i in range(4)])
@@ -343,7 +383,7 @@ class TestBackward:
         params = init_params(ModelConfig((3, 4, 2), "mean", "attention"), seed=7)
         cache = forward([g], params)
         grads = backward(cache, [1], [1.0])
-        assert grads["classifier.bias"].tolist() == [cache.prediction[0] - 1]
+        assert grads.arrays["classifier.bias"].tolist() == [cache.prediction[0] - 1]
 
     def test_unused_gate_branch_gets_zero_gradient(self):
         # A mean model has no gate weights, so there is no gate gradient
@@ -351,15 +391,15 @@ class TestBackward:
         g = random_graph(make_rng(19), n=4, d=3)
         params = init_params(ModelConfig((3, 4, 2), "mean", "attention"), seed=8)
         grads = backward(forward([g], params), [0], [1.0])
-        assert list(grads) == list(params.arrays)
-        assert not any("gate" in name for name in grads)
+        assert list(grads.arrays) == list(params.arrays)
+        assert not any("gate" in name for name in grads.arrays)
 
     def test_unused_attention_branch_gets_zero_gradient(self):
         g = random_graph(make_rng(20), n=4, d=3)
         params = init_params(ModelConfig((3, 4, 2), "mean", "mean"), seed=9)
         grads = backward(forward([g], params), [0], [1.0])
-        assert list(grads) == list(params.arrays)
-        assert not any(name.startswith("attention.") for name in grads)
+        assert list(grads.arrays) == list(params.arrays)
+        assert not any(name.startswith("attention.") for name in grads.arrays)
 
     def test_label_count_must_match_batch(self):
         # backward reads graphs and params from the cache, so the only
@@ -427,8 +467,8 @@ class TestBatchedPass:
                 backward(forward([g], params), [y], [w])
                 for g, y, w in zip(graphs, labels, weights)
             ]
-            got = flatten_params(batched)
-            want = flatten_params({name: sum(part[name] for part in parts) for name in batched})
+            got = batched.vector
+            want = sum(part.vector for part in parts)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("agg", AGGREGATOR_KINDS)
@@ -463,28 +503,41 @@ class TestSgdStep:
         g = random_graph(make_rng(22), n=3, d=3)
         grads = backward(forward([g], params), [1], [1.0])
         updated = sgd_step(params, grads, 0.0)
-        assert np.array_equal(flatten_params(updated.arrays), flatten_params(params.arrays))
+        assert np.array_equal(updated.vector, params.vector)
+
+    @pytest.mark.parametrize("agg", AGGREGATOR_KINDS)
+    def test_bit_equal_to_per_entry_update(self, agg):
+        params = init_params(ModelConfig((3, 4, 2), agg, "attention"), seed=2)
+        graphs = [random_graph(make_rng(4), n=n, d=3) for n in (2, 5)]
+        grads = backward(forward(graphs, params), [1, 0], [0.7, 1.3])
+        before = params.vector.copy()
+        updated = sgd_step(params, grads, 0.03)
+        for name, w in params.arrays.items():
+            want = w - 0.03 * grads.arrays[name]
+            assert updated.arrays[name].tobytes() == want.tobytes(), name
+        # a new vector: the cache that made grads still holds the old params
+        assert params.vector.tobytes() == before.tobytes()
 
     def test_scalar_arithmetic(self):
         params = init_params(ModelConfig((2, 1)), init_scale=0.0)
         params.arrays["classifier.bias"][0] = 1.0
-        grads = zero_gradients(params)
-        grads["classifier.bias"][0] = 2.0
+        grads = ModelParams(params.config, np.zeros_like(params.vector))
+        grads.arrays["classifier.bias"][0] = 2.0
         assert sgd_step(params, grads, 0.1).arrays["classifier.bias"][0] == pytest.approx(0.8)
 
     def test_converges_on_quadratic(self):
         # minimize (b - 3)^2 through the bias alone
         params = init_params(ModelConfig((2, 1)), init_scale=0.0)
         for _ in range(200):
-            grads = zero_gradients(params)
-            grads["classifier.bias"] = 2.0 * (params.arrays["classifier.bias"] - 3.0)
+            grads = ModelParams(params.config, np.zeros_like(params.vector))
+            grads.arrays["classifier.bias"][...] = 2.0 * (params.arrays["classifier.bias"] - 3.0)
             params = sgd_step(params, grads, 0.1)
         assert params.arrays["classifier.bias"][0] == pytest.approx(3.0, abs=1e-8)
 
     def test_nonfinite_gradient_aborts(self):
         params = init_params(ModelConfig((3, 4, 2)))
-        grads = zero_gradients(params)
-        grads["classifier.weights"][0] = np.nan
+        grads = ModelParams(params.config, np.zeros_like(params.vector))
+        grads.arrays["classifier.weights"][0] = np.nan
         with pytest.raises(NumericError):
             sgd_step(params, grads, 0.1)
 
@@ -509,7 +562,7 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.05, batch_size=1, epochs=5, seed=9)
         out1, hist1 = train(graphs, init_params(ModelConfig((2, 4, 3)), seed=3), cfg)
         out2, hist2 = train(graphs, init_params(ModelConfig((2, 4, 3)), seed=3), cfg)
-        assert np.array_equal(flatten_params(out1.arrays), flatten_params(out2.arrays))
+        assert np.array_equal(out1.vector, out2.vector)
         assert hist1 == hist2
 
     def test_epochs_zero_rejected(self):
@@ -579,7 +632,7 @@ class TestCheckpoint:
         save_checkpoint(params, path, similarity=sim, segmentation=seg)
         loaded, sim_back, seg_back = load_checkpoint(path)
         assert list(loaded.arrays) == list(params.arrays)
-        assert np.array_equal(flatten_params(loaded.arrays), flatten_params(params.arrays))
+        assert np.array_equal(loaded.vector, params.vector)
         assert loaded.config.layer_dims == params.config.layer_dims
         assert loaded.config.aggregator_kind == "gated"
         assert loaded.config.readout_kind == "attention"
@@ -587,6 +640,14 @@ class TestCheckpoint:
         assert loaded.config.attention_averaged is False
         assert sim_back == sim
         assert seg_back == seg
+
+    def test_payload_is_the_vector(self, tmp_path):
+        params = init_params(ModelConfig((5, 6, 4), "gated", "attention"), seed=3)
+        path = tmp_path / "m.cegm"
+        save_checkpoint(params, path)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", raw, 8)
+        assert raw[12 + header_len :] == params.vector.astype("<f8").tobytes()
 
     def test_numpy_int_dims_save_as_json_ints(self, tmp_path):
         # A feature dim read off an array is a numpy integer; the header is JSON.
