@@ -8,7 +8,13 @@ so their edges to normal frames are visibly weaker.
 
 import numpy as np
 
-from cegl import SimilarityConfig, SynthConfig, build_segment_graphs, synth_video
+from cegl import (
+    SimilarityConfig,
+    SynthConfig,
+    build_segment_graphs,
+    derive_segment_labels,
+    synth_video,
+)
 
 features, annotations, planted = synth_video(
     SynthConfig(
@@ -26,17 +32,17 @@ features, annotations, planted = synth_video(
 
 for metric in ("cosine", "correlation", "euclidean_rbf", "knn_cosine"):
     cfg = SimilarityConfig(metric=metric, knn_k=3)
-    graphs = build_segment_graphs(features, planted, cfg, annotations=annotations)
+    graphs = build_segment_graphs(features, planted, cfg)
     mean_weight = np.mean([g.edge_weights.mean() for g in graphs])
     print(f"{metric:14s}: {len(graphs)} graphs, mean edge weight {mean_weight:.3f}")
 
-graphs = build_segment_graphs(features, planted, SimilarityConfig(), annotations=annotations)
+graphs = build_segment_graphs(features, planted, SimilarityConfig())
+labels = derive_segment_labels(annotations, planted)
 print("\nwithin-cluster vs cross-cluster cosine weights per abnormal segment:")
-for g in graphs:
-    if not g.weak_label:
+for (s, e), g, label in zip(planted.spans(), graphs, labels):
+    if not label:
         continue
-    s = g.global_frame_offset
-    marked = annotations.frame_labels[s : s + g.n].astype(bool)
+    marked = annotations.frame_labels[s:e].astype(bool)
     normal = ~marked
     w = g.edge_weights
     within = w[np.ix_(normal, normal)]

@@ -13,6 +13,7 @@ from cegl import (
     TrainConfig,
     build_segment_graphs,
     confusion,
+    derive_segment_labels,
     forward,
     init_params,
     pelt,
@@ -38,8 +39,8 @@ similarity = SimilarityConfig()
 train_graphs = []
 for features, annotations, _ in videos[:4]:
     partition = pelt(features, seg_cfg)
-    graphs = build_segment_graphs(features, partition, similarity, annotations=annotations)
-    train_graphs += [(g, g.weak_label) for g in graphs]
+    graphs = build_segment_graphs(features, partition, similarity)
+    train_graphs += zip(graphs, derive_segment_labels(annotations, partition).tolist())
 print(f"training on {len(train_graphs)} segment graphs from 4 videos")
 
 model_cfg = ModelConfig(
@@ -56,9 +57,9 @@ print(f"loss: {history[0]:.3f} -> {history[-1]:.3f} over {len(history)} epochs")
 preds, labels = [], []
 for features, annotations, _ in videos[4:]:
     partition = pelt(features, seg_cfg)
-    graphs = build_segment_graphs(features, partition, similarity, annotations=annotations)
+    graphs = build_segment_graphs(features, partition, similarity)
     preds += (forward(graphs, params).prediction >= 0.5).astype(int).tolist()  # one batch
-    labels += [g.weak_label for g in graphs]
+    labels += derive_segment_labels(annotations, partition).tolist()
 
 report = weighted_metrics(confusion(preds, labels))
 print(f"held-out segments:  {len(labels)}")

@@ -43,8 +43,8 @@ similarity = SimilarityConfig()
 train_graphs = []
 for features, annotations, _ in videos[:4]:
     partition = pelt(features, seg_cfg)
-    graphs = build_segment_graphs(features, partition, similarity, annotations=annotations)
-    train_graphs += [(g, g.weak_label) for g in graphs]
+    graphs = build_segment_graphs(features, partition, similarity)
+    train_graphs += zip(graphs, derive_segment_labels(annotations, partition).tolist())
 model_cfg = ModelConfig((16, 32, 16), "mean", "attention", attention_averaged=False)
 params = init_params(model_cfg, seed=5, init_scale=2.0)
 params, _ = train(

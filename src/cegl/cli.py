@@ -24,7 +24,6 @@ from .graph import SimilarityConfig, build_segment_graphs
 from .localization import score_segments, topk_select
 from .model import (
     ModelConfig,
-    ModelParams,
     TrainConfig,
     init_params,
     load_checkpoint,
@@ -105,12 +104,10 @@ def _list_videos(data_dir: Path) -> list[Path]:
 
 
 def _load_video(cegf_path: Path) -> tuple[FeatureMatrix, Annotations]:
-    """A video's features and its annotations, which must carry frame labels."""
+    """A video's features and its annotations, which must name the same video."""
     features = dataio.read_feature_matrix(cegf_path)
     ann = dataio.read_annotations(cegf_path.with_name(cegf_path.stem + ".annotations.json"))
     _same_video(features=features.video_id, annotations=ann.video_id)
-    if ann.frame_labels is None:
-        raise ConfigError(f"annotations for {features.video_id} carry no frame labels")
     return features, ann
 
 
@@ -176,8 +173,8 @@ def cmd_train(args) -> int:
                 f"feature dim mismatch across videos: {features.feature_dim} vs {feature_dim}"
             )
         partition = pelt(features, cfg.segmentation)
-        graphs = build_segment_graphs(features, partition, cfg.similarity, annotations=ann)
-        labelled.extend((g, g.weak_label) for g in graphs)
+        graphs = build_segment_graphs(features, partition, cfg.similarity)
+        labelled.extend(zip(graphs, dataio.derive_segment_labels(ann, partition).tolist()))
 
     model_cfg = cfg.model
     if model_cfg.layer_dims is None:
@@ -191,18 +188,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(path) -> tuple[ModelParams, SimilarityConfig, SegmentationConfig | None]:
-    params, similarity, segmentation_cfg = load_checkpoint(path)
-    return params, similarity or SimilarityConfig(), segmentation_cfg
-
-
 def _score_video(args, frames: str):
     """(video id, spans, `score_segments` output) of --features cut by --partition.
 
     The --model checkpoint scores the segments; `frames` is passed on to
     `score_segments`.
     """
-    params, similarity, _ = _load_model(args.model)
+    params, similarity, _ = load_checkpoint(args.model)
     features = dataio.read_feature_matrix(args.features)
     video_id, partition = segmentation.read_partition(args.partition)
     _same_video(partition=video_id, features=features.video_id)
@@ -243,12 +235,7 @@ def cmd_coverage_curve(args) -> int:
         raise ConfigError(f"--ks must be comma-separated ints: {args.ks!r}") from exc
     if not ks or ks != sorted(ks) or ks[0] < 1:
         raise ConfigError("--ks must be ascending positive ints")
-    params, similarity, segmentation_cfg = _load_model(args.model)
-    if segmentation_cfg is None:
-        raise ConfigError(
-            f"checkpoint {args.model} records no segmentation settings; "
-            "retrain it with cegl train"
-        )
+    params, similarity, segmentation_cfg = load_checkpoint(args.model)
 
     data = []
     for cegf in _list_videos(Path(args.data)):

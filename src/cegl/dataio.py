@@ -13,8 +13,8 @@ CSV feature file (suffix ``.csv``): one frame per line, d comma-separated
 decimal reals, no header. Values survive a round trip to within 32-bit
 float rounding.
 
-Annotations: JSON object {"video_id": str, "frame_labels": [0|1, ...]
-(optional), "notes": str (optional)}.
+Annotations: JSON object {"video_id": str, "frame_labels": [0|1, ...],
+"notes": str (optional)}. `read_annotations` is the one check of the file.
 
 Values are widened to float64 in memory regardless of on-disk precision.
 """
@@ -75,23 +75,22 @@ class FeatureMatrix:
 
 @dataclass(frozen=True)
 class Annotations:
-    """Optional per-frame ground truth (1 = abnormal); used for synthesis and evaluation only."""
+    """Per-frame ground truth (1 = abnormal), the source of the weak segment labels."""
 
     video_id: str
-    frame_labels: np.ndarray | None = None  # (T,) of {0,1}
+    frame_labels: np.ndarray  # (T,) of {0,1}
     notes: str | None = None
 
     def __post_init__(self):
-        if self.frame_labels is not None:
-            labels = np.asarray(self.frame_labels)
-            if labels.ndim != 1:
-                raise ValueError("frame_labels must be 1-D")
-            # np.asarray reads [0, True, 1] as integers; a bool is not a label.
-            listed = () if isinstance(self.frame_labels, np.ndarray) else self.frame_labels
-            has_bool = any(isinstance(x, (bool, np.bool_)) for x in listed)
-            if has_bool or labels.dtype.kind not in "iu" or not np.isin(labels, (0, 1)).all():
-                raise ValueError("frame_labels must contain only the integers 0 and 1")
-            object.__setattr__(self, "frame_labels", labels.astype(np.int64))
+        labels = np.asarray(self.frame_labels)
+        if labels.ndim != 1:
+            raise ValueError("frame_labels must be 1-D")
+        # np.asarray reads [0, True, 1] as integers; a bool is not a label.
+        listed = () if isinstance(self.frame_labels, np.ndarray) else self.frame_labels
+        has_bool = any(isinstance(x, (bool, np.bool_)) for x in listed)
+        if has_bool or labels.dtype.kind not in "iu" or not np.isin(labels, (0, 1)).all():
+            raise ValueError("frame_labels must contain only the integers 0 and 1")
+        object.__setattr__(self, "frame_labels", labels.astype(np.int64))
 
 
 def config_from_json(cls, obj, section: str):
@@ -290,9 +289,7 @@ def _parse_csv(raw: bytes, path: Path, video_id: str) -> FeatureMatrix:
 
 
 def write_annotations(ann: Annotations, path) -> None:
-    obj: dict = {"video_id": ann.video_id}
-    if ann.frame_labels is not None:
-        obj["frame_labels"] = [int(x) for x in ann.frame_labels]
+    obj: dict = {"video_id": ann.video_id, "frame_labels": ann.frame_labels.tolist()}
     if ann.notes is not None:
         obj["notes"] = ann.notes
     write_json(obj, path)
@@ -307,22 +304,14 @@ def read_annotations(path) -> Annotations:
         raise FormatError(f"unknown annotation keys {sorted(unknown)} in {path}")
     labels = obj.get("frame_labels")
     # JSON true/false and reals such as 0.5 are not labels, even where an
-    # integer cast would take them.
-    if labels is not None and not (isinstance(labels, list) and set(map(type, labels)) <= {int}):
-        raise FormatError(f"frame_labels must be a list of the integers 0 and 1: {path}")
-    return Annotations(
-        video_id=obj["video_id"],
-        frame_labels=None if labels is None else np.asarray(labels, dtype=np.int64),
-        notes=obj.get("notes"),
-    )
+    # integer cast would take them. A missing or null list is no list either.
+    if not (isinstance(labels, list) and set(map(type, labels)) <= {int}):
+        raise FormatError(f"annotations need frame_labels, a list of the integers 0 and 1: {path}")
+    return Annotations(obj["video_id"], np.asarray(labels, dtype=np.int64), obj.get("notes"))
 
 
 def derive_segment_labels(ann: Annotations, partition) -> np.ndarray:
     """Weak segment labels: a segment is abnormal iff it holds any abnormal frame."""
-    if ann.frame_labels is None:
-        raise ConfigError(
-            "annotations carry no frame_labels; supply weak segment labels directly"
-        )
     bounds = partition.boundaries
     if bounds[-1] != len(ann.frame_labels):
         raise ValueError(

@@ -7,11 +7,13 @@ Identical frames get weight exactly 1. All metrics read one Gram matrix
 whose entries each depend on their own two frames only, so a pair's
 cosine or distance is the same in every segment that holds both frames.
 
-`build_segment_graphs` buckets segments by length n. One unpadded call of
-the kernel behind `similarity_matrix` makes each chunk of at most
-max(1, BATCH_CELLS // n^2) of them, bit-identical to one-segment calls;
-one check covers the chunk, and one debug line counts its zero-norm
-frames. Node features are views of the video.
+A graph is only its node features and edge weights: a segment's span
+and weak label are facts of the partition (`Partition.spans`,
+`dataio.derive_segment_labels`). `build_segment_graphs` buckets segments
+by length n. One unpadded kernel call makes each chunk of at most
+max(1, BATCH_CELLS // n^2) of them, bit-identical to `build_graph`'s
+one-segment call; one check covers the chunk, and one debug line counts
+its zero-norm frames. Node features are views of the video.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dataio import Annotations, FeatureMatrix, check_types, derive_segment_labels
+from .dataio import FeatureMatrix, check_types
 from .errors import ConfigError
 
 log = logging.getLogger(__name__)
@@ -81,12 +83,13 @@ def _check_edge_weights(w: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class SegmentGraph:
-    """Complete weighted graph over one segment's frames, in temporal order."""
+    """Complete weighted graph over one segment's frames, in temporal order.
+
+    It does not know its span or label: those are the partition's.
+    """
 
     node_features: np.ndarray  # (n, d) float64
     edge_weights: np.ndarray  # (n, n), symmetric, zero diagonal, in [0, 1]
-    global_frame_offset: int = 0
-    weak_label: int | None = None
 
     def __post_init__(self):
         feats = np.asarray(self.node_features, dtype=np.float64)
@@ -97,22 +100,15 @@ class SegmentGraph:
         if w.shape != (n, n):
             raise ValueError(f"edge weights must be ({n}, {n}), got {w.shape}")
         _check_edge_weights(w)
-        if self.weak_label is not None and self.weak_label not in (0, 1):
-            raise ValueError("weak_label must be 0 or 1 when present")
         object.__setattr__(self, "node_features", feats)
         object.__setattr__(self, "edge_weights", w)
 
     @classmethod
-    def _of_checked_chunk(cls, node_features, edge_weights, global_frame_offset, weak_label):
+    def _of_checked_chunk(cls, node_features, edge_weights):
         # Fields that `build_segment_graphs` has checked as a chunk: one more
         # check per graph took a quarter of a screening exam's build.
         graph = object.__new__(cls)
-        graph.__dict__.update(
-            node_features=node_features,
-            edge_weights=edge_weights,
-            global_frame_offset=global_frame_offset,
-            weak_label=weak_label,
-        )
+        graph.__dict__.update(node_features=node_features, edge_weights=edge_weights)
         return graph
 
     @property
@@ -169,41 +165,20 @@ def _similarity_batch(values: np.ndarray, cfg: SimilarityConfig) -> np.ndarray:
     return np.where(keep | np.swapaxes(keep, 1, 2), weights, 0.0)
 
 
-def similarity_matrix(segment: FeatureMatrix, cfg: SimilarityConfig) -> np.ndarray:
-    """Edge-weight matrix for one segment under the configured metric."""
-    return _similarity_batch(segment.values[None], cfg)[0]
-
-
-def build_graph(
-    segment: FeatureMatrix,
-    cfg: SimilarityConfig,
-    offset: int = 0,
-    weak_label: int | None = None,
-) -> SegmentGraph:
-    """Graph for one segment; node order is temporal frame order."""
-    return SegmentGraph(
-        node_features=segment.values,
-        edge_weights=similarity_matrix(segment, cfg),
-        global_frame_offset=offset,
-        weak_label=weak_label,
-    )
+def build_graph(segment: FeatureMatrix, cfg: SimilarityConfig) -> SegmentGraph:
+    """Graph for one segment under the configured metric; node order is temporal frame order."""
+    return SegmentGraph(segment.values, _similarity_batch(segment.values[None], cfg)[0])
 
 
 def build_segment_graphs(
-    features: FeatureMatrix,
-    partition,
-    cfg: SimilarityConfig,
-    annotations: Annotations | None = None,
+    features: FeatureMatrix, partition, cfg: SimilarityConfig
 ) -> list[SegmentGraph]:
-    """One graph per partition segment, in order, labelled weakly when annotations allow."""
+    """One graph per partition segment, in the order of `partition.spans()`."""
     if partition.frame_count != features.frame_count:
         raise ValueError(
             f"partition covers {partition.frame_count} frames but video has {features.frame_count}"
         )
     spans = partition.spans()
-    labels = [None] * len(spans)
-    if annotations is not None and annotations.frame_labels is not None:
-        labels = [int(label) for label in derive_segment_labels(annotations, partition)]
     values = features.values
     graphs: list = [None] * len(spans)
     for chunk in size_chunks([e - s for s, e in spans]):
@@ -212,5 +187,5 @@ def build_segment_graphs(
         weights = _similarity_batch(values[np.add.outer(starts, range(n))], cfg)
         _check_edge_weights(weights)
         for i, s, w in zip(chunk, starts, weights):
-            graphs[i] = SegmentGraph._of_checked_chunk(values[s : s + n], w, s, labels[i])
+            graphs[i] = SegmentGraph._of_checked_chunk(values[s : s + n], w)
     return graphs

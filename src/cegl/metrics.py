@@ -117,7 +117,7 @@ def coverage_curve(
     params: ModelParams,
     data: list[tuple[FeatureMatrix, Annotations, Partition]],
     ks: list[int],
-    similarity: SimilarityConfig | None = None,
+    similarity: SimilarityConfig = SimilarityConfig(),
     localize_all: bool = False,
 ) -> list[tuple[int, float]]:
     """Pooled coverage at each k over one or more annotated videos.
@@ -129,7 +129,6 @@ def coverage_curve(
     """
     if not ks or list(ks) != sorted(ks):
         raise ValueError("ks must be a non-empty ascending list")
-    similarity = similarity or SimilarityConfig()
     frames = "all" if localize_all else "predicted"
 
     per_video: list[tuple[dict[int, np.ndarray], Annotations, Partition]] = []

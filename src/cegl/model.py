@@ -302,7 +302,6 @@ class ForwardCache:
     sizes: np.ndarray  # (B,) node count per graph; N is the largest
     edge_weights: np.ndarray  # (B, N, N)
     node_embeddings: list[np.ndarray]  # H^0 .. H^L, each (B, N, d_l)
-    messages: list[np.ndarray]  # per layer
     stacked_inputs: list[np.ndarray]  # per layer, [H, messages]
     preacts: list[np.ndarray]  # per layer, before ReLU
     mean_degrees: list[np.ndarray | None]  # per layer (mean kind), the divisor used
@@ -312,7 +311,6 @@ class ForwardCache:
     attention_weights: np.ndarray | None  # alpha, (B, N), zero on padding
     readout_argmax: np.ndarray | None  # maxpool readout, (B, d)
     graph_embedding: np.ndarray  # (B, d)
-    logit: np.ndarray  # (B,)
     prediction: np.ndarray  # y_hat, (B,)
     recorded: bool  # whether backward can run on this cache
 
@@ -352,7 +350,7 @@ def forward(
 
     p = params.arrays
     embeddings = [h]
-    messages, stacked_inputs, preacts = [], [], []
+    stacked_inputs, preacts = [], []
     mean_degrees, maxpool_argmax, gated_steps = [], [], []
     for layer in range(len(cfg.layer_dims) - 1):
         deg = argmax = steps = None
@@ -366,7 +364,6 @@ def forward(
         stacked = np.concatenate([h, msgs], axis=2)
         pre = stacked @ p[transform_name(layer)].T
         h = np.maximum(pre, 0.0)
-        messages.append(msgs)
         stacked_inputs.append(stacked)
         preacts.append(pre)
         mean_degrees.append(deg)
@@ -402,7 +399,6 @@ def forward(
         sizes=sizes,
         edge_weights=edges,
         node_embeddings=embeddings,
-        messages=messages,
         stacked_inputs=stacked_inputs,
         preacts=preacts,
         mean_degrees=mean_degrees,
@@ -412,7 +408,6 @@ def forward(
         attention_weights=alpha,
         readout_argmax=readout_argmax,
         graph_embedding=h_g,
-        logit=logit,
         prediction=sigmoid(logit),
         recorded=record,
     )
@@ -565,7 +560,8 @@ def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
     """One plain SGD update into new params (caches keep the old); rejects non-finite gradients."""
     if not np.isfinite(grads.vector).all():
         raise NumericError("non-finite gradient; step aborted")
-    return ModelParams(params.config, params.vector - lr * grads.vector)
+    step = lr * grads.vector
+    return ModelParams(params.config, np.subtract(params.vector, step, out=step))
 
 
 def train(
@@ -626,14 +622,15 @@ def train(
 def save_checkpoint(
     params: ModelParams,
     path,
-    similarity: SimilarityConfig | None = None,
-    segmentation: SegmentationConfig | None = None,
+    *,
+    similarity: SimilarityConfig,
+    segmentation: SegmentationConfig,
 ) -> None:
     """Binary checkpoint: magic, version, JSON header, the float64 LE parameter vector."""
     header = {
         **asdict(params.config),
-        "similarity": None if similarity is None else asdict(similarity),
-        "segmentation": None if segmentation is None else asdict(segmentation),
+        "similarity": asdict(similarity),
+        "segmentation": asdict(segmentation),
         "params": [{"name": name, "shape": list(a.shape)} for name, a in params.arrays.items()],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -648,15 +645,13 @@ def save_checkpoint(
     )
 
 
-def load_checkpoint(
-    path,
-) -> tuple[ModelParams, SimilarityConfig | None, SegmentationConfig | None]:
-    """Parameters plus the similarity and segmentation configs saved with them.
+def load_checkpoint(path) -> tuple[ModelParams, SimilarityConfig, SegmentationConfig]:
+    """Parameters plus the similarity and segmentation configs they were trained with.
 
-    The file is checked here, once: every header key present, the model
-    keys non-null and read like the run config's model section, a
-    name/shape table equal to the one its model config implies, and
-    finite weights.
+    The file is checked here, once: a header object with every key present
+    and non-null, the model, similarity and segmentation keys read like
+    the run config's sections, a name/shape table equal to the one its
+    model config implies, and finite weights.
     """
     path = Path(path)
     if not path.exists():
@@ -674,18 +669,16 @@ def load_checkpoint(
         raise TruncatedFileError("checkpoint header truncated")
     try:
         header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
-        # A null model key counts as missing: the model config would fill in a default.
-        missing = [key for key in CEGM_HEADER_KEYS
-                   if key not in header or key in MODEL_KEYS and header[key] is None]
+        if not isinstance(header, dict):
+            raise FormatError("checkpoint header must be a JSON object")
+        # A null counts as missing: a config would fill in a default.
+        missing = [key for key in CEGM_HEADER_KEYS if header.get(key) is None]
         if missing:
             raise FormatError(f"checkpoint header lacks {missing}")
         config = config_from_json(ModelConfig, {key: header[key] for key in MODEL_KEYS}, "model")
         shapes = param_shapes(config)
-        sim, seg = header["similarity"], header["segmentation"]
-        similarity = None if sim is None else config_from_json(SimilarityConfig, sim, "similarity")
-        segmentation = (
-            None if seg is None else config_from_json(SegmentationConfig, seg, "segmentation")
-        )
+        similarity = config_from_json(SimilarityConfig, header["similarity"], "similarity")
+        segmentation = config_from_json(SegmentationConfig, header["segmentation"], "segmentation")
     except (ConfigError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed checkpoint header: {exc}") from exc
     if header["params"] != [{"name": n, "shape": list(s)} for n, s in shapes.items()]:

@@ -30,15 +30,32 @@ def expected_batches(sizes) -> int:
     return sum(-(-count // batch_cap(n)) for n, count in Counter(sizes).items())
 
 
-def assert_each_segment_scored_once(calls, spans):
-    """The calls' graphs are exactly the spans' segments, each once, in full equal-size batches.
+def record_graph_builds(monkeypatch, module) -> list[list]:
+    """Patch `build_segment_graphs` in module to note each list it returns; return those lists."""
+    built = []
+    real_build = module.build_segment_graphs
 
-    Every call holds graphs of one node count n, at most `batch_cap(n)` of
-    them, and the number of calls is one per (size, chunk).
+    def recording_build(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(module, "build_segment_graphs", recording_build)
+    return built
+
+
+def assert_each_segment_scored_once(calls, graphs, spans):
+    """The calls' graphs are exactly `graphs`, each once, in full equal-size batches.
+
+    `graphs` are the segments' graphs in the order of `spans`; a scored
+    graph is identified by identity. Every call holds graphs of one node
+    count n, at most `batch_cap(n)` of them, and the number of calls is
+    one per (size, chunk).
     """
-    scored = [(g.global_frame_offset, g.global_frame_offset + g.n) for c in calls for g in c]
-    assert sorted(scored) == sorted(spans)
-    for graphs in calls:
-        (n,) = {g.n for g in graphs}
-        assert len(graphs) <= batch_cap(n)
+    assert len(graphs) == len(spans)
+    span_of = {id(g): span for g, span in zip(graphs, spans)}
+    scored = [span_of.get(id(g)) for c in calls for g in c]
+    assert Counter(scored) == Counter(spans)
+    for batch in calls:
+        (n,) = {g.n for g in batch}
+        assert len(batch) <= batch_cap(n)
     assert len(calls) == expected_batches([e - s for s, e in spans])

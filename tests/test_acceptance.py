@@ -135,13 +135,12 @@ def test_criterion_3_permutation_properties():
     # gated runs reproduce bit-identically from a fixed seed
     rng = make_rng(3004)
     graphs = [
-        build_graph(FeatureMatrix("v", rng.standard_normal((5, 4))), SimilarityConfig(),
-                    weak_label=i % 2)
-        for i in range(6)
+        build_graph(FeatureMatrix("v", rng.standard_normal((5, 4))), SimilarityConfig())
+        for _ in range(6)
     ]
     def gated_run():
         params = init_params(ModelConfig((4, 5, 4), "gated", "attention"), seed=99)
-        labelled = [(g, g.weak_label) for g in graphs]
+        labelled = [(g, i % 2) for i, g in enumerate(graphs)]
         params, _ = train(labelled, params, TrainConfig(epochs=2, seed=5))
         return np.concatenate(
             [params.vector, forward(graphs, params).prediction]
@@ -192,8 +191,8 @@ def test_criterion_4_end_to_end_synthetic_protocol():
     train_graphs = []
     for features, ann, _planted in videos[:4]:
         partition = pelt(features, seg_cfg)
-        graphs = build_segment_graphs(features, partition, sim, annotations=ann)
-        train_graphs += [(g, g.weak_label) for g in graphs]
+        graphs = build_segment_graphs(features, partition, sim)
+        train_graphs += zip(graphs, derive_segment_labels(ann, partition).tolist())
 
     params = init_params(
         ModelConfig(
@@ -211,9 +210,9 @@ def test_criterion_4_end_to_end_synthetic_protocol():
     preds, labels, test_data = [], [], []
     for features, ann, _planted in videos[4:]:
         partition = pelt(features, seg_cfg)
-        graphs = build_segment_graphs(features, partition, sim, annotations=ann)
+        graphs = build_segment_graphs(features, partition, sim)
         preds += (forward(graphs, params).prediction >= 0.5).astype(int).tolist()
-        labels += [g.weak_label for g in graphs]
+        labels += derive_segment_labels(ann, partition).tolist()
         test_data.append((features, ann, partition))
 
     accuracy = weighted_metrics(confusion(preds, labels)).accuracy
@@ -287,7 +286,9 @@ def test_criterion_6_format_round_trips(tmp_path):
             seed=i,
         )
         path = tmp_path / f"p{i}.cegm"
-        save_checkpoint(params, path, similarity=SimilarityConfig())
+        save_checkpoint(
+            params, path, similarity=SimilarityConfig(), segmentation=SegmentationConfig()
+        )
         loaded, _sim, _seg = load_checkpoint(path)
         assert np.array_equal(loaded.vector, params.vector)
         assert loaded.config.layer_dims == params.config.layer_dims

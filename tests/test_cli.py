@@ -15,7 +15,11 @@ from cegl.localization import topk_select
 from cegl.metrics import coverage_curve
 from cegl.model import load_checkpoint
 from cegl.segmentation import read_partition
-from forward_calls import assert_each_segment_scored_once, record_forward_calls
+from forward_calls import (
+    assert_each_segment_scored_once,
+    record_forward_calls,
+    record_graph_builds,
+)
 
 
 def write_config(path, **overrides):
@@ -271,14 +275,26 @@ def pipeline(tmp_path_factory):
     return run_pipeline(tmp_path_factory.mktemp("shared"))
 
 
-def rewrite_header(src, dst, edit):
-    """Copy a CEGM checkpoint with its JSON header changed by edit(header)."""
+def checkpoint_header(path):
+    """The parsed JSON header of a CEGM checkpoint."""
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 8)
+    return json.loads(raw[12 : 12 + header_len])
+
+
+def replace_header(src, dst, header):
+    """Copy a CEGM checkpoint with header, any JSON value, as its JSON header."""
     raw = src.read_bytes()
     (header_len,) = struct.unpack_from("<I", raw, 8)
-    header = json.loads(raw[12 : 12 + header_len])
-    edit(header)
     new = json.dumps(header, sort_keys=True).encode()
     dst.write_bytes(raw[:8] + struct.pack("<I", len(new)) + new + raw[12 + header_len :])
+
+
+def rewrite_header(src, dst, edit):
+    """Copy a CEGM checkpoint with its JSON header changed in place by edit(header)."""
+    header = checkpoint_header(src)
+    edit(header)
+    replace_header(src, dst, header)
 
 
 def assert_exit_2_without_output(argv, out, capsys, *fragments):
@@ -495,16 +511,19 @@ def inference_argv(pipeline, command, out, partition=None):
 @pytest.mark.parametrize("all_segments", [True, False])
 def test_localize_runs_one_forward_per_segment(pipeline, tmp_path, monkeypatch, all_segments):
     calls = record_forward_calls(monkeypatch, cli, localization, model)
+    built = record_graph_builds(monkeypatch, cli)
     partition = pipeline / "video-000.partition.json"
     argv = inference_argv(pipeline, "localize", tmp_path / "loc.json")
     assert main(argv + (["--all-segments"] if all_segments else [])) == 0
-    assert_each_segment_scored_once(calls, read_partition(partition)[1].spans())
+    (graphs,) = built
+    assert_each_segment_scored_once(calls, graphs, read_partition(partition)[1].spans())
 
 
 def test_classify_runs_one_forward_per_segment_and_no_frame_scores(
     pipeline, tmp_path, monkeypatch
 ):
     calls = record_forward_calls(monkeypatch, cli, localization, model)
+    built = record_graph_builds(monkeypatch, cli)
     frame_scored = []
     real_node_scores = localization.node_scores
 
@@ -515,7 +534,8 @@ def test_classify_runs_one_forward_per_segment_and_no_frame_scores(
     monkeypatch.setattr(localization, "node_scores", counting_node_scores)
     assert main(inference_argv(pipeline, "classify", tmp_path / "preds.json")) == 0
     partition = pipeline / "video-000.partition.json"
-    assert_each_segment_scored_once(calls, read_partition(partition)[1].spans())
+    (graphs,) = built
+    assert_each_segment_scored_once(calls, graphs, read_partition(partition)[1].spans())
     assert frame_scored == []
 
 
@@ -612,6 +632,65 @@ def test_inputs_for_different_videos_exit_2(pipeline, tmp_path, capsys, command,
     else:
         argv = inference_argv(pipeline, command, out, inputs["partition"])
     assert_exit_2_without_output(argv, out, capsys, "'video-000'", "'video-001'")
+
+
+def hostile_input_cases():
+    """(id, file, command, new content from old, fragment): one bad input file per row.
+
+    Each file's one reader must refuse it: the annotations in `train`,
+    `evaluate` and `coverage-curve`, the checkpoint header in `classify`,
+    `localize` and `coverage-curve`.
+    """
+    annotations = {
+        "no-frame-labels": lambda a: {"video_id": a["video_id"]},
+        "null-frame-labels": lambda a: {**a, "frame_labels": None},
+    }
+    headers = {
+        "null-similarity": (lambda h: {**h, "similarity": None}, "similarity"),
+        "null-segmentation": (lambda h: {**h, "segmentation": None}, "segmentation"),
+        "list": (lambda h: [], "JSON object"),
+        "null": (lambda h: None, "JSON object"),
+        "string": (lambda h: "CEGM", "JSON object"),
+    }
+    for name, edit in annotations.items():
+        for command in ("train", "evaluate", "coverage-curve"):
+            yield f"annotations-{name}-{command}", "annotations", command, edit, "frame_labels"
+    for name, (edit, fragment) in headers.items():
+        for command in ("classify", "localize", "coverage-curve"):
+            yield f"header-{name}-{command}", "checkpoint", command, edit, fragment
+
+
+HOSTILE_INPUTS = list(hostile_input_cases())
+
+
+@pytest.mark.parametrize(
+    "kind, command, edit, fragment", [case[1:] for case in HOSTILE_INPUTS],
+    ids=[case[0] for case in HOSTILE_INPUTS],
+)
+def test_hostile_input_exits_2(pipeline, tmp_path, capsys, kind, command, edit, fragment):
+    data, model = pipeline / "data", pipeline / "model.cegm"
+    annotations = data / "video-000.annotations.json"
+    if kind == "annotations":
+        data = tmp_path / "data"
+        shutil.copytree(pipeline / "data", data)
+        annotations = data / "video-000.annotations.json"
+        annotations.write_text(json.dumps(edit(json.loads(annotations.read_text()))))
+    else:
+        model = tmp_path / "bad.cegm"
+        good = pipeline / "model.cegm"
+        replace_header(good, model, edit(checkpoint_header(good)))
+    partition = pipeline / "video-000.partition.json"
+    scored = ["--model", model, "--features", data / "video-000.cegf", "--partition", partition]
+    argv = {
+        "train": ["train", "--data", data, "--config", pipeline / "config.json"],
+        "evaluate": ["evaluate", "--preds", pipeline / "preds.json",
+                     "--annotations", annotations, "--partition", partition],
+        "coverage-curve": ["coverage-curve", "--model", model, "--data", data, "--ks", "1,2"],
+        "classify": ["classify", *scored],
+        "localize": ["localize", *scored, "--k", "2"],
+    }[command]
+    out = tmp_path / "out"
+    assert_exit_2_without_output([*argv, "--out", out], out, capsys, fragment)
 
 
 # Per section: a count field, a flag field and a real field, or None where

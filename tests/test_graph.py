@@ -11,7 +11,6 @@ from cegl.graph import (
     SimilarityConfig,
     build_graph,
     build_segment_graphs,
-    similarity_matrix,
 )
 from cegl.numerics import make_rng
 from cegl.segmentation import Partition
@@ -23,7 +22,7 @@ def fm(values):
 
 def pair_cosine(x, y):
     """The cosine edge weight of a two-frame segment."""
-    return similarity_matrix(fm([x, y]), SimilarityConfig())[0, 1]
+    return build_graph(fm([x, y]), SimilarityConfig()).edge_weights[0, 1]
 
 
 class TestCosineSimilarity:
@@ -45,7 +44,7 @@ class TestCosineSimilarity:
 
     def test_zero_norm_frames_logged_once_per_matrix(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="cegl.graph"):
-            similarity_matrix(fm([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]), SimilarityConfig())
+            build_graph(fm([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]), SimilarityConfig())
         assert [r.getMessage() for r in caplog.records] == [
             "2 of 3 frames have zero norm; their edge weights are 0"
         ]
@@ -69,7 +68,7 @@ class TestCosineSimilarity:
 
 class TestSimilarityMatrix:
     def test_two_identical_frames(self):
-        w = similarity_matrix(fm([[1.0, 2.0], [1.0, 2.0]]), SimilarityConfig())
+        w = build_graph(fm([[1.0, 2.0], [1.0, 2.0]]), SimilarityConfig()).edge_weights
         assert np.array_equal(w, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_matches_pairwise_calls_exactly(self):
@@ -84,26 +83,26 @@ class TestSimilarityMatrix:
         for n, d in ((13, 16), (57, 33)):
             values = rng.standard_normal((n, d))
             for cfg in configs:
-                w = similarity_matrix(fm(values), cfg)
+                w = build_graph(fm(values), cfg).edge_weights
                 for i in range(n):
                     for j in range(n):
-                        pair = similarity_matrix(fm(values[[i, j]]), cfg)[0, 1]
+                        pair = build_graph(fm(values[[i, j]]), cfg).edge_weights[0, 1]
                         assert w[i, j] == (0.0 if i == j else pair)
 
     def test_knn_without_pruning_equals_cosine(self):
         rng = make_rng(4)
         values = rng.standard_normal((5, 3))
-        full = similarity_matrix(fm(values), SimilarityConfig())
-        knn = similarity_matrix(
+        full = build_graph(fm(values), SimilarityConfig()).edge_weights
+        knn = build_graph(
             fm(values), SimilarityConfig(metric="knn_cosine", knn_k=4)
-        )
+        ).edge_weights
         assert np.array_equal(full, knn)
 
     def test_knn_min_degree(self):
         rng = make_rng(5)
         values = np.abs(rng.standard_normal((8, 4))) + 0.1  # all-positive weights
         k = 2
-        w = similarity_matrix(fm(values), SimilarityConfig(metric="knn_cosine", knn_k=k))
+        w = build_graph(fm(values), SimilarityConfig(metric="knn_cosine", knn_k=k)).edge_weights
         degrees = (w > 0).sum(axis=1)
         assert (degrees >= k).all()  # union symmetrization only adds edges
 
@@ -121,22 +120,23 @@ class TestSimilarityMatrix:
         for _ in range(10):
             n = int(rng.integers(1, 9))
             values = rng.standard_normal((n, 5))
-            w = similarity_matrix(fm(values), cfg)
+            w = build_graph(fm(values), cfg).edge_weights
             assert w.shape == (n, n)
             assert np.array_equal(w, w.T)
             assert not np.diagonal(w).any()
             assert w.min() >= 0.0 and w.max() <= 1.0
 
     def test_rbf_identical_frames(self):
-        w = similarity_matrix(
+        w = build_graph(
             fm([[1.0, 1.0]] * 3), SimilarityConfig(metric="euclidean_rbf")
-        )
+        ).edge_weights
         off = w[~np.eye(3, dtype=bool)]
         assert (off == 1.0).all()
 
     def test_rbf_explicit_sigma_monotone_in_distance(self):
         values = fm([[0.0], [1.0], [5.0]])
-        w = similarity_matrix(values, SimilarityConfig(metric="euclidean_rbf", rbf_sigma=2.0))
+        cfg = SimilarityConfig(metric="euclidean_rbf", rbf_sigma=2.0)
+        w = build_graph(values, cfg).edge_weights
         assert w[0, 1] > w[0, 2]
         assert w[0, 1] == pytest.approx(np.exp(-1 / 8), abs=1e-12)
 
@@ -151,11 +151,10 @@ class TestSimilarityMatrix:
 
 class TestBuildGraph:
     def test_singleton_graph(self):
-        g = build_graph(fm([[1.0, 2.0]]), SimilarityConfig(), offset=10)
+        g = build_graph(fm([[1.0, 2.0]]), SimilarityConfig())
         assert g.n == 1
         assert g.edge_weights.shape == (1, 1)
         assert g.edge_weights[0, 0] == 0.0
-        assert g.global_frame_offset == 10
 
     def test_identical_frames_fully_connected(self):
         g = build_graph(fm([[1.0, 1.0]] * 4), SimilarityConfig())
@@ -202,7 +201,7 @@ class TestBuildGraph:
             if label == 0:
                 continue
             seg = FeatureMatrix("v", features.values[s:e])
-            w = similarity_matrix(seg, SimilarityConfig())
+            w = build_graph(seg, SimilarityConfig()).edge_weights
             marks = ann.frame_labels[s:e].astype(bool)
             normal = ~marks
             within = w[np.ix_(normal, normal)]
@@ -215,13 +214,13 @@ class TestBuildGraph:
     def test_build_segment_graphs_labels(self):
         rng = make_rng(8)
         features = fm(rng.standard_normal((10, 3)))
-        from cegl.dataio import Annotations
-        from cegl.segmentation import Partition
-
         ann = Annotations("v", frame_labels=np.array([0] * 5 + [1] + [0] * 4))
-        graphs = build_segment_graphs(features, Partition((0, 5, 10)), SimilarityConfig(), ann)
-        assert [g.weak_label for g in graphs] == [0, 1]
-        assert [g.global_frame_offset for g in graphs] == [0, 5]
+        partition = Partition((0, 5, 10))
+        graphs = build_segment_graphs(features, partition, SimilarityConfig())
+        assert derive_segment_labels(ann, partition).tolist() == [0, 1]
+        assert [s for s, _ in partition.spans()] == [0, 5]
+        for g, (s, e) in zip(graphs, partition.spans(), strict=True):
+            assert np.array_equal(g.node_features, features.values[s:e])
         assert graphs[0].n == 5
 
 
@@ -252,17 +251,12 @@ class TestBatchedBuild:
     )
     def test_bit_identical_to_one_segment_builds(self, cfg):
         features, partition = self.video_and_partition()
-        labels = np.zeros(features.frame_count, dtype=np.int64)
-        labels[::7] = 1
-        ann = Annotations("v", frame_labels=labels)
-        graphs = build_segment_graphs(features, partition, cfg, ann)
-        weak = derive_segment_labels(ann, partition)
+        graphs = build_segment_graphs(features, partition, cfg)
         assert len(graphs) == partition.segment_count
-        for g, (s, e), label in zip(graphs, partition.spans(), weak):
-            alone = build_graph(FeatureMatrix("v", features.values[s:e]), cfg, s, int(label))
+        for g, (s, e) in zip(graphs, partition.spans()):
+            alone = build_graph(FeatureMatrix("v", features.values[s:e]), cfg)
             assert g.edge_weights.tobytes() == alone.edge_weights.tobytes()
             assert g.node_features.tobytes() == alone.node_features.tobytes()
-            assert (g.global_frame_offset, g.weak_label) == (s, label)
             assert np.shares_memory(g.node_features, features.values)
 
     def test_rbf_median_zero_connects_only_identical_frames(self):

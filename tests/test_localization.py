@@ -172,9 +172,8 @@ class TestScoreSegments:
         sizes = (4, 1, 7, 5, 6, 1, 5, 5, *[10] * 45, 70, 4, 70)
         offsets = np.cumsum((0, *sizes))
         graphs = [
-            build_graph(FeatureMatrix("v", rng.standard_normal((n, 3))), SimilarityConfig(),
-                        offset=int(s))
-            for n, s in zip(sizes, offsets)
+            build_graph(FeatureMatrix("v", rng.standard_normal((n, 3))), SimilarityConfig())
+            for n in sizes
         ]
         params = init_params(ModelConfig((3, 4, 2), aggregator, "attention"), seed=9)
         predictions = [forward([g], params).prediction[0] for g in graphs]
@@ -183,7 +182,7 @@ class TestScoreSegments:
                                                       (1 - np.median(predictions)))
         calls = record_forward_calls(monkeypatch, localization)
         scored = score_segments(graphs, params, frames)
-        assert_each_segment_scored_once(calls, list(zip(offsets[:-1], offsets[1:])))
+        assert_each_segment_scored_once(calls, graphs, list(zip(offsets[:-1], offsets[1:])))
         assert max(map(len, calls)) == 40
         assert len(scored) == len(graphs)
         predicted = []

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cegl.dataio import SynthConfig, synth_video
+from cegl.dataio import SynthConfig, derive_segment_labels, synth_video
 from cegl.graph import SimilarityConfig, build_segment_graphs
-from cegl import localization, model
+from cegl import localization, metrics, model
 from cegl.metrics import (
     ConfusionCounts,
     confusion,
@@ -14,7 +14,11 @@ from cegl.metrics import (
 )
 from cegl.model import ModelConfig, TrainConfig, forward, init_params, train
 from cegl.numerics import make_rng
-from forward_calls import assert_each_segment_scored_once, record_forward_calls
+from forward_calls import (
+    assert_each_segment_scored_once,
+    record_forward_calls,
+    record_graph_builds,
+)
 
 
 class TestConfusion:
@@ -115,8 +119,8 @@ def separable_video(seed):
 class TestCoverageCurve:
     def overfit_model(self, features, ann, partition):
         sim = SimilarityConfig()
-        graphs = build_segment_graphs(features, partition, sim, annotations=ann)
-        labelled = [(g, g.weak_label) for g in graphs]
+        graphs = build_segment_graphs(features, partition, sim)
+        labelled = list(zip(graphs, derive_segment_labels(ann, partition).tolist()))
         params = init_params(
             ModelConfig(
                 (features.feature_dim, 16, 8), "mean", "attention", attention_averaged=False
@@ -161,8 +165,10 @@ class TestCoverageCurve:
         params = init_params(ModelConfig((features.feature_dim, 4, 3), "mean", "attention"), seed=1)
         params.arrays["classifier.bias"][0] = 5.0  # every segment predicted abnormal
         calls = record_forward_calls(monkeypatch, localization, model)
+        built = record_graph_builds(monkeypatch, metrics)
         coverage_curve(params, [(features, ann, partition)], [1, 2], localize_all=localize_all)
-        assert_each_segment_scored_once(calls, partition.spans())
+        (graphs,) = built
+        assert_each_segment_scored_once(calls, graphs, partition.spans())
         graphs = [g for batch in calls for g in batch]
         assert (forward(graphs, params).prediction >= 0.5).all()
 

@@ -28,20 +28,18 @@ from gradcheck import check_gradients
 from cegl.segmentation import SegmentationConfig
 
 
-def random_graph(rng, n=None, d=None, label=None):
+def random_graph(rng, n=None, d=None):
     n = n or int(rng.integers(2, 7))
     d = d or int(rng.integers(2, 6))
     values = rng.standard_normal((n, d))
     seg = FeatureMatrix("v", values)
-    return build_graph(seg, SimilarityConfig(), weak_label=label)
+    return build_graph(seg, SimilarityConfig())
 
 
 def permute_graph(g, perm):
     return SegmentGraph(
         node_features=g.node_features[perm],
         edge_weights=g.edge_weights[np.ix_(perm, perm)],
-        global_frame_offset=g.global_frame_offset,
-        weak_label=g.weak_label,
     )
 
 
@@ -160,7 +158,7 @@ def layer0_messages(g, kind, **overrides):
     params = init_params(ModelConfig((g.feature_dim, 3), kind, "mean"), seed=1)
     for name, value in overrides.items():
         params.arrays[name][...] = value
-    return forward([g], params).messages[0][0]
+    return forward([g], params).stacked_inputs[0][0, :, g.feature_dim :]
 
 
 def attention_params(h_dim, transform, vector, averaged=True):
@@ -249,7 +247,7 @@ class TestLayerForward:
         transform = rng.standard_normal((5, 6))
         params.arrays["layer0.transform"][...] = transform
         cache = forward([g], params)
-        msgs = cache.messages[0][0]
+        msgs = cache.stacked_inputs[0][0, :, g.feature_dim :]
         for i in range(4):
             stacked = np.concatenate([g.node_features[i], msgs[i]])
             assert np.allclose(cache.node_embeddings[1][0, i],
@@ -620,6 +618,10 @@ class TestPermutationProperties:
         assert np.array_equal(msgs, np.zeros_like(feats))
 
 
+def save_with_defaults(params, path):
+    save_checkpoint(params, path, similarity=SimilarityConfig(), segmentation=SegmentationConfig())
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         params = init_params(
@@ -644,7 +646,7 @@ class TestCheckpoint:
     def test_payload_is_the_vector(self, tmp_path):
         params = init_params(ModelConfig((5, 6, 4), "gated", "attention"), seed=3)
         path = tmp_path / "m.cegm"
-        save_checkpoint(params, path)
+        save_with_defaults(params, path)
         raw = path.read_bytes()
         (header_len,) = struct.unpack_from("<I", raw, 8)
         assert raw[12 + header_len :] == params.vector.astype("<f8").tobytes()
@@ -654,13 +656,13 @@ class TestCheckpoint:
         config = ModelConfig((np.int64(3), 4, 2), "mean", "attention")
         assert all(type(d) is int for d in (*config.layer_dims, config.a_dim))
         path = tmp_path / "m.cegm"
-        save_checkpoint(init_params(config, seed=1), path)
+        save_with_defaults(init_params(config, seed=1), path)
         assert load_checkpoint(path)[0].config == ModelConfig((3, 4, 2), "mean", "attention")
 
     def test_corrupted_magic(self, tmp_path):
         params = init_params(ModelConfig((3, 3, 2)), seed=1)
         path = tmp_path / "m.cegm"
-        save_checkpoint(params, path)
+        save_with_defaults(params, path)
         bad = tmp_path / "bad.cegm"
         bad.write_bytes(b"XXXX" + path.read_bytes()[4:])
         with pytest.raises(FormatError, match="magic"):
@@ -669,7 +671,7 @@ class TestCheckpoint:
     def test_truncated(self, tmp_path):
         params = init_params(ModelConfig((3, 3, 2)), seed=1)
         path = tmp_path / "m.cegm"
-        save_checkpoint(params, path)
+        save_with_defaults(params, path)
         trunc = tmp_path / "t.cegm"
         trunc.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(TruncatedFileError):
