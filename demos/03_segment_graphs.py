@@ -32,11 +32,11 @@ features, annotations, planted = synth_video(
 
 for metric in ("cosine", "correlation", "euclidean_rbf", "knn_cosine"):
     cfg = SimilarityConfig(metric=metric, knn_k=3)
-    graphs = build_segment_graphs(features, planted, cfg)
+    graphs = build_segment_graphs(features, planted.spans(), cfg)
     mean_weight = np.mean([g.edge_weights.mean() for g in graphs])
     print(f"{metric:14s}: {len(graphs)} graphs, mean edge weight {mean_weight:.3f}")
 
-graphs = build_segment_graphs(features, planted, SimilarityConfig())
+graphs = build_segment_graphs(features, planted.spans(), SimilarityConfig())
 labels = derive_segment_labels(annotations, planted)
 print("\nwithin-cluster vs cross-cluster cosine weights per abnormal segment:")
 for (s, e), g, label in zip(planted.spans(), graphs, labels):

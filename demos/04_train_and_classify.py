@@ -39,7 +39,7 @@ similarity = SimilarityConfig()
 train_graphs = []
 for features, annotations, _ in videos[:4]:
     partition = pelt(features, seg_cfg)
-    graphs = build_segment_graphs(features, partition, similarity)
+    graphs = build_segment_graphs(features, partition.spans(), similarity)
     train_graphs += zip(graphs, derive_segment_labels(annotations, partition).tolist())
 print(f"training on {len(train_graphs)} segment graphs from 4 videos")
 
@@ -57,7 +57,7 @@ print(f"loss: {history[0]:.3f} -> {history[-1]:.3f} over {len(history)} epochs")
 preds, labels = [], []
 for features, annotations, _ in videos[4:]:
     partition = pelt(features, seg_cfg)
-    graphs = build_segment_graphs(features, partition, similarity)
+    graphs = build_segment_graphs(features, partition.spans(), similarity)
     preds += (forward(graphs, params).prediction >= 0.5).astype(int).tolist()  # one batch
     labels += derive_segment_labels(annotations, partition).tolist()
 

@@ -43,7 +43,7 @@ similarity = SimilarityConfig()
 train_graphs = []
 for features, annotations, _ in videos[:4]:
     partition = pelt(features, seg_cfg)
-    graphs = build_segment_graphs(features, partition, similarity)
+    graphs = build_segment_graphs(features, partition.spans(), similarity)
     train_graphs += zip(graphs, derive_segment_labels(annotations, partition).tolist())
 model_cfg = ModelConfig((16, 32, 16), "mean", "attention", attention_averaged=False)
 params = init_params(model_cfg, seed=5, init_scale=2.0)
@@ -57,7 +57,7 @@ params, _ = train(
 # Localize one held-out video and show a few abnormal segments.
 features, annotations, _ = videos[4]
 partition = pelt(features, seg_cfg)
-graphs = build_segment_graphs(features, partition, similarity)
+graphs = build_segment_graphs(features, partition.spans(), similarity)
 labels = derive_segment_labels(annotations, partition)
 spans = partition.spans()
 

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import dataio, metrics, segmentation
 from .dataio import Annotations, FeatureMatrix, SynthConfig, config_from_json
 from .errors import CeglError, ConfigError, DataError, FormatError, NumericError
-from .graph import SimilarityConfig, build_segment_graphs
+from .graph import SimilarityConfig, build_segment_graphs, size_chunks
 from .localization import score_segments, topk_select
 from .model import (
     ModelConfig,
@@ -173,7 +173,7 @@ def cmd_train(args) -> int:
                 f"feature dim mismatch across videos: {features.feature_dim} vs {feature_dim}"
             )
         partition = pelt(features, cfg.segmentation)
-        graphs = build_segment_graphs(features, partition, cfg.similarity)
+        graphs = build_segment_graphs(features, partition.spans(), cfg.similarity)
         labelled.extend(zip(graphs, dataio.derive_segment_labels(ann, partition).tolist()))
 
     model_cfg = cfg.model
@@ -192,14 +192,24 @@ def _score_video(args, frames: str):
     """(video id, spans, `score_segments` output) of --features cut by --partition.
 
     The --model checkpoint scores the segments; `frames` is passed on to
-    `score_segments`.
+    `score_segments`. Graphs are built and scored one size chunk at a
+    time, so only one chunk of them is held at once.
     """
     params, similarity, _ = load_checkpoint(args.model)
     features = dataio.read_feature_matrix(args.features)
     video_id, partition = segmentation.read_partition(args.partition)
     _same_video(partition=video_id, features=features.video_id)
-    graphs = build_segment_graphs(features, partition, similarity)
-    return video_id, partition.spans(), score_segments(graphs, params, frames)
+    if partition.frame_count != features.frame_count:
+        raise ValueError(
+            f"partition covers {partition.frame_count} frames but video has {features.frame_count}"
+        )
+    spans = partition.spans()
+    scored: list = [None] * len(spans)
+    for chunk in size_chunks([e - s for s, e in spans]):
+        graphs = build_segment_graphs(features, [spans[i] for i in chunk], similarity)
+        for i, result in zip(chunk, score_segments(graphs, params, frames)):
+            scored[i] = result
+    return video_id, spans, scored
 
 
 def cmd_classify(args) -> int:

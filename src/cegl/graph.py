@@ -9,11 +9,14 @@ cosine or distance is the same in every segment that holds both frames.
 
 A graph is only its node features and edge weights: a segment's span
 and weak label are facts of the partition (`Partition.spans`,
-`dataio.derive_segment_labels`). `build_segment_graphs` buckets segments
-by length n. One unpadded kernel call makes each chunk of at most
-max(1, BATCH_CELLS // n^2) of them, bit-identical to `build_graph`'s
-one-segment call; one check covers the chunk, and one debug line counts
-its zero-norm frames. Node features are views of the video.
+`dataio.derive_segment_labels`). `build_segment_graphs` takes frame
+spans and buckets them by length n. One unpadded kernel call makes each
+chunk of at most max(1, BATCH_CELLS // n^2) of them, bit-identical to
+`build_graph`'s one-segment call; one check covers the chunk, and one
+debug line counts its zero-norm frames. Node features are views of the
+video. Inference (`cegl classify`, `cegl localize`) builds and scores one
+such size chunk at a time, so it holds one chunk of graphs, not the
+video's.
 """
 
 from __future__ import annotations
@@ -171,14 +174,13 @@ def build_graph(segment: FeatureMatrix, cfg: SimilarityConfig) -> SegmentGraph:
 
 
 def build_segment_graphs(
-    features: FeatureMatrix, partition, cfg: SimilarityConfig
+    features: FeatureMatrix, spans: Sequence[tuple[int, int]], cfg: SimilarityConfig
 ) -> list[SegmentGraph]:
-    """One graph per partition segment, in the order of `partition.spans()`."""
-    if partition.frame_count != features.frame_count:
-        raise ValueError(
-            f"partition covers {partition.frame_count} frames but video has {features.frame_count}"
-        )
-    spans = partition.spans()
+    """One graph per [start, end) frame span of the video, in the order of `spans`."""
+    frames = features.frame_count
+    for s, e in spans:
+        if not 0 <= s < e <= frames:
+            raise ValueError(f"span [{s}, {e}) lies outside the video's {frames} frames")
     values = features.values
     graphs: list = [None] * len(spans)
     for chunk in size_chunks([e - s for s, e in spans]):

@@ -133,7 +133,7 @@ def coverage_curve(
 
     per_video: list[tuple[dict[int, np.ndarray], Annotations, Partition]] = []
     for features, ann, partition in data:
-        graphs = build_segment_graphs(features, partition, similarity)
+        graphs = build_segment_graphs(features, partition.spans(), similarity)
         scored = {
             i: frame_scores
             for i, (_score, frame_scores) in enumerate(score_segments(graphs, params, frames))

@@ -650,8 +650,9 @@ def load_checkpoint(path) -> tuple[ModelParams, SimilarityConfig, SegmentationCo
 
     The file is checked here, once: a header object with every key present
     and non-null, the model, similarity and segmentation keys read like
-    the run config's sections, a name/shape table equal to the one its
-    model config implies, and finite weights.
+    the run config's sections, the similarity and segmentation objects
+    holding every field of their config, a name/shape table equal to the
+    one its model config implies, and finite weights.
     """
     path = Path(path)
     if not path.exists():
@@ -677,6 +678,11 @@ def load_checkpoint(path) -> tuple[ModelParams, SimilarityConfig, SegmentationCo
             raise FormatError(f"checkpoint header lacks {missing}")
         config = config_from_json(ModelConfig, {key: header[key] for key in MODEL_KEYS}, "model")
         shapes = param_shapes(config)
+        # Every field is written, so a missing one is damage, not a default.
+        for key, cls in (("similarity", SimilarityConfig), ("segmentation", SegmentationConfig)):
+            names = {f.name for f in fields(cls)}
+            if isinstance(header[key], dict) and (lacking := names - set(header[key])):
+                raise FormatError(f"checkpoint {key} section lacks {sorted(lacking)}")
         similarity = config_from_json(SimilarityConfig, header["similarity"], "similarity")
         segmentation = config_from_json(SegmentationConfig, header["segmentation"], "segmentation")
     except (ConfigError, TypeError, ValueError) as exc:

@@ -31,28 +31,33 @@ def expected_batches(sizes) -> int:
 
 
 def record_graph_builds(monkeypatch, module) -> list[list]:
-    """Patch `build_segment_graphs` in module to note each list it returns; return those lists."""
+    """Patch `build_segment_graphs` in module to note each call's (span, graph) pairs.
+
+    Returns one list of pairs per call, in call order.
+    """
     built = []
     real_build = module.build_segment_graphs
 
-    def recording_build(*args, **kwargs):
-        built.append(real_build(*args, **kwargs))
-        return built[-1]
+    def recording_build(features, spans, cfg):
+        graphs = real_build(features, spans, cfg)
+        built.append(list(zip(spans, graphs, strict=True)))
+        return graphs
 
     monkeypatch.setattr(module, "build_segment_graphs", recording_build)
     return built
 
 
-def assert_each_segment_scored_once(calls, graphs, spans):
-    """The calls' graphs are exactly `graphs`, each once, in full equal-size batches.
+def assert_each_segment_scored_once(calls, built, spans):
+    """Each of `spans` is built once, and the calls score its graph once, in equal-size batches.
 
-    `graphs` are the segments' graphs in the order of `spans`; a scored
-    graph is identified by identity. Every call holds graphs of one node
-    count n, at most `batch_cap(n)` of them, and the number of calls is
-    one per (size, chunk).
+    `built` holds the (span, graph) pairs of every build, such as the
+    concatenation of the lists that `record_graph_builds` records; a
+    scored graph is identified by identity. Every call holds graphs of
+    one node count n, at most `batch_cap(n)` of them, and the number of
+    calls is one per (size, chunk).
     """
-    assert len(graphs) == len(spans)
-    span_of = {id(g): span for g, span in zip(graphs, spans)}
+    assert Counter(span for span, _ in built) == Counter(spans)
+    span_of = {id(g): span for span, g in built}
     scored = [span_of.get(id(g)) for c in calls for g in c]
     assert Counter(scored) == Counter(spans)
     for batch in calls:

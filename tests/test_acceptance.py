@@ -191,7 +191,7 @@ def test_criterion_4_end_to_end_synthetic_protocol():
     train_graphs = []
     for features, ann, _planted in videos[:4]:
         partition = pelt(features, seg_cfg)
-        graphs = build_segment_graphs(features, partition, sim)
+        graphs = build_segment_graphs(features, partition.spans(), sim)
         train_graphs += zip(graphs, derive_segment_labels(ann, partition).tolist())
 
     params = init_params(
@@ -210,7 +210,7 @@ def test_criterion_4_end_to_end_synthetic_protocol():
     preds, labels, test_data = [], [], []
     for features, ann, _planted in videos[4:]:
         partition = pelt(features, seg_cfg)
-        graphs = build_segment_graphs(features, partition, sim)
+        graphs = build_segment_graphs(features, partition.spans(), sim)
         preds += (forward(graphs, params).prediction >= 0.5).astype(int).tolist()
         labels += derive_segment_labels(ann, partition).tolist()
         test_data.append((features, ann, partition))

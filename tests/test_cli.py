@@ -508,15 +508,21 @@ def inference_argv(pipeline, command, out, partition=None):
     return [str(a) for a in argv] + (["--k", "2"] if command == "localize" else [])
 
 
+def assert_built_and_scored_per_size_chunk(calls, built, partition):
+    """One graph build per size chunk of the partition, and one score for each segment."""
+    spans = read_partition(partition)[1].spans()
+    per_chunk = [[spans[i] for i in c] for c in graph.size_chunks([e - s for s, e in spans])]
+    assert [[span for span, _ in pairs] for pairs in built] == per_chunk
+    assert_each_segment_scored_once(calls, [pair for pairs in built for pair in pairs], spans)
+
+
 @pytest.mark.parametrize("all_segments", [True, False])
 def test_localize_runs_one_forward_per_segment(pipeline, tmp_path, monkeypatch, all_segments):
     calls = record_forward_calls(monkeypatch, cli, localization, model)
     built = record_graph_builds(monkeypatch, cli)
-    partition = pipeline / "video-000.partition.json"
     argv = inference_argv(pipeline, "localize", tmp_path / "loc.json")
     assert main(argv + (["--all-segments"] if all_segments else [])) == 0
-    (graphs,) = built
-    assert_each_segment_scored_once(calls, graphs, read_partition(partition)[1].spans())
+    assert_built_and_scored_per_size_chunk(calls, built, pipeline / "video-000.partition.json")
 
 
 def test_classify_runs_one_forward_per_segment_and_no_frame_scores(
@@ -533,9 +539,7 @@ def test_classify_runs_one_forward_per_segment_and_no_frame_scores(
 
     monkeypatch.setattr(localization, "node_scores", counting_node_scores)
     assert main(inference_argv(pipeline, "classify", tmp_path / "preds.json")) == 0
-    partition = pipeline / "video-000.partition.json"
-    (graphs,) = built
-    assert_each_segment_scored_once(calls, graphs, read_partition(partition)[1].spans())
+    assert_built_and_scored_per_size_chunk(calls, built, pipeline / "video-000.partition.json")
     assert frame_scored == []
 
 
@@ -570,8 +574,9 @@ def test_every_chunk_of_edge_weights_is_checked(
         return weights
 
     monkeypatch.setattr(graph, "_similarity_batch", corrupting_kernel)
+    similarity = load_checkpoint(pipeline / "model.cegm")[1]
     with pytest.raises(ValueError, match=re.escape(fragment)):
-        build_segment_graphs(features, partition, load_checkpoint(pipeline / "model.cegm")[1])
+        build_segment_graphs(features, partition.spans(), similarity)
     assert len(calls) == chunks
     out = tmp_path / "preds.json"
     calls.clear()
@@ -583,7 +588,7 @@ def test_localize_json_holds_score_segments_output(pipeline):
     params, similarity, _ = load_checkpoint(pipeline / "model.cegm")
     features = read_feature_matrix(pipeline / "data" / "video-000.cegf")
     _, partition = read_partition(pipeline / "video-000.partition.json")
-    graphs = build_segment_graphs(features, partition, similarity)
+    graphs = build_segment_graphs(features, partition.spans(), similarity)
     scored = localization.score_segments(graphs, params, "all")
     loc = json.loads((pipeline / "loc.json").read_text())
     assert len(loc) == len(scored)
@@ -634,12 +639,19 @@ def test_inputs_for_different_videos_exit_2(pipeline, tmp_path, capsys, command,
     assert_exit_2_without_output(argv, out, capsys, "'video-000'", "'video-001'")
 
 
+def moved_end(shift):
+    """Edit of a partition file that moves its last boundary by shift frames."""
+    return lambda p: {**p, "boundaries": [*p["boundaries"][:-1], p["boundaries"][-1] + shift]}
+
+
 def hostile_input_cases():
     """(id, file, command, new content from old, fragment): one bad input file per row.
 
     Each file's one reader must refuse it: the annotations in `train`,
     `evaluate` and `coverage-curve`, the checkpoint header in `classify`,
-    `localize` and `coverage-curve`.
+    `localize` and `coverage-curve`. A partition that does not end at the
+    video's last frame is refused where it meets the features, in
+    `classify` and `localize`; its fragment names the partition's end.
     """
     annotations = {
         "no-frame-labels": lambda a: {"video_id": a["video_id"]},
@@ -648,6 +660,8 @@ def hostile_input_cases():
     headers = {
         "null-similarity": (lambda h: {**h, "similarity": None}, "similarity"),
         "null-segmentation": (lambda h: {**h, "segmentation": None}, "segmentation"),
+        "partial-similarity": (lambda h: {**h, "similarity": {}}, "similarity"),
+        "partial-segmentation": (lambda h: {**h, "segmentation": {"min_len": 5}}, "segmentation"),
         "list": (lambda h: [], "JSON object"),
         "null": (lambda h: None, "JSON object"),
         "string": (lambda h: "CEGM", "JSON object"),
@@ -658,6 +672,11 @@ def hostile_input_cases():
     for name, (edit, fragment) in headers.items():
         for command in ("classify", "localize", "coverage-curve"):
             yield f"header-{name}-{command}", "checkpoint", command, edit, fragment
+    partitions = {"past-the-video": moved_end(7), "short-of-the-video": moved_end(-3)}
+    for name, edit in partitions.items():
+        for command in ("classify", "localize"):
+            fragment = "partition covers {end} frames"
+            yield f"partition-{name}-{command}", "partition", command, edit, fragment
 
 
 HOSTILE_INPUTS = list(hostile_input_cases())
@@ -670,16 +689,21 @@ HOSTILE_INPUTS = list(hostile_input_cases())
 def test_hostile_input_exits_2(pipeline, tmp_path, capsys, kind, command, edit, fragment):
     data, model = pipeline / "data", pipeline / "model.cegm"
     annotations = data / "video-000.annotations.json"
+    partition = pipeline / "video-000.partition.json"
     if kind == "annotations":
         data = tmp_path / "data"
         shutil.copytree(pipeline / "data", data)
         annotations = data / "video-000.annotations.json"
         annotations.write_text(json.dumps(edit(json.loads(annotations.read_text()))))
+    elif kind == "partition":
+        bad = edit(json.loads(partition.read_text()))
+        fragment = fragment.format(end=bad["boundaries"][-1])
+        partition = tmp_path / "part.json"
+        partition.write_text(json.dumps(bad))
     else:
         model = tmp_path / "bad.cegm"
         good = pipeline / "model.cegm"
         replace_header(good, model, edit(checkpoint_header(good)))
-    partition = pipeline / "video-000.partition.json"
     scored = ["--model", model, "--features", data / "video-000.cegf", "--partition", partition]
     argv = {
         "train": ["train", "--data", data, "--config", pipeline / "config.json"],
@@ -752,19 +776,6 @@ def test_malformed_config_value_exits_2(pipeline, tmp_path, capsys, command, sec
         out = tmp_path / "model.cegm"
         argv = ["train", "--data", pipeline / "data", "--config", config, "--out", out]
     assert_exit_2_without_output(argv, out, capsys, f"{section} config")
-
-
-def test_classify_rejects_partition_past_last_frame(pipeline, tmp_path, capsys):
-    frames = read_feature_matrix(pipeline / "data" / "video-000.cegf").frame_count
-    partition = tmp_path / "part.json"
-    partition.write_text(json.dumps({"video_id": "video-000", "boundaries": [0, frames + 7]}))
-    out = tmp_path / "preds.json"
-    assert_exit_2_without_output(
-        ["classify", "--model", pipeline / "model.cegm",
-         "--features", pipeline / "data" / "video-000.cegf", "--partition", partition,
-         "--out", out],
-        out, capsys, f"partition covers {frames + 7} frames",
-    )
 
 
 @pytest.mark.parametrize(

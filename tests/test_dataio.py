@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -200,6 +203,49 @@ def test_write_json_refuses_nan(tmp_path):
     assert not path.exists() and not list(tmp_path.iterdir())
 
 
+def test_write_json_nan_partway_through_a_list_leaves_no_file(tmp_path):
+    # Enough values before the NaN that part of the document reaches the temp file.
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        write_json({"scores": [0.25] * 10_000 + [float("nan"), 0.5]}, path)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"b": [1, {"z": [2, [3]], "a": None}], "a": {"y": True, "x": False}},
+        {"video": "Ösophagus – 胃", "note": "tab\t\"quote\" \U0001f600"},
+        {"list": [], "object": {}, "both": [[], {}]},
+        [],
+        {},
+        [-0.0, 0.0, -1.5],
+        {"tiny": 1e-17, "huge": 1e300, "third": 1 / 3},
+        "a lone string",
+    ],
+    ids=["nested", "non-ascii", "empty-containers", "empty-list", "empty-object",
+         "negative-zero", "float-reprs", "scalar"],
+)
+def test_write_json_bytes_equal_json_dumps(tmp_path, obj):
+    path = tmp_path / "out.json"
+    write_json(obj, path)
+    assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_write_json_streams_without_holding_the_document(tmp_path):
+    obj = {"scores": make_rng(3).random(200_000).tolist()}
+    path = tmp_path / "scores.json"
+    tracemalloc.start()
+    try:
+        write_json(obj, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    data = path.read_bytes()
+    assert data == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+    assert peak < len(data) / 4, f"traced peak {peak} bytes for a {len(data)}-byte file"
+
+
 class TestDeriveSegmentLabels:
     def test_single_segment_with_one_abnormal_frame(self):
         ann = Annotations("v", frame_labels=np.array([0, 0, 1, 0]))
@@ -226,13 +272,14 @@ class TestDeriveSegmentLabels:
             labels = rng.integers(0, 2, size=t)
             n_bounds = int(rng.integers(0, max(1, t // 2)))
             interior = sorted(set(rng.integers(1, t, size=n_bounds).tolist()))
-            partition = Partition(tuple([0] + interior + [t]))
             ann = Annotations("v", frame_labels=labels)
-            got = derive_segment_labels(ann, partition)
-            expected = [
-                int(any(labels[s:e])) for s, e in partition.spans()
-            ]
-            assert got.tolist() == expected
+            random_cuts = Partition(tuple([0] + interior + [t]))
+            one_frame_segments = Partition(tuple(range(t + 1)))
+            for partition in (random_cuts, one_frame_segments):
+                got = derive_segment_labels(ann, partition)
+                expected = [int(any(labels[s:e])) for s, e in partition.spans()]
+                assert got.dtype == np.int64
+                assert got.tolist() == expected
 
     def test_monotone_adding_abnormal_frame(self):
         rng = make_rng(55)

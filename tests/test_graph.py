@@ -216,7 +216,7 @@ class TestBuildGraph:
         features = fm(rng.standard_normal((10, 3)))
         ann = Annotations("v", frame_labels=np.array([0] * 5 + [1] + [0] * 4))
         partition = Partition((0, 5, 10))
-        graphs = build_segment_graphs(features, partition, SimilarityConfig())
+        graphs = build_segment_graphs(features, partition.spans(), SimilarityConfig())
         assert derive_segment_labels(ann, partition).tolist() == [0, 1]
         assert [s for s, _ in partition.spans()] == [0, 5]
         for g, (s, e) in zip(graphs, partition.spans(), strict=True):
@@ -251,7 +251,7 @@ class TestBatchedBuild:
     )
     def test_bit_identical_to_one_segment_builds(self, cfg):
         features, partition = self.video_and_partition()
-        graphs = build_segment_graphs(features, partition, cfg)
+        graphs = build_segment_graphs(features, partition.spans(), cfg)
         assert len(graphs) == partition.segment_count
         for g, (s, e) in zip(graphs, partition.spans()):
             alone = build_graph(FeatureMatrix("v", features.values[s:e]), cfg)
@@ -265,7 +265,7 @@ class TestBatchedBuild:
         values = make_rng(10).standard_normal((10, 3))
         values[1:4] = values[0]
         graphs = build_segment_graphs(
-            fm(values), Partition((0, 5, 10)), SimilarityConfig(metric="euclidean_rbf")
+            fm(values), [(0, 5), (5, 10)], SimilarityConfig(metric="euclidean_rbf")
         )
         expected = np.zeros((5, 5))
         expected[:4, :4] = 1.0 - np.eye(4)
@@ -279,6 +279,25 @@ class TestBatchedBuild:
         values = np.zeros((2 * len(sigmas), 3))
         values[1::2, 0] = sigmas  # two-frame segments at distance sigma
         partition = Partition(tuple(range(0, values.shape[0] + 1, 2)))
-        graphs = build_segment_graphs(fm(values), partition, SimilarityConfig(metric="euclidean_rbf"))
+        graphs = build_segment_graphs(
+            fm(values), partition.spans(), SimilarityConfig(metric="euclidean_rbf")
+        )
         for g, sigma in zip(graphs, sigmas):
             assert g.edge_weights[0, 1] == np.exp(-(sigma * sigma) / (2.0 * sigma**2))
+
+    def test_any_spans_build_as_in_the_whole_video(self):
+        """A subset of a partition's spans, out of order, gets the whole-video build's graphs."""
+        features, partition = self.video_and_partition()
+        spans = partition.spans()
+        whole = build_segment_graphs(features, spans, SimilarityConfig())
+        picked = [7, 0, 5, 20, 3]
+        some = build_segment_graphs(features, [spans[i] for i in picked], SimilarityConfig())
+        for i, g in zip(picked, some, strict=True):
+            assert g.edge_weights.tobytes() == whole[i].edge_weights.tobytes()
+            assert g.node_features.tobytes() == whole[i].node_features.tobytes()
+
+    @pytest.mark.parametrize("span", [(-1, 3), (4, 4), (6, 5), (8, 11)],
+                             ids=["negative-start", "empty", "reversed", "past-the-end"])
+    def test_span_outside_the_video_raises(self, span):
+        with pytest.raises(ValueError, match="lies outside the video's 10 frames"):
+            build_segment_graphs(fm(np.ones((10, 2))), [(0, 4), span], SimilarityConfig())

@@ -182,7 +182,8 @@ class TestScoreSegments:
                                                       (1 - np.median(predictions)))
         calls = record_forward_calls(monkeypatch, localization)
         scored = score_segments(graphs, params, frames)
-        assert_each_segment_scored_once(calls, graphs, list(zip(offsets[:-1], offsets[1:])))
+        spans = list(zip(offsets[:-1], offsets[1:]))
+        assert_each_segment_scored_once(calls, list(zip(spans, graphs)), spans)
         assert max(map(len, calls)) == 40
         assert len(scored) == len(graphs)
         predicted = []

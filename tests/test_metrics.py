@@ -119,7 +119,7 @@ def separable_video(seed):
 class TestCoverageCurve:
     def overfit_model(self, features, ann, partition):
         sim = SimilarityConfig()
-        graphs = build_segment_graphs(features, partition, sim)
+        graphs = build_segment_graphs(features, partition.spans(), sim)
         labelled = list(zip(graphs, derive_segment_labels(ann, partition).tolist()))
         params = init_params(
             ModelConfig(
@@ -167,8 +167,8 @@ class TestCoverageCurve:
         calls = record_forward_calls(monkeypatch, localization, model)
         built = record_graph_builds(monkeypatch, metrics)
         coverage_curve(params, [(features, ann, partition)], [1, 2], localize_all=localize_all)
-        (graphs,) = built
-        assert_each_segment_scored_once(calls, graphs, partition.spans())
+        (pairs,) = built
+        assert_each_segment_scored_once(calls, pairs, partition.spans())
         graphs = [g for batch in calls for g in batch]
         assert (forward(graphs, params).prediction >= 0.5).all()
 

@@ -255,7 +255,7 @@ class TestSplitVideo:
 
     @staticmethod
     def split(f, p):
-        return [g.node_features for g in build_segment_graphs(f, p, SimilarityConfig())]
+        return [g.node_features for g in build_segment_graphs(f, p.spans(), SimilarityConfig())]
 
     def test_two_segments(self):
         f = fm(np.arange(8, dtype=float).reshape(4, 2))
@@ -278,7 +278,7 @@ class TestSplitVideo:
 
     def test_mismatched_length(self):
         f = fm(np.ones((4, 1)))
-        with pytest.raises(ValueError, match="partition covers 5 frames but video has 4"):
+        with pytest.raises(ValueError, match=r"span \[0, 5\) lies outside the video's 4 frames"):
             self.split(f, Partition((0, 5)))
 
 

@@ -126,15 +126,19 @@ def test_traced_classify_and_localize_run_one_forward_per_segment(tmp_path):
     assert per_segment == batches / len(spans) <= 1.0
 
 
-def test_traced_classify_has_one_graph_build_span_sized_by_the_partition(tmp_path):
+def test_traced_classify_and_localize_build_graphs_per_size_chunk(tmp_path):
+    """One graph.build span per size chunk; their sizes sum to the partition's graphs and pairs."""
     features, partition, model = trained_video(tmp_path)
     sizes = [e - s for s, e in read_partition(partition)[1].spans()]
+    inputs = ["--model", model, "--features", features, "--partition", partition]
 
-    tracer = traced(["classify", "--model", model, "--features", features,
-                     "--partition", partition, "--out", tmp_path / "preds.json"])
-    builds = [i for i, name_id in enumerate(tracer.name)
-              if tracer.names[name_id] == "graph.build"]
-    assert len(builds) == 1
-    assert tracer.names[tracer.name[tracer.parent[builds[0]]]] == "cli.classify"
-    assert tracer.sizes[builds[0]] == {
-        "graphs": len(sizes), "pairs": sum(n * (n - 1) // 2 for n in sizes)}
+    for command, extra in (("classify", []), ("localize", ["--k", 2])):
+        tracer = traced([command, *inputs, *extra, "--out", tmp_path / f"{command}.json"])
+        builds = [i for i, name_id in enumerate(tracer.name)
+                  if tracer.names[name_id] == "graph.build"]
+        assert len(builds) == expected_batches(sizes) > 1, command
+        assert all(tracer.names[tracer.name[tracer.parent[i]]] == f"cli.{command}"
+                   for i in builds), command
+        totals = {key: sum(tracer.sizes[i][key] for i in builds) for key in ("graphs", "pairs")}
+        assert totals == {
+            "graphs": len(sizes), "pairs": sum(n * (n - 1) // 2 for n in sizes)}, command
