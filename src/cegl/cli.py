@@ -6,7 +6,8 @@ environment variable overrides the configured seeds when set). Every
 output file is written atomically, through a temp file and a rename, so a
 failure never leaves a partial file behind.
 
-Exit codes: 0 success, 1 runtime/numeric failure, 2 usage/config failure.
+Exit codes: 0 success, 1 runtime/numeric failure (running out of memory
+included), 2 usage/config failure.
 """
 
 from __future__ import annotations
@@ -377,6 +378,9 @@ def main(argv=None) -> int:
         return 2
     except (NumericError, CeglError, OSError) as exc:
         print(f"cegl {args.command}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message says how much it could not allocate
+        print(f"cegl {args.command}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -28,6 +28,7 @@ import math
 import numbers
 import os
 import struct
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -236,13 +237,31 @@ def write_json(obj, path) -> None:
     write_atomic(path, itertools.chain(encoder.iterencode(obj), ["\n"]))
 
 
+def unique_keys(error, where: str):
+    """A json.loads object_pairs_hook that raises error on an object repeating a key.
+
+    json keeps a repeated key's last value without a word; a file that
+    says two things about one setting is malformed.
+    """
+
+    def hook(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+            raise error(f"{where} repeats the key {key!r}")
+        return obj
+
+    return hook
+
+
 def read_json(path, what: str, error=FormatError):
-    """Parse a JSON file; a missing file or bad JSON raises one line naming what."""
+    """Parse a JSON file; a missing file, bad JSON or a repeated key raises one line naming what."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"{what} file not found: {path}")
+    hook = unique_keys(error, f"{what} JSON {path}")
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(), object_pairs_hook=hook)
     except json.JSONDecodeError as exc:
         raise error(f"malformed {what} JSON {path}: {exc}") from exc
 

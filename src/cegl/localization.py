@@ -33,10 +33,10 @@ def node_scores(cache: ForwardCache) -> list[np.ndarray]:
     """Per-frame activation scores of each graph in a trained model's forward pass.
 
     score_i = alpha_i * logistic(w . h_i + b) over the final node
-    embeddings. With a non-attention readout there are no attention
-    weights to reuse, so alpha falls back to uniform and the ranking is
-    the head's alone. Taking the cache lets one pass give both the
-    segments' predictions and their frame scores.
+    embeddings. The mean readout has no attention weights to reuse, so
+    alpha falls back to uniform and the ranking is the head's alone.
+    Taking the cache lets one pass give both the segments' predictions
+    and their frame scores.
     """
     p = cache.params.arrays
     head = sigmoid(cache.node_embeddings[-1] @ p[CLASSIFIER_WEIGHTS] + p[CLASSIFIER_BIAS])

@@ -10,7 +10,6 @@ Aggregator kinds
 ----------------
 mean     message_i = sum_j e_ij h_j / sum_j e_ij   (zero vector if no
          positive edges; the zero diagonal keeps the node itself out)
-maxpool  elementwise max over {e_ij h_j, j != i}
 gated    a gated recurrence walked over neighbors j in ascending
          temporal order, state initialized to the node's own embedding.
          With message m = e_ij h_j and state s, one step is
@@ -24,7 +23,7 @@ gated    a gated recurrence walked over neighbors j in ascending
          order-dependent; frames carry a natural temporal order.
 
 Readout kinds: attention (softmax over u . tanh(W_a h_i), then the
-attention-weighted node sum divided by n), mean, sum, maxpool.
+attention-weighted node sum divided by n) and mean.
 
 One frozen `ModelConfig` holds the layer dims, the two kinds, a_dim and
 the attention flag. It is the run config's model section, the argument of
@@ -58,7 +57,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .dataio import check_types, config_from_json, write_atomic
+from .dataio import check_types, config_from_json, unique_keys, write_atomic
 from .errors import ConfigError, FormatError, NumericError, TruncatedFileError
 from .graph import SegmentGraph, SimilarityConfig
 from .numerics import make_rng, sigmoid, softmax
@@ -66,8 +65,8 @@ from .segmentation import SegmentationConfig
 
 log = logging.getLogger(__name__)
 
-AGGREGATOR_KINDS = ("mean", "maxpool", "gated")
-READOUT_KINDS = ("attention", "mean", "sum", "maxpool")
+AGGREGATOR_KINDS = ("mean", "gated")
+READOUT_KINDS = ("attention", "mean")
 
 LOSS_CLAMP = 1e-12
 
@@ -198,21 +197,22 @@ def init_params(config: ModelConfig, seed: int = 0, init_scale: float = 1.0) -> 
     """Seeded uniform(-s, s) weights with s = init_scale / sqrt(fan_in); biases 0."""
     kept = param_shapes(config)
 
-    # Every configuration draws the full gated-and-attention table in one
-    # fixed order and keeps only the arrays it reads. A seed thus gives each
-    # kept array the same values whatever the kinds, and the same values as
-    # when every model still stored the unused arrays.
+    # Every configuration walks the full gated-and-attention table in one
+    # fixed order and draws only the arrays it reads; the generator skips
+    # the others, one PCG64 step per double, without making them. A seed
+    # thus gives each kept array the same values whatever the kinds, and
+    # the same values as when every model still stored the unused arrays.
     rng = make_rng(seed)
     parts = []
     full = replace(config, aggregator_kind="gated", readout_kind="attention")
     for name, shape in param_shapes(full).items():
-        if name == CLASSIFIER_BIAS:
-            w = np.zeros(shape)
+        if name not in kept:
+            rng.bit_generator.advance(math.prod(shape))
+        elif name == CLASSIFIER_BIAS:
+            parts.append(np.zeros(math.prod(shape)))
         else:
             s = init_scale / np.sqrt(shape[-1])  # the last axis is the fan-in
-            w = rng.uniform(-1.0, 1.0, size=shape) * s
-        if name in kept:
-            parts.append(w.ravel())
+            parts.append((rng.uniform(-1.0, 1.0, size=shape) * s).ravel())
     return ModelParams(config, np.concatenate(parts))
 
 
@@ -241,19 +241,6 @@ def _mean_messages(edges: np.ndarray, h: np.ndarray):
     # A node without positive edges has an all-zero row, so its message is 0/1.
     divisor = np.where(deg > 0, deg, 1.0)
     return (edges @ h) / divisor[..., None], divisor
-
-
-def _maxpool_messages(edges: np.ndarray, h: np.ndarray, sizes, mask):
-    n_max = h.shape[1]
-    # A node's own row and padded neighbors never win the max.
-    valid = ~np.eye(n_max, dtype=bool)
-    if mask is not None:
-        valid = valid & mask[:, None, :]
-    prod = np.where(valid[..., None], edges[..., None] * h[:, None, :, :], -np.inf)
-    argmax = prod.argmax(axis=2)  # (B, N, d), first index wins on ties
-    msgs = np.take_along_axis(prod, argmax[:, :, None, :], axis=2)[:, :, 0, :]
-    msgs[sizes == 1] = 0.0  # a lone node has no neighbor to pool
-    return msgs, argmax
 
 
 def _gated_messages(edges: np.ndarray, h: np.ndarray, sizes, update, reset, candidate, record):
@@ -305,11 +292,9 @@ class ForwardCache:
     stacked_inputs: list[np.ndarray]  # per layer, [H, messages]
     preacts: list[np.ndarray]  # per layer, before ReLU
     mean_degrees: list[np.ndarray | None]  # per layer (mean kind), the divisor used
-    maxpool_argmax: list[np.ndarray | None]  # per layer (maxpool kind)
     gated_steps: list[list[_GatedStep] | None]  # per layer (gated kind, recorded passes)
     attn_tanh: np.ndarray | None
     attention_weights: np.ndarray | None  # alpha, (B, N), zero on padding
-    readout_argmax: np.ndarray | None  # maxpool readout, (B, d)
     graph_embedding: np.ndarray  # (B, d)
     prediction: np.ndarray  # y_hat, (B,)
     recorded: bool  # whether backward can run on this cache
@@ -323,11 +308,10 @@ def forward(
     The graphs are packed into (B, N, d) features and (B, N, N) edges, N
     the largest node count. A padded node has zero features and no edges,
     so every layer leaves its embedding at exactly zero (a zero message,
-    a zero pre-activation, a ReLU of zero): the mean, sum and maxpool
-    readouts read it as nothing, the attention softmax masks it out, and
-    no gradient reaches it. Every product is taken per graph, so a graph
-    in a batch of graphs of its own size gets the bits a one-graph pass
-    gives.
+    a zero pre-activation, a ReLU of zero): the mean readout reads it as
+    nothing, the attention softmax masks it out, and no gradient reaches
+    it. Every product is taken per graph, so a graph in a batch of graphs
+    of its own size gets the bits a one-graph pass gives.
 
     With record=False the pass is inference only: the gated recurrence
     keeps none of its n-1 steps per layer, and backward rejects the cache.
@@ -346,18 +330,15 @@ def forward(
     for b, g in enumerate(graphs):
         h[b, : g.n] = g.node_features
         edges[b, : g.n, : g.n] = g.edge_weights
-    mask = None if sizes.min() == n_max else np.arange(n_max) < sizes[:, None]
 
     p = params.arrays
     embeddings = [h]
     stacked_inputs, preacts = [], []
-    mean_degrees, maxpool_argmax, gated_steps = [], [], []
+    mean_degrees, gated_steps = [], []
     for layer in range(len(cfg.layer_dims) - 1):
-        deg = argmax = steps = None
+        deg = steps = None
         if cfg.aggregator_kind == "mean":
             msgs, deg = _mean_messages(edges, h)
-        elif cfg.aggregator_kind == "maxpool":
-            msgs, argmax = _maxpool_messages(edges, h, sizes, mask)
         else:  # gated
             gates = [p[gate_name(layer, gate)] for gate in GATE_NAMES]
             msgs, steps = _gated_messages(edges, h, sizes, *gates, record)
@@ -367,29 +348,21 @@ def forward(
         stacked_inputs.append(stacked)
         preacts.append(pre)
         mean_degrees.append(deg)
-        maxpool_argmax.append(argmax)
         gated_steps.append(steps)
         embeddings.append(h)
 
-    attn_tanh = alpha = readout_argmax = None
+    attn_tanh = alpha = None
     n = sizes[:, None]
     if cfg.readout_kind == "attention":
         attn_tanh = np.tanh(h @ p[ATTENTION_TRANSFORM].T)
         scores = attn_tanh @ p[ATTENTION_VECTOR]
-        if mask is not None:
-            scores = np.where(mask, scores, -np.inf)
+        if sizes.min() < n_max:  # padded nodes get no attention
+            scores = np.where(np.arange(n_max) < n, scores, -np.inf)
         alpha = softmax(scores)
         denom = n if cfg.attention_averaged else 1
         h_g = (alpha[..., None] * h).sum(axis=1) / denom
-    elif cfg.readout_kind == "mean":
+    else:  # mean
         h_g = h.sum(axis=1) / n
-    elif cfg.readout_kind == "sum":
-        h_g = h.sum(axis=1)
-    else:  # maxpool
-        # Embeddings are ReLU outputs and padding is zero and comes last,
-        # so the first-index argmax always picks a real node.
-        readout_argmax = h.argmax(axis=1)
-        h_g = np.take_along_axis(h, readout_argmax[:, None, :], axis=1)[:, 0, :]
 
     # One (1, d) @ (d,) product per graph: a (B, d) gemv can round a row
     # differently from the same row alone.
@@ -402,26 +375,13 @@ def forward(
         stacked_inputs=stacked_inputs,
         preacts=preacts,
         mean_degrees=mean_degrees,
-        maxpool_argmax=maxpool_argmax,
         gated_steps=gated_steps,
         attn_tanh=attn_tanh,
         attention_weights=alpha,
-        readout_argmax=readout_argmax,
         graph_embedding=h_g,
         prediction=sigmoid(logit),
         recorded=record,
     )
-
-
-def _maxpool_backward(edges, argmax, d_msgs):
-    batch, n_max, d = d_msgs.shape
-    b = np.arange(batch)[:, None, None]
-    i = np.arange(n_max)[None, :, None]
-    dh = np.zeros_like(d_msgs)
-    # A lone node's argmax points at its own zero-weight diagonal entry,
-    # and padded rows have no edges, so neither passes a gradient.
-    np.add.at(dh, (b, argmax, np.arange(d)), edges[b, i, argmax] * d_msgs)
-    return dh
 
 
 def _gated_backward(gates, grad_gates, steps, d_msgs, h):
@@ -499,8 +459,7 @@ def backward(cache: ForwardCache, labels, weights) -> ModelParams:
 
     # Padded rows of dh need no masking: their pre-activations are exactly
     # zero, so the last layer's ReLU passes them no gradient.
-    kind = cfg.readout_kind
-    if kind == "attention":
+    if cfg.readout_kind == "attention":
         alpha = cache.attention_weights
         t = cache.attn_tanh
         if cfg.attention_averaged:
@@ -512,13 +471,8 @@ def backward(cache: ForwardCache, labels, weights) -> ModelParams:
         dpre = dscores[..., None] * p[ATTENTION_VECTOR] * (1.0 - t**2)
         g[ATTENTION_TRANSFORM][...] += _rows(dpre).T @ _rows(h_final)
         dh = dh + dpre @ p[ATTENTION_TRANSFORM]
-    elif kind == "mean":
+    else:  # mean
         dh = np.broadcast_to((dh_g / cache.sizes[:, None])[:, None, :], h_final.shape)
-    elif kind == "sum":
-        dh = np.broadcast_to(dh_g[:, None, :], h_final.shape)
-    else:  # maxpool
-        dh = np.zeros_like(h_final)
-        np.put_along_axis(dh, cache.readout_argmax[:, None, :], dh_g[:, None, :], axis=1)
 
     agg = cfg.aggregator_kind
     edges = cache.edge_weights
@@ -527,7 +481,7 @@ def backward(cache: ForwardCache, labels, weights) -> ModelParams:
         prev_dim = cfg.layer_dims[layer]
         dpre = dh * (cache.preacts[layer] > 0)
         g[name][...] += _rows(dpre).T @ _rows(cache.stacked_inputs[layer])
-        if layer == 0 and agg != "gated":
+        if layer == 0 and agg == "mean":
             break  # nothing below reads the input features' gradient
         dstacked = dpre @ p[name]
         dh_self = dstacked[..., :prev_dim]
@@ -536,8 +490,6 @@ def backward(cache: ForwardCache, labels, weights) -> ModelParams:
         if agg == "mean":
             # Edges are symmetric, so they are their own transpose.
             dh_in = edges @ (d_msgs / cache.mean_degrees[layer][..., None])
-        elif agg == "maxpool":
-            dh_in = _maxpool_backward(edges, cache.maxpool_argmax[layer], d_msgs)
         else:
             names = [gate_name(layer, gate) for gate in GATE_NAMES]
             dh_in = _gated_backward(
@@ -669,7 +621,10 @@ def load_checkpoint(path) -> tuple[ModelParams, SimilarityConfig, SegmentationCo
     if len(raw) < 12 + header_len:
         raise TruncatedFileError("checkpoint header truncated")
     try:
-        header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
+        header = json.loads(
+            raw[12 : 12 + header_len].decode("utf-8"),
+            object_pairs_hook=unique_keys(FormatError, "checkpoint header"),
+        )
         if not isinstance(header, dict):
             raise FormatError("checkpoint header must be a JSON object")
         # A null counts as missing: a config would fill in a default.

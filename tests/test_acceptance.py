@@ -279,11 +279,11 @@ def test_criterion_6_format_round_trips(tmp_path):
             int(rng.integers(1, 6)),
             int(rng.integers(1, 6)),
         )
+        # i walks every aggregator/readout pairing in turn
+        agg = AGGREGATOR_KINDS[i % len(AGGREGATOR_KINDS)]
+        readout = READOUT_KINDS[i // len(AGGREGATOR_KINDS) % len(READOUT_KINDS)]
         params = init_params(
-            ModelConfig(
-                dims, AGGREGATOR_KINDS[i % 3], READOUT_KINDS[i % 4], a_dim=int(rng.integers(1, 5))
-            ),
-            seed=i,
+            ModelConfig(dims, agg, readout, a_dim=int(rng.integers(1, 5))), seed=i
         )
         path = tmp_path / f"p{i}.cegm"
         save_checkpoint(

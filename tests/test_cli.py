@@ -282,12 +282,16 @@ def checkpoint_header(path):
     return json.loads(raw[12 : 12 + header_len])
 
 
-def replace_header(src, dst, header):
-    """Copy a CEGM checkpoint with header, any JSON value, as its JSON header."""
+def splice_header(src, dst, new):
+    """Copy a CEGM checkpoint with the bytes new in place of its JSON header."""
     raw = src.read_bytes()
     (header_len,) = struct.unpack_from("<I", raw, 8)
-    new = json.dumps(header, sort_keys=True).encode()
     dst.write_bytes(raw[:8] + struct.pack("<I", len(new)) + new + raw[12 + header_len :])
+
+
+def replace_header(src, dst, header):
+    """Copy a CEGM checkpoint with header, any JSON value, as its JSON header."""
+    splice_header(src, dst, json.dumps(header, sort_keys=True).encode())
 
 
 def rewrite_header(src, dst, edit):
@@ -662,6 +666,8 @@ def hostile_input_cases():
         "null-segmentation": (lambda h: {**h, "segmentation": None}, "segmentation"),
         "partial-similarity": (lambda h: {**h, "similarity": {}}, "similarity"),
         "partial-segmentation": (lambda h: {**h, "segmentation": {"min_len": 5}}, "segmentation"),
+        "removed-aggregator": (lambda h: {**h, "aggregator_kind": "maxpool"}, "'maxpool'"),
+        "removed-readout": (lambda h: {**h, "readout_kind": "sum"}, "'sum'"),
         "list": (lambda h: [], "JSON object"),
         "null": (lambda h: None, "JSON object"),
         "string": (lambda h: "CEGM", "JSON object"),
@@ -729,26 +735,33 @@ SECTION_FIELDS = {
 
 
 def malformed_config_cases():
-    """(id, section, section value): each malformed kind each section can hold."""
+    """(id, section, section value, fragments): each malformed kind each section can hold.
+
+    The error names the section and also holds each of the row's fragments.
+    """
     for section, (count, flag, real) in SECTION_FIELDS.items():
-        yield f"{section}-non-object", section, 5
-        yield f"{section}-string-count", section, {count: "5"}
+        yield f"{section}-non-object", section, 5, ()
+        yield f"{section}-string-count", section, {count: "5"}, ()
         if flag is not None:
-            yield f"{section}-string-flag", section, {flag: "false"}
+            yield f"{section}-string-flag", section, {flag: "false"}, ()
         if real is not None:
-            yield f"{section}-list-real", section, {real: [1.0]}
-        yield f"{section}-bool-count", section, {count: True}
-        yield f"{section}-unknown-key", section, {"bogus": 1}
-    yield "model-int-layer-dims", "model", {"layer_dims": 5}
-    yield "model-unknown-aggregator", "model", {"aggregator_kind": "bogus"}
-    yield "model-unknown-readout", "model", {"readout_kind": "bogus"}
-    yield "model-zero-a-dim", "model", {"a_dim": 0}
-    yield "model-short-layer-dims", "model", {"layer_dims": [8]}
-    yield "model-zero-layer-dim", "model", {"layer_dims": [8, 0, 4]}
-    yield "segmentation-float-min-len", "segmentation", {"min_len": 5.0}
-    yield "similarity-string-knn-k", "similarity", {"metric": "knn_cosine", "knn_k": "3"}
-    yield "train-nan-learning-rate", "train", {"learning_rate": float("nan")}
-    yield "top-level-ks", "top-level", 5
+            yield f"{section}-list-real", section, {real: [1.0]}, ()
+        yield f"{section}-bool-count", section, {count: True}, ()
+        yield f"{section}-unknown-key", section, {"bogus": 1}, ()
+    yield "model-int-layer-dims", "model", {"layer_dims": 5}, ()
+    yield "model-unknown-aggregator", "model", {"aggregator_kind": "bogus"}, ()
+    yield "model-unknown-readout", "model", {"readout_kind": "bogus"}, ()
+    # kinds that earlier versions offered
+    yield "model-removed-aggregator-maxpool", "model", {"aggregator_kind": "maxpool"}, ("'maxpool'",)
+    yield "model-removed-readout-sum", "model", {"readout_kind": "sum"}, ("'sum'",)
+    yield "model-removed-readout-maxpool", "model", {"readout_kind": "maxpool"}, ("'maxpool'",)
+    yield "model-zero-a-dim", "model", {"a_dim": 0}, ()
+    yield "model-short-layer-dims", "model", {"layer_dims": [8]}, ()
+    yield "model-zero-layer-dim", "model", {"layer_dims": [8, 0, 4]}, ()
+    yield "segmentation-float-min-len", "segmentation", {"min_len": 5.0}, ()
+    yield "similarity-string-knn-k", "similarity", {"metric": "knn_cosine", "knn_k": "3"}, ()
+    yield "train-nan-learning-rate", "train", {"learning_rate": float("nan")}, ()
+    yield "top-level-ks", "top-level", 5, ()
 
 
 MALFORMED_CONFIGS = list(malformed_config_cases())
@@ -756,10 +769,12 @@ MALFORMED_CONFIGS = list(malformed_config_cases())
 
 @pytest.mark.parametrize("command", ["synth", "train"])
 @pytest.mark.parametrize(
-    "section, value", [case[1:] for case in MALFORMED_CONFIGS],
+    "section, value, fragments", [case[1:] for case in MALFORMED_CONFIGS],
     ids=[case[0] for case in MALFORMED_CONFIGS],
 )
-def test_malformed_config_value_exits_2(pipeline, tmp_path, capsys, command, section, value):
+def test_malformed_config_value_exits_2(
+    pipeline, tmp_path, capsys, command, section, value, fragments
+):
     cfg = json.loads((pipeline / "config.json").read_text())
     if section == "top-level":
         cfg["ks"] = value
@@ -775,7 +790,68 @@ def test_malformed_config_value_exits_2(pipeline, tmp_path, capsys, command, sec
     else:
         out = tmp_path / "model.cegm"
         argv = ["train", "--data", pipeline / "data", "--config", config, "--out", out]
-    assert_exit_2_without_output(argv, out, capsys, f"{section} config")
+    assert_exit_2_without_output(argv, out, capsys, f"{section} config", *fragments)
+
+
+def repeat_key(key, first):
+    """Edit of a JSON text that gives the first `key` a `first` value ahead of its own."""
+    return lambda text: text.replace(f'"{key}": ', f'"{key}": {first}, "{key}": ', 1)
+
+
+@pytest.mark.parametrize(
+    "file, command, key, first",
+    [
+        ("config", "train", "penalty", "1"),
+        ("annotations", "evaluate", "video_id", '"video-000"'),
+        ("partition", "classify", "boundaries", "[0]"),
+        ("preds", "evaluate", "score", "0.5"),
+        ("checkpoint", "classify", "a_dim", "1"),
+    ],
+    ids=["config", "annotations", "partition", "preds", "checkpoint"],
+)
+def test_repeated_json_key_exits_2(pipeline, tmp_path, capsys, file, command, key, first):
+    # json.loads alone keeps the last value, which here is the file's own.
+    inputs = {
+        "config": pipeline / "config.json",
+        "annotations": pipeline / "data" / "video-000.annotations.json",
+        "partition": pipeline / "video-000.partition.json",
+        "preds": pipeline / "preds.json",
+        "checkpoint": pipeline / "model.cegm",
+    }
+    good, edit = inputs[file], repeat_key(key, first)
+    inputs[file] = tmp_path / good.name
+    if file == "checkpoint":
+        header = json.dumps(checkpoint_header(good), sort_keys=True)
+        assert edit(header) != header
+        splice_header(good, inputs[file], edit(header).encode())
+    else:
+        assert edit(good.read_text()) != good.read_text()
+        inputs[file].write_text(edit(good.read_text()))
+    argv = {
+        "train": ["train", "--data", pipeline / "data", "--config", inputs["config"]],
+        "evaluate": ["evaluate", "--preds", inputs["preds"],
+                     "--annotations", inputs["annotations"], "--partition", inputs["partition"]],
+        "classify": ["classify", "--model", inputs["checkpoint"],
+                     "--features", pipeline / "data" / "video-000.cegf",
+                     "--partition", inputs["partition"]],
+    }[command]
+    out = tmp_path / "out"
+    assert_exit_2_without_output([*argv, "--out", out], out, capsys, f"repeats the key '{key}'")
+
+
+def test_train_out_of_memory_exits_1(pipeline, tmp_path, capsys):
+    # A layer of 2**45 units asks for PiBs, which numpy refuses at once.
+    cfg = json.loads((pipeline / "config.json").read_text())
+    cfg["model"]["layer_dims"] = [8, 2**45, 8]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "model.cegm"
+    code = main(["train", "--data", str(pipeline / "data"), "--config", str(config),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("cegl train: Unable to allocate")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

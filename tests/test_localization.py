@@ -163,7 +163,7 @@ class TestCoverage:
 
 
 class TestScoreSegments:
-    @pytest.mark.parametrize("aggregator", ["mean", "maxpool", "gated"])
+    @pytest.mark.parametrize("aggregator", ["mean", "gated"])
     @pytest.mark.parametrize("frames", ["none", "predicted", "all"])
     def test_equals_one_graph_forward_and_node_scores(self, aggregator, frames, monkeypatch):
         rng = make_rng(8)
