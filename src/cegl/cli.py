@@ -18,6 +18,8 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import dataio, metrics, segmentation
 from .dataio import Annotations, FeatureMatrix, SynthConfig, config_from_json
 from .errors import CeglError, ConfigError, DataError, FormatError, NumericError
@@ -215,10 +217,10 @@ def _score_video(args, frames: str):
 
 def cmd_classify(args) -> int:
     video_id, spans, scored = _score_video(args, "none")
-    segments = [
+    segments = (
         {"segment_id": i, "start": s, "end": e, "score": score, "predicted": int(score >= 0.5)}
         for i, ((s, e), (score, _)) in enumerate(zip(spans, scored))
-    ]
+    )
     dataio.write_json({"video_id": video_id, "segments": segments}, args.out)
     return 0
 
@@ -227,14 +229,22 @@ def cmd_localize(args) -> int:
     if args.k < 1:
         raise ConfigError(f"k must be at least 1, got {args.k}")
     _, spans, scored = _score_video(args, "all" if args.all_segments else "predicted")
-    entries = []
-    for i, ((s, e), (score, frame_scores)) in enumerate(zip(spans, scored)):
-        selected, scores = [], []
+    # One top-k call per frame count, over all the segments of that many frames.
+    by_size: dict[int, list[int]] = {}
+    for i, (_, frame_scores) in enumerate(scored):
         if frame_scores is not None:
-            selected = (topk_select(frame_scores, args.k) + s).tolist()
-            scores = frame_scores.tolist()
-        entries.append({"segment_id": i, "start": s, "end": e, "predicted": int(score >= 0.5),
-                        "k": args.k, "selected_frames": selected, "scores": scores})
+            by_size.setdefault(frame_scores.size, []).append(i)
+    selected: dict[int, list[int]] = {}
+    for group in by_size.values():
+        starts = np.array([spans[i][0] for i in group])[:, None]
+        picks = topk_select(np.stack([scored[i][1] for i in group]), args.k) + starts
+        selected.update(zip(group, picks.tolist()))
+    entries = (
+        {"segment_id": i, "start": s, "end": e, "predicted": int(score >= 0.5), "k": args.k,
+         "selected_frames": selected.get(i, []),
+         "scores": [] if frame_scores is None else frame_scores.tolist()}
+        for i, ((s, e), (score, frame_scores)) in enumerate(zip(spans, scored))
+    )
     dataio.write_json(entries, args.out)
     return 0
 

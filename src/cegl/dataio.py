@@ -29,7 +29,7 @@ import numbers
 import os
 import struct
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -225,16 +225,54 @@ def write_atomic(path, data: bytes | str | Iterable[str]) -> None:
         raise
 
 
-def write_json(obj, path) -> None:
-    """Atomically write obj as indented, key-sorted JSON plus a newline.
+#: Scalars per encoder call when write_json writes a list of scalars.
+_JSON_SLICE = 4096
 
-    The JSON is streamed to the file chunk by chunk, with the bytes of
-    `json.dumps(obj, indent=2, sort_keys=True) + "\n"`; the whole document
-    is never held in memory. NaN and infinities are not JSON; a value
-    holding one raises ValueError and nothing is written.
+_JSON_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True, allow_nan=False)
+
+
+def write_json(obj, path) -> None:
+    """Atomically write obj as key-sorted JSON, one record per line, plus a newline.
+
+    A top-level object puts each member on its own line. A list of
+    records (objects or lists), at the top level or as a member of a
+    top-level object, puts each record on its own line; such a list may
+    also come as an iterator, whose records are written as they come and
+    never held together. A list of scalars stays on one line, encoded in
+    slices of _JSON_SLICE. Every line is compact (no spaces) and comes
+    from the json module's C encoder, and the file is written as it is
+    encoded. NaN and infinities are not JSON; a value holding one raises
+    ValueError and nothing is written.
     """
-    encoder = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
-    write_atomic(path, itertools.chain(encoder.iterencode(obj), ["\n"]))
+    write_atomic(path, itertools.chain(_json_chunks(obj), ["\n"]))
+
+
+def _json_chunks(obj):
+    if isinstance(obj, dict) and obj:
+        yield "{"
+        for i, key in enumerate(sorted(obj)):
+            yield ("\n" if i == 0 else ",\n") + _JSON_ENCODER.encode(key) + ":"
+            yield from _json_value(obj[key])
+        yield "\n}"
+    else:
+        yield from _json_value(obj)
+
+
+def _json_value(value):
+    encode = _JSON_ENCODER.encode
+    if isinstance(value, list) and not any(isinstance(x, (dict, list, tuple)) for x in value):
+        yield "["
+        for i in range(0, len(value), _JSON_SLICE):
+            yield ("" if i == 0 else ",") + encode(value[i : i + _JSON_SLICE])[1:-1]
+        yield "]"
+    elif isinstance(value, (list, Iterator)):
+        opening = "[\n"
+        for record in value:
+            yield opening + encode(record)
+            opening = ",\n"
+        yield "[]" if opening == "[\n" else "\n]"
+    else:
+        yield encode(value)
 
 
 def unique_keys(error, where: str):

@@ -6,6 +6,9 @@ with no similarity are simply unconnected, and so is a zero-norm frame.
 Identical frames get weight exactly 1. All metrics read one Gram matrix
 whose entries each depend on their own two frames only, so a pair's
 cosine or distance is the same in every segment that holds both frames.
+Two identical frames give equal Gram entries (i, i), (i, j) and (j, j);
+only pairs with those three equal are compared feature by feature, a
+bounded slice of them at a time.
 
 A graph is only its node features and edge weights: a segment's span
 and weak label are facts of the partition (`Partition.spans`,
@@ -123,6 +126,30 @@ class SegmentGraph:
         return self.node_features.shape[1]
 
 
+def _identical_frames(values: np.ndarray, gram: np.ndarray, diagonals: np.ndarray) -> np.ndarray:
+    """(B, n, n) mask of the frame pairs of each segment that are equal in every feature.
+
+    Equal frames i and j have equal Gram entries (i, i), (i, j) and
+    (j, j), so only such candidate pairs are compared feature by feature.
+    In a segment of repeated frames nearly every pair is a candidate, so
+    at most B * n^2 / 32 pairs are compared at a time: their two float64
+    frames take d / 2 bytes per cell, half the full (B, n, n, d) bool
+    comparison.
+    """
+    n = gram.shape[1]
+    candidates = (gram == diagonals[:, :, None]) & (gram == diagonals[:, None, :])
+    np.einsum("bii->bi", candidates)[...] = False  # each frame equals itself: no need to look
+    pairs = np.flatnonzero(candidates)  # b * n^2 + i * n + j
+    frames = values.reshape(-1, values.shape[2])  # row b * n + i is frame i of segment b
+    identical = np.zeros(gram.shape, dtype=bool)
+    step = max(1, gram.size // 32)
+    for k in range(0, pairs.size, step):
+        row, j = np.divmod(pairs[k : k + step], n)  # row of frame i, and j
+        identical.flat[pairs[k : k + step]] = (frames[row] == frames[row - row % n + j]).all(axis=1)
+    np.einsum("bii->bi", identical)[...] = True
+    return identical
+
+
 def _similarity_batch(values: np.ndarray, cfg: SimilarityConfig) -> np.ndarray:
     """Edge-weight matrices (B, n, n) of B segments of n frames, given as (B, n, d)."""
     values = np.ascontiguousarray(values)  # einsum's summation order depends on the layout
@@ -146,7 +173,7 @@ def _similarity_batch(values: np.ndarray, cfg: SimilarityConfig) -> np.ndarray:
         scales = np.array([2.0 * s**2 if s > 0.0 else 1.0 for s in sigmas.tolist()])
         weights = np.exp(-sq_dists / scales[:, None, None])
         for b in np.flatnonzero(sigmas <= 0.0):  # then only identical frames connect
-            weights[b] = (values[b, :, None] == values[b, None]).all(axis=2)
+            weights[b] = _identical_frames(values[b : b + 1], gram[b : b + 1], diagonals[b : b + 1])[0]
         np.einsum("bii->bi", weights)[...] = 0.0
         return weights
 
@@ -156,7 +183,7 @@ def _similarity_batch(values: np.ndarray, cfg: SimilarityConfig) -> np.ndarray:
         log.debug("%d of %d frames have zero norm; their edge weights are 0", zero.sum(), zero.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         weights = np.clip(gram / (norms[:, :, None] * norms[:, None, :]), 0.0, 1.0)
-    weights[(values[:, :, None] == values[:, None]).all(axis=3)] = 1.0  # exactly 1, not 1 ulp below
+    weights[_identical_frames(values, gram, diagonals)] = 1.0  # exactly 1, not 1 ulp below
     weights[zero[:, :, None] | zero[:, None, :]] = 0.0
     np.einsum("bii->bi", weights)[...] = 0.0
     if cfg.metric != "knn_cosine":

@@ -84,14 +84,15 @@ def topk_select(scores: np.ndarray, k: int) -> np.ndarray:
 
     Selections are nested: the top-(k) set always contains the top-(k-1)
     set. Returns ascending frame indices; all frames when k >= len(scores).
+    A (B, n) matrix is B segments of n frames, one selection per row.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or scores.size == 0:
-        raise ValueError("topk_select needs a non-empty score vector")
+    if scores.ndim not in (1, 2) or scores.size == 0:
+        raise ValueError("topk_select needs a non-empty score vector or matrix")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    order = np.argsort(-scores, kind="stable")
-    return np.sort(order[: min(k, scores.size)])
+    order = np.argsort(-scores, axis=-1, kind="stable")
+    return np.sort(order[..., :k], axis=-1)
 
 
 def coverage_counts(

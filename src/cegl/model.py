@@ -202,9 +202,12 @@ def init_params(config: ModelConfig, seed: int = 0, init_scale: float = 1.0) -> 
     # the others, one PCG64 step per double, without making them. A seed
     # thus gives each kept array the same values whatever the kinds, and
     # the same values as when every model still stored the unused arrays.
+    # A mean readout reads no a_dim, so its walk skips the attention arrays
+    # at the default a_dim = layer_dims[-1], whatever its config says.
     rng = make_rng(seed)
     parts = []
-    full = replace(config, aggregator_kind="gated", readout_kind="attention")
+    a_dim = config.a_dim if config.readout_kind == "attention" else config.layer_dims[-1]
+    full = replace(config, aggregator_kind="gated", readout_kind="attention", a_dim=a_dim)
     for name, shape in param_shapes(full).items():
         if name not in kept:
             rng.bit_generator.advance(math.prod(shape))

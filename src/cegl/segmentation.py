@@ -20,15 +20,25 @@ at t acts from t + min_len on, so min_len consecutive ends depend on
 nothing their own block computes. `pelt` scores each such block as one
 (starts x ends) matrix.
 
+Span: a block's candidates are one contiguous run of starts [lo, hi), so
+every table it reads (prefix sums, F, segment counts, dominated_at) is a
+slice. lo moves past a start once no later end may use it; a start
+pruned inside the run stays in it, masked by dominated_at > the end's
+last admissible start, which excludes exactly the starts that pruning
+drops. Values, minima and ties are those of the pruned candidate set.
+
 Ties: both solvers take the lexicographic minimum of (objective, number
 of segments, start). `costs` rounds each entry from its own span alone,
-so the two see bit-identical values.
+so the two see bit-identical values. Without a tie the earliest start of
+least value is that minimum, so `pelt` counts segments, block by block,
+only when a block holds a tie.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,16 +62,18 @@ class Partition:
     boundaries: tuple[int, ...]
 
     def __post_init__(self):
-        # int() would take True as 1 and 10.5 as 10; neither is a frame index.
-        bad = [x for x in self.boundaries if isinstance(x, bool) or not isinstance(x, numbers.Integral)]
-        if bad:
-            raise TypeError(f"boundaries must be integers, got {bad[0]!r}")
-        b = tuple(int(x) for x in self.boundaries)
+        b = tuple(self.boundaries)
+        if set(map(type, b)) - {int}:  # anything but exact ints, such as numpy integers
+            # int() would take True as 1 and 10.5 as 10; neither is a frame index.
+            bad = [x for x in b if isinstance(x, bool) or not isinstance(x, numbers.Integral)]
+            if bad:
+                raise TypeError(f"boundaries must be integers, got {bad[0]!r}")
+            b = tuple(map(int, b))
         if len(b) < 2:
             raise ValueError("partition needs at least [0, T]")
         if b[0] != 0:
             raise ValueError(f"first boundary must be 0, got {b[0]}")
-        if any(x >= y for x, y in zip(b, b[1:])):
+        if not all(map(operator.lt, b, b[1:])):
             raise ValueError(f"boundaries must be strictly increasing: {b}")
         object.__setattr__(self, "boundaries", b)
 
@@ -130,9 +142,23 @@ class SegmentCost:
         lengths = ends - starts
         if lengths.min() < 1 or starts.min() < 0 or ends.max() > self.frame_count:
             raise ValueError(f"empty span or span outside the {self.frame_count} frames")
-        total = self._sums[ends] - self._sums[starts]
-        sq = np.einsum("...k,...k->...", total, total)
-        return np.maximum((self._sq[ends] - self._sq[starts]) - sq / lengths, 0.0)
+        return _cost(self._sums[ends] - self._sums[starts], self._sq[ends] - self._sq[starts], lengths)
+
+    def block(self, lo: int, hi: int, first: int, stop: int, lengths: np.ndarray) -> np.ndarray:
+        """`costs` of the starts lo..hi-1 (rows) and the ends first..stop-1 (columns).
+
+        `lengths` holds each span's length t - s. The spans are read as
+        slices and not checked; every entry has the bits that `costs`
+        gives it.
+        """
+        total = self._sums[first:stop] - self._sums[lo:hi, None]
+        return _cost(total, self._sq[first:stop] - self._sq[lo:hi, None], lengths)
+
+
+def _cost(total: np.ndarray, sq_diff: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """sum ||x_t||^2 - ||sum x_t||^2 / (e - s), clamped at 0, from a span's sums and length."""
+    sq = np.einsum("...k,...k->...", total, total)
+    return np.maximum(sq_diff - sq / lengths, 0.0)
 
 
 def _best_starts(values: np.ndarray, n_seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,28 +198,35 @@ def pelt(f: FeatureMatrix, cfg: SegmentationConfig) -> Partition:
     cost, beta = SegmentCost(f), cfg.penalty_for(f)
     f_best, n_seg, prev = _tables(f, beta)
 
-    never = np.full(min_len, _NEVER)
-    starts, dominated_at = np.zeros(1, dtype=np.int64), never[:1]  # starts ascend
+    # dominated_at[s - origin] is the first end that dominated start s; starts
+    # 1..min_len-1 end no first segment of min_len frames.
+    origin, dominated_at = 0, np.r_[_NEVER, np.zeros(min_len - 1, dtype=np.int64)]
+    frames, lo, counted = np.arange(t_total + 1), 0, min_len  # n_seg is filled below counted
     for first in range(min_len, t_total + 1, min_len):
         stop = min(first + min_len, t_total + 1)
-        ts = np.arange(first, stop)
-        latest = ts - min_len  # the last admissible start of each end
-        if first > min_len:  # each end from 2 * min_len on adds one start
-            starts = np.concatenate((starts, latest))
-            dominated_at = np.concatenate((dominated_at, never[: latest.size]))
-        keep = dominated_at > first - min_len
-        starts, dominated_at = starts[keep], dominated_at[keep]
+        while dominated_at[lo - origin] <= first - min_len:  # inadmissible from here on
+            lo += 1
+        hi = stop - min_len  # one past the last admissible start of the block's last end
+        if hi - origin >= dominated_at.size:  # drop starts before lo; the next scan may read hi
+            fresh = np.full(hi - lo + min_len, _NEVER)
+            origin, dominated_at = lo, np.concatenate((dominated_at[lo - origin :], fresh))
+        ts, latest = frames[first:stop], frames[first - min_len : hi]  # latest: each end's last start
+        lengths, dominated = ts - frames[lo:hi, None], dominated_at[lo - origin : hi - origin]
 
-        valid = (starts[:, None] <= latest) & (dominated_at[:, None] > latest)
-        base = f_best[starts, None] + cost.costs(starts[:, None], ts)
+        valid = (lengths >= min_len) & (dominated[:, None] > latest)
+        base = f_best[lo:hi, None] + cost.block(lo, hi, first, stop, lengths)
         values = np.where(valid, base + beta, np.inf)
-        best, f_best[first:stop] = _best_starts(values, n_seg[starts])
-        prev[first:stop] = starts[best]
-        n_seg[first:stop] = n_seg[prev[first:stop]] + 1
+        best, f_best[first:stop] = values.argmin(axis=0), values.min(axis=0)
+        if np.count_nonzero(values == f_best[first:stop]) > stop - first:  # a tie
+            for t in range(counted, first, min_len):  # count the earlier blocks' segments
+                n_seg[t : t + min_len] = n_seg[prev[t : t + min_len]] + 1
+            counted = first
+            best = _best_starts(values, n_seg[lo:hi])[0]
+        prev[first:stop] = best + lo
 
         # A start keeps the first end that dominates it.
         hit = valid & (base > f_best[first:stop])
-        dominated_at = np.minimum(dominated_at, np.where(hit, ts, _NEVER).min(axis=1))
+        np.minimum(dominated, np.where(hit, ts, _NEVER).min(axis=1), out=dominated)
 
     return _backtrack(prev, t_total)
 
@@ -232,6 +265,8 @@ def read_partition(path) -> tuple[str, Partition]:
     obj = read_json(path, "partition")
     if not isinstance(obj, dict) or set(obj) != {"video_id", "boundaries"}:
         raise FormatError(f"partition JSON must hold video_id and boundaries: {path}")
+    if not isinstance(obj["video_id"], str):
+        raise FormatError(f"partition video_id must be a string, got {obj['video_id']!r}: {path}")
     try:
         return obj["video_id"], Partition(tuple(obj["boundaries"]))
     except (TypeError, ValueError) as exc:

@@ -648,6 +648,11 @@ def moved_end(shift):
     return lambda p: {**p, "boundaries": [*p["boundaries"][:-1], p["boundaries"][-1] + shift]}
 
 
+def second_boundary(value):
+    """Edit of a partition file that puts value in place of its second boundary."""
+    return lambda p: {**p, "boundaries": [0, value, *p["boundaries"][2:]]}
+
+
 def hostile_input_cases():
     """(id, file, command, new content from old, fragment): one bad input file per row.
 
@@ -655,7 +660,9 @@ def hostile_input_cases():
     `evaluate` and `coverage-curve`, the checkpoint header in `classify`,
     `localize` and `coverage-curve`. A partition that does not end at the
     video's last frame is refused where it meets the features, in
-    `classify` and `localize`; its fragment names the partition's end.
+    `classify` and `localize`; its fragment names the partition's end. A
+    malformed partition is refused in `classify`, `localize` and
+    `evaluate`.
     """
     annotations = {
         "no-frame-labels": lambda a: {"video_id": a["video_id"]},
@@ -683,6 +690,20 @@ def hostile_input_cases():
         for command in ("classify", "localize"):
             fragment = "partition covers {end} frames"
             yield f"partition-{name}-{command}", "partition", command, edit, fragment
+    # An edit may return raw text.
+    malformed = {
+        "real-boundary": (second_boundary(10.5), "must be integers"),
+        "bool-boundary": (second_boundary(True), "must be integers"),
+        "string-boundary": (second_boundary("10"), "must be integers"),
+        "object-boundary": (second_boundary({}), "must be integers"),
+        "integer-video-id": (lambda p: {**p, "video_id": 0}, "video_id"),
+        "truncated": (lambda p: json.dumps(p)[: len(json.dumps(p)) // 2], "malformed partition"),
+        "huge-boundary": (lambda p: {**p, "boundaries": [*p["boundaries"][:-1], 10**30]},
+                          str(10**30)),
+    }
+    for name, (edit, fragment) in malformed.items():
+        for command in ("classify", "localize", "evaluate"):
+            yield f"partition-{name}-{command}", "partition", command, edit, fragment
 
 
 HOSTILE_INPUTS = list(hostile_input_cases())
@@ -703,9 +724,11 @@ def test_hostile_input_exits_2(pipeline, tmp_path, capsys, kind, command, edit, 
         annotations.write_text(json.dumps(edit(json.loads(annotations.read_text()))))
     elif kind == "partition":
         bad = edit(json.loads(partition.read_text()))
-        fragment = fragment.format(end=bad["boundaries"][-1])
+        if not isinstance(bad, str):
+            fragment = fragment.format(end=bad["boundaries"][-1])
+            bad = json.dumps(bad)
         partition = tmp_path / "part.json"
-        partition.write_text(json.dumps(bad))
+        partition.write_text(bad)
     else:
         model = tmp_path / "bad.cegm"
         good = pipeline / "model.cegm"
@@ -795,7 +818,7 @@ def test_malformed_config_value_exits_2(
 
 def repeat_key(key, first):
     """Edit of a JSON text that gives the first `key` a `first` value ahead of its own."""
-    return lambda text: text.replace(f'"{key}": ', f'"{key}": {first}, "{key}": ', 1)
+    return lambda text: re.sub(f'"{key}": ?', f'"{key}": {first}, "{key}": ', text, count=1)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import functools
 import json
 import tracemalloc
 
@@ -211,6 +212,20 @@ def test_write_json_nan_partway_through_a_list_leaves_no_file(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def dumps_layout(obj) -> str:
+    """write_json's layout built from one compact `json.dumps` per line."""
+    dumps = functools.partial(json.dumps, separators=(",", ":"), sort_keys=True)
+
+    def value(v):
+        if isinstance(v, list) and any(isinstance(x, (dict, list)) for x in v):
+            return "[\n" + ",\n".join(map(dumps, v)) + "\n]"
+        return dumps(v)
+
+    if isinstance(obj, dict) and obj:
+        return "{\n" + ",\n".join(dumps(k) + ":" + value(obj[k]) for k in sorted(obj)) + "\n}\n"
+    return value(obj) + "\n"
+
+
 @pytest.mark.parametrize(
     "obj",
     [
@@ -229,7 +244,34 @@ def test_write_json_nan_partway_through_a_list_leaves_no_file(tmp_path):
 def test_write_json_bytes_equal_json_dumps(tmp_path, obj):
     path = tmp_path / "out.json"
     write_json(obj, path)
-    assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+    assert json.loads(path.read_text()) == obj
+    assert path.read_bytes() == dumps_layout(obj).encode()
+
+
+def test_write_json_puts_one_record_on_a_line(tmp_path):
+    path = tmp_path / "out.json"
+    write_json({"video_id": "v", "frames": [3, 1], "segments": [
+        {"start": 0, "end": 5, "score": 0.25}, {"start": 5, "end": 9, "score": 1.0}]}, path)
+    assert path.read_text() == (
+        '{\n'
+        '"frames":[3,1],\n'
+        '"segments":[\n'
+        '{"end":5,"score":0.25,"start":0},\n'
+        '{"end":9,"score":1.0,"start":5}\n'
+        '],\n'
+        '"video_id":"v"\n'
+        '}\n'
+    )
+
+
+@pytest.mark.parametrize("records", [[], [{"b": [1.5], "a": 0}, [2, {"c": None}]]],
+                         ids=["empty", "records"])
+def test_write_json_takes_records_as_an_iterator(tmp_path, records):
+    path = tmp_path / "out.json"
+    write_json(iter(records), path)
+    assert path.read_bytes() == dumps_layout(records).encode()
+    write_json({"id": "v", "records": iter(records)}, path)
+    assert path.read_bytes() == dumps_layout({"id": "v", "records": records}).encode()
 
 
 def test_write_json_streams_without_holding_the_document(tmp_path):
@@ -242,7 +284,8 @@ def test_write_json_streams_without_holding_the_document(tmp_path):
     finally:
         tracemalloc.stop()
     data = path.read_bytes()
-    assert data == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+    assert json.loads(data) == obj
+    assert data == dumps_layout(obj).encode()
     assert peak < len(data) / 4, f"traced peak {peak} bytes for a {len(data)}-byte file"
 
 

@@ -1,9 +1,11 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cegl.dataio import Annotations, FeatureMatrix, SynthConfig, derive_segment_labels, synth_video
+from cegl import graph
 from cegl.errors import ConfigError
 from cegl.graph import (
     BATCH_CELLS,
@@ -301,3 +303,68 @@ class TestBatchedBuild:
     def test_span_outside_the_video_raises(self, span):
         with pytest.raises(ValueError, match="lies outside the video's 10 frames"):
             build_segment_graphs(fm(np.ones((10, 2))), [(0, 4), span], SimilarityConfig())
+
+
+class TestIdenticalFrames:
+    """The Gram-candidate check gives the bits of a full frame-by-frame comparison."""
+
+    @staticmethod
+    def segments():
+        # (B, n, d) segments with planted duplicates, frames one ulp from a
+        # neighbour and zero frames.
+        rng = make_rng(41)
+        values = rng.standard_normal((6, 9, 5))
+        values[:, 3] = values[:, 1]
+        values[:, 8] = values[:, 1]
+        values[:, 4] = np.nextafter(values[:, 2], np.inf)
+        values[1:3, 5] = 0.0
+        values[2, 6] = 0.0
+        values[3, 7] = -values[3, 0]
+        values[4] = values[4, 0]  # a segment of one repeated frame
+        values[5, :, 0] = np.nextafter(values[5, 0, 0], -np.inf)
+        return values
+
+    @staticmethod
+    def full_check(values, gram, diagonals):
+        return (values[:, :, None] == values[:, None]).all(axis=3)
+
+    def test_mask_equals_the_full_comparison(self):
+        values = self.segments()
+        gram = np.einsum("bik,bjk->bij", values, values)
+        diagonals = np.diagonal(gram, axis1=1, axis2=2)
+        got = graph._identical_frames(values, gram, diagonals)
+        want = self.full_check(values, gram, diagonals)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert want[:, 1, 3].all() and want[4].all() and not want[0, 2, 4]
+
+    @pytest.mark.parametrize("cfg", [
+        SimilarityConfig("cosine"),
+        SimilarityConfig("correlation"),
+        SimilarityConfig("knn_cosine", knn_k=2),
+        SimilarityConfig("euclidean_rbf"),
+        SimilarityConfig("euclidean_rbf", rbf_sigma=0.5),
+    ], ids=["cosine", "correlation", "knn_cosine", "rbf-median", "rbf-explicit"])
+    def test_weights_equal_those_of_the_full_comparison(self, cfg, monkeypatch):
+        values = self.segments()
+        got = graph._similarity_batch(values, cfg)
+        monkeypatch.setattr(graph, "_identical_frames", self.full_check)
+        want = graph._similarity_batch(values, cfg)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cfg", [SimilarityConfig("cosine"), SimilarityConfig("euclidean_rbf")],
+                             ids=["cosine", "rbf-zero-sigma"])
+    def test_repeated_frames_stay_within_the_full_comparisons_memory(self, cfg, monkeypatch):
+        # Nearly every pair of a segment of one repeated frame is a candidate;
+        # the median distance is then 0, so the RBF graph takes identical frames.
+        n, d = 300, 16
+        rng = make_rng(43)
+        values = np.repeat(rng.standard_normal((1, 1, d)), n, axis=1)
+        values[0, ::7] = rng.standard_normal((len(range(0, n, 7)), d))
+        tracemalloc.start()
+        got = graph._similarity_batch(values, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # The full comparison's (n, n, d) bool tensor and six (n, n) floats.
+        assert peak <= (d + 6 * 8) * n * n
+        monkeypatch.setattr(graph, "_identical_frames", self.full_check)
+        assert got.tobytes() == graph._similarity_batch(values, cfg).tobytes()

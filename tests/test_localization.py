@@ -78,9 +78,21 @@ class TestTopkSelect:
                 assert previous <= current
                 previous = current
 
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("k", [1, 3, 7, 9])
+    def test_matrix_rows_match_one_vector_calls(self, n, k):
+        # Rows of few distinct values: ties within a row are the rule.
+        scores = make_rng(n * 10 + k).integers(0, 3, size=(6, n)) / 4.0
+        rows = topk_select(scores, k)
+        assert rows.shape == (6, min(k, n))
+        for row, got in zip(scores, rows):
+            assert got.tolist() == topk_select(row, k).tolist()
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             topk_select(np.array([]), 1)
+        with pytest.raises(ValueError):
+            topk_select(np.zeros((2, 2, 2)), 1)
         with pytest.raises(ValueError):
             topk_select(np.array([1.0]), 0)
 

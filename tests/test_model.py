@@ -96,6 +96,14 @@ class TestInitParams:
         for name in ("layer0.transform", "layer1.transform"):
             assert np.array_equal(huge.arrays[name], small.arrays[name])
 
+    @pytest.mark.parametrize("agg", AGGREGATOR_KINDS)
+    def test_mean_readout_init_ignores_a_dim(self, agg):
+        # No array of a mean readout reads a_dim, so no a_dim moves its weights.
+        vectors = [init_params(ModelConfig((5, 4, 3), agg, "mean", a_dim=a), seed=11).vector
+                   for a in (None, 1, 2, 3, 2**45)]
+        for vector in vectors[1:]:
+            assert vector.tobytes() == vectors[0].tobytes()
+
     def test_invalid(self):
         with pytest.raises(ConfigError):
             ModelConfig((4, 0, 2))

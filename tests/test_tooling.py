@@ -2,6 +2,7 @@
 and measuring what the benchmark's README says they measure."""
 
 import importlib.util
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -142,3 +143,20 @@ def test_traced_classify_and_localize_build_graphs_per_size_chunk(tmp_path):
         totals = {key: sum(tracer.sizes[i][key] for i in builds) for key in ("graphs", "pairs")}
         assert totals == {
             "graphs": len(sizes), "pairs": sum(n * (n - 1) // 2 for n in sizes)}, command
+
+
+def test_traced_localize_runs_one_topk_per_segment_length(tmp_path):
+    """localization.topk times one batched call per length of the scored segments."""
+    features, partition, model = trained_video(tmp_path)
+    inputs = ["--model", model, "--features", features, "--partition", partition, "--k", 2]
+
+    for extra in ([], ["--all-segments"]):
+        out = tmp_path / "loc.json"
+        tracer = traced(["localize", *inputs, *extra, "--out", out])
+        scored = [e["end"] - e["start"] for e in json.loads(out.read_text()) if e["scores"]]
+        topk = [i for i, name_id in enumerate(tracer.name)
+                if tracer.names[name_id] == "localization.topk"]
+        assert len(topk) == len(set(scored)) >= 1, extra
+        assert all(tracer.names[tracer.name[tracer.parent[i]]] == "cli.localize"
+                   for i in topk), extra
+    assert len(scored) > len(set(scored))  # --all-segments: lengths repeat
