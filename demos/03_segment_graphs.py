@@ -2,8 +2,11 @@
 """Turn video segments into similarity graphs and compare edge structure.
 
 Frames are nodes; cosine similarity (clamped at zero) weights the edges.
-Within an abnormal segment the planted frames sit in their own cluster,
-so their edges to normal frames are visibly weaker.
+Segments of one length are built together as one `GraphBatch`;
+`map_size_chunks` walks a video's spans in such chunks and hands the
+graphs back in span order. Within an abnormal segment the planted frames
+sit in their own cluster, so their edges to normal frames are visibly
+weaker.
 """
 
 import numpy as np
@@ -13,6 +16,7 @@ from cegl import (
     SynthConfig,
     build_segment_graphs,
     derive_segment_labels,
+    map_size_chunks,
     synth_video,
 )
 
@@ -30,16 +34,25 @@ features, annotations, planted = synth_video(
     video_id="demo",
 )
 
+spans = planted.spans()
+lengths = [e - s for s, e in spans]
+n = max(lengths, key=lengths.count)
+batch = build_segment_graphs(features, [s for s in spans if s[1] - s[0] == n], SimilarityConfig())
+print(f"the {len(batch)} segments of {n} frames as one batch: features "
+      f"{batch.node_features.shape}, edges {batch.edge_weights.shape}\n")
+
 for metric in ("cosine", "correlation", "euclidean_rbf", "knn_cosine"):
     cfg = SimilarityConfig(metric=metric, knn_k=3)
-    graphs = build_segment_graphs(features, planted.spans(), cfg)
+    graphs = map_size_chunks(spans, lambda chunk: build_segment_graphs(features, chunk, cfg))
     mean_weight = np.mean([g.edge_weights.mean() for g in graphs])
     print(f"{metric:14s}: {len(graphs)} graphs, mean edge weight {mean_weight:.3f}")
 
-graphs = build_segment_graphs(features, planted.spans(), SimilarityConfig())
+graphs = map_size_chunks(
+    spans, lambda chunk: build_segment_graphs(features, chunk, SimilarityConfig())
+)
 labels = derive_segment_labels(annotations, planted)
 print("\nwithin-cluster vs cross-cluster cosine weights per abnormal segment:")
-for (s, e), g, label in zip(planted.spans(), graphs, labels):
+for (s, e), g, label in zip(spans, graphs, labels):
     if not label:
         continue
     marked = annotations.frame_labels[s:e].astype(bool)

@@ -6,6 +6,7 @@ used); two held-out videos measure generalization. Takes ~half a minute.
 """
 
 from cegl import (
+    GraphBatch,
     ModelConfig,
     SegmentationConfig,
     SimilarityConfig,
@@ -16,6 +17,7 @@ from cegl import (
     derive_segment_labels,
     forward,
     init_params,
+    map_size_chunks,
     pelt,
     synth_video,
     train,
@@ -39,7 +41,9 @@ similarity = SimilarityConfig()
 train_graphs = []
 for features, annotations, _ in videos[:4]:
     partition = pelt(features, seg_cfg)
-    graphs = build_segment_graphs(features, partition.spans(), similarity)
+    graphs = map_size_chunks(  # built one batch of equal-length segments at a time
+        partition.spans(), lambda spans: build_segment_graphs(features, spans, similarity)
+    )
     train_graphs += zip(graphs, derive_segment_labels(annotations, partition).tolist())
 print(f"training on {len(train_graphs)} segment graphs from 4 videos")
 
@@ -57,8 +61,11 @@ print(f"loss: {history[0]:.3f} -> {history[-1]:.3f} over {len(history)} epochs")
 preds, labels = [], []
 for features, annotations, _ in videos[4:]:
     partition = pelt(features, seg_cfg)
-    graphs = build_segment_graphs(features, partition.spans(), similarity)
-    preds += (forward(graphs, params).prediction >= 0.5).astype(int).tolist()  # one batch
+    graphs = map_size_chunks(  # built one batch of equal-length segments at a time
+        partition.spans(), lambda spans: build_segment_graphs(features, spans, similarity)
+    )
+    # one pass over the video's graphs, padded to the longest as training pads a mini-batch
+    preds += (forward(GraphBatch.pack(graphs), params).prediction >= 0.5).astype(int).tolist()
     labels += derive_segment_labels(annotations, partition).tolist()
 
 report = weighted_metrics(confusion(preds, labels))

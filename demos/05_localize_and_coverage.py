@@ -19,6 +19,7 @@ from cegl import (
     coverage_curve,
     derive_segment_labels,
     init_params,
+    map_size_chunks,
     pelt,
     score_segments,
     synth_video,
@@ -43,7 +44,9 @@ similarity = SimilarityConfig()
 train_graphs = []
 for features, annotations, _ in videos[:4]:
     partition = pelt(features, seg_cfg)
-    graphs = build_segment_graphs(features, partition.spans(), similarity)
+    graphs = map_size_chunks(
+        partition.spans(), lambda spans: build_segment_graphs(features, spans, similarity)
+    )
     train_graphs += zip(graphs, derive_segment_labels(annotations, partition).tolist())
 model_cfg = ModelConfig((16, 32, 16), "mean", "attention", attention_averaged=False)
 params = init_params(model_cfg, seed=5, init_scale=2.0)
@@ -57,12 +60,13 @@ params, _ = train(
 # Localize one held-out video and show a few abnormal segments.
 features, annotations, _ = videos[4]
 partition = pelt(features, seg_cfg)
-graphs = build_segment_graphs(features, partition.spans(), similarity)
 labels = derive_segment_labels(annotations, partition)
 spans = partition.spans()
 
-# One forward pass per segment gives its score and its frame scores.
-scored = score_segments(graphs, params, frames="all")
+# One forward pass per batch of equal-length segments gives each segment's
+# score and its frame scores; map_size_chunks puts them back in span order.
+scored = map_size_chunks(spans, lambda chunk: score_segments(
+    build_segment_graphs(features, chunk, similarity), params, frames="all"))
 
 print("top-2 selections in the first abnormal segments of a held-out video:")
 shown = 0

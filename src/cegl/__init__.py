@@ -18,7 +18,8 @@ from .dataio import (
     write_annotations,
     write_feature_matrix,
 )
-from .graph import SegmentGraph, SimilarityConfig, build_graph, build_segment_graphs
+from .graph import GraphBatch, SegmentGraph, SimilarityConfig, build_graph, build_segment_graphs
+from .graph import map_size_chunks
 from .localization import node_scores, score_segments, topk_select
 from .metrics import ConfusionCounts, MetricsReport, confusion, coverage_curve, weighted_metrics
 from .model import (
@@ -45,6 +46,7 @@ __all__ = [
     "Annotations",
     "ConfusionCounts",
     "FeatureMatrix",
+    "GraphBatch",
     "MetricsReport",
     "ModelConfig",
     "ModelParams",
@@ -63,6 +65,7 @@ __all__ = [
     "forward",
     "init_params",
     "load_checkpoint",
+    "map_size_chunks",
     "node_scores",
     "optimal_partition_oracle",
     "pelt",

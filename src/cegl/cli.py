@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import reprlib
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -23,7 +24,7 @@ import numpy as np
 from . import dataio, metrics, segmentation
 from .dataio import Annotations, FeatureMatrix, SynthConfig, config_from_json
 from .errors import CeglError, ConfigError, DataError, FormatError, NumericError
-from .graph import SimilarityConfig, build_segment_graphs, size_chunks
+from .graph import SimilarityConfig, build_segment_graphs, map_size_chunks
 from .localization import score_segments, topk_select
 from .model import (
     ModelConfig,
@@ -67,7 +68,7 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"config root must be a JSON object: {path}")
     unknown = set(obj) - {f.name for f in fields(RunConfig)}
     if unknown:
-        raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown top-level config keys: {reprlib.repr(sorted(unknown))}")
 
     def section(cls, name):
         return config_from_json(cls, obj.get(name, {}), name)
@@ -176,7 +177,8 @@ def cmd_train(args) -> int:
                 f"feature dim mismatch across videos: {features.feature_dim} vs {feature_dim}"
             )
         partition = pelt(features, cfg.segmentation)
-        graphs = build_segment_graphs(features, partition.spans(), cfg.similarity)
+        graphs = map_size_chunks(partition.spans(), lambda spans: build_segment_graphs(
+            features, spans, cfg.similarity))
         labelled.extend(zip(graphs, dataio.derive_segment_labels(ann, partition).tolist()))
 
     model_cfg = cfg.model
@@ -192,11 +194,11 @@ def cmd_train(args) -> int:
 
 
 def _score_video(args, frames: str):
-    """(video id, spans, `score_segments` output) of --features cut by --partition.
+    """(video id, spans, `score_segments` output per span) of --features cut by --partition.
 
     The --model checkpoint scores the segments; `frames` is passed on to
-    `score_segments`. Graphs are built and scored one size chunk at a
-    time, so only one chunk of them is held at once.
+    `score_segments`. Each size chunk is built as one batch and scored,
+    so only one chunk of graphs is held at once.
     """
     params, similarity, _ = load_checkpoint(args.model)
     features = dataio.read_feature_matrix(args.features)
@@ -207,11 +209,8 @@ def _score_video(args, frames: str):
             f"partition covers {partition.frame_count} frames but video has {features.frame_count}"
         )
     spans = partition.spans()
-    scored: list = [None] * len(spans)
-    for chunk in size_chunks([e - s for s, e in spans]):
-        graphs = build_segment_graphs(features, [spans[i] for i in chunk], similarity)
-        for i, result in zip(chunk, score_segments(graphs, params, frames)):
-            scored[i] = result
+    scored = map_size_chunks(spans, lambda chunk: score_segments(
+        build_segment_graphs(features, chunk, similarity), params, frames))
     return video_id, spans, scored
 
 

@@ -27,6 +27,7 @@ import json
 import math
 import numbers
 import os
+import reprlib
 import struct
 from collections import Counter
 from collections.abc import Iterable, Iterator
@@ -104,10 +105,15 @@ def config_from_json(cls, obj, section: str):
     field or a value cls rejects raises ConfigError naming the section.
     """
     if not isinstance(obj, dict):
-        raise ConfigError(f"{section} config must be a JSON object, got {obj!r}")
-    unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
+        kind = "null" if obj is None else type(obj).__name__
+        raise ConfigError(f"{section} config must be a JSON object, got {kind}")
+    fields = dataclasses.fields(cls)
+    unknown = set(obj) - {f.name for f in fields}
     if unknown:
-        raise ConfigError(f"unknown {section} config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {section} config keys: {reprlib.repr(sorted(unknown))}")
+    missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in obj]
+    if missing:
+        raise ConfigError(f"{section} config lacks {missing}")
     try:
         return cls(**obj)
     except (ConfigError, TypeError, ValueError) as exc:
@@ -148,7 +154,7 @@ def check_types(cfg) -> None:
         value, kinds = getattr(cfg, f.name), f.type.split(" | ")
         if not any(_JSON_TYPES[kind][0](value) for kind in kinds):
             what = " or ".join(_JSON_TYPES[kind][1] for kind in kinds)
-            raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+            raise ConfigError(f"{f.name} must be {what}, got {reprlib.repr(value)}")
         if "float" in kinds and _is_real(value):
             object.__setattr__(cfg, f.name, float(value))
         elif "int" in kinds and _is_count(value):

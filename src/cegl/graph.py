@@ -12,21 +12,17 @@ bounded slice of them at a time.
 
 A graph is only its node features and edge weights: a segment's span
 and weak label are facts of the partition (`Partition.spans`,
-`dataio.derive_segment_labels`). `build_segment_graphs` takes frame
-spans and buckets them by length n. One unpadded kernel call makes each
-chunk of at most max(1, BATCH_CELLS // n^2) of them, bit-identical to
-`build_graph`'s one-segment call; one check covers the chunk, and one
-debug line counts its zero-norm frames. Node features are views of the
-video. Inference (`cegl classify`, `cegl localize`) builds and scores one
-such size chunk at a time, so it holds one chunk of graphs, not the
-video's.
+`dataio.derive_segment_labels`). `build_segment_graphs` builds spans of
+one length as one unpadded `GraphBatch`, bit-identical to `build_graph`'s
+one-segment call; `map_size_chunks` walks a video's spans one such size
+chunk at a time, so inference holds one chunk of graphs, not the video's.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,6 +49,15 @@ def size_chunks(sizes: Sequence[int]) -> Iterator[list[int]]:
     for n, indices in by_size.items():
         step = max(1, BATCH_CELLS // (n * n))
         yield from (indices[k : k + step] for k in range(0, len(indices), step))
+
+
+def map_size_chunks(spans: Sequence[tuple[int, int]], fn: Callable[[list], Sequence]) -> list:
+    """fn(the spans of one size chunk), one item per span, for each chunk; items in span order."""
+    items: list = [None] * len(spans)
+    for chunk in size_chunks([e - s for s, e in spans]):
+        for i, item in zip(chunk, fn([spans[i] for i in chunk]), strict=True):
+            items[i] = item
+    return items
 
 
 @dataclass(frozen=True)
@@ -109,14 +114,6 @@ class SegmentGraph:
         object.__setattr__(self, "node_features", feats)
         object.__setattr__(self, "edge_weights", w)
 
-    @classmethod
-    def _of_checked_chunk(cls, node_features, edge_weights):
-        # Fields that `build_segment_graphs` has checked as a chunk: one more
-        # check per graph took a quarter of a screening exam's build.
-        graph = object.__new__(cls)
-        graph.__dict__.update(node_features=node_features, edge_weights=edge_weights)
-        return graph
-
     @property
     def n(self) -> int:
         return self.node_features.shape[0]
@@ -124,6 +121,40 @@ class SegmentGraph:
     @property
     def feature_dim(self) -> int:
         return self.node_features.shape[1]
+
+
+@dataclass(frozen=True, eq=False)
+class GraphBatch:
+    """B graphs zero-padded to the largest node count N; it checks nothing itself.
+
+    `build_segment_graphs` checks the edges it batches; `pack` takes checked graphs.
+    """
+
+    node_features: np.ndarray  # (B, N, d) float64
+    edge_weights: np.ndarray  # (B, N, N)
+    sizes: np.ndarray  # (B,) node count of each graph
+
+    @classmethod
+    def pack(cls, graphs: Sequence[SegmentGraph]) -> GraphBatch:
+        """Graphs of one feature dim d, each copied into a zero (N, d) and (N, N) block."""
+        if not graphs:
+            raise ValueError("a graph batch needs at least one graph")
+        sizes = np.array([g.n for g in graphs])
+        n_max = int(sizes.max())
+        h = np.zeros((len(graphs), n_max, graphs[0].feature_dim))
+        edges = np.zeros((len(graphs), n_max, n_max))
+        for b, g in enumerate(graphs):
+            h[b, : g.n] = g.node_features
+            edges[b, : g.n, : g.n] = g.edge_weights
+        return cls(h, edges, sizes)
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __getitem__(self, b: int) -> SegmentGraph:
+        """Graph b as views of the batch; past the last graph, the IndexError that ends iteration."""
+        n = self.sizes[b]
+        return SegmentGraph(self.node_features[b, :n], self.edge_weights[b, :n, :n])
 
 
 def _identical_frames(values: np.ndarray, gram: np.ndarray, diagonals: np.ndarray) -> np.ndarray:
@@ -202,19 +233,18 @@ def build_graph(segment: FeatureMatrix, cfg: SimilarityConfig) -> SegmentGraph:
 
 def build_segment_graphs(
     features: FeatureMatrix, spans: Sequence[tuple[int, int]], cfg: SimilarityConfig
-) -> list[SegmentGraph]:
-    """One graph per [start, end) frame span of the video, in the order of `spans`."""
+) -> GraphBatch:
+    """The graphs of [start, end) frame spans of one length, in the order of `spans`, unpadded."""
+    if not spans:
+        raise ValueError("build_segment_graphs needs at least one span")
     frames = features.frame_count
+    n = spans[0][1] - spans[0][0]
     for s, e in spans:
         if not 0 <= s < e <= frames:
             raise ValueError(f"span [{s}, {e}) lies outside the video's {frames} frames")
-    values = features.values
-    graphs: list = [None] * len(spans)
-    for chunk in size_chunks([e - s for s, e in spans]):
-        starts = [spans[i][0] for i in chunk]
-        n = spans[chunk[0]][1] - starts[0]
-        weights = _similarity_batch(values[np.add.outer(starts, range(n))], cfg)
-        _check_edge_weights(weights)
-        for i, s, w in zip(chunk, starts, weights):
-            graphs[i] = SegmentGraph._of_checked_chunk(values[s : s + n], w)
-    return graphs
+        if e - s != n:
+            raise ValueError(f"span [{s}, {e}) is not {n} frames long like the batch's first")
+    values = features.values[np.add.outer([s for s, _ in spans], range(n))]
+    weights = _similarity_batch(values, cfg)
+    _check_edge_weights(weights)
+    return GraphBatch(values, weights, np.full(len(spans), n))

@@ -1,12 +1,12 @@
 """Inference-time frame localization: score, rank, select top-k per segment.
 
-`score_segments` is the one inference path, shared by `cegl classify`,
-`cegl localize` and the coverage curve. A trained classifier's readout
-is repurposed as a temporal pool: each frame's score is its attention
-weight times the sigmoid head applied to its own final embedding, i.e.
-the frame's weighted contribution to the abnormal prediction. Top-k
-selection uses a fixed total order (score descending, earlier frame
-first on ties) so selections are nested in k.
+`score_segments`, one inference-only `forward` over one `GraphBatch`, is
+the inference path of `cegl classify`, `cegl localize` and the coverage
+curve. A trained classifier's readout is repurposed as a temporal pool:
+each frame's score is its attention weight times the sigmoid head applied
+to its own final embedding, i.e. the frame's weighted contribution to the
+abnormal prediction. Top-k selection uses a fixed total order (score
+descending, earlier frame first on ties) so selections are nested in k.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataio import Annotations, derive_segment_labels
-from .graph import SegmentGraph, size_chunks
+from .graph import GraphBatch
 from .model import CLASSIFIER_BIAS, CLASSIFIER_WEIGHTS, ForwardCache, ModelParams, forward
 from .numerics import sigmoid
 from .segmentation import Partition
@@ -29,8 +29,8 @@ __all__ = [
 ]
 
 
-def node_scores(cache: ForwardCache) -> list[np.ndarray]:
-    """Per-frame activation scores of each graph in a trained model's forward pass.
+def node_scores(cache: ForwardCache) -> np.ndarray:
+    """(B, N) per-frame activation scores of a trained model's pass, zero past each graph's size.
 
     score_i = alpha_i * logistic(w . h_i + b) over the final node
     embeddings. The mean readout has no attention weights to reuse, so
@@ -41,42 +41,31 @@ def node_scores(cache: ForwardCache) -> list[np.ndarray]:
     p = cache.params.arrays
     head = sigmoid(cache.node_embeddings[-1] @ p[CLASSIFIER_WEIGHTS] + p[CLASSIFIER_BIAS])
     alpha = cache.attention_weights
-    return [
-        (np.full(n, 1.0 / n) if alpha is None else alpha[b, :n]) * head[b, :n]
-        for b, n in enumerate(cache.sizes.tolist())
-    ]
+    if alpha is None:
+        n = cache.batch.sizes[:, None]
+        alpha = np.where(np.arange(head.shape[1]) < n, 1.0 / n, 0.0)
+    return alpha * head
 
 
 def score_segments(
-    graphs: Sequence[SegmentGraph], params: ModelParams, frames: str
+    batch: GraphBatch, params: ModelParams, frames: str
 ) -> list[tuple[float, np.ndarray | None]]:
-    """(abnormal score, frame scores or None) of each segment, in input order.
+    """(abnormal score, frame scores or None) of each graph of the batch, in order.
 
     `frames` picks the segments that get frame scores: "none",
-    "predicted" (score >= 0.5) or "all". Each segment goes through one
-    inference-only `forward` with segments of the same node count n, at
-    most max(1, BATCH_CELLS // n^2) of them. Nothing is padded, so every
-    score and frame score has the bits of a one-graph pass.
+    "predicted" (score >= 0.5) or "all". A graph's scores have the bits
+    of a one-graph pass when its batch is unpadded.
     """
     if frames not in ("none", "predicted", "all"):
         raise ValueError(f"frames must be 'none', 'predicted' or 'all', got {frames!r}")
-    scored: list = [None] * len(graphs)
-    for batch in size_chunks([g.n for g in graphs]):
-        results = _score_batch([graphs[i] for i in batch], params, frames)
-        for i, result in zip(batch, results):
-            scored[i] = result
-    return scored
-
-
-def _score_batch(graphs: list[SegmentGraph], params: ModelParams, frames: str):
-    # A function of its own so that the pass's cache is freed before the
-    # next batch's pass runs.
-    cache = forward(graphs, params, record=False)
+    cache = forward(batch, params, record=False)
     scores = cache.prediction.tolist()
     wanted = [frames == "all" or (frames == "predicted" and s >= 0.5) for s in scores]
     if not any(wanted):
         return [(s, None) for s in scores]
-    return [(s, f if w else None) for s, f, w in zip(scores, node_scores(cache), wanted)]
+    rows = node_scores(cache)
+    return [(s, row[:n] if w else None)
+            for s, row, n, w in zip(scores, rows, batch.sizes.tolist(), wanted)]
 
 
 def topk_select(scores: np.ndarray, k: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dataio import Annotations, FeatureMatrix, write_atomic, write_json
-from .graph import SimilarityConfig, build_segment_graphs
+from .graph import SimilarityConfig, build_segment_graphs, map_size_chunks
 from .localization import coverage_counts, score_segments, topk_select
 from .model import ModelParams
 from .segmentation import Partition
@@ -117,47 +117,35 @@ def coverage_curve(
     params: ModelParams,
     data: list[tuple[FeatureMatrix, Annotations, Partition]],
     ks: list[int],
-    similarity: SimilarityConfig = SimilarityConfig(),
+    similarity: SimilarityConfig,
     localize_all: bool = False,
 ) -> list[tuple[int, float]]:
     """Pooled coverage at each k over one or more annotated videos.
 
-    Scores every segment once (frame scores do not depend on k), so the
-    per-k selections are nested and the curve is monotone by
-    construction. By default only segments the classifier predicts
-    abnormal are localized; `localize_all` scores every segment.
+    `similarity` is the one the model was trained with. Each video is
+    built and scored once, one size chunk at a time (frame scores do not
+    depend on k), so the per-k selections are nested and the curve is
+    monotone by construction. By default only segments predicted abnormal
+    are localized; `localize_all` scores all.
     """
     if not ks or list(ks) != sorted(ks):
         raise ValueError("ks must be a non-empty ascending list")
     frames = "all" if localize_all else "predicted"
 
-    per_video: list[tuple[dict[int, np.ndarray], Annotations, Partition]] = []
+    hits, total = [0] * len(ks), 0
     for features, ann, partition in data:
-        graphs = build_segment_graphs(features, partition.spans(), similarity)
-        scored = {
-            i: frame_scores
-            for i, (_score, frame_scores) in enumerate(score_segments(graphs, params, frames))
-            if frame_scores is not None
-        }
-        per_video.append((scored, ann, partition))
-
-    curve = []
-    for k in ks:
-        hits = 0
-        total = 0
-        for scored, ann, partition in per_video:
-            spans = partition.spans()
-            selections = {
-                i: topk_select(seg_scores, k) + spans[i][0]
-                for i, seg_scores in scored.items()
-            }
-            h, n_ab = coverage_counts(selections, ann, partition)
-            hits += h
-            total += n_ab
-        if total == 0:
-            raise ValueError("coverage curve undefined: no abnormal segments in data")
-        curve.append((k, hits / total))
-    return curve
+        spans = partition.spans()
+        scored = map_size_chunks(spans, lambda chunk: score_segments(
+            build_segment_graphs(features, chunk, similarity), params, frames))
+        for j, k in enumerate(ks):
+            selections = {i: topk_select(f, k) + spans[i][0]
+                          for i, (_, f) in enumerate(scored) if f is not None}
+            h, abnormal = coverage_counts(selections, ann, partition)
+            hits[j] += h
+        total += abnormal
+    if total == 0:
+        raise ValueError("coverage curve undefined: no abnormal segments in data")
+    return [(k, h / total) for k, h in zip(ks, hits)]
 
 
 def write_metrics(report: MetricsReport, path) -> None:

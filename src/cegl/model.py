@@ -32,15 +32,13 @@ gradients are each one float64 vector with a view per name, in
 `param_shapes(config)` order. Gate weights exist only for the gated
 aggregator and attention weights only for the attention readout.
 
-`forward` runs a batch of graphs at once, padded to the largest one
-with a node mask, and `backward` returns the weighted sum of the batch's
-gradients. Inference goes through `localization.score_segments`, which
-batches segments of equal node count, so nothing is padded, and runs
-`forward(..., record=False)`, which keeps no gated step for a backward.
-Gradients are derived by hand (no autodiff) and checked against central
-finite differences in the test suite. Training is plain SGD on the
-binary cross entropy of the segment labels, with one forward and one
-backward per mini-batch.
+`forward` runs one `GraphBatch` (training packs each mini-batch), and
+`backward` returns the weighted sum of the batch's gradients. Inference
+runs `forward(..., record=False)` in `localization.score_segments`,
+which keeps no gated step for a backward. Gradients are derived by hand
+(no autodiff) and checked against central finite differences in the
+test suite. Training is plain SGD on the binary cross entropy of the
+segment labels, with one forward and one backward per mini-batch.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ import json
 import logging
 import math
 import struct
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import accumulate
 from pathlib import Path
@@ -59,7 +57,7 @@ import numpy as np
 
 from .dataio import check_types, config_from_json, unique_keys, write_atomic
 from .errors import ConfigError, FormatError, NumericError, TruncatedFileError
-from .graph import SegmentGraph, SimilarityConfig
+from .graph import GraphBatch, SegmentGraph, SimilarityConfig
 from .numerics import make_rng, sigmoid, softmax
 from .segmentation import SegmentationConfig
 
@@ -289,8 +287,7 @@ class ForwardCache:
     """Everything one batched pass computed; arrays lead with the batch axis B."""
 
     params: ModelParams
-    sizes: np.ndarray  # (B,) node count per graph; N is the largest
-    edge_weights: np.ndarray  # (B, N, N)
+    batch: GraphBatch
     node_embeddings: list[np.ndarray]  # H^0 .. H^L, each (B, N, d_l)
     stacked_inputs: list[np.ndarray]  # per layer, [H, messages]
     preacts: list[np.ndarray]  # per layer, before ReLU
@@ -303,36 +300,24 @@ class ForwardCache:
     recorded: bool  # whether backward can run on this cache
 
 
-def forward(
-    graphs: Sequence[SegmentGraph], params: ModelParams, *, record: bool = True
-) -> ForwardCache:
+def forward(batch: GraphBatch, params: ModelParams, *, record: bool = True) -> ForwardCache:
     """One pass over a batch of graphs, caching every intermediate backward needs.
 
-    The graphs are packed into (B, N, d) features and (B, N, N) edges, N
-    the largest node count. A padded node has zero features and no edges,
-    so every layer leaves its embedding at exactly zero (a zero message,
-    a zero pre-activation, a ReLU of zero): the mean readout reads it as
-    nothing, the attention softmax masks it out, and no gradient reaches
-    it. Every product is taken per graph, so a graph in a batch of graphs
-    of its own size gets the bits a one-graph pass gives.
+    A padded node has zero features and no edges, so every layer leaves
+    its embedding at exactly zero (a zero message, a zero pre-activation,
+    a ReLU of zero): the mean readout reads it as nothing, the attention
+    softmax masks it out, and no gradient reaches it. Every product is
+    taken per graph, so a graph in a batch of graphs of its own size gets
+    the bits a one-graph pass gives.
 
     With record=False the pass is inference only: the gated recurrence
     keeps none of its n-1 steps per layer, and backward rejects the cache.
     """
-    if not graphs:
-        raise ValueError("forward needs at least one graph")
     cfg = params.config
-    d_in = cfg.layer_dims[0]
-    for g in graphs:
-        if g.feature_dim != d_in:
-            raise ValueError(f"graph features have dim {g.feature_dim}, model expects {d_in}")
-    sizes = np.array([g.n for g in graphs])
-    n_max = int(sizes.max())
-    h = np.zeros((len(graphs), n_max, d_in))
-    edges = np.zeros((len(graphs), n_max, n_max))
-    for b, g in enumerate(graphs):
-        h[b, : g.n] = g.node_features
-        edges[b, : g.n, : g.n] = g.edge_weights
+    h, edges, sizes = batch.node_features, batch.edge_weights, batch.sizes
+    if h.shape[2] != cfg.layer_dims[0]:
+        raise ValueError(f"graph features have dim {h.shape[2]}, model expects {cfg.layer_dims[0]}")
+    n_max = h.shape[1]
 
     p = params.arrays
     embeddings = [h]
@@ -372,8 +357,7 @@ def forward(
     logit = (h_g[:, None, :] @ p[CLASSIFIER_WEIGHTS])[:, 0] + p[CLASSIFIER_BIAS][0]
     return ForwardCache(
         params=params,
-        sizes=sizes,
-        edge_weights=edges,
+        batch=batch,
         node_embeddings=embeddings,
         stacked_inputs=stacked_inputs,
         preacts=preacts,
@@ -466,7 +450,7 @@ def backward(cache: ForwardCache, labels, weights) -> ModelParams:
         alpha = cache.attention_weights
         t = cache.attn_tanh
         if cfg.attention_averaged:
-            dh_g = dh_g / cache.sizes[:, None]
+            dh_g = dh_g / cache.batch.sizes[:, None]
         dalpha = (h_final @ dh_g[..., None])[..., 0]
         dh = alpha[..., None] * dh_g[:, None, :]
         dscores = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
@@ -475,10 +459,9 @@ def backward(cache: ForwardCache, labels, weights) -> ModelParams:
         g[ATTENTION_TRANSFORM][...] += _rows(dpre).T @ _rows(h_final)
         dh = dh + dpre @ p[ATTENTION_TRANSFORM]
     else:  # mean
-        dh = np.broadcast_to((dh_g / cache.sizes[:, None])[:, None, :], h_final.shape)
+        dh = np.broadcast_to((dh_g / cache.batch.sizes[:, None])[:, None, :], h_final.shape)
 
     agg = cfg.aggregator_kind
-    edges = cache.edge_weights
     for layer in reversed(range(len(cfg.layer_dims) - 1)):
         name = transform_name(layer)
         prev_dim = cfg.layer_dims[layer]
@@ -492,7 +475,7 @@ def backward(cache: ForwardCache, labels, weights) -> ModelParams:
 
         if agg == "mean":
             # Edges are symmetric, so they are their own transpose.
-            dh_in = edges @ (d_msgs / cache.mean_degrees[layer][..., None])
+            dh_in = cache.batch.edge_weights @ (d_msgs / cache.mean_degrees[layer][..., None])
         else:
             names = [gate_name(layer, gate) for gate in GATE_NAMES]
             dh_in = _gated_backward(
@@ -541,7 +524,6 @@ def train(
             )
         if label not in (0, 1):
             raise ConfigError(f"labels must be 0 or 1, got {label!r}")
-    segment_graphs = [g for g, _ in graphs]
     labels = np.array([label for _, label in graphs])
     if labels.min() == labels.max():
         log.warning("training data holds a single class (%d) only", labels[0])
@@ -562,7 +544,7 @@ def train(
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             y, w = labels[batch], sample_weight[batch]
-            cache = forward([segment_graphs[i] for i in batch], params)
+            cache = forward(GraphBatch.pack([graphs[i][0] for i in batch]), params)
             epoch_loss += float(w @ loss(cache.prediction, y))
             grads = backward(cache, y, w / len(batch))
             params = sgd_step(params, grads, cfg.learning_rate)

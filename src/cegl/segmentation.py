@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,14 +68,15 @@ class Partition:
             # int() would take True as 1 and 10.5 as 10; neither is a frame index.
             bad = [x for x in b if isinstance(x, bool) or not isinstance(x, numbers.Integral)]
             if bad:
-                raise TypeError(f"boundaries must be integers, got {bad[0]!r}")
+                raise TypeError(f"boundaries must be integers, got {reprlib.repr(bad[0])}")
             b = tuple(map(int, b))
         if len(b) < 2:
             raise ValueError("partition needs at least [0, T]")
         if b[0] != 0:
             raise ValueError(f"first boundary must be 0, got {b[0]}")
         if not all(map(operator.lt, b, b[1:])):
-            raise ValueError(f"boundaries must be strictly increasing: {b}")
+            i = next(i for i in range(1, len(b)) if b[i] <= b[i - 1])
+            raise ValueError(f"boundaries must increase: boundary {i} is {b[i]} after {b[i - 1]}")
         object.__setattr__(self, "boundaries", b)
 
     @property

@@ -5,6 +5,7 @@ from typing import Callable
 import numpy as np
 
 from cegl.errors import NumericError
+from cegl.graph import GraphBatch
 from cegl.model import ModelParams, backward, forward, loss
 
 
@@ -46,14 +47,15 @@ def check_gradients(graphs, params, labels, weights=None, rtol=1e-4, atol=1e-8):
     evaluation writes the perturbed vector into one probe's parameters and
     runs an inference-only pass, which reads only the prediction.
     """
+    batch = GraphBatch.pack(graphs)
     labels = np.asarray(labels)
     weights = np.ones(len(graphs)) if weights is None else np.asarray(weights)
-    analytic = backward(forward(graphs, params), labels, weights).vector
+    analytic = backward(forward(batch, params), labels, weights).vector
     probe = ModelParams(params.config, params.vector.copy())
 
     def f(vec):
         probe.vector[...] = vec
-        return float(weights @ loss(forward(graphs, probe, record=False).prediction, labels))
+        return float(weights @ loss(forward(batch, probe, record=False).prediction, labels))
 
     numeric = finite_diff_grad(f, params.vector, eps=1e-5)
     err = np.abs(analytic - numeric)

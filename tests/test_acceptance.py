@@ -19,7 +19,13 @@ from cegl.dataio import (
     write_feature_matrix,
 )
 from cegl.errors import FormatError, TruncatedFileError
-from cegl.graph import SimilarityConfig, build_graph, build_segment_graphs
+from cegl.graph import (
+    GraphBatch,
+    SimilarityConfig,
+    build_graph,
+    build_segment_graphs,
+    map_size_chunks,
+)
 from cegl.localization import coverage_counts
 from cegl.metrics import confusion, coverage_curve, weighted_metrics
 from cegl.model import (
@@ -122,7 +128,7 @@ def test_criterion_3_permutation_properties():
         params = init_params(
             ModelConfig((d, 5, 4), "mean", "attention"), seed=int(rng.integers(0, 1000))
         )
-        base = forward([g], params).prediction[0]
+        base = forward(GraphBatch.pack([g]), params).prediction[0]
         perm = rng.permutation(n)
         from cegl.graph import SegmentGraph
 
@@ -130,7 +136,7 @@ def test_criterion_3_permutation_properties():
             node_features=g.node_features[perm],
             edge_weights=g.edge_weights[np.ix_(perm, perm)],
         )
-        assert abs(forward([permuted], params).prediction[0] - base) <= 1e-9
+        assert abs(forward(GraphBatch.pack([permuted]), params).prediction[0] - base) <= 1e-9
 
     # gated runs reproduce bit-identically from a fixed seed
     rng = make_rng(3004)
@@ -143,7 +149,7 @@ def test_criterion_3_permutation_properties():
         labelled = [(g, i % 2) for i, g in enumerate(graphs)]
         params, _ = train(labelled, params, TrainConfig(epochs=2, seed=5))
         return np.concatenate(
-            [params.vector, forward(graphs, params).prediction]
+            [params.vector, forward(GraphBatch.pack(graphs), params).prediction]
         )
 
     first, second = gated_run(), gated_run()
@@ -191,7 +197,9 @@ def test_criterion_4_end_to_end_synthetic_protocol():
     train_graphs = []
     for features, ann, _planted in videos[:4]:
         partition = pelt(features, seg_cfg)
-        graphs = build_segment_graphs(features, partition.spans(), sim)
+        graphs = map_size_chunks(
+            partition.spans(), lambda spans: build_segment_graphs(features, spans, sim)
+        )
         train_graphs += zip(graphs, derive_segment_labels(ann, partition).tolist())
 
     params = init_params(
@@ -210,13 +218,17 @@ def test_criterion_4_end_to_end_synthetic_protocol():
     preds, labels, test_data = [], [], []
     for features, ann, _planted in videos[4:]:
         partition = pelt(features, seg_cfg)
-        graphs = build_segment_graphs(features, partition.spans(), sim)
-        preds += (forward(graphs, params).prediction >= 0.5).astype(int).tolist()
+        graphs = map_size_chunks(
+            partition.spans(), lambda spans: build_segment_graphs(features, spans, sim)
+        )
+        preds += (forward(GraphBatch.pack(graphs), params).prediction >= 0.5).astype(int).tolist()
         labels += derive_segment_labels(ann, partition).tolist()
         test_data.append((features, ann, partition))
 
     accuracy = weighted_metrics(confusion(preds, labels)).accuracy
-    curve = coverage_curve(params, test_data, list(END_TO_END["ks"]), localize_all=True)
+    curve = coverage_curve(
+        params, test_data, list(END_TO_END["ks"]), similarity=sim, localize_all=True
+    )
     cov = dict(curve)
 
     elapsed = time.time() - started

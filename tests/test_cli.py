@@ -10,11 +10,11 @@ import pytest
 from cegl import cli, graph, localization, model
 from cegl.cli import main
 from cegl.dataio import read_annotations, read_feature_matrix
-from cegl.graph import build_segment_graphs
+from cegl.graph import build_segment_graphs, map_size_chunks
 from cegl.localization import topk_select
 from cegl.metrics import coverage_curve
 from cegl.model import load_checkpoint
-from cegl.segmentation import read_partition
+from cegl.segmentation import pelt, read_partition
 from forward_calls import (
     assert_each_segment_scored_once,
     record_forward_calls,
@@ -301,11 +301,17 @@ def rewrite_header(src, dst, edit):
     replace_header(src, dst, header)
 
 
+# The longest error line a refused input may give, newline included: a
+# message names the fault, not the whole input that holds it.
+MAX_ERROR_BYTES = 512
+
+
 def assert_exit_2_without_output(argv, out, capsys, *fragments):
     code = main([str(a) for a in argv])
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("\n") == 1 and err.startswith(f"cegl {argv[0]}: ")
+    assert len(err.encode()) <= MAX_ERROR_BYTES, f"{len(err.encode())}-byte error line"
     for fragment in fragments:
         assert fragment in err
     assert not out.exists()
@@ -516,8 +522,8 @@ def assert_built_and_scored_per_size_chunk(calls, built, partition):
     """One graph build per size chunk of the partition, and one score for each segment."""
     spans = read_partition(partition)[1].spans()
     per_chunk = [[spans[i] for i in c] for c in graph.size_chunks([e - s for s, e in spans])]
-    assert [[span for span, _ in pairs] for pairs in built] == per_chunk
-    assert_each_segment_scored_once(calls, [pair for pairs in built for pair in pairs], spans)
+    assert [chunk for chunk, _ in built] == per_chunk
+    assert_each_segment_scored_once(calls, built, spans)
 
 
 @pytest.mark.parametrize("all_segments", [True, False])
@@ -545,6 +551,34 @@ def test_classify_runs_one_forward_per_segment_and_no_frame_scores(
     assert main(inference_argv(pipeline, "classify", tmp_path / "preds.json")) == 0
     assert_built_and_scored_per_size_chunk(calls, built, pipeline / "video-000.partition.json")
     assert frame_scored == []
+
+
+def test_train_builds_one_batch_per_size_chunk(pipeline, tmp_path, monkeypatch):
+    """train builds each video's graphs one size chunk at a time and trains in span order."""
+    built = record_graph_builds(monkeypatch, cli)
+    trained = []
+    real_train = cli.train
+
+    def recording_train(labelled, params, cfg):
+        trained.extend(g for g, _ in labelled)
+        return real_train(labelled, params, cfg)
+
+    monkeypatch.setattr(cli, "train", recording_train)
+    out = tmp_path / "model.cegm"
+    assert main(["train", "--data", str(pipeline / "data"), "--config",
+                 str(pipeline / "config.json"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (pipeline / "model.cegm").read_bytes()
+    segmentation = load_checkpoint(out)[2]
+    want, frames = [], []
+    for cegf in sorted((pipeline / "data").glob("*.cegf")):
+        features = read_feature_matrix(cegf)
+        video = pelt(features, segmentation).spans()
+        want += [[video[i] for i in c] for c in graph.size_chunks([e - s for s, e in video])]
+        frames.append(features.values)
+    assert [chunk for chunk, _ in built] == want
+    # each video's segments in span order rebuild its frames
+    rebuilt = np.concatenate([g.node_features for g in trained])
+    assert np.array_equal(rebuilt, np.concatenate(frames))
 
 
 def make_asymmetric(w):
@@ -580,7 +614,8 @@ def test_every_chunk_of_edge_weights_is_checked(
     monkeypatch.setattr(graph, "_similarity_batch", corrupting_kernel)
     similarity = load_checkpoint(pipeline / "model.cegm")[1]
     with pytest.raises(ValueError, match=re.escape(fragment)):
-        build_segment_graphs(features, partition.spans(), similarity)
+        map_size_chunks(partition.spans(),
+                        lambda spans: build_segment_graphs(features, spans, similarity))
     assert len(calls) == chunks
     out = tmp_path / "preds.json"
     calls.clear()
@@ -592,8 +627,8 @@ def test_localize_json_holds_score_segments_output(pipeline):
     params, similarity, _ = load_checkpoint(pipeline / "model.cegm")
     features = read_feature_matrix(pipeline / "data" / "video-000.cegf")
     _, partition = read_partition(pipeline / "video-000.partition.json")
-    graphs = build_segment_graphs(features, partition.spans(), similarity)
-    scored = localization.score_segments(graphs, params, "all")
+    scored = map_size_chunks(partition.spans(), lambda spans: localization.score_segments(
+        build_segment_graphs(features, spans, similarity), params, "all"))
     loc = json.loads((pipeline / "loc.json").read_text())
     assert len(loc) == len(scored)
     for i, (entry, (s, e), (score, frame_scores)) in enumerate(
@@ -653,16 +688,47 @@ def second_boundary(value):
     return lambda p: {**p, "boundaries": [0, value, *p["boundaries"][2:]]}
 
 
+def cegf_header(frames=lambda t: t, dim=lambda d: d):
+    """Edit of a CEGF file whose header's frame count t and feature dim d go through two maps."""
+
+    def edit(raw):
+        t, d = struct.unpack_from("<QQ", raw, 8)
+        return raw[:8] + struct.pack("<QQ", frames(t), dim(d)) + raw[24:]
+
+    return edit
+
+
+def cegf_value(value):
+    """Edit of a CEGF file that makes its sixth float32 value `value`."""
+    return lambda raw: raw[:44] + struct.pack("<f", value) + raw[48:]
+
+
+def first_segment(field, value):
+    """Edit of a predictions file that sets `field` of its first segment to value."""
+    return lambda p: {**p, "segments": [{**p["segments"][0], field: value}, *p["segments"][1:]]}
+
+
+def config_section(key, value):
+    """Edit of a run config that makes its `key` section value."""
+    return lambda c: {**c, key: value}
+
+
+def config_entry(key, field, value):
+    """Edit of a run config that sets `field` of its `key` section to value."""
+    return lambda c: {**c, key: {**c[key], field: value}}
+
+
 def hostile_input_cases():
     """(id, file, command, new content from old, fragment): one bad input file per row.
 
     Each file's one reader must refuse it: the annotations in `train`,
     `evaluate` and `coverage-curve`, the checkpoint header in `classify`,
-    `localize` and `coverage-curve`. A partition that does not end at the
-    video's last frame is refused where it meets the features, in
-    `classify` and `localize`; its fragment names the partition's end. A
-    malformed partition is refused in `classify`, `localize` and
-    `evaluate`.
+    `localize` and `coverage-curve`, a CEGF or CSV feature file and the run
+    config in `segment` (a synth section in `synth`), and the predictions
+    in `evaluate`. A partition that does not end at the video's last frame
+    is refused where it meets the features, in `classify` and `localize`;
+    its fragment names the partition's end. A malformed partition is
+    refused in `classify`, `localize` and `evaluate`.
     """
     annotations = {
         "no-frame-labels": lambda a: {"video_id": a["video_id"]},
@@ -696,14 +762,66 @@ def hostile_input_cases():
         "bool-boundary": (second_boundary(True), "must be integers"),
         "string-boundary": (second_boundary("10"), "must be integers"),
         "object-boundary": (second_boundary({}), "must be integers"),
+        "long-string-boundary": (second_boundary("1" * 10**5), "must be integers, got '111"),
         "integer-video-id": (lambda p: {**p, "video_id": 0}, "video_id"),
         "truncated": (lambda p: json.dumps(p)[: len(json.dumps(p)) // 2], "malformed partition"),
         "huge-boundary": (lambda p: {**p, "boundaries": [*p["boundaries"][:-1], 10**30]},
                           str(10**30)),
+        # 100,000 boundaries, the 101st equal to the 100th
+        "long-repeated-boundary": (lambda p: {**p, "boundaries": [*range(100), *range(99, 10**5)]},
+                                   "boundary 100 is 99 after 99"),
     }
     for name, (edit, fragment) in malformed.items():
         for command in ("classify", "localize", "evaluate"):
             yield f"partition-{name}-{command}", "partition", command, edit, fragment
+    # A feature-file edit takes and returns the bytes of the pipeline's CEGF file.
+    features = {
+        "cegf-nan": (cegf_value(float("nan")), "non-finite feature at row 0, col 5"),
+        "cegf-inf": (cegf_value(float("inf")), "non-finite feature at row 0, col 5"),
+        "cegf-frame-too-many": (cegf_header(frames=lambda t: t + 1), "payload length mismatch"),
+        "cegf-trailing-bytes": (lambda raw: raw + b"\0\0", "payload length mismatch"),
+        "cegf-no-frames": (cegf_header(frames=lambda t: 0), "empty matrix"),
+        "cegf-no-features": (cegf_header(dim=lambda d: 0), "empty matrix"),
+        "cegf-2-to-the-40-frames": (cegf_header(frames=lambda t: 2**40), "length mismatch"),
+        "csv-ragged": (lambda raw: b"1.0,2.0\n3.0\n", "malformed CSV"),
+        "csv-nan": (lambda raw: b"1.0,2.0\nnan,3.0\n", "non-finite feature at row 1, col 0"),
+        "csv-inf": (lambda raw: b"1.0,2.0\n3.0,inf\n", "non-finite feature at row 1, col 1"),
+        "csv-header-row": (lambda raw: b"a,b\n1.0,2.0\n", "malformed CSV"),
+        "csv-bad-utf-8": (lambda raw: b"1.0,2.0\n\xff\xfe,3.0\n", "malformed CSV"),
+    }
+    for name, (edit, fragment) in features.items():
+        yield f"{name}-segment", name.split("-")[0], "segment", edit, fragment
+    predictions = {
+        "string-score": (first_segment("score", "high"), "has score 'high'"),
+        "nan-score": (first_segment("score", float("nan")), "has score nan"),
+        "float-id": (first_segment("segment_id", 0.0), "need segment_ids 0.."),
+        "duplicated-segment": (lambda p: {**p, "segments": p["segments"][:1] + p["segments"]},
+                               "need segment_ids 0.."),
+    }
+    for name, (edit, fragment) in predictions.items():
+        yield f"predictions-{name}-evaluate", "predictions", "evaluate", edit, fragment
+    configs = {
+        "list-root": (lambda c: [c], "config root must be a JSON object"),
+        "string-root": (lambda c: json.dumps("config"), "config root must be a JSON object"),
+        "nan-penalty": (config_entry("segmentation", "penalty", float("nan")), "got nan"),
+        "inf-penalty": (config_entry("segmentation", "penalty", float("inf")), "got inf"),
+        "null-section": (config_section("segmentation", None), "must be a JSON object, got null"),
+        "unknown-key": (config_entry("segmentation", "bogus", 1), "keys: ['bogus']"),
+        "nan-learning-rate": (config_entry("train", "learning_rate", float("nan")), "got nan"),
+        "long-list-section": (config_section("segmentation", [0] * 10**5),
+                              "segmentation config must be a JSON object, got list"),
+        "long-bool-layer-dims": (config_entry("model", "layer_dims", [True] * 10**5),
+                                 "layer_dims must be a list of integers or null, got [True, "),
+        "many-unknown-keys": (config_section("segmentation", {f"k{i}": 0 for i in range(10**5)}),
+                              "unknown segmentation config keys: ['k0', 'k1', 'k10', "),
+        "many-unknown-top-level-keys": (lambda c: {**c, **{f"k{i}": 0 for i in range(10**5)}},
+                                        "unknown top-level config keys: ['k0', 'k1', 'k10', "),
+    }
+    for name, (edit, fragment) in configs.items():
+        yield f"config-{name}-segment", "config", "segment", edit, fragment
+    lacking = config_section("synth", {"videos": 2})
+    fragment = "synth config lacks ['segment_count', 'mean_segment_len', "
+    yield "config-synth-lacks-keys-synth", "config", "synth", lacking, fragment
 
 
 HOSTILE_INPUTS = list(hostile_input_cases())
@@ -717,7 +835,18 @@ def test_hostile_input_exits_2(pipeline, tmp_path, capsys, kind, command, edit, 
     data, model = pipeline / "data", pipeline / "model.cegm"
     annotations = data / "video-000.annotations.json"
     partition = pipeline / "video-000.partition.json"
-    if kind == "annotations":
+    features = data / "video-000.cegf"
+    config, preds = pipeline / "config.json", pipeline / "preds.json"
+    if kind in ("cegf", "csv"):
+        features = tmp_path / f"video-000.{kind}"
+        features.write_bytes(edit((data / "video-000.cegf").read_bytes()))
+    elif kind in ("config", "predictions"):
+        good = config if kind == "config" else preds
+        bad = edit(json.loads(good.read_text()))
+        written = tmp_path / good.name
+        written.write_text(bad if isinstance(bad, str) else json.dumps(bad))
+        config, preds = (written, preds) if kind == "config" else (config, written)
+    elif kind == "annotations":
         data = tmp_path / "data"
         shutil.copytree(pipeline / "data", data)
         annotations = data / "video-000.annotations.json"
@@ -733,10 +862,12 @@ def test_hostile_input_exits_2(pipeline, tmp_path, capsys, kind, command, edit, 
         model = tmp_path / "bad.cegm"
         good = pipeline / "model.cegm"
         replace_header(good, model, edit(checkpoint_header(good)))
-    scored = ["--model", model, "--features", data / "video-000.cegf", "--partition", partition]
+    scored = ["--model", model, "--features", features, "--partition", partition]
     argv = {
-        "train": ["train", "--data", data, "--config", pipeline / "config.json"],
-        "evaluate": ["evaluate", "--preds", pipeline / "preds.json",
+        "segment": ["segment", "--features", features, "--config", config],
+        "synth": ["synth", "--config", config],
+        "train": ["train", "--data", data, "--config", config],
+        "evaluate": ["evaluate", "--preds", preds,
                      "--annotations", annotations, "--partition", partition],
         "coverage-curve": ["coverage-curve", "--model", model, "--data", data, "--ks", "1,2"],
         "classify": ["classify", *scored],

@@ -426,5 +426,6 @@ class TestConfigFromJson:
             config_from_json(SimilarityConfig, {"metric": None}, "similarity")
 
     def test_missing_required_field(self):
-        with pytest.raises(ConfigError, match="synth config: .*seed"):
+        lacking = r"synth config lacks \['mean_segment_len', .*'seed'\]"
+        with pytest.raises(ConfigError, match=lacking):
             config_from_json(SynthConfig, {"segment_count": 4}, "synth")

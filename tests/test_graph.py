@@ -9,10 +9,13 @@ from cegl import graph
 from cegl.errors import ConfigError
 from cegl.graph import (
     BATCH_CELLS,
+    GraphBatch,
     SegmentGraph,
     SimilarityConfig,
     build_graph,
     build_segment_graphs,
+    map_size_chunks,
+    size_chunks,
 )
 from cegl.numerics import make_rng
 from cegl.segmentation import Partition
@@ -20,6 +23,11 @@ from cegl.segmentation import Partition
 
 def fm(values):
     return FeatureMatrix("v", np.asarray(values, dtype=np.float64))
+
+
+def video_graphs(features, spans, cfg):
+    """One graph per span, built one size chunk at a time, in the order of `spans`."""
+    return map_size_chunks(spans, lambda chunk: build_segment_graphs(features, chunk, cfg))
 
 
 def pair_cosine(x, y):
@@ -253,13 +261,12 @@ class TestBatchedBuild:
     )
     def test_bit_identical_to_one_segment_builds(self, cfg):
         features, partition = self.video_and_partition()
-        graphs = build_segment_graphs(features, partition.spans(), cfg)
+        graphs = video_graphs(features, partition.spans(), cfg)
         assert len(graphs) == partition.segment_count
         for g, (s, e) in zip(graphs, partition.spans()):
             alone = build_graph(FeatureMatrix("v", features.values[s:e]), cfg)
             assert g.edge_weights.tobytes() == alone.edge_weights.tobytes()
             assert g.node_features.tobytes() == alone.node_features.tobytes()
-            assert np.shares_memory(g.node_features, features.values)
 
     def test_rbf_median_zero_connects_only_identical_frames(self):
         # Six of the first segment's ten pairs are identical frames, so its
@@ -291,12 +298,32 @@ class TestBatchedBuild:
         """A subset of a partition's spans, out of order, gets the whole-video build's graphs."""
         features, partition = self.video_and_partition()
         spans = partition.spans()
-        whole = build_segment_graphs(features, spans, SimilarityConfig())
+        whole = video_graphs(features, spans, SimilarityConfig())
         picked = [7, 0, 5, 20, 3]
-        some = build_segment_graphs(features, [spans[i] for i in picked], SimilarityConfig())
+        some = video_graphs(features, [spans[i] for i in picked], SimilarityConfig())
         for i, g in zip(picked, some, strict=True):
             assert g.edge_weights.tobytes() == whole[i].edge_weights.tobytes()
             assert g.node_features.tobytes() == whole[i].node_features.tobytes()
+
+    def test_one_batch_per_size_chunk_unpadded(self):
+        features, partition = self.video_and_partition()
+        spans = partition.spans()
+        for chunk in size_chunks([e - s for s, e in spans]):
+            batch = build_segment_graphs(features, [spans[i] for i in chunk], SimilarityConfig())
+            n = spans[chunk[0]][1] - spans[chunk[0]][0]
+            assert len(batch) == len(chunk) and batch.sizes.tolist() == [n] * len(chunk)
+            assert batch.node_features.shape == (len(chunk), n, 4)
+            assert batch.edge_weights.shape == (len(chunk), n, n)
+            for i, g in zip(chunk, batch, strict=True):
+                s, e = spans[i]
+                assert np.array_equal(g.node_features, features.values[s:e])
+                assert np.shares_memory(g.edge_weights, batch.edge_weights)
+
+    def test_mixed_lengths_rejected(self):
+        with pytest.raises(ValueError, match=r"span \[4, 7\) is not 4 frames long"):
+            build_segment_graphs(fm(np.ones((10, 2))), [(0, 4), (4, 7)], SimilarityConfig())
+        with pytest.raises(ValueError, match="at least one span"):
+            build_segment_graphs(fm(np.ones((10, 2))), [], SimilarityConfig())
 
     @pytest.mark.parametrize("span", [(-1, 3), (4, 4), (6, 5), (8, 11)],
                              ids=["negative-start", "empty", "reversed", "past-the-end"])
@@ -368,3 +395,39 @@ class TestIdenticalFrames:
         assert peak <= (d + 6 * 8) * n * n
         monkeypatch.setattr(graph, "_identical_frames", self.full_check)
         assert got.tobytes() == graph._similarity_batch(values, cfg).tobytes()
+
+
+class TestGraphBatch:
+    def test_pack_pads_with_zeros_and_indexes_back_the_graphs(self):
+        rng = make_rng(44)
+        graphs = [build_graph(fm(rng.standard_normal((n, 3))), SimilarityConfig())
+                  for n in (3, 1, 5)]
+        batch = GraphBatch.pack(graphs)
+        assert len(batch) == 3 and batch.sizes.tolist() == [3, 1, 5]
+        assert batch.node_features.shape == (3, 5, 3) and batch.edge_weights.shape == (3, 5, 5)
+        for b, (g, view) in enumerate(zip(graphs, batch, strict=True)):
+            assert np.array_equal(view.node_features, g.node_features)
+            assert np.array_equal(view.edge_weights, g.edge_weights)
+            assert not batch.node_features[b, g.n :].any()
+            assert not batch.edge_weights[b, g.n :].any()
+            assert not batch.edge_weights[b, :, g.n :].any()
+        assert batch[-1].n == 5
+        with pytest.raises(IndexError):
+            batch[3]
+
+    def test_pack_needs_a_graph(self):
+        with pytest.raises(ValueError, match="at least one graph"):
+            GraphBatch.pack([])
+
+    def test_map_size_chunks_restores_span_order(self):
+        spans = [(0, 2), (2, 5), (5, 7), (7, 8), (8, 11)]
+        chunks = []
+
+        def lengths(chunk):
+            chunks.append(chunk)
+            return [e - s for s, e in chunk]
+
+        assert map_size_chunks(spans, lengths) == [2, 3, 2, 1, 3]
+        assert chunks == [[(0, 2), (5, 7)], [(2, 5), (8, 11)], [(7, 8)]]
+        with pytest.raises(ValueError):  # one item per span
+            map_size_chunks(spans, lambda chunk: chunk[1:])

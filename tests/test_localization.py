@@ -1,25 +1,33 @@
 import numpy as np
 import pytest
 
-from cegl import localization
+from cegl import graph, localization
 from cegl.dataio import Annotations, FeatureMatrix
-from cegl.graph import SimilarityConfig, build_graph
+from cegl.graph import GraphBatch, SimilarityConfig, build_graph, map_size_chunks
 from cegl.localization import coverage_counts, node_scores, score_segments, topk_select
 from cegl.model import ModelConfig, forward, init_params
 from cegl.numerics import make_rng
 from cegl.segmentation import Partition
-from forward_calls import assert_each_segment_scored_once, record_forward_calls
+from forward_calls import (
+    assert_each_segment_scored_once,
+    record_forward_calls,
+    record_graph_builds,
+)
 
 
 def graph_of(values):
     return build_graph(FeatureMatrix("v", np.asarray(values, dtype=np.float64)), SimilarityConfig())
 
 
+def forward_one(g, params):
+    return forward(GraphBatch.pack([g]), params)
+
+
 class TestNodeScores:
     def test_identical_nodes_equal_scores(self):
         g = graph_of([[1.0, 2.0]] * 4)
         params = init_params(ModelConfig((2, 3, 2)), seed=1)
-        (scores,) = node_scores(forward([g], params))
+        (scores,) = node_scores(forward_one(g, params))
         assert np.allclose(scores, scores[0], atol=1e-12)
 
     def test_constant_head_reduces_to_attention(self):
@@ -28,14 +36,14 @@ class TestNodeScores:
         params = init_params(ModelConfig((3, 4, 2), "mean", "attention"), seed=3)
         params.arrays["classifier.weights"][:] = 0.0
         params.arrays["classifier.bias"][:] = 0.0
-        cache = forward([g], params)
+        cache = forward_one(g, params)
         assert np.allclose(node_scores(cache)[0], 0.5 * cache.attention_weights[0], atol=1e-15)
 
     def test_uniform_attention_for_non_attention_readout(self):
         rng = make_rng(3)
         g = graph_of(rng.standard_normal((4, 3)))
         params = init_params(ModelConfig((3, 4, 2), "mean", "mean"), seed=4)
-        (scores,) = node_scores(forward([g], params))
+        (scores,) = node_scores(forward_one(g, params))
         assert scores.shape == (4,)
         assert (scores > 0).all() and (scores < 1).all()
 
@@ -43,8 +51,8 @@ class TestNodeScores:
         rng = make_rng(4)
         g = graph_of(rng.standard_normal((6, 4)))
         params = init_params(ModelConfig((4, 5, 3), "gated", "attention"), seed=5)
-        (a,) = node_scores(forward([g], params))
-        (b,) = node_scores(forward([g], params))
+        (a,) = node_scores(forward_one(g, params))
+        (b,) = node_scores(forward_one(g, params))
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("readout", ["attention", "mean"])
@@ -52,10 +60,12 @@ class TestNodeScores:
         rng = make_rng(6)
         graphs = [graph_of(rng.standard_normal((n, 3))) for n in (4, 1, 7)]
         params = init_params(ModelConfig((3, 4, 2), "mean", readout), seed=7)
-        batched = node_scores(forward(graphs, params))
-        assert [s.shape for s in batched] == [(4,), (1,), (7,)]
+        batched = node_scores(forward(GraphBatch.pack(graphs), params))
+        assert batched.shape == (3, 7)
         for g, got in zip(graphs, batched):
-            assert np.allclose(got, node_scores(forward([g], params))[0], rtol=0, atol=1e-15)
+            alone = node_scores(forward_one(g, params))[0]
+            assert np.allclose(got[: g.n], alone, rtol=0, atol=1e-15)
+            assert (got[g.n :] == 0.0).all()
 
 
 class TestTopkSelect:
@@ -183,24 +193,25 @@ class TestScoreSegments:
         # is past the 65 nodes from which a segment runs alone.
         sizes = (4, 1, 7, 5, 6, 1, 5, 5, *[10] * 45, 70, 4, 70)
         offsets = np.cumsum((0, *sizes))
-        graphs = [
-            build_graph(FeatureMatrix("v", rng.standard_normal((n, 3))), SimilarityConfig())
-            for n in sizes
-        ]
+        features = FeatureMatrix("v", rng.standard_normal((offsets[-1], 3)))
+        spans = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+        graphs = [build_graph(FeatureMatrix("v", features.values[s:e]), SimilarityConfig())
+                  for s, e in spans]
         params = init_params(ModelConfig((3, 4, 2), aggregator, "attention"), seed=9)
-        predictions = [forward([g], params).prediction[0] for g in graphs]
+        predictions = [forward_one(g, params).prediction[0] for g in graphs]
         # a bias at the median prediction's logit puts segments on both sides of 0.5
         params.arrays["classifier.bias"][0] -= np.log(np.median(predictions) /
                                                       (1 - np.median(predictions)))
         calls = record_forward_calls(monkeypatch, localization)
-        scored = score_segments(graphs, params, frames)
-        spans = list(zip(offsets[:-1], offsets[1:]))
-        assert_each_segment_scored_once(calls, list(zip(spans, graphs)), spans)
+        built = record_graph_builds(monkeypatch, graph)
+        scored = map_size_chunks(spans, lambda chunk: score_segments(
+            graph.build_segment_graphs(features, chunk, SimilarityConfig()), params, frames))
+        assert_each_segment_scored_once(calls, built, spans)
         assert max(map(len, calls)) == 40
         assert len(scored) == len(graphs)
         predicted = []
         for g, (score, frame_scores) in zip(graphs, scored):
-            cache = forward([g], params)
+            cache = forward_one(g, params)
             assert score == cache.prediction[0]
             predicted.append(score >= 0.5)
             if frames == "all" or (frames == "predicted" and score >= 0.5):
@@ -212,4 +223,4 @@ class TestScoreSegments:
     def test_rejects_unknown_frames_mode(self):
         params = init_params(ModelConfig((2, 3, 2)), seed=1)
         with pytest.raises(ValueError, match="frames"):
-            score_segments([graph_of([[1.0, 2.0]] * 3)], params, "abnormal")
+            score_segments(GraphBatch.pack([graph_of([[1.0, 2.0]] * 3)]), params, "abnormal")

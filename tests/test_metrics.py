@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from cegl.dataio import SynthConfig, derive_segment_labels, synth_video
-from cegl.graph import SimilarityConfig, build_segment_graphs
+from cegl.graph import (
+    GraphBatch,
+    SimilarityConfig,
+    build_segment_graphs,
+    map_size_chunks,
+    size_chunks,
+)
 from cegl import localization, metrics, model
 from cegl.metrics import (
     ConfusionCounts,
@@ -119,7 +125,9 @@ def separable_video(seed):
 class TestCoverageCurve:
     def overfit_model(self, features, ann, partition):
         sim = SimilarityConfig()
-        graphs = build_segment_graphs(features, partition.spans(), sim)
+        graphs = map_size_chunks(
+            partition.spans(), lambda spans: build_segment_graphs(features, spans, sim)
+        )
         labelled = list(zip(graphs, derive_segment_labels(ann, partition).tolist()))
         params = init_params(
             ModelConfig(
@@ -141,7 +149,7 @@ class TestCoverageCurve:
         )
         ks = list(range(1, max_marked + 1))
         curve = coverage_curve(params, [(features, ann, partition)],
-                               ks, localize_all=True)
+                               ks, SimilarityConfig(), localize_all=True)
         values = [c for _, c in curve]
         assert values == sorted(values)
         # planted frames occupy the top rank in most abnormal segments,
@@ -155,7 +163,8 @@ class TestCoverageCurve:
         spans = partition.spans()
         lengths = [e - s for s, e in spans]
         curve = coverage_curve(
-            params, [(features, ann, partition)], [max(lengths)], localize_all=True
+            params, [(features, ann, partition)], [max(lengths)], SimilarityConfig(),
+            localize_all=True,
         )
         assert curve == [(max(lengths), 1.0)]
 
@@ -166,17 +175,21 @@ class TestCoverageCurve:
         params.arrays["classifier.bias"][0] = 5.0  # every segment predicted abnormal
         calls = record_forward_calls(monkeypatch, localization, model)
         built = record_graph_builds(monkeypatch, metrics)
-        coverage_curve(params, [(features, ann, partition)], [1, 2], localize_all=localize_all)
-        (pairs,) = built
-        assert_each_segment_scored_once(calls, pairs, partition.spans())
+        coverage_curve(params, [(features, ann, partition)], [1, 2], SimilarityConfig(),
+                       localize_all=localize_all)
+        assert_each_segment_scored_once(calls, built, partition.spans())
+        assert [chunk for chunk, _ in built] == [
+            [partition.spans()[i] for i in chunk]
+            for chunk in size_chunks([e - s for s, e in partition.spans()])
+        ]
         graphs = [g for batch in calls for g in batch]
-        assert (forward(graphs, params).prediction >= 0.5).all()
+        assert (forward(GraphBatch.pack(graphs), params).prediction >= 0.5).all()
 
     def test_rejects_unordered_ks(self):
         features, ann, partition = separable_video(33)
         params = init_params(ModelConfig((features.feature_dim, 4, 3)), seed=1)
         with pytest.raises(ValueError):
-            coverage_curve(params, [(features, ann, partition)], [3, 1])
+            coverage_curve(params, [(features, ann, partition)], [3, 1], SimilarityConfig())
 
 
 class TestReports:

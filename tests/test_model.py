@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cegl.errors import ConfigError, FormatError, NumericError, TruncatedFileError
-from cegl.graph import SegmentGraph, SimilarityConfig, build_graph
+from cegl.graph import GraphBatch, SegmentGraph, SimilarityConfig, build_graph
 from cegl.dataio import FeatureMatrix
 from cegl.model import (
     AGGREGATOR_KINDS,
@@ -52,7 +52,7 @@ class TestInitParams:
     def test_zero_scale_gives_half_probability(self):
         params = init_params(ModelConfig((3, 4, 4)), init_scale=0.0, seed=1)
         g = random_graph(make_rng(2), n=4, d=3)
-        assert forward([g], params).prediction[0] == 0.5
+        assert forward(GraphBatch.pack([g]), params).prediction[0] == 0.5
 
     def test_uniform_bounds(self):
         params = init_params(ModelConfig((8, 4, 4)), seed=3)
@@ -118,7 +118,8 @@ class TestParamVector:
     @pytest.mark.parametrize("readout", READOUT_KINDS)
     def test_every_entry_is_a_view_of_the_vector_in_table_order(self, agg, readout):
         params = init_params(ModelConfig((5, 4, 3), agg, readout, a_dim=2), seed=1)
-        grads = backward(forward([random_graph(make_rng(3), d=5)], params), [1], [1.0])
+        g = random_graph(make_rng(3), d=5)
+        grads = backward(forward(GraphBatch.pack([g]), params), [1], [1.0])
         for table in (params, grads):
             assert list(table.arrays) == list(param_shapes(params.config))
             offset = 0
@@ -175,7 +176,7 @@ def layer0_messages(g, kind, **overrides):
     params = init_params(ModelConfig((g.feature_dim, 3), kind, "mean"), seed=1)
     for name, value in overrides.items():
         params.arrays[name][...] = value
-    return forward([g], params).stacked_inputs[0][0, :, g.feature_dim :]
+    return forward(GraphBatch.pack([g]), params).stacked_inputs[0][0, :, g.feature_dim :]
 
 
 def attention_params(h_dim, transform, vector, averaged=True):
@@ -237,7 +238,8 @@ class TestAggregateNeighbors:
 class TestLayerForward:
     def test_zero_weights_zero_output(self):
         g = random_graph(make_rng(10), n=3, d=4)
-        cache = forward([g], init_params(ModelConfig((4, 5), "mean"), init_scale=0.0))
+        params = init_params(ModelConfig((4, 5), "mean"), init_scale=0.0)
+        cache = forward(GraphBatch.pack([g]), params)
         assert np.array_equal(cache.node_embeddings[1][0], np.zeros((3, 5)))
 
     def test_selector_of_self_half(self):
@@ -245,7 +247,7 @@ class TestLayerForward:
                         SimilarityConfig())
         params = init_params(ModelConfig((2, 2), "mean"))
         params.arrays["layer0.transform"][...] = np.hstack([np.eye(2), np.zeros((2, 2))])
-        out = forward([g], params).node_embeddings[1][0]
+        out = forward(GraphBatch.pack([g]), params).node_embeddings[1][0]
         assert np.allclose(out, g.node_features, atol=1e-15)
 
     def test_matches_direct_formula(self):
@@ -254,7 +256,7 @@ class TestLayerForward:
         params = init_params(ModelConfig((3, 5), "mean"))
         transform = rng.standard_normal((5, 6))
         params.arrays["layer0.transform"][...] = transform
-        cache = forward([g], params)
+        cache = forward(GraphBatch.pack([g]), params)
         msgs = cache.stacked_inputs[0][0, :, g.feature_dim :]
         for i in range(4):
             stacked = np.concatenate([g.node_features[i], msgs[i]])
@@ -265,7 +267,7 @@ class TestLayerForward:
         rng = make_rng(11)
         g = random_graph(rng, n=3, d=2)
         params = init_params(ModelConfig((2, 2), "mean"), seed=4)
-        cache = forward([g], params)
+        cache = forward(GraphBatch.pack([g]), params)
         a, b = cache.stacked_inputs[0][0], params.arrays["layer0.transform"].T
         want = np.zeros((a.shape[0], b.shape[1]))
         for i in range(a.shape[0]):
@@ -278,14 +280,14 @@ class TestLayerForward:
 class TestAttentionReadout:
     def test_two_identical_nodes(self):
         g = build_graph(FeatureMatrix("v", np.array([[2.0, 2.0], [2.0, 2.0]])), SimilarityConfig())
-        cache = forward([g], attention_params(2, np.eye(2), np.ones(2)))
+        cache = forward(GraphBatch.pack([g]), attention_params(2, np.eye(2), np.ones(2)))
         assert np.allclose(cache.attention_weights[0], [0.5, 0.5], atol=1e-15)
         # literal 1/n factor: (1/2) * (0.5+0.5) * (2,2) = (1,1)
         assert np.allclose(cache.graph_embedding[0], [1.0, 1.0], atol=1e-15)
 
     def test_single_node(self):
         g = build_graph(FeatureMatrix("v", np.array([[3.0, 1.0]])), SimilarityConfig())
-        cache = forward([g], attention_params(2, np.eye(2), np.ones(2)))
+        cache = forward(GraphBatch.pack([g]), attention_params(2, np.eye(2), np.ones(2)))
         assert np.array_equal(cache.attention_weights[0], [1.0])
         assert np.allclose(cache.graph_embedding[0], [3.0, 1.0], atol=1e-15)
 
@@ -297,7 +299,7 @@ class TestAttentionReadout:
         params = init_params(ModelConfig((3, 3), "mean", "attention", a_dim=2), seed=2)
         params.arrays["attention.transform"][...] = wa
         params.arrays["attention.vector"][...] = u
-        cache = forward([g], params)
+        cache = forward(GraphBatch.pack([g]), params)
         h = cache.node_embeddings[-1][0]
         scores = np.array([u @ np.tanh(wa @ h[i]) for i in range(4)])
         e = np.exp(scores - scores.max())
@@ -312,13 +314,13 @@ class TestClassifyAndLoss:
     def test_zero_head(self):
         g = random_graph(make_rng(14), n=3, d=2)
         params = init_params(ModelConfig((2, 2)), init_scale=0.0)
-        assert forward([g], params).prediction[0] == 0.5
+        assert forward(GraphBatch.pack([g]), params).prediction[0] == 0.5
 
     def test_bias_only(self):
         g = random_graph(make_rng(14), n=3, d=2)
         params = init_params(ModelConfig((2, 2)), init_scale=0.0)
         params.arrays["classifier.bias"][0] = np.log(3.0)
-        cache = forward([g], params)
+        cache = forward(GraphBatch.pack([g]), params)
         assert np.array_equal(cache.graph_embedding[0], np.zeros(2))
         assert cache.prediction[0] == pytest.approx(0.75, abs=1e-15)
 
@@ -326,7 +328,7 @@ class TestClassifyAndLoss:
         rng = make_rng(14)
         params = init_params(ModelConfig((3, 4, 2)), seed=2)
         params.arrays["classifier.bias"][0] = 0.3
-        cache = forward([random_graph(rng, d=3)], params)
+        cache = forward(GraphBatch.pack([random_graph(rng, d=3)]), params)
         h_g = cache.graph_embedding[0]
         w, b = params.arrays["classifier.weights"], params.arrays["classifier.bias"][0]
         want = 1.0 / (1.0 + np.exp(-(w @ h_g + b)))
@@ -346,14 +348,14 @@ class TestForward:
         for agg in AGGREGATOR_KINDS:
             for readout in READOUT_KINDS:
                 params = init_params(ModelConfig((3, 4, 2), agg, readout), init_scale=0.0)
-                assert forward([g], params).prediction[0] == 0.5
+                assert forward(GraphBatch.pack([g]), params).prediction[0] == 0.5
 
     def test_single_node_graph_all_kinds(self):
         g = build_graph(FeatureMatrix("v", np.array([[0.5, -1.5, 2.0]])), SimilarityConfig())
         for agg in AGGREGATOR_KINDS:
             for readout in READOUT_KINDS:
                 params = init_params(ModelConfig((3, 4, 2), agg, readout), seed=4)
-                cache = forward([g], params)
+                cache = forward(GraphBatch.pack([g]), params)
                 assert 0.0 < cache.prediction[0] < 1.0
 
     def test_matches_scripted_three_node_mean_attention(self):
@@ -374,12 +376,13 @@ class TestForward:
         h_g = (alpha[:, None] * h).sum(axis=0) / 3
         want = 1.0 / (1.0 + np.exp(-(a["classifier.weights"] @ h_g + a["classifier.bias"][0])))
 
-        assert forward([g], params).prediction[0] == pytest.approx(want, abs=1e-12)
+        prediction = forward(GraphBatch.pack([g]), params).prediction[0]
+        assert prediction == pytest.approx(want, abs=1e-12)
 
     def test_dimension_mismatch(self):
         g = random_graph(make_rng(17), n=3, d=4)
         with pytest.raises(ValueError):
-            forward([g], init_params(ModelConfig((3, 4, 2))))
+            forward(GraphBatch.pack([g]), init_params(ModelConfig((3, 4, 2))))
 
 
 class TestBackward:
@@ -387,7 +390,7 @@ class TestBackward:
         rng = make_rng(18)
         g = random_graph(rng, n=4, d=3)
         params = init_params(ModelConfig((3, 4, 2), "mean", "attention"), seed=7)
-        cache = forward([g], params)
+        cache = forward(GraphBatch.pack([g]), params)
         grads = backward(cache, [1], [1.0])
         assert grads.arrays["classifier.bias"].tolist() == [cache.prediction[0] - 1]
 
@@ -396,14 +399,14 @@ class TestBackward:
         # at all; the gradient table mirrors the parameter table.
         g = random_graph(make_rng(19), n=4, d=3)
         params = init_params(ModelConfig((3, 4, 2), "mean", "attention"), seed=8)
-        grads = backward(forward([g], params), [0], [1.0])
+        grads = backward(forward(GraphBatch.pack([g]), params), [0], [1.0])
         assert list(grads.arrays) == list(params.arrays)
         assert not any("gate" in name for name in grads.arrays)
 
     def test_unused_attention_branch_gets_zero_gradient(self):
         g = random_graph(make_rng(20), n=4, d=3)
         params = init_params(ModelConfig((3, 4, 2), "mean", "mean"), seed=9)
-        grads = backward(forward([g], params), [0], [1.0])
+        grads = backward(forward(GraphBatch.pack([g]), params), [0], [1.0])
         assert list(grads.arrays) == list(params.arrays)
         assert not any(name.startswith("attention.") for name in grads.arrays)
 
@@ -412,7 +415,8 @@ class TestBackward:
         # pairing it can get wrong is labels or weights for another batch.
         rng = make_rng(21)
         params = init_params(ModelConfig((3, 4, 2)))
-        cache = forward([random_graph(rng, n=3, d=3), random_graph(rng, n=3, d=3)], params)
+        graphs = [random_graph(rng, n=3, d=3), random_graph(rng, n=3, d=3)]
+        cache = forward(GraphBatch.pack(graphs), params)
         with pytest.raises(ValueError, match="one label and one weight"):
             backward(cache, [1], [1.0])
         with pytest.raises(ValueError, match="one label and one weight"):
@@ -422,8 +426,8 @@ class TestBackward:
     def test_unrecorded_cache_rejected(self, agg):
         g = random_graph(make_rng(22), n=5, d=3)
         params = init_params(ModelConfig((3, 4, 2), agg, "attention"), seed=10)
-        cache = forward([g], params, record=False)
-        assert cache.prediction[0] == forward([g], params).prediction[0]
+        cache = forward(GraphBatch.pack([g]), params, record=False)
+        assert cache.prediction[0] == forward(GraphBatch.pack([g]), params).prediction[0]
         if agg == "gated":
             assert cache.gated_steps == [None, None]
         with pytest.raises(ValueError, match="record=True"):
@@ -468,9 +472,9 @@ class TestBatchedPass:
             params = init_params(
                 ModelConfig((3, 5, 4), agg, readout), seed=int(rng.integers(0, 1000))
             )
-            batched = backward(forward(graphs, params), labels, weights)
+            batched = backward(forward(GraphBatch.pack(graphs), params), labels, weights)
             parts = [
-                backward(forward([g], params), [y], [w])
+                backward(forward(GraphBatch.pack([g]), params), [y], [w])
                 for g, y, w in zip(graphs, labels, weights)
             ]
             got = batched.vector
@@ -492,22 +496,22 @@ class TestBatchedPass:
         larger = random_graph(rng, n=9, d=3)
         for readout in READOUT_KINDS:
             params = init_params(ModelConfig((3, 5, 4), agg, readout), seed=3)
-            alone = [forward([g], params).prediction[0] for g in graphs]
-            batched = forward(graphs, params).prediction
-            grown = forward(graphs + [larger], params).prediction
+            alone = [forward(GraphBatch.pack([g]), params).prediction[0] for g in graphs]
+            batched = forward(GraphBatch.pack(graphs), params).prediction
+            grown = forward(GraphBatch.pack(graphs + [larger]), params).prediction
             assert np.allclose(batched, alone, rtol=0, atol=1e-12), readout
             assert np.allclose(grown[:3], alone, rtol=0, atol=1e-12), readout
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="at least one graph"):
-            forward([], init_params(ModelConfig((3, 4, 2))))
+            forward(GraphBatch.pack([]), init_params(ModelConfig((3, 4, 2))))
 
 
 class TestSgdStep:
     def test_zero_lr_keeps_params(self):
         params = init_params(ModelConfig((3, 4, 2)), seed=1)
         g = random_graph(make_rng(22), n=3, d=3)
-        grads = backward(forward([g], params), [1], [1.0])
+        grads = backward(forward(GraphBatch.pack([g]), params), [1], [1.0])
         updated = sgd_step(params, grads, 0.0)
         assert np.array_equal(updated.vector, params.vector)
 
@@ -515,7 +519,7 @@ class TestSgdStep:
     def test_bit_equal_to_per_entry_update(self, agg):
         params = init_params(ModelConfig((3, 4, 2), agg, "attention"), seed=2)
         graphs = [random_graph(make_rng(4), n=n, d=3) for n in (2, 5)]
-        grads = backward(forward(graphs, params), [1, 0], [0.7, 1.3])
+        grads = backward(forward(GraphBatch.pack(graphs), params), [1, 0], [0.7, 1.3])
         before = params.vector.copy()
         updated = sgd_step(params, grads, 0.03)
         for name, w in params.arrays.items():
@@ -604,16 +608,16 @@ class TestPermutationProperties:
             for _ in range(5):
                 g = random_graph(rng)
                 params = init_params(ModelConfig((g.feature_dim, 5, 4), "mean", readout), seed=11)
-                base = forward([g], params).prediction[0]
+                base = forward(GraphBatch.pack([g]), params).prediction[0]
                 perm = rng.permutation(g.n)
-                permuted = forward([permute_graph(g, perm)], params).prediction[0]
+                permuted = forward(GraphBatch.pack([permute_graph(g, perm)]), params).prediction[0]
                 assert abs(base - permuted) <= 1e-9
 
     def test_gated_is_bitwise_reproducible(self):
         rng = make_rng(24)
         g = random_graph(rng, n=5, d=4)
         params = init_params(ModelConfig((4, 5, 4), "gated", "attention"), seed=12)
-        runs = {forward([g], params).prediction[0] for _ in range(5)}
+        runs = {forward(GraphBatch.pack([g]), params).prediction[0] for _ in range(5)}
         assert len(runs) == 1
 
     def test_zero_edges_zero_mean_messages(self):

@@ -3,7 +3,7 @@ import pytest
 
 from cegl.dataio import FeatureMatrix
 from cegl.errors import ConfigError, FormatError
-from cegl.graph import SimilarityConfig, build_segment_graphs
+from cegl.graph import SimilarityConfig, build_segment_graphs, map_size_chunks
 from cegl.numerics import make_rng
 from cegl.segmentation import (
     ORACLE_MAX_FRAMES,
@@ -251,11 +251,14 @@ class TestOracle:
 
 
 class TestSplitVideo:
-    """`build_segment_graphs` splits a video into one graph per segment."""
+    """`build_segment_graphs`, a size chunk at a time, splits a video into one graph a segment."""
 
     @staticmethod
     def split(f, p):
-        return [g.node_features for g in build_segment_graphs(f, p.spans(), SimilarityConfig())]
+        graphs = map_size_chunks(
+            p.spans(), lambda spans: build_segment_graphs(f, spans, SimilarityConfig())
+        )
+        return [g.node_features for g in graphs]
 
     def test_two_segments(self):
         f = fm(np.arange(8, dtype=float).reshape(4, 2))

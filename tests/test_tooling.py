@@ -6,9 +6,12 @@ import json
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 import cegl
 import cegl.cli
-from cegl.dataio import read_feature_matrix
+from cegl.dataio import FeatureMatrix, read_feature_matrix
+from cegl.graph import GraphBatch, SimilarityConfig, build_graph, build_segment_graphs
 from cegl.segmentation import read_partition
 from forward_calls import expected_batches
 from test_cli import write_config
@@ -160,3 +163,16 @@ def test_traced_localize_runs_one_topk_per_segment_length(tmp_path):
         assert all(tracer.names[tracer.name[tracer.parent[i]]] == "cli.localize"
                    for i in topk), extra
     assert len(scored) > len(set(scored))  # --all-segments: lengths repeat
+
+
+def test_graph_size_reads_a_batch_as_its_graphs_and_their_pairs():
+    """graph.build's size: B graphs and the sum of n(n-1)/2 node pairs, padded or not."""
+    rng = np.random.default_rng(5)
+    features = FeatureMatrix("v", rng.standard_normal((30, 3)))
+    graph_size = load_tracing()._graph_size
+    batch = build_segment_graphs(features, [(0, 7), (7, 14), (20, 27)], SimilarityConfig())
+    assert graph_size((), batch) == {"graphs": 3, "pairs": 3 * 21}
+    graphs = [build_graph(FeatureMatrix("v", features.values[:n]), SimilarityConfig())
+              for n in (1, 4, 9)]
+    packed = GraphBatch.pack(graphs)
+    assert graph_size((), packed) == {"graphs": 3, "pairs": 0 + 6 + 36}
