@@ -120,7 +120,8 @@ def _same_video(**video_ids: str) -> None:
     (first, first_id), *rest = video_ids.items()
     for name, video_id in rest:
         if video_id != first_id:
-            raise ConfigError(f"{first} is for video {first_id!r} but {name} for {video_id!r}")
+            raise ConfigError(f"{first} is for video {reprlib.repr(first_id)} "
+                              f"but {name} for {reprlib.repr(video_id)}")
 
 
 # ---------------------------------------------------------------------------

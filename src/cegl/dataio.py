@@ -378,7 +378,11 @@ def read_annotations(path) -> Annotations:
         raise FormatError(f"annotations JSON must be an object with a video_id: {path}")
     unknown = set(obj) - {"video_id", "frame_labels", "notes"}
     if unknown:
-        raise FormatError(f"unknown annotation keys {sorted(unknown)} in {path}")
+        raise FormatError(f"unknown annotation keys {reprlib.repr(sorted(unknown))} in {path}")
+    for key, kinds in (("video_id", str), ("notes", (str, type(None)))):
+        if not isinstance(obj.get(key), kinds):
+            got = reprlib.repr(obj[key])
+            raise FormatError(f"annotations {key} must be a string, got {got}: {path}")
     labels = obj.get("frame_labels")
     # JSON true/false and reals such as 0.5 are not labels, even where an
     # integer cast would take them. A missing or null list is no list either.

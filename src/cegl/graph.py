@@ -1,11 +1,11 @@
 """Per-segment graph construction: frames as nodes, similarity as edge weight.
 
-Every metric produces a symmetric matrix with zero diagonal and entries
-in [0, 1]; negative cosine/correlation values clamp to zero, i.e. pairs
-with no similarity are simply unconnected, and so is a zero-norm frame.
-Identical frames get weight exactly 1. All metrics read one Gram matrix
-whose entries each depend on their own two frames only, so a pair's
-cosine or distance is the same in every segment that holds both frames.
+The edge weight is cosine similarity clamped to [0, 1]: a symmetric
+matrix with zero diagonal, where pairs with a negative cosine are simply
+unconnected, and so is a zero-norm frame. Identical frames get weight
+exactly 1. The weights read one Gram matrix whose entries each depend on
+their own two frames only, so a pair's cosine is the same in every
+segment that holds both frames.
 Two identical frames give equal Gram entries (i, i), (i, j) and (j, j);
 only pairs with those three equal are compared feature by feature, a
 bounded slice of them at a time.
@@ -21,6 +21,7 @@ chunk at a time, so inference holds one chunk of graphs, not the video's.
 from __future__ import annotations
 
 import logging
+import reprlib
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -31,9 +32,7 @@ from .errors import ConfigError
 
 log = logging.getLogger(__name__)
 
-METRICS = ("cosine", "correlation", "euclidean_rbf", "knn_cosine")
-
-MEDIAN_HEURISTIC = "median_heuristic"
+METRICS = ("cosine",)
 
 # The cap on B * n^2, the edge cells of a batch of B graphs of n nodes, to
 # build or score: 40 ten-frame segments share a batch, one of 65 frames or
@@ -62,22 +61,14 @@ def map_size_chunks(spans: Sequence[tuple[int, int]], fn: Callable[[list], Seque
 
 @dataclass(frozen=True)
 class SimilarityConfig:
+    """The run config's similarity section and the checkpoint's record of it."""
+
     metric: str = "cosine"
-    knn_k: int | None = None
-    rbf_sigma: float | str = MEDIAN_HEURISTIC
 
     def __post_init__(self):
         check_types(self)
         if self.metric not in METRICS:
-            raise ConfigError(f"unknown similarity metric {self.metric!r}")
-        if self.metric == "knn_cosine":
-            if self.knn_k is None or self.knn_k < 1:
-                raise ConfigError("knn_cosine requires knn_k >= 1")
-        if isinstance(self.rbf_sigma, str):
-            if self.rbf_sigma != MEDIAN_HEURISTIC:
-                raise ConfigError(f"rbf_sigma must be a positive real or {MEDIAN_HEURISTIC!r}")
-        elif self.rbf_sigma <= 0:
-            raise ConfigError("explicit rbf_sigma must be positive")
+            raise ConfigError(f"unknown similarity metric {reprlib.repr(self.metric)}")
 
 
 def _check_edge_weights(w: np.ndarray) -> None:
@@ -181,33 +172,13 @@ def _identical_frames(values: np.ndarray, gram: np.ndarray, diagonals: np.ndarra
     return identical
 
 
-def _similarity_batch(values: np.ndarray, cfg: SimilarityConfig) -> np.ndarray:
-    """Edge-weight matrices (B, n, n) of B segments of n frames, given as (B, n, d)."""
+def _similarity_batch(values: np.ndarray) -> np.ndarray:
+    """Cosine edge-weight matrices (B, n, n) of B segments of n frames, given as (B, n, d)."""
     values = np.ascontiguousarray(values)  # einsum's summation order depends on the layout
-    if cfg.metric == "correlation":
-        values = values - values.mean(axis=2, keepdims=True)
     # Not `X @ X.T`: BLAS blocks the sums by the matrix shape, so an entry
     # would round differently in segments of different sizes.
     gram = np.einsum("bik,bjk->bij", values, values)
     diagonals = np.diagonal(gram, axis1=1, axis2=2)
-
-    if cfg.metric == "euclidean_rbf":
-        # Identical frames give exactly 0: their gram entries are all equal.
-        sq_dists = np.maximum(diagonals[:, :, None] + diagonals[:, None, :] - 2.0 * gram, 0.0)
-        if isinstance(cfg.rbf_sigma, str):
-            i, j = np.triu_indices(values.shape[1], k=1)
-            sigmas = np.median(np.sqrt(sq_dists[:, i, j]), axis=1) if i.size else np.zeros(len(gram))
-        else:
-            sigmas = np.full(len(gram), cfg.rbf_sigma)
-        # Each graph's 2 sigma^2 from its own Python float, as one graph alone
-        # takes it: numpy's square of a sigma array can round 1 ulp away.
-        scales = np.array([2.0 * s**2 if s > 0.0 else 1.0 for s in sigmas.tolist()])
-        weights = np.exp(-sq_dists / scales[:, None, None])
-        for b in np.flatnonzero(sigmas <= 0.0):  # then only identical frames connect
-            weights[b] = _identical_frames(values[b : b + 1], gram[b : b + 1], diagonals[b : b + 1])[0]
-        np.einsum("bii->bi", weights)[...] = 0.0
-        return weights
-
     norms = np.sqrt(diagonals)
     zero = norms == 0.0
     if zero.any():
@@ -217,18 +188,12 @@ def _similarity_batch(values: np.ndarray, cfg: SimilarityConfig) -> np.ndarray:
     weights[_identical_frames(values, gram, diagonals)] = 1.0  # exactly 1, not 1 ulp below
     weights[zero[:, :, None] | zero[:, None, :]] = 0.0
     np.einsum("bii->bi", weights)[...] = 0.0
-    if cfg.metric != "knn_cosine":
-        return weights
-    # Each row keeps its k strongest edges, and an edge kept by either end stays.
-    order = np.argsort(-weights, axis=2, kind="stable")
-    keep = np.zeros(weights.shape, dtype=bool)
-    np.put_along_axis(keep, order[:, :, : min(cfg.knn_k, values.shape[1] - 1)], True, axis=2)
-    return np.where(keep | np.swapaxes(keep, 1, 2), weights, 0.0)
+    return weights
 
 
 def build_graph(segment: FeatureMatrix, cfg: SimilarityConfig) -> SegmentGraph:
-    """Graph for one segment under the configured metric; node order is temporal frame order."""
-    return SegmentGraph(segment.values, _similarity_batch(segment.values[None], cfg)[0])
+    """Graph for one segment; node order is temporal frame order. cfg.metric is cosine."""
+    return SegmentGraph(segment.values, _similarity_batch(segment.values[None])[0])
 
 
 def build_segment_graphs(
@@ -245,6 +210,6 @@ def build_segment_graphs(
         if e - s != n:
             raise ValueError(f"span [{s}, {e}) is not {n} frames long like the batch's first")
     values = features.values[np.add.outer([s for s, _ in spans], range(n))]
-    weights = _similarity_batch(values, cfg)
+    weights = _similarity_batch(values)
     _check_edge_weights(weights)
     return GraphBatch(values, weights, np.full(len(spans), n))

@@ -46,6 +46,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import reprlib
 import struct
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -105,13 +106,14 @@ class ModelConfig:
         check_types(self)
         if self.layer_dims is not None:
             if len(self.layer_dims) < 2 or min(self.layer_dims) < 1:
-                raise ConfigError(f"layer_dims must be positive ints, got {self.layer_dims}")
+                got = reprlib.repr(self.layer_dims)
+                raise ConfigError(f"layer_dims must be positive ints, got {got}")
             if self.a_dim is None:
                 object.__setattr__(self, "a_dim", self.layer_dims[-1])
         if self.aggregator_kind not in AGGREGATOR_KINDS:
-            raise ConfigError(f"unknown aggregator_kind {self.aggregator_kind!r}")
+            raise ConfigError(f"unknown aggregator_kind {reprlib.repr(self.aggregator_kind)}")
         if self.readout_kind not in READOUT_KINDS:
-            raise ConfigError(f"unknown readout_kind {self.readout_kind!r}")
+            raise ConfigError(f"unknown readout_kind {reprlib.repr(self.readout_kind)}")
         if self.a_dim is not None and self.a_dim < 1:
             raise ConfigError(f"a_dim must be a positive int, got {self.a_dim!r}")
 
@@ -174,7 +176,6 @@ class TrainConfig:
     epochs: int = 100
     seed: int = 0
     init_scale: float = 1.0
-    shuffle: bool = True
     class_weighting: bool = False
 
     def __post_init__(self):
@@ -539,7 +540,7 @@ def train(
     rng = make_rng(cfg.seed)
     history: list[float] = []
     for _ in range(cfg.epochs):
-        order = rng.permutation(len(graphs)) if cfg.shuffle else np.arange(len(graphs))
+        order = rng.permutation(len(graphs))
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]

@@ -104,7 +104,7 @@ class SegmentationConfig:
         if self.min_len < 1:
             raise ConfigError("min_len must be at least 1")
         if self.cost_kind not in COST_KINDS:
-            raise ConfigError(f"unknown cost_kind {self.cost_kind!r}")
+            raise ConfigError(f"unknown cost_kind {reprlib.repr(self.cost_kind)}")
 
     def penalty_for(self, f: FeatureMatrix) -> float:
         if self.penalty is None:
@@ -268,7 +268,8 @@ def read_partition(path) -> tuple[str, Partition]:
     if not isinstance(obj, dict) or set(obj) != {"video_id", "boundaries"}:
         raise FormatError(f"partition JSON must hold video_id and boundaries: {path}")
     if not isinstance(obj["video_id"], str):
-        raise FormatError(f"partition video_id must be a string, got {obj['video_id']!r}: {path}")
+        got = reprlib.repr(obj["video_id"])
+        raise FormatError(f"partition video_id must be a string, got {got}: {path}")
     try:
         return obj["video_id"], Partition(tuple(obj["boundaries"]))
     except (TypeError, ValueError) as exc:

@@ -180,7 +180,7 @@ END_TO_END = {
     # Optimizer: learning rate 0.001, batch size 8, at least 100 epochs
     # (600 here; runtime stays far below the cap).
     "train": dict(learning_rate=0.001, batch_size=8, epochs=600, seed=6,
-                  init_scale=2.0, shuffle=True, class_weighting=True),
+                  init_scale=2.0, class_weighting=True),
     "ks": (1, 2, 3, 5, 7, 9),
 }
 

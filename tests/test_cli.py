@@ -49,7 +49,6 @@ def write_config(path, **overrides):
             "epochs": 5,
             "seed": 7,
             "init_scale": 2.0,
-            "shuffle": True,
             "class_weighting": True,
         },
     }
@@ -604,8 +603,8 @@ def test_every_chunk_of_edge_weights_is_checked(
     real_kernel = graph._similarity_batch
     calls = []
 
-    def corrupting_kernel(values, cfg):
-        weights = real_kernel(values, cfg)
+    def corrupting_kernel(values):
+        weights = real_kernel(values)
         calls.append(values.shape)
         if len(calls) == chunks:
             corrupt(weights[-1])
@@ -731,8 +730,15 @@ def hostile_input_cases():
     refused in `classify`, `localize` and `evaluate`.
     """
     annotations = {
-        "no-frame-labels": lambda a: {"video_id": a["video_id"]},
-        "null-frame-labels": lambda a: {**a, "frame_labels": None},
+        "no-frame-labels": (lambda a: {"video_id": a["video_id"]}, "frame_labels"),
+        "null-frame-labels": (lambda a: {**a, "frame_labels": None}, "frame_labels"),
+        "integer-video-id": (lambda a: {**a, "video_id": 0}, "video_id must be a string, got 0"),
+        "long-list-video-id": (lambda a: {**a, "video_id": [0] * 10**5},
+                               "video_id must be a string, got [0, 0, 0, "),
+        "list-notes": (lambda a: {**a, "notes": [1, 2, 3]},
+                       "notes must be a string, got [1, 2, 3]"),
+        "many-unknown-keys": (lambda a: {**a, **{f"k{i}": 0 for i in range(10**5)}},
+                              "unknown annotation keys ['k0', 'k1', 'k10', "),
     }
     headers = {
         "null-similarity": (lambda h: {**h, "similarity": None}, "similarity"),
@@ -741,13 +747,21 @@ def hostile_input_cases():
         "partial-segmentation": (lambda h: {**h, "segmentation": {"min_len": 5}}, "segmentation"),
         "removed-aggregator": (lambda h: {**h, "aggregator_kind": "maxpool"}, "'maxpool'"),
         "removed-readout": (lambda h: {**h, "readout_kind": "sum"}, "'sum'"),
+        "removed-metric": (lambda h: {**h, "similarity": {"metric": "correlation"}},
+                           "unknown similarity metric 'correlation'"),
+        # the similarity section that checkpoints of earlier versions hold
+        "removed-similarity-keys": (
+            lambda h: {**h, "similarity": {**h["similarity"], "knn_k": None,
+                                           "rbf_sigma": "median_heuristic"}},
+            "unknown similarity config keys: ['knn_k', 'rbf_sigma']",
+        ),
         "list": (lambda h: [], "JSON object"),
         "null": (lambda h: None, "JSON object"),
         "string": (lambda h: "CEGM", "JSON object"),
     }
-    for name, edit in annotations.items():
+    for name, (edit, fragment) in annotations.items():
         for command in ("train", "evaluate", "coverage-curve"):
-            yield f"annotations-{name}-{command}", "annotations", command, edit, "frame_labels"
+            yield f"annotations-{name}-{command}", "annotations", command, edit, fragment
     for name, (edit, fragment) in headers.items():
         for command in ("classify", "localize", "coverage-curve"):
             yield f"header-{name}-{command}", "checkpoint", command, edit, fragment
@@ -764,6 +778,8 @@ def hostile_input_cases():
         "object-boundary": (second_boundary({}), "must be integers"),
         "long-string-boundary": (second_boundary("1" * 10**5), "must be integers, got '111"),
         "integer-video-id": (lambda p: {**p, "video_id": 0}, "video_id"),
+        "long-video-id": (lambda p: {**p, "video_id": "x" * 10**5},
+                          "partition is for video 'xxxxxxxxxxxx...xxxxxxxxxxxxx' but"),
         "truncated": (lambda p: json.dumps(p)[: len(json.dumps(p)) // 2], "malformed partition"),
         "huge-boundary": (lambda p: {**p, "boundaries": [*p["boundaries"][:-1], 10**30]},
                           str(10**30)),
@@ -797,6 +813,8 @@ def hostile_input_cases():
         "float-id": (first_segment("segment_id", 0.0), "need segment_ids 0.."),
         "duplicated-segment": (lambda p: {**p, "segments": p["segments"][:1] + p["segments"]},
                                "need segment_ids 0.."),
+        "long-list-video-id": (lambda p: {**p, "video_id": [0] * 10**5},
+                               "predictions for [0, 0, 0, "),
     }
     for name, (edit, fragment) in predictions.items():
         yield f"predictions-{name}-evaluate", "predictions", "evaluate", edit, fragment
@@ -816,6 +834,16 @@ def hostile_input_cases():
                               "unknown segmentation config keys: ['k0', 'k1', 'k10', "),
         "many-unknown-top-level-keys": (lambda c: {**c, **{f"k{i}": 0 for i in range(10**5)}},
                                         "unknown top-level config keys: ['k0', 'k1', 'k10', "),
+        "long-zero-layer-dims": (config_entry("model", "layer_dims", [0] * 10**5),
+                                 "layer_dims must be positive ints, got (0, 0, 0, "),
+        "long-aggregator-kind": (config_entry("model", "aggregator_kind", "a" * 10**5),
+                                 "unknown aggregator_kind 'aaaaaaaaaaaa...aaaaaaaaaaaaa'"),
+        "long-readout-kind": (config_entry("model", "readout_kind", "r" * 10**5),
+                              "unknown readout_kind 'rrrrrrrrrrrr...rrrrrrrrrrrrr'"),
+        "long-cost-kind": (config_entry("segmentation", "cost_kind", "c" * 10**5),
+                           "unknown cost_kind 'cccccccccccc...ccccccccccccc'"),
+        "long-metric": (config_entry("similarity", "metric", "m" * 10**5),
+                        "unknown similarity metric 'mmmmmmmmmmmm...mmmmmmmmmmmmm'"),
     }
     for name, (edit, fragment) in configs.items():
         yield f"config-{name}-segment", "config", "segment", edit, fragment
@@ -882,7 +910,7 @@ def test_hostile_input_exits_2(pipeline, tmp_path, capsys, kind, command, edit, 
 SECTION_FIELDS = {
     "synth": ("segment_count", None, "cluster_spread"),
     "segmentation": ("min_len", None, "penalty"),
-    "similarity": ("knn_k", None, "rbf_sigma"),
+    "similarity": (None, None, None),
     "model": ("a_dim", "attention_averaged", None),
     "train": ("epochs", "class_weighting", "learning_rate"),
 }
@@ -895,12 +923,13 @@ def malformed_config_cases():
     """
     for section, (count, flag, real) in SECTION_FIELDS.items():
         yield f"{section}-non-object", section, 5, ()
-        yield f"{section}-string-count", section, {count: "5"}, ()
+        if count is not None:
+            yield f"{section}-string-count", section, {count: "5"}, ()
+            yield f"{section}-bool-count", section, {count: True}, ()
         if flag is not None:
             yield f"{section}-string-flag", section, {flag: "false"}, ()
         if real is not None:
             yield f"{section}-list-real", section, {real: [1.0]}, ()
-        yield f"{section}-bool-count", section, {count: True}, ()
         yield f"{section}-unknown-key", section, {"bogus": 1}, ()
     yield "model-int-layer-dims", "model", {"layer_dims": 5}, ()
     yield "model-unknown-aggregator", "model", {"aggregator_kind": "bogus"}, ()
@@ -913,7 +942,14 @@ def malformed_config_cases():
     yield "model-short-layer-dims", "model", {"layer_dims": [8]}, ()
     yield "model-zero-layer-dim", "model", {"layer_dims": [8, 0, 4]}, ()
     yield "segmentation-float-min-len", "segmentation", {"min_len": 5.0}, ()
-    yield "similarity-string-knn-k", "similarity", {"metric": "knn_cosine", "knn_k": "3"}, ()
+    yield "similarity-int-metric", "similarity", {"metric": 5}, ("metric must be a string",)
+    # metrics and settings that earlier versions offered
+    for metric in ("correlation", "euclidean_rbf", "knn_cosine"):
+        removed = {"metric": metric}
+        yield f"similarity-removed-metric-{metric}", "similarity", removed, (f"'{metric}'",)
+    yield "similarity-removed-knn-k", "similarity", {"knn_k": 3}, ("['knn_k']",)
+    yield "similarity-removed-rbf-sigma", "similarity", {"rbf_sigma": 1.0}, ("['rbf_sigma']",)
+    yield "train-removed-shuffle", "train", {"shuffle": True}, ("['shuffle']",)
     yield "train-nan-learning-rate", "train", {"learning_rate": float("nan")}, ()
     yield "top-level-ks", "top-level", 5, ()
 

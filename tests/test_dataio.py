@@ -420,8 +420,8 @@ class TestConfigFromJson:
         assert config_from_json(SegmentationConfig, {}, "segmentation").penalty is None
 
     def test_none_only_where_it_is_the_default(self):
-        sim = config_from_json(SimilarityConfig, {"knn_k": None}, "similarity")
-        assert sim.knn_k is None
+        seg = config_from_json(SegmentationConfig, {"penalty": None}, "segmentation")
+        assert seg.penalty is None
         with pytest.raises(ConfigError, match="similarity config: metric must be a string"):
             config_from_json(SimilarityConfig, {"metric": None}, "similarity")
 

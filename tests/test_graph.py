@@ -85,46 +85,15 @@ class TestSimilarityMatrix:
         # At shapes like these a BLAS `X @ X.T` can round entries differently
         # from the two-row product; each weight must depend on its own pair only.
         rng = make_rng(3)
-        configs = (
-            SimilarityConfig(),
-            SimilarityConfig(metric="correlation"),
-            SimilarityConfig(metric="euclidean_rbf", rbf_sigma=4.0),
-        )
         for n, d in ((13, 16), (57, 33)):
             values = rng.standard_normal((n, d))
-            for cfg in configs:
-                w = build_graph(fm(values), cfg).edge_weights
-                for i in range(n):
-                    for j in range(n):
-                        pair = build_graph(fm(values[[i, j]]), cfg).edge_weights[0, 1]
-                        assert w[i, j] == (0.0 if i == j else pair)
+            w = build_graph(fm(values), SimilarityConfig()).edge_weights
+            for i in range(n):
+                for j in range(n):
+                    pair = pair_cosine(values[i], values[j])
+                    assert w[i, j] == (0.0 if i == j else pair)
 
-    def test_knn_without_pruning_equals_cosine(self):
-        rng = make_rng(4)
-        values = rng.standard_normal((5, 3))
-        full = build_graph(fm(values), SimilarityConfig()).edge_weights
-        knn = build_graph(
-            fm(values), SimilarityConfig(metric="knn_cosine", knn_k=4)
-        ).edge_weights
-        assert np.array_equal(full, knn)
-
-    def test_knn_min_degree(self):
-        rng = make_rng(5)
-        values = np.abs(rng.standard_normal((8, 4))) + 0.1  # all-positive weights
-        k = 2
-        w = build_graph(fm(values), SimilarityConfig(metric="knn_cosine", knn_k=k)).edge_weights
-        degrees = (w > 0).sum(axis=1)
-        assert (degrees >= k).all()  # union symmetrization only adds edges
-
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            SimilarityConfig(),
-            SimilarityConfig(metric="correlation"),
-            SimilarityConfig(metric="euclidean_rbf"),
-            SimilarityConfig(metric="knn_cosine", knn_k=3),
-        ],
-    )
+    @pytest.mark.parametrize("cfg", [SimilarityConfig(metric) for metric in graph.METRICS])
     def test_invariants_all_metrics(self, cfg):
         rng = make_rng(6)
         for _ in range(10):
@@ -136,27 +105,12 @@ class TestSimilarityMatrix:
             assert not np.diagonal(w).any()
             assert w.min() >= 0.0 and w.max() <= 1.0
 
-    def test_rbf_identical_frames(self):
-        w = build_graph(
-            fm([[1.0, 1.0]] * 3), SimilarityConfig(metric="euclidean_rbf")
-        ).edge_weights
-        off = w[~np.eye(3, dtype=bool)]
-        assert (off == 1.0).all()
-
-    def test_rbf_explicit_sigma_monotone_in_distance(self):
-        values = fm([[0.0], [1.0], [5.0]])
-        cfg = SimilarityConfig(metric="euclidean_rbf", rbf_sigma=2.0)
-        w = build_graph(values, cfg).edge_weights
-        assert w[0, 1] > w[0, 2]
-        assert w[0, 1] == pytest.approx(np.exp(-1 / 8), abs=1e-12)
-
     def test_invalid_configs(self):
-        with pytest.raises(ConfigError):
-            SimilarityConfig(metric="knn_cosine")
-        with pytest.raises(ConfigError):
-            SimilarityConfig(metric="lsh")
-        with pytest.raises(ConfigError):
-            SimilarityConfig(rbf_sigma=-1.0)
+        assert graph.METRICS == ("cosine",)
+        # "lsh" was never a metric; the other three are ones earlier versions offered.
+        for metric in ("lsh", "correlation", "euclidean_rbf", "knn_cosine"):
+            with pytest.raises(ConfigError, match=f"unknown similarity metric '{metric}'"):
+                SimilarityConfig(metric=metric)
 
 
 class TestBuildGraph:
@@ -248,51 +202,16 @@ class TestBatchedBuild:
         values[24:26] = values[23]  # a three-frame segment of one frame
         return FeatureMatrix("v", values), Partition(tuple(np.cumsum([0] + lengths).tolist()))
 
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            SimilarityConfig(),
-            SimilarityConfig(metric="correlation"),
-            SimilarityConfig(metric="euclidean_rbf"),
-            SimilarityConfig(metric="euclidean_rbf", rbf_sigma=0.7),
-            SimilarityConfig(metric="knn_cosine", knn_k=3),
-        ],
-        ids=["cosine", "correlation", "rbf-median", "rbf-explicit", "knn"],
-    )
-    def test_bit_identical_to_one_segment_builds(self, cfg):
+    @pytest.mark.parametrize("metric", graph.METRICS)
+    def test_bit_identical_to_one_segment_builds(self, metric):
         features, partition = self.video_and_partition()
+        cfg = SimilarityConfig(metric)
         graphs = video_graphs(features, partition.spans(), cfg)
         assert len(graphs) == partition.segment_count
         for g, (s, e) in zip(graphs, partition.spans()):
             alone = build_graph(FeatureMatrix("v", features.values[s:e]), cfg)
             assert g.edge_weights.tobytes() == alone.edge_weights.tobytes()
             assert g.node_features.tobytes() == alone.node_features.tobytes()
-
-    def test_rbf_median_zero_connects_only_identical_frames(self):
-        # Six of the first segment's ten pairs are identical frames, so its
-        # median distance is 0; the second segment, in the same chunk, is not.
-        values = make_rng(10).standard_normal((10, 3))
-        values[1:4] = values[0]
-        graphs = build_segment_graphs(
-            fm(values), [(0, 5), (5, 10)], SimilarityConfig(metric="euclidean_rbf")
-        )
-        expected = np.zeros((5, 5))
-        expected[:4, :4] = 1.0 - np.eye(4)
-        assert np.array_equal(graphs[0].edge_weights, expected)
-        assert (graphs[1].edge_weights[~np.eye(5, dtype=bool)] > 0.0).all()
-
-    def test_rbf_median_weights_keep_the_one_graph_formula(self):
-        # For these sigmas, 2 * sigma**2 and numpy's 2 * square(sigma) round
-        # apart in the last bit, and so do the weights: the former is today's.
-        sigmas = [1.8903560604397107, 0.8652184011534257, 1.1871341484964986, 0.5584296731335034]
-        values = np.zeros((2 * len(sigmas), 3))
-        values[1::2, 0] = sigmas  # two-frame segments at distance sigma
-        partition = Partition(tuple(range(0, values.shape[0] + 1, 2)))
-        graphs = build_segment_graphs(
-            fm(values), partition.spans(), SimilarityConfig(metric="euclidean_rbf")
-        )
-        for g, sigma in zip(graphs, sigmas):
-            assert g.edge_weights[0, 1] == np.exp(-(sigma * sigma) / (2.0 * sigma**2))
 
     def test_any_spans_build_as_in_the_whole_video(self):
         """A subset of a partition's spans, out of order, gets the whole-video build's graphs."""
@@ -364,37 +283,27 @@ class TestIdenticalFrames:
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert want[:, 1, 3].all() and want[4].all() and not want[0, 2, 4]
 
-    @pytest.mark.parametrize("cfg", [
-        SimilarityConfig("cosine"),
-        SimilarityConfig("correlation"),
-        SimilarityConfig("knn_cosine", knn_k=2),
-        SimilarityConfig("euclidean_rbf"),
-        SimilarityConfig("euclidean_rbf", rbf_sigma=0.5),
-    ], ids=["cosine", "correlation", "knn_cosine", "rbf-median", "rbf-explicit"])
-    def test_weights_equal_those_of_the_full_comparison(self, cfg, monkeypatch):
+    def test_weights_equal_those_of_the_full_comparison(self, monkeypatch):
         values = self.segments()
-        got = graph._similarity_batch(values, cfg)
+        got = graph._similarity_batch(values)
         monkeypatch.setattr(graph, "_identical_frames", self.full_check)
-        want = graph._similarity_batch(values, cfg)
+        want = graph._similarity_batch(values)
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("cfg", [SimilarityConfig("cosine"), SimilarityConfig("euclidean_rbf")],
-                             ids=["cosine", "rbf-zero-sigma"])
-    def test_repeated_frames_stay_within_the_full_comparisons_memory(self, cfg, monkeypatch):
-        # Nearly every pair of a segment of one repeated frame is a candidate;
-        # the median distance is then 0, so the RBF graph takes identical frames.
+    def test_repeated_frames_stay_within_the_full_comparisons_memory(self, monkeypatch):
+        # Nearly every pair of a segment of one repeated frame is a candidate.
         n, d = 300, 16
         rng = make_rng(43)
         values = np.repeat(rng.standard_normal((1, 1, d)), n, axis=1)
         values[0, ::7] = rng.standard_normal((len(range(0, n, 7)), d))
         tracemalloc.start()
-        got = graph._similarity_batch(values, cfg)
+        got = graph._similarity_batch(values)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         # The full comparison's (n, n, d) bool tensor and six (n, n) floats.
         assert peak <= (d + 6 * 8) * n * n
         monkeypatch.setattr(graph, "_identical_frames", self.full_check)
-        assert got.tobytes() == graph._similarity_batch(values, cfg).tobytes()
+        assert got.tobytes() == graph._similarity_batch(values).tobytes()
 
 
 class TestGraphBatch:

@@ -639,7 +639,7 @@ class TestCheckpoint:
             ModelConfig((5, 6, 4), "gated", "attention", a_dim=3, attention_averaged=False),
             seed=21,
         )
-        sim = SimilarityConfig(metric="knn_cosine", knn_k=4)
+        sim = SimilarityConfig(metric="cosine")
         seg = SegmentationConfig(penalty=None, min_len=3)
         path = tmp_path / "m.cegm"
         save_checkpoint(params, path, similarity=sim, segmentation=seg)

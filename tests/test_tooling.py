@@ -176,3 +176,21 @@ def test_graph_size_reads_a_batch_as_its_graphs_and_their_pairs():
               for n in (1, 4, 9)]
     packed = GraphBatch.pack(graphs)
     assert graph_size((), packed) == {"graphs": 3, "pairs": 0 + 6 + 36}
+
+
+def test_benchmark_and_readme_run_configs_load(tmp_path, monkeypatch):
+    """The run config the benchmark writes and the README's config.json still load."""
+    pipebench = TRACING.parent
+    monkeypatch.syspath_prepend(str(pipebench))  # workloads imports its sibling modules
+    monkeypatch.delenv("CEGL_SEED", raising=False)
+    spec = importlib.util.spec_from_file_location("pipebench_workloads", pipebench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    readme = (pipebench.parent / "README.md").read_text()
+    block = readme.split("cat > config.json <<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0]
+    for name, text in (("benchmark", json.dumps(workloads.README_CONFIG)), ("readme", block)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        cfg = cegl.cli.load_run_config(path)
+        assert cfg.similarity == SimilarityConfig("cosine"), name
+        assert cfg.model.aggregator_kind == "mean", name
