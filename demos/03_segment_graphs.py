@@ -13,7 +13,6 @@ one's.
 import numpy as np
 
 from cegl import (
-    SimilarityConfig,
     SynthConfig,
     build_segment_graphs,
     derive_segment_labels,
@@ -38,13 +37,11 @@ features, annotations, planted = synth_video(
 spans = planted.spans()
 lengths = [e - s for s, e in spans]
 n = max(lengths, key=lengths.count)
-batch = build_segment_graphs(features, [s for s in spans if s[1] - s[0] == n], SimilarityConfig())
+batch = build_segment_graphs(features, [s for s in spans if s[1] - s[0] == n])
 print(f"the {len(batch)} segments of {n} frames as one batch: features "
       f"{batch.node_features.shape}, edges {batch.edge_weights.shape}\n")
 
-graphs = map_size_chunks(
-    spans, lambda chunk: build_segment_graphs(features, chunk, SimilarityConfig())
-)
+graphs = map_size_chunks(spans, lambda chunk: build_segment_graphs(features, chunk))
 labels = derive_segment_labels(annotations, planted)
 for label, name in ((0, "normal"), (1, "abnormal")):
     # mean over each graph's off-diagonal edges, then over the graphs

@@ -9,7 +9,6 @@ from cegl import (
     GraphBatch,
     ModelConfig,
     SegmentationConfig,
-    SimilarityConfig,
     SynthConfig,
     TrainConfig,
     build_segment_graphs,
@@ -36,13 +35,12 @@ SYNTH = dict(
 
 videos = [synth_video(SynthConfig(seed=100 + i, **SYNTH), f"v{i}") for i in range(6)]
 seg_cfg = SegmentationConfig(penalty=12.0)
-similarity = SimilarityConfig()
 
 train_graphs = []
 for features, annotations, _ in videos[:4]:
     partition = pelt(features, seg_cfg)
     graphs = map_size_chunks(  # built one batch of equal-length segments at a time
-        partition.spans(), lambda spans: build_segment_graphs(features, spans, similarity)
+        partition.spans(), lambda spans: build_segment_graphs(features, spans)
     )
     train_graphs += zip(graphs, derive_segment_labels(annotations, partition).tolist())
 print(f"training on {len(train_graphs)} segment graphs from 4 videos")
@@ -62,7 +60,7 @@ preds, labels = [], []
 for features, annotations, _ in videos[4:]:
     partition = pelt(features, seg_cfg)
     graphs = map_size_chunks(  # built one batch of equal-length segments at a time
-        partition.spans(), lambda spans: build_segment_graphs(features, spans, similarity)
+        partition.spans(), lambda spans: build_segment_graphs(features, spans)
     )
     # one pass over the video's graphs, padded to the longest as training pads a mini-batch
     preds += (forward(GraphBatch.pack(graphs), params).prediction >= 0.5).astype(int).tolist()

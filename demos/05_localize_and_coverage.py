@@ -12,7 +12,6 @@ import numpy as np
 from cegl import (
     ModelConfig,
     SegmentationConfig,
-    SimilarityConfig,
     SynthConfig,
     TrainConfig,
     build_segment_graphs,
@@ -39,14 +38,11 @@ SYNTH = dict(
 
 videos = [synth_video(SynthConfig(seed=100 + i, **SYNTH), f"v{i}") for i in range(6)]
 seg_cfg = SegmentationConfig(penalty=12.0)
-similarity = SimilarityConfig()
 
 train_graphs = []
 for features, annotations, _ in videos[:4]:
     partition = pelt(features, seg_cfg)
-    graphs = map_size_chunks(
-        partition.spans(), lambda spans: build_segment_graphs(features, spans, similarity)
-    )
+    graphs = map_size_chunks(partition.spans(), lambda spans: build_segment_graphs(features, spans))
     train_graphs += zip(graphs, derive_segment_labels(annotations, partition).tolist())
 model_cfg = ModelConfig((16, 32, 16), "mean", "attention", attention_averaged=False)
 params = init_params(model_cfg, seed=5, init_scale=2.0)
@@ -66,7 +62,7 @@ spans = partition.spans()
 # One forward pass per batch of equal-length segments gives each segment's
 # score and its frame scores; map_size_chunks puts them back in span order.
 scored = map_size_chunks(spans, lambda chunk: score_segments(
-    build_segment_graphs(features, chunk, similarity), params, frames="all"))
+    build_segment_graphs(features, chunk), params, frames="all"))
 
 print("top-2 selections in the first abnormal segments of a held-out video:")
 shown = 0
@@ -86,8 +82,7 @@ test_data = []
 for features, annotations, _ in videos[4:]:
     partition = pelt(features, seg_cfg)
     test_data.append((features, annotations, partition))
-curve = coverage_curve(params, test_data, [1, 2, 3, 5, 7, 9],
-                       similarity=similarity, localize_all=True)
+curve = coverage_curve(params, test_data, [1, 2, 3, 5, 7, 9], localize_all=True)
 print("\ncoverage by k (pooled over held-out videos):")
 for k, c in curve:
     print(f"  k={k}: {c:.3f}")

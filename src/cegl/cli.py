@@ -178,8 +178,8 @@ def cmd_train(args) -> int:
                 f"feature dim mismatch across videos: {features.feature_dim} vs {feature_dim}"
             )
         partition = pelt(features, cfg.segmentation)
-        graphs = map_size_chunks(partition.spans(), lambda spans: build_segment_graphs(
-            features, spans, cfg.similarity))
+        graphs = map_size_chunks(
+            partition.spans(), lambda spans: build_segment_graphs(features, spans))
         labelled.extend(zip(graphs, dataio.derive_segment_labels(ann, partition).tolist()))
 
     model_cfg = cfg.model
@@ -190,7 +190,7 @@ def cmd_train(args) -> int:
         raise ConfigError(f"model layer_dims[0]={d_in} does not match feature dim {feature_dim}")
     params = init_params(model_cfg, seed=cfg.train.seed, init_scale=cfg.train.init_scale)
     params, _history = train(labelled, params, cfg.train)
-    save_checkpoint(params, args.out, similarity=cfg.similarity, segmentation=cfg.segmentation)
+    save_checkpoint(params, args.out, segmentation=cfg.segmentation)
     return 0
 
 
@@ -201,7 +201,7 @@ def _score_video(args, frames: str):
     `score_segments`. Each size chunk is built as one batch and scored,
     so only one chunk of graphs is held at once.
     """
-    params, similarity, _ = load_checkpoint(args.model)
+    params, _ = load_checkpoint(args.model)
     features = dataio.read_feature_matrix(args.features)
     video_id, partition = segmentation.read_partition(args.partition)
     _same_video(partition=video_id, features=features.video_id)
@@ -211,7 +211,7 @@ def _score_video(args, frames: str):
         )
     spans = partition.spans()
     scored = map_size_chunks(spans, lambda chunk: score_segments(
-        build_segment_graphs(features, chunk, similarity), params, frames))
+        build_segment_graphs(features, chunk), params, frames))
     return video_id, spans, scored
 
 
@@ -256,14 +256,14 @@ def cmd_coverage_curve(args) -> int:
         raise ConfigError(f"--ks must be comma-separated ints: {args.ks!r}") from exc
     if not ks or ks != sorted(ks) or ks[0] < 1:
         raise ConfigError("--ks must be ascending positive ints")
-    params, similarity, segmentation_cfg = load_checkpoint(args.model)
+    params, segmentation_cfg = load_checkpoint(args.model)
 
     data = []
     for cegf in _list_videos(Path(args.data)):
         features, ann = _load_video(cegf)
         data.append((features, ann, pelt(features, segmentation_cfg)))
 
-    curve = metrics.coverage_curve(params, data, ks, similarity=similarity)
+    curve = metrics.coverage_curve(params, data, ks)
     metrics.write_coverage_csv(curve, args.out)
     return 0
 

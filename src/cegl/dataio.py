@@ -317,16 +317,15 @@ def write_feature_matrix(m: FeatureMatrix, path) -> None:
     write_atomic(path, header + m.values.astype("<f4").tobytes())
 
 
-def read_feature_matrix(path, video_id: str | None = None) -> FeatureMatrix:
-    """Load a feature file: a `.cegf` path is read as CEGF, a `.csv` path as CSV."""
+def read_feature_matrix(path) -> FeatureMatrix:
+    """Read a `.cegf` (CEGF) or `.csv` feature file; the video id is its stem less `.features`."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"feature file not found: {path}")
     if path.suffix not in (".cegf", ".csv"):
         raise FormatError(f"feature file must end in .cegf or .csv: {path}")
     raw = path.read_bytes()
-    if video_id is None:
-        video_id = path.stem.removesuffix(".features")
+    video_id = path.stem.removesuffix(".features")
     if path.suffix == ".cegf":
         return _parse_cegf(raw, video_id)
     return _parse_csv(raw, path, video_id)

@@ -32,8 +32,6 @@ from .errors import ConfigError
 
 log = logging.getLogger(__name__)
 
-METRICS = ("cosine",)
-
 # The cap on B * n^2, the edge cells of a batch of B graphs of n nodes, to
 # build or score: 40 ten-frame segments share a batch, one of 65 frames or
 # more is a batch alone. A larger cap raises peak memory for little time.
@@ -61,13 +59,13 @@ def map_size_chunks(spans: Sequence[tuple[int, int]], fn: Callable[[list], Seque
 
 @dataclass(frozen=True)
 class SimilarityConfig:
-    """The run config's similarity section and the checkpoint's record of it."""
+    """The run config's similarity section; the graph builders use its one metric, cosine."""
 
     metric: str = "cosine"
 
     def __post_init__(self):
         check_types(self)
-        if self.metric not in METRICS:
+        if self.metric != "cosine":
             raise ConfigError(f"unknown similarity metric {reprlib.repr(self.metric)}")
 
 
@@ -192,13 +190,15 @@ def _similarity_batch(values: np.ndarray) -> np.ndarray:
 
 
 def build_graph(segment: FeatureMatrix, cfg: SimilarityConfig) -> SegmentGraph:
-    """Graph for one segment; node order is temporal frame order. cfg.metric is cosine."""
+    """Graph for one segment; node order is temporal frame order.
+
+    `cfg` is not read (cosine is the one metric); it stays because the
+    benchmark's graph sample calls `build_graph(segment, SimilarityConfig())`.
+    """
     return SegmentGraph(segment.values, _similarity_batch(segment.values[None])[0])
 
 
-def build_segment_graphs(
-    features: FeatureMatrix, spans: Sequence[tuple[int, int]], cfg: SimilarityConfig
-) -> GraphBatch:
+def build_segment_graphs(features: FeatureMatrix, spans: Sequence[tuple[int, int]]) -> GraphBatch:
     """The graphs of [start, end) frame spans of one length, in the order of `spans`, unpadded."""
     if not spans:
         raise ValueError("build_segment_graphs needs at least one span")

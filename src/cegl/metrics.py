@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dataio import Annotations, FeatureMatrix, write_atomic, write_json
-from .graph import SimilarityConfig, build_segment_graphs, map_size_chunks
+from .graph import build_segment_graphs, map_size_chunks
 from .localization import coverage_counts, score_segments, topk_select
 from .model import ModelParams
 from .segmentation import Partition
@@ -117,16 +117,14 @@ def coverage_curve(
     params: ModelParams,
     data: list[tuple[FeatureMatrix, Annotations, Partition]],
     ks: list[int],
-    similarity: SimilarityConfig,
     localize_all: bool = False,
 ) -> list[tuple[int, float]]:
     """Pooled coverage at each k over one or more annotated videos.
 
-    `similarity` is the one the model was trained with. Each video is
-    built and scored once, one size chunk at a time (frame scores do not
-    depend on k), so the per-k selections are nested and the curve is
-    monotone by construction. By default only segments predicted abnormal
-    are localized; `localize_all` scores all.
+    Each video is built and scored once, one size chunk at a time (frame
+    scores do not depend on k), so the per-k selections are nested and the
+    curve is monotone by construction. By default only segments predicted
+    abnormal are localized; `localize_all` scores all.
     """
     if not ks or list(ks) != sorted(ks):
         raise ValueError("ks must be a non-empty ascending list")
@@ -136,7 +134,7 @@ def coverage_curve(
     for features, ann, partition in data:
         spans = partition.spans()
         scored = map_size_chunks(spans, lambda chunk: score_segments(
-            build_segment_graphs(features, chunk, similarity), params, frames))
+            build_segment_graphs(features, chunk), params, frames))
         for j, k in enumerate(ks):
             selections = {i: topk_select(f, k) + spans[i][0]
                           for i, (_, f) in enumerate(scored) if f is not None}

@@ -58,7 +58,7 @@ import numpy as np
 
 from .dataio import check_types, config_from_json, unique_keys, write_atomic
 from .errors import ConfigError, FormatError, NumericError, TruncatedFileError
-from .graph import GraphBatch, SegmentGraph, SimilarityConfig
+from .graph import GraphBatch, SegmentGraph
 from .numerics import make_rng, sigmoid, softmax
 from .segmentation import SegmentationConfig
 
@@ -121,7 +121,7 @@ class ModelConfig:
 MODEL_KEYS = tuple(f.name for f in fields(ModelConfig))
 CEGM_MAGIC = b"CEGM"
 CEGM_VERSION = 2
-CEGM_HEADER_KEYS = (*MODEL_KEYS, "similarity", "segmentation", "params")
+CEGM_HEADER_KEYS = (*MODEL_KEYS, "segmentation", "params")
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -557,17 +557,10 @@ def train(
 # Checkpoints
 
 
-def save_checkpoint(
-    params: ModelParams,
-    path,
-    *,
-    similarity: SimilarityConfig,
-    segmentation: SegmentationConfig,
-) -> None:
+def save_checkpoint(params: ModelParams, path, *, segmentation: SegmentationConfig) -> None:
     """Binary checkpoint: magic, version, JSON header, the float64 LE parameter vector."""
     header = {
         **asdict(params.config),
-        "similarity": asdict(similarity),
         "segmentation": asdict(segmentation),
         "params": [{"name": name, "shape": list(a.shape)} for name, a in params.arrays.items()],
     }
@@ -583,14 +576,15 @@ def save_checkpoint(
     )
 
 
-def load_checkpoint(path) -> tuple[ModelParams, SimilarityConfig, SegmentationConfig]:
-    """Parameters plus the similarity and segmentation configs they were trained with.
+def load_checkpoint(path) -> tuple[ModelParams, SegmentationConfig]:
+    """Parameters plus the segmentation config they were trained with.
 
-    The file is checked here, once: a header object with every key present
-    and non-null, the model, similarity and segmentation keys read like
-    the run config's sections, the similarity and segmentation objects
-    holding every field of their config, a name/shape table equal to the
-    one its model config implies, and finite weights.
+    The file is checked here, once: a header object with exactly the keys
+    of `CEGM_HEADER_KEYS`, each non-null, the model and segmentation keys
+    read like the run config's sections, the segmentation object holding
+    every field of its config, a name/shape table equal to the one its
+    model config implies, and finite weights. A header that still holds
+    the retired `similarity` key names it as unknown: retrain the model.
     """
     path = Path(path)
     if not path.exists():
@@ -613,6 +607,9 @@ def load_checkpoint(path) -> tuple[ModelParams, SimilarityConfig, SegmentationCo
         )
         if not isinstance(header, dict):
             raise FormatError("checkpoint header must be a JSON object")
+        unknown = set(header) - set(CEGM_HEADER_KEYS)
+        if unknown:
+            raise FormatError(f"unknown checkpoint header keys: {reprlib.repr(sorted(unknown))}")
         # A null counts as missing: a config would fill in a default.
         missing = [key for key in CEGM_HEADER_KEYS if header.get(key) is None]
         if missing:
@@ -620,12 +617,10 @@ def load_checkpoint(path) -> tuple[ModelParams, SimilarityConfig, SegmentationCo
         config = config_from_json(ModelConfig, {key: header[key] for key in MODEL_KEYS}, "model")
         shapes = param_shapes(config)
         # Every field is written, so a missing one is damage, not a default.
-        for key, cls in (("similarity", SimilarityConfig), ("segmentation", SegmentationConfig)):
-            names = {f.name for f in fields(cls)}
-            if isinstance(header[key], dict) and (lacking := names - set(header[key])):
-                raise FormatError(f"checkpoint {key} section lacks {sorted(lacking)}")
-        similarity = config_from_json(SimilarityConfig, header["similarity"], "similarity")
-        segmentation = config_from_json(SegmentationConfig, header["segmentation"], "segmentation")
+        section, names = header["segmentation"], {f.name for f in fields(SegmentationConfig)}
+        if isinstance(section, dict) and (lacking := names - set(section)):
+            raise FormatError(f"checkpoint segmentation section lacks {sorted(lacking)}")
+        segmentation = config_from_json(SegmentationConfig, section, "segmentation")
     except (ConfigError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed checkpoint header: {exc}") from exc
     if header["params"] != [{"name": n, "shape": list(s)} for n, s in shapes.items()]:
@@ -641,4 +636,4 @@ def load_checkpoint(path) -> tuple[ModelParams, SimilarityConfig, SegmentationCo
     non_finite = [name for name, a in params.arrays.items() if not np.isfinite(a).all()]
     if non_finite:
         raise FormatError(f"checkpoint weights are not finite in {non_finite}")
-    return params, similarity, segmentation
+    return params, segmentation

@@ -50,8 +50,6 @@ from .errors import ConfigError, FormatError
 #: Largest input the quadratic-time oracle accepts.
 ORACLE_MAX_FRAMES = 500
 
-COST_KINDS = ("gaussian_mean_l2",)
-
 #: dominated_at of a start that no end has dominated yet.
 _NEVER = np.iinfo(np.int64).max
 
@@ -95,7 +93,6 @@ class Partition:
 class SegmentationConfig:
     penalty: float | None = None  # None selects default_penalty per video
     min_len: int = 5
-    cost_kind: str = "gaussian_mean_l2"
 
     def __post_init__(self):
         check_types(self)
@@ -103,8 +100,6 @@ class SegmentationConfig:
             raise ConfigError(f"penalty must be positive, got {self.penalty}")
         if self.min_len < 1:
             raise ConfigError("min_len must be at least 1")
-        if self.cost_kind not in COST_KINDS:
-            raise ConfigError(f"unknown cost_kind {reprlib.repr(self.cost_kind)}")
 
     def penalty_for(self, f: FeatureMatrix) -> float:
         if self.penalty is None:

@@ -38,8 +38,8 @@ def record_graph_builds(monkeypatch, module) -> list[tuple[list, object]]:
     built = []
     real_build = module.build_segment_graphs
 
-    def recording_build(features, spans, cfg):
-        batch = real_build(features, spans, cfg)
+    def recording_build(features, spans):
+        batch = real_build(features, spans)
         built.append((list(spans), batch))
         return batch
 

@@ -191,14 +191,13 @@ def test_criterion_4_end_to_end_synthetic_protocol():
         synth_video(SynthConfig(seed=100 + i, **END_TO_END["synth"]), f"v{i}")
         for i in range(6)
     ]
-    sim = SimilarityConfig()
     seg_cfg = SegmentationConfig(penalty=END_TO_END["penalty"])
 
     train_graphs = []
     for features, ann, _planted in videos[:4]:
         partition = pelt(features, seg_cfg)
         graphs = map_size_chunks(
-            partition.spans(), lambda spans: build_segment_graphs(features, spans, sim)
+            partition.spans(), lambda spans: build_segment_graphs(features, spans)
         )
         train_graphs += zip(graphs, derive_segment_labels(ann, partition).tolist())
 
@@ -219,16 +218,14 @@ def test_criterion_4_end_to_end_synthetic_protocol():
     for features, ann, _planted in videos[4:]:
         partition = pelt(features, seg_cfg)
         graphs = map_size_chunks(
-            partition.spans(), lambda spans: build_segment_graphs(features, spans, sim)
+            partition.spans(), lambda spans: build_segment_graphs(features, spans)
         )
         preds += (forward(GraphBatch.pack(graphs), params).prediction >= 0.5).astype(int).tolist()
         labels += derive_segment_labels(ann, partition).tolist()
         test_data.append((features, ann, partition))
 
     accuracy = weighted_metrics(confusion(preds, labels)).accuracy
-    curve = coverage_curve(
-        params, test_data, list(END_TO_END["ks"]), similarity=sim, localize_all=True
-    )
+    curve = coverage_curve(params, test_data, list(END_TO_END["ks"]), localize_all=True)
     cov = dict(curve)
 
     elapsed = time.time() - started
@@ -298,10 +295,8 @@ def test_criterion_6_format_round_trips(tmp_path):
             ModelConfig(dims, agg, readout, a_dim=int(rng.integers(1, 5))), seed=i
         )
         path = tmp_path / f"p{i}.cegm"
-        save_checkpoint(
-            params, path, similarity=SimilarityConfig(), segmentation=SegmentationConfig()
-        )
-        loaded, _sim, _seg = load_checkpoint(path)
+        save_checkpoint(params, path, segmentation=SegmentationConfig())
+        loaded, _seg = load_checkpoint(path)
         assert np.array_equal(loaded.vector, params.vector)
         assert loaded.config.layer_dims == params.config.layer_dims
 

@@ -35,7 +35,7 @@ def write_config(path, **overrides):
             "abnormal_offset_norm": 8.0,
             "seed": 100,
         },
-        "segmentation": {"penalty": 8.0, "min_len": 5, "cost_kind": "gaussian_mean_l2"},
+        "segmentation": {"penalty": 8.0, "min_len": 5},
         "similarity": {"metric": "cosine"},
         "model": {
             "layer_dims": [8, 12, 8],
@@ -168,13 +168,12 @@ class TestPipeline:
         assert part.frame_count == features.frame_count
         assert all(e - s >= 5 for s, e in part.spans())
 
-    def test_checkpoint_loadable_and_echoes_similarity(self, tmp_path):
+    def test_checkpoint_loadable_and_echoes_segmentation(self, tmp_path):
         base = run_pipeline(tmp_path)
-        params, sim, seg = load_checkpoint(base / "model.cegm")
+        params, seg = load_checkpoint(base / "model.cegm")
         assert params.config.layer_dims == (8, 12, 8)
         assert params.config.aggregator_kind == "mean"
-        assert sim.metric == "cosine"
-        assert asdict(seg) == {"penalty": 8.0, "min_len": 5, "cost_kind": "gaussian_mean_l2"}
+        assert asdict(seg) == {"penalty": 8.0, "min_len": 5}
 
     def test_predictions_schema(self, tmp_path):
         base = run_pipeline(tmp_path)
@@ -355,8 +354,8 @@ class TestCoverageCurveSegmentation:
                          str(pipeline / "config.json"), "--out", str(part)]) == 0
             ann = read_annotations(cegf.with_name(cegf.stem + ".annotations.json"))
             data.append((read_feature_matrix(cegf), ann, read_partition(part)[1]))
-        params, sim, _seg = load_checkpoint(pipeline / "model.cegm")
-        want = coverage_curve(params, data, [1, 2, 3, 5, 7, 9], similarity=sim)
+        params, _seg = load_checkpoint(pipeline / "model.cegm")
+        want = coverage_curve(params, data, [1, 2, 3, 5, 7, 9])
         rows = (pipeline / "curve.csv").read_text().splitlines()[1:]
         got = [(int(k), float(c)) for k, c in (row.split(",") for row in rows)]
         assert got == want
@@ -567,7 +566,7 @@ def test_train_builds_one_batch_per_size_chunk(pipeline, tmp_path, monkeypatch):
     assert main(["train", "--data", str(pipeline / "data"), "--config",
                  str(pipeline / "config.json"), "--out", str(out)]) == 0
     assert out.read_bytes() == (pipeline / "model.cegm").read_bytes()
-    segmentation = load_checkpoint(out)[2]
+    segmentation = load_checkpoint(out)[1]
     want, frames = [], []
     for cegf in sorted((pipeline / "data").glob("*.cegf")):
         features = read_feature_matrix(cegf)
@@ -611,10 +610,8 @@ def test_every_chunk_of_edge_weights_is_checked(
         return weights
 
     monkeypatch.setattr(graph, "_similarity_batch", corrupting_kernel)
-    similarity = load_checkpoint(pipeline / "model.cegm")[1]
     with pytest.raises(ValueError, match=re.escape(fragment)):
-        map_size_chunks(partition.spans(),
-                        lambda spans: build_segment_graphs(features, spans, similarity))
+        map_size_chunks(partition.spans(), lambda spans: build_segment_graphs(features, spans))
     assert len(calls) == chunks
     out = tmp_path / "preds.json"
     calls.clear()
@@ -623,11 +620,11 @@ def test_every_chunk_of_edge_weights_is_checked(
 
 def test_localize_json_holds_score_segments_output(pipeline):
     """loc.json (--all-segments, k=2) is score_segments' output with its top-2 frames."""
-    params, similarity, _ = load_checkpoint(pipeline / "model.cegm")
+    params, _ = load_checkpoint(pipeline / "model.cegm")
     features = read_feature_matrix(pipeline / "data" / "video-000.cegf")
     _, partition = read_partition(pipeline / "video-000.partition.json")
     scored = map_size_chunks(partition.spans(), lambda spans: localization.score_segments(
-        build_segment_graphs(features, spans, similarity), params, "all"))
+        build_segment_graphs(features, spans), params, "all"))
     loc = json.loads((pipeline / "loc.json").read_text())
     assert len(loc) == len(scored)
     for i, (entry, (s, e), (score, frame_scores)) in enumerate(
@@ -722,12 +719,13 @@ def hostile_input_cases():
 
     Each file's one reader must refuse it: the annotations in `train`,
     `evaluate` and `coverage-curve`, the checkpoint header in `classify`,
-    `localize` and `coverage-curve`, a CEGF or CSV feature file and the run
-    config in `segment` (a synth section in `synth`), and the predictions
-    in `evaluate`. A partition that does not end at the video's last frame
-    is refused where it meets the features, in `classify` and `localize`;
-    its fragment names the partition's end. A malformed partition is
-    refused in `classify`, `localize` and `evaluate`.
+    `localize` and `coverage-curve`, a feature file (CEGF, CSV or another
+    suffix) and the run config in `segment` (a synth section in `synth`),
+    and the predictions in `evaluate`. A partition that does not end at
+    the video's last frame is refused where it meets the features, in
+    `classify` and `localize`; its fragment names the partition's end. A
+    malformed partition is refused in `classify`, `localize` and
+    `evaluate`. No row may raise a warning.
     """
     annotations = {
         "no-frame-labels": (lambda a: {"video_id": a["video_id"]}, "frame_labels"),
@@ -740,21 +738,24 @@ def hostile_input_cases():
         "many-unknown-keys": (lambda a: {**a, **{f"k{i}": 0 for i in range(10**5)}},
                               "unknown annotation keys ['k0', 'k1', 'k10', "),
     }
+
+    def retired_segmentation(h):
+        """The segmentation section as checkpoints of earlier versions wrote it."""
+        return {**h["segmentation"], "cost_kind": "gaussian_mean_l2"}
+
     headers = {
-        "null-similarity": (lambda h: {**h, "similarity": None}, "similarity"),
         "null-segmentation": (lambda h: {**h, "segmentation": None}, "segmentation"),
-        "partial-similarity": (lambda h: {**h, "similarity": {}}, "similarity"),
         "partial-segmentation": (lambda h: {**h, "segmentation": {"min_len": 5}}, "segmentation"),
         "removed-aggregator": (lambda h: {**h, "aggregator_kind": "maxpool"}, "'maxpool'"),
         "removed-readout": (lambda h: {**h, "readout_kind": "sum"}, "'sum'"),
-        "removed-metric": (lambda h: {**h, "similarity": {"metric": "correlation"}},
-                           "unknown similarity metric 'correlation'"),
-        # the similarity section that checkpoints of earlier versions hold
-        "removed-similarity-keys": (
-            lambda h: {**h, "similarity": {**h["similarity"], "knn_k": None,
-                                           "rbf_sigma": "median_heuristic"}},
-            "unknown similarity config keys: ['knn_k', 'rbf_sigma']",
-        ),
+        "unknown-key": (lambda h: {**h, "bogus": 1, "shuffle": True},
+                        "unknown checkpoint header keys: ['bogus', 'shuffle']"),
+        # a whole header as checkpoints of earlier versions wrote it
+        "retired-similarity": (lambda h: {**h, "similarity": {"metric": "cosine"},
+                                          "segmentation": retired_segmentation(h)},
+                               "unknown checkpoint header keys: ['similarity']"),
+        "retired-cost-kind": (lambda h: {**h, "segmentation": retired_segmentation(h)},
+                              "unknown segmentation config keys: ['cost_kind']"),
         "list": (lambda h: [], "JSON object"),
         "null": (lambda h: None, "JSON object"),
         "string": (lambda h: "CEGM", "JSON object"),
@@ -790,7 +791,8 @@ def hostile_input_cases():
     for name, (edit, fragment) in malformed.items():
         for command in ("classify", "localize", "evaluate"):
             yield f"partition-{name}-{command}", "partition", command, edit, fragment
-    # A feature-file edit takes and returns the bytes of the pipeline's CEGF file.
+    # A feature-file edit takes and returns the bytes of the pipeline's CEGF file; the
+    # id's first word is the file's suffix.
     features = {
         "cegf-nan": (cegf_value(float("nan")), "non-finite feature at row 0, col 5"),
         "cegf-inf": (cegf_value(float("inf")), "non-finite feature at row 0, col 5"),
@@ -804,6 +806,12 @@ def hostile_input_cases():
         "csv-inf": (lambda raw: b"1.0,2.0\n3.0,inf\n", "non-finite feature at row 1, col 1"),
         "csv-header-row": (lambda raw: b"a,b\n1.0,2.0\n", "malformed CSV"),
         "csv-bad-utf-8": (lambda raw: b"1.0,2.0\n\xff\xfe,3.0\n", "malformed CSV"),
+        "csv-empty": (lambda raw: b"", "empty CSV"),
+        "csv-whitespace": (lambda raw: b"\n  \n", "empty CSV"),
+        "csv-column-names": (lambda raw: b"f0,f1\n1.0,2.0\n", "malformed CSV"),
+        "csv-leading-nan": (lambda raw: b"nan,1.0\n2.0,3.0\n", "non-finite feature at row 0"),
+        "csv-comments-only": (lambda raw: b"# frames\n", "empty CSV"),
+        "txt-other-suffix": (lambda raw: b"1.0,2.0\n", ".cegf or .csv"),
     }
     for name, (edit, fragment) in features.items():
         yield f"{name}-segment", name.split("-")[0], "segment", edit, fragment
@@ -840,8 +848,6 @@ def hostile_input_cases():
                                  "unknown aggregator_kind 'aaaaaaaaaaaa...aaaaaaaaaaaaa'"),
         "long-readout-kind": (config_entry("model", "readout_kind", "r" * 10**5),
                               "unknown readout_kind 'rrrrrrrrrrrr...rrrrrrrrrrrrr'"),
-        "long-cost-kind": (config_entry("segmentation", "cost_kind", "c" * 10**5),
-                           "unknown cost_kind 'cccccccccccc...ccccccccccccc'"),
         "long-metric": (config_entry("similarity", "metric", "m" * 10**5),
                         "unknown similarity metric 'mmmmmmmmmmmm...mmmmmmmmmmmmm'"),
     }
@@ -859,13 +865,15 @@ HOSTILE_INPUTS = list(hostile_input_cases())
     "kind, command, edit, fragment", [case[1:] for case in HOSTILE_INPUTS],
     ids=[case[0] for case in HOSTILE_INPUTS],
 )
-def test_hostile_input_exits_2(pipeline, tmp_path, capsys, kind, command, edit, fragment):
+def test_hostile_input_exits_2(
+    pipeline, tmp_path, capsys, recwarn, kind, command, edit, fragment
+):
     data, model = pipeline / "data", pipeline / "model.cegm"
     annotations = data / "video-000.annotations.json"
     partition = pipeline / "video-000.partition.json"
     features = data / "video-000.cegf"
     config, preds = pipeline / "config.json", pipeline / "preds.json"
-    if kind in ("cegf", "csv"):
+    if kind in ("cegf", "csv", "txt"):
         features = tmp_path / f"video-000.{kind}"
         features.write_bytes(edit((data / "video-000.cegf").read_bytes()))
     elif kind in ("config", "predictions"):
@@ -903,6 +911,7 @@ def test_hostile_input_exits_2(pipeline, tmp_path, capsys, kind, command, edit, 
     }[command]
     out = tmp_path / "out"
     assert_exit_2_without_output([*argv, "--out", out], out, capsys, fragment)
+    assert not recwarn.list  # a warning, such as numpy's on empty input, is a second message
 
 
 # Per section: a count field, a flag field and a real field, or None where
@@ -950,6 +959,8 @@ def malformed_config_cases():
     yield "similarity-removed-knn-k", "similarity", {"knn_k": 3}, ("['knn_k']",)
     yield "similarity-removed-rbf-sigma", "similarity", {"rbf_sigma": 1.0}, ("['rbf_sigma']",)
     yield "train-removed-shuffle", "train", {"shuffle": True}, ("['shuffle']",)
+    retired = {"cost_kind": "gaussian_mean_l2"}
+    yield "segmentation-removed-cost-kind", "segmentation", retired, ("['cost_kind']",)
     yield "train-nan-learning-rate", "train", {"learning_rate": float("nan")}, ()
     yield "top-level-ks", "top-level", 5, ()
 
@@ -1042,27 +1053,3 @@ def test_train_out_of_memory_exits_1(pipeline, tmp_path, capsys):
     assert code == 1
     assert err.count("\n") == 1 and err.startswith("cegl train: Unable to allocate")
     assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "name, text, fragment",
-    [
-        ("empty.csv", "", "empty CSV"),
-        ("blank.csv", "\n  \n", "empty CSV"),
-        ("header.csv", "f0,f1\n1.0,2.0\n", "malformed CSV"),
-        ("nan.csv", "nan,1.0\n2.0,3.0\n", "non-finite feature at row 0"),
-        ("frames.txt", "1.0,2.0\n", ".cegf or .csv"),
-        ("comments.csv", "# frames\n", "empty CSV"),
-    ],
-    ids=["empty", "whitespace", "header-row", "leading-nan", "other-suffix", "comments-only"],
-)
-def test_segment_rejects_bad_feature_file(tmp_path, capsys, recwarn, name, text, fragment):
-    features = tmp_path / name
-    features.write_text(text)
-    out = tmp_path / "part.json"
-    assert_exit_2_without_output(
-        ["segment", "--features", features, "--config", write_config(tmp_path / "config.json"),
-         "--out", out],
-        out, capsys, fragment,
-    )
-    assert not recwarn.list  # numpy's empty-input warning would be a second message

@@ -25,9 +25,9 @@ def fm(values):
     return FeatureMatrix("v", np.asarray(values, dtype=np.float64))
 
 
-def video_graphs(features, spans, cfg):
+def video_graphs(features, spans):
     """One graph per span, built one size chunk at a time, in the order of `spans`."""
-    return map_size_chunks(spans, lambda chunk: build_segment_graphs(features, chunk, cfg))
+    return map_size_chunks(spans, lambda chunk: build_segment_graphs(features, chunk))
 
 
 def pair_cosine(x, y):
@@ -93,20 +93,18 @@ class TestSimilarityMatrix:
                     pair = pair_cosine(values[i], values[j])
                     assert w[i, j] == (0.0 if i == j else pair)
 
-    @pytest.mark.parametrize("cfg", [SimilarityConfig(metric) for metric in graph.METRICS])
-    def test_invariants_all_metrics(self, cfg):
+    def test_invariants(self):
         rng = make_rng(6)
         for _ in range(10):
             n = int(rng.integers(1, 9))
             values = rng.standard_normal((n, 5))
-            w = build_graph(fm(values), cfg).edge_weights
+            w = build_graph(fm(values), SimilarityConfig()).edge_weights
             assert w.shape == (n, n)
             assert np.array_equal(w, w.T)
             assert not np.diagonal(w).any()
             assert w.min() >= 0.0 and w.max() <= 1.0
 
     def test_invalid_configs(self):
-        assert graph.METRICS == ("cosine",)
         # "lsh" was never a metric; the other three are ones earlier versions offered.
         for metric in ("lsh", "correlation", "euclidean_rbf", "knn_cosine"):
             with pytest.raises(ConfigError, match=f"unknown similarity metric '{metric}'"):
@@ -180,7 +178,7 @@ class TestBuildGraph:
         features = fm(rng.standard_normal((10, 3)))
         ann = Annotations("v", frame_labels=np.array([0] * 5 + [1] + [0] * 4))
         partition = Partition((0, 5, 10))
-        graphs = build_segment_graphs(features, partition.spans(), SimilarityConfig())
+        graphs = build_segment_graphs(features, partition.spans())
         assert derive_segment_labels(ann, partition).tolist() == [0, 1]
         assert [s for s, _ in partition.spans()] == [0, 5]
         for g, (s, e) in zip(graphs, partition.spans(), strict=True):
@@ -202,14 +200,12 @@ class TestBatchedBuild:
         values[24:26] = values[23]  # a three-frame segment of one frame
         return FeatureMatrix("v", values), Partition(tuple(np.cumsum([0] + lengths).tolist()))
 
-    @pytest.mark.parametrize("metric", graph.METRICS)
-    def test_bit_identical_to_one_segment_builds(self, metric):
+    def test_bit_identical_to_one_segment_builds(self):
         features, partition = self.video_and_partition()
-        cfg = SimilarityConfig(metric)
-        graphs = video_graphs(features, partition.spans(), cfg)
+        graphs = video_graphs(features, partition.spans())
         assert len(graphs) == partition.segment_count
         for g, (s, e) in zip(graphs, partition.spans()):
-            alone = build_graph(FeatureMatrix("v", features.values[s:e]), cfg)
+            alone = build_graph(FeatureMatrix("v", features.values[s:e]), SimilarityConfig())
             assert g.edge_weights.tobytes() == alone.edge_weights.tobytes()
             assert g.node_features.tobytes() == alone.node_features.tobytes()
 
@@ -217,9 +213,9 @@ class TestBatchedBuild:
         """A subset of a partition's spans, out of order, gets the whole-video build's graphs."""
         features, partition = self.video_and_partition()
         spans = partition.spans()
-        whole = video_graphs(features, spans, SimilarityConfig())
+        whole = video_graphs(features, spans)
         picked = [7, 0, 5, 20, 3]
-        some = video_graphs(features, [spans[i] for i in picked], SimilarityConfig())
+        some = video_graphs(features, [spans[i] for i in picked])
         for i, g in zip(picked, some, strict=True):
             assert g.edge_weights.tobytes() == whole[i].edge_weights.tobytes()
             assert g.node_features.tobytes() == whole[i].node_features.tobytes()
@@ -228,7 +224,7 @@ class TestBatchedBuild:
         features, partition = self.video_and_partition()
         spans = partition.spans()
         for chunk in size_chunks([e - s for s, e in spans]):
-            batch = build_segment_graphs(features, [spans[i] for i in chunk], SimilarityConfig())
+            batch = build_segment_graphs(features, [spans[i] for i in chunk])
             n = spans[chunk[0]][1] - spans[chunk[0]][0]
             assert len(batch) == len(chunk) and batch.sizes.tolist() == [n] * len(chunk)
             assert batch.node_features.shape == (len(chunk), n, 4)
@@ -240,15 +236,15 @@ class TestBatchedBuild:
 
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValueError, match=r"span \[4, 7\) is not 4 frames long"):
-            build_segment_graphs(fm(np.ones((10, 2))), [(0, 4), (4, 7)], SimilarityConfig())
+            build_segment_graphs(fm(np.ones((10, 2))), [(0, 4), (4, 7)])
         with pytest.raises(ValueError, match="at least one span"):
-            build_segment_graphs(fm(np.ones((10, 2))), [], SimilarityConfig())
+            build_segment_graphs(fm(np.ones((10, 2))), [])
 
     @pytest.mark.parametrize("span", [(-1, 3), (4, 4), (6, 5), (8, 11)],
                              ids=["negative-start", "empty", "reversed", "past-the-end"])
     def test_span_outside_the_video_raises(self, span):
         with pytest.raises(ValueError, match="lies outside the video's 10 frames"):
-            build_segment_graphs(fm(np.ones((10, 2))), [(0, 4), span], SimilarityConfig())
+            build_segment_graphs(fm(np.ones((10, 2))), [(0, 4), span])
 
 
 class TestIdenticalFrames:

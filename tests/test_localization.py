@@ -205,7 +205,7 @@ class TestScoreSegments:
         calls = record_forward_calls(monkeypatch, localization)
         built = record_graph_builds(monkeypatch, graph)
         scored = map_size_chunks(spans, lambda chunk: score_segments(
-            graph.build_segment_graphs(features, chunk, SimilarityConfig()), params, frames))
+            graph.build_segment_graphs(features, chunk), params, frames))
         assert_each_segment_scored_once(calls, built, spans)
         assert max(map(len, calls)) == 40
         assert len(scored) == len(graphs)

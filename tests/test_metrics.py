@@ -4,7 +4,6 @@ import pytest
 from cegl.dataio import SynthConfig, derive_segment_labels, synth_video
 from cegl.graph import (
     GraphBatch,
-    SimilarityConfig,
     build_segment_graphs,
     map_size_chunks,
     size_chunks,
@@ -124,9 +123,8 @@ def separable_video(seed):
 
 class TestCoverageCurve:
     def overfit_model(self, features, ann, partition):
-        sim = SimilarityConfig()
         graphs = map_size_chunks(
-            partition.spans(), lambda spans: build_segment_graphs(features, spans, sim)
+            partition.spans(), lambda spans: build_segment_graphs(features, spans)
         )
         labelled = list(zip(graphs, derive_segment_labels(ann, partition).tolist()))
         params = init_params(
@@ -148,8 +146,7 @@ class TestCoverageCurve:
             int(ann.frame_labels[s:e].sum()) for s, e in partition.spans()
         )
         ks = list(range(1, max_marked + 1))
-        curve = coverage_curve(params, [(features, ann, partition)],
-                               ks, SimilarityConfig(), localize_all=True)
+        curve = coverage_curve(params, [(features, ann, partition)], ks, localize_all=True)
         values = [c for _, c in curve]
         assert values == sorted(values)
         # planted frames occupy the top rank in most abnormal segments,
@@ -163,8 +160,7 @@ class TestCoverageCurve:
         spans = partition.spans()
         lengths = [e - s for s, e in spans]
         curve = coverage_curve(
-            params, [(features, ann, partition)], [max(lengths)], SimilarityConfig(),
-            localize_all=True,
+            params, [(features, ann, partition)], [max(lengths)], localize_all=True
         )
         assert curve == [(max(lengths), 1.0)]
 
@@ -175,8 +171,7 @@ class TestCoverageCurve:
         params.arrays["classifier.bias"][0] = 5.0  # every segment predicted abnormal
         calls = record_forward_calls(monkeypatch, localization, model)
         built = record_graph_builds(monkeypatch, metrics)
-        coverage_curve(params, [(features, ann, partition)], [1, 2], SimilarityConfig(),
-                       localize_all=localize_all)
+        coverage_curve(params, [(features, ann, partition)], [1, 2], localize_all=localize_all)
         assert_each_segment_scored_once(calls, built, partition.spans())
         assert [chunk for chunk, _ in built] == [
             [partition.spans()[i] for i in chunk]
@@ -189,7 +184,7 @@ class TestCoverageCurve:
         features, ann, partition = separable_video(33)
         params = init_params(ModelConfig((features.feature_dim, 4, 3)), seed=1)
         with pytest.raises(ValueError):
-            coverage_curve(params, [(features, ann, partition)], [3, 1], SimilarityConfig())
+            coverage_curve(params, [(features, ann, partition)], [3, 1])
 
 
 class TestReports:

@@ -630,7 +630,7 @@ class TestPermutationProperties:
 
 
 def save_with_defaults(params, path):
-    save_checkpoint(params, path, similarity=SimilarityConfig(), segmentation=SegmentationConfig())
+    save_checkpoint(params, path, segmentation=SegmentationConfig())
 
 
 class TestCheckpoint:
@@ -639,11 +639,10 @@ class TestCheckpoint:
             ModelConfig((5, 6, 4), "gated", "attention", a_dim=3, attention_averaged=False),
             seed=21,
         )
-        sim = SimilarityConfig(metric="cosine")
         seg = SegmentationConfig(penalty=None, min_len=3)
         path = tmp_path / "m.cegm"
-        save_checkpoint(params, path, similarity=sim, segmentation=seg)
-        loaded, sim_back, seg_back = load_checkpoint(path)
+        save_checkpoint(params, path, segmentation=seg)
+        loaded, seg_back = load_checkpoint(path)
         assert list(loaded.arrays) == list(params.arrays)
         assert np.array_equal(loaded.vector, params.vector)
         assert loaded.config.layer_dims == params.config.layer_dims
@@ -651,7 +650,6 @@ class TestCheckpoint:
         assert loaded.config.readout_kind == "attention"
         assert loaded.config.a_dim == 3
         assert loaded.config.attention_averaged is False
-        assert sim_back == sim
         assert seg_back == seg
 
     def test_payload_is_the_vector(self, tmp_path):

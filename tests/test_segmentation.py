@@ -3,7 +3,7 @@ import pytest
 
 from cegl.dataio import FeatureMatrix
 from cegl.errors import ConfigError, FormatError
-from cegl.graph import SimilarityConfig, build_segment_graphs, map_size_chunks
+from cegl.graph import build_segment_graphs, map_size_chunks
 from cegl.numerics import make_rng
 from cegl.segmentation import (
     ORACLE_MAX_FRAMES,
@@ -256,7 +256,7 @@ class TestSplitVideo:
     @staticmethod
     def split(f, p):
         graphs = map_size_chunks(
-            p.spans(), lambda spans: build_segment_graphs(f, spans, SimilarityConfig())
+            p.spans(), lambda spans: build_segment_graphs(f, spans)
         )
         return [g.node_features for g in graphs]
 

@@ -170,7 +170,7 @@ def test_graph_size_reads_a_batch_as_its_graphs_and_their_pairs():
     rng = np.random.default_rng(5)
     features = FeatureMatrix("v", rng.standard_normal((30, 3)))
     graph_size = load_tracing()._graph_size
-    batch = build_segment_graphs(features, [(0, 7), (7, 14), (20, 27)], SimilarityConfig())
+    batch = build_segment_graphs(features, [(0, 7), (7, 14), (20, 27)])
     assert graph_size((), batch) == {"graphs": 3, "pairs": 3 * 21}
     graphs = [build_graph(FeatureMatrix("v", features.values[:n]), SimilarityConfig())
               for n in (1, 4, 9)]
