@@ -194,12 +194,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _score_video(args, frames: str):
-    """(video id, spans, `score_segments` output per span) of --features cut by --partition.
+def _score_video(args, frames: str, per_chunk=lambda chunk, scored: scored):
+    """(video id, spans, per_chunk's item per span) of --features cut by --partition.
 
     The --model checkpoint scores the segments; `frames` is passed on to
-    `score_segments`. Each size chunk is built as one batch and scored,
-    so only one chunk of graphs is held at once.
+    `score_segments`. Each size chunk is built as one batch, scored and
+    handed to per_chunk(its spans, its scores), so only one chunk of
+    graphs is held at once.
     """
     params, _ = load_checkpoint(args.model)
     features = dataio.read_feature_matrix(args.features)
@@ -210,8 +211,8 @@ def _score_video(args, frames: str):
             f"partition covers {partition.frame_count} frames but video has {features.frame_count}"
         )
     spans = partition.spans()
-    scored = map_size_chunks(spans, lambda chunk: score_segments(
-        build_segment_graphs(features, chunk), params, frames))
+    scored = map_size_chunks(spans, lambda chunk: per_chunk(chunk, score_segments(
+        build_segment_graphs(features, chunk), params, frames)))
     return video_id, spans, scored
 
 
@@ -228,22 +229,23 @@ def cmd_classify(args) -> int:
 def cmd_localize(args) -> int:
     if args.k < 1:
         raise ConfigError(f"k must be at least 1, got {args.k}")
-    _, spans, scored = _score_video(args, "all" if args.all_segments else "predicted")
-    # One top-k call per frame count, over all the segments of that many frames.
-    by_size: dict[int, list[int]] = {}
-    for i, (_, frame_scores) in enumerate(scored):
-        if frame_scores is not None:
-            by_size.setdefault(frame_scores.size, []).append(i)
-    selected: dict[int, list[int]] = {}
-    for group in by_size.values():
-        starts = np.array([spans[i][0] for i in group])[:, None]
-        picks = topk_select(np.stack([scored[i][1] for i in group]), args.k) + starts
-        selected.update(zip(group, picks.tolist()))
+
+    def select(chunk, scored):
+        """(score, frame scores, selected frames) per span: one top-k call per size chunk."""
+        rows = [i for i, (_, f) in enumerate(scored) if f is not None]
+        picked = {}
+        if rows:
+            starts = np.array([chunk[i][0] for i in rows])[:, None]
+            picks = topk_select(np.stack([scored[i][1] for i in rows]), args.k) + starts
+            picked = dict(zip(rows, picks.tolist()))
+        return [(*item, picked.get(i, [])) for i, item in enumerate(scored)]
+
+    _, spans, scored = _score_video(args, "all" if args.all_segments else "predicted", select)
     entries = (
         {"segment_id": i, "start": s, "end": e, "predicted": int(score >= 0.5), "k": args.k,
-         "selected_frames": selected.get(i, []),
+         "selected_frames": picked,
          "scores": [] if frame_scores is None else frame_scores.tolist()}
-        for i, ((s, e), (score, frame_scores)) in enumerate(zip(spans, scored))
+        for i, ((s, e), (score, frame_scores, picked)) in enumerate(zip(spans, scored))
     )
     dataio.write_json(entries, args.out)
     return 0
@@ -251,11 +253,9 @@ def cmd_localize(args) -> int:
 
 def cmd_coverage_curve(args) -> int:
     try:
-        ks = [int(k) for k in args.ks.split(",")]
+        ks = metrics.check_ks(int(k) for k in args.ks.split(","))
     except ValueError as exc:
-        raise ConfigError(f"--ks must be comma-separated ints: {args.ks!r}") from exc
-    if not ks or ks != sorted(ks) or ks[0] < 1:
-        raise ConfigError("--ks must be ascending positive ints")
+        raise ConfigError(f"--ks must be strictly ascending positive ints: {args.ks!r}") from exc
     params, segmentation_cfg = load_checkpoint(args.model)
 
     data = []

@@ -5,27 +5,25 @@ the inference path of `cegl classify`, `cegl localize` and the coverage
 curve. A trained classifier's readout is repurposed as a temporal pool:
 each frame's score is its attention weight times the sigmoid head applied
 to its own final embedding, i.e. the frame's weighted contribution to the
-abnormal prediction. Top-k selection uses a fixed total order (score
-descending, earlier frame first on ties) so selections are nested in k.
+abnormal prediction. `rank_frames` orders each segment's frames one fixed
+way (score descending, earlier frame first on ties); `cegl localize`'s
+top-k selection is a prefix of that order, so selections are nested in k,
+and the coverage curve reads each segment's first-hit rank from it.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
-
 import numpy as np
 
-from .dataio import Annotations, derive_segment_labels
 from .graph import GraphBatch
 from .model import CLASSIFIER_BIAS, CLASSIFIER_WEIGHTS, ForwardCache, ModelParams, forward
 from .numerics import sigmoid
-from .segmentation import Partition
 
 __all__ = [
     "node_scores",
     "score_segments",
+    "rank_frames",
     "topk_select",
-    "coverage_counts",
 ]
 
 
@@ -68,45 +66,24 @@ def score_segments(
             for s, row, n, w in zip(scores, rows, batch.sizes.tolist(), wanted)]
 
 
+def rank_frames(scores) -> np.ndarray:
+    """Frame indices in rank order: score descending, earlier frame first on ties.
+
+    A (B, n) matrix is B segments of n frames, one order per row.
+    """
+    return np.argsort(-np.asarray(scores, dtype=np.float64), axis=-1, kind="stable")
+
+
 def topk_select(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest scores, ties broken toward earlier frames.
+    """Indices of the k highest-ranked frames (`rank_frames`), ascending.
 
     Selections are nested: the top-(k) set always contains the top-(k-1)
-    set. Returns ascending frame indices; all frames when k >= len(scores).
-    A (B, n) matrix is B segments of n frames, one selection per row.
+    set. Returns all frames when k >= len(scores). A (B, n) matrix is B
+    segments of n frames, one selection per row.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim not in (1, 2) or scores.size == 0:
         raise ValueError("topk_select needs a non-empty score vector or matrix")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    order = np.argsort(-scores, axis=-1, kind="stable")
-    return np.sort(order[..., :k], axis=-1)
-
-
-def coverage_counts(
-    selections: Mapping[int, Sequence[int]],
-    ann: Annotations,
-    partition: Partition,
-) -> tuple[int, int]:
-    """(hits, abnormal segments), whose ratio is the coverage.
-
-    `selections` maps segment index to selected global frame indices; a
-    truly abnormal segment is a hit if its selection holds an abnormal
-    frame, and a miss if it has no entry.
-    """
-    seg_labels = derive_segment_labels(ann, partition)
-    spans = partition.spans()
-    abnormal = [i for i, label in enumerate(seg_labels) if label == 1]
-    frame_labels = ann.frame_labels
-    hits = 0
-    for i in abnormal:
-        s, e = spans[i]
-        chosen = selections.get(i, ())
-        for f in chosen:
-            if not s <= f < e:
-                raise ValueError(
-                    f"selected frame {f} lies outside segment {i} span [{s}, {e})"
-                )
-        hits += int(any(frame_labels[f] == 1 for f in chosen))
-    return hits, len(abnormal)
+    return np.sort(rank_frames(scores)[..., :k], axis=-1)

@@ -4,18 +4,21 @@ Reported precision/recall/F1 are computed one-vs-rest for each of the
 two classes (abnormal = positive) and averaged weighted by class
 support; sensitivity and specificity are the two per-class recalls.
 Zero-denominator per-class values are reported as 0 and flagged rather
-than propagating NaN.
+than propagating NaN. Coverage at k (the share of abnormal segments whose
+top-k frames hold an abnormal frame) is counted for every k from each
+segment's first-hit rank: its first abnormal frame's `rank_frames` position.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataio import Annotations, FeatureMatrix, write_atomic, write_json
+from .dataio import Annotations, FeatureMatrix, derive_segment_labels, write_atomic, write_json
 from .graph import build_segment_graphs, map_size_chunks
-from .localization import coverage_counts, score_segments, topk_select
+from .localization import rank_frames, score_segments
 from .model import ModelParams
 from .segmentation import Partition
 
@@ -113,6 +116,14 @@ def weighted_metrics(c: ConfusionCounts) -> MetricsReport:
     )
 
 
+def check_ks(ks) -> list[int]:
+    """ks as a list, or ValueError unless they are strictly ascending positive ints."""
+    ks = list(ks)
+    if not ks or not all(isinstance(k, int) and a < k for a, k in zip([0, *ks], ks)):
+        raise ValueError(f"ks must be strictly ascending positive ints, got {ks!r}")
+    return ks
+
+
 def coverage_curve(
     params: ModelParams,
     data: list[tuple[FeatureMatrix, Annotations, Partition]],
@@ -121,29 +132,40 @@ def coverage_curve(
 ) -> list[tuple[int, float]]:
     """Pooled coverage at each k over one or more annotated videos.
 
-    Each video is built and scored once, one size chunk at a time (frame
-    scores do not depend on k), so the per-k selections are nested and the
-    curve is monotone by construction. By default only segments predicted
-    abnormal are localized; `localize_all` scores all.
+    Each video is built and scored once, one size chunk at a time, and
+    each chunk's scored segments are ranked by one `rank_frames` call. A
+    scored abnormal segment's first-hit rank r is the position of its
+    first abnormal frame in that order, and it is covered at k iff r < k;
+    an unscored segment never is. coverage(k) = #(r < k) / #abnormal reads
+    every k from one sorted list of ranks, so the curve is monotone by
+    construction. By default only segments predicted abnormal are
+    localized; `localize_all` scores all.
     """
-    if not ks or list(ks) != sorted(ks):
-        raise ValueError("ks must be a non-empty ascending list")
+    ks = check_ks(ks)
     frames = "all" if localize_all else "predicted"
 
-    hits, total = [0] * len(ks), 0
+    ranks, total = [], 0
     for features, ann, partition in data:
-        spans = partition.spans()
-        scored = map_size_chunks(spans, lambda chunk: score_segments(
-            build_segment_graphs(features, chunk), params, frames))
-        for j, k in enumerate(ks):
-            selections = {i: topk_select(f, k) + spans[i][0]
-                          for i, (_, f) in enumerate(scored) if f is not None}
-            h, abnormal = coverage_counts(selections, ann, partition)
-            hits[j] += h
-        total += abnormal
+        total += int(derive_segment_labels(ann, partition).sum())
+
+        def first_hits(chunk):
+            """Each span's first-hit rank, or None if unscored or normal."""
+            scored = score_segments(build_segment_graphs(features, chunk), params, frames)
+            rows = [i for i, (_, f) in enumerate(scored) if f is not None]
+            first = {}
+            if rows:
+                starts = np.array([chunk[i][0] for i in rows])[:, None]
+                order = rank_frames(np.stack([scored[i][1] for i in rows])) + starts
+                hit = ann.frame_labels[order] == 1
+                first = {i: r for i, h, r in zip(
+                    rows, hit.any(axis=1).tolist(), hit.argmax(axis=1).tolist()) if h}
+            return [first.get(i) for i in range(len(chunk))]
+
+        ranks += [r for r in map_size_chunks(partition.spans(), first_hits) if r is not None]
     if total == 0:
         raise ValueError("coverage curve undefined: no abnormal segments in data")
-    return [(k, h / total) for k, h in zip(ks, hits)]
+    ranks.sort()
+    return [(k, bisect_left(ranks, k) / total) for k in ks]
 
 
 def write_metrics(report: MetricsReport, path) -> None:

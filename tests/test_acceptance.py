@@ -26,7 +26,7 @@ from cegl.graph import (
     build_segment_graphs,
     map_size_chunks,
 )
-from cegl.localization import coverage_counts
+from cegl import metrics
 from cegl.metrics import confusion, coverage_curve, weighted_metrics
 from cegl.model import (
     AGGREGATOR_KINDS,
@@ -246,23 +246,24 @@ def test_criterion_4_end_to_end_synthetic_protocol():
 # 5. Coverage arithmetic
 
 
-def test_criterion_5_coverage_arithmetic():
+def test_criterion_5_coverage_arithmetic(monkeypatch):
     n_seg = 40
     frame_labels = np.zeros(10 * n_seg, dtype=np.int64)
     frame_labels[::10] = 1  # every segment abnormal at its first frame
     ann = Annotations("v", frame_labels=frame_labels)
     partition = Partition(tuple(range(0, 10 * n_seg + 1, 10)))
 
-    def selections(hits):
-        # hit segments select their abnormal frame, the rest a normal one
-        return {
-            i: [10 * i] if i < hits else [10 * i + 5] for i in range(n_seg)
-        }
+    def frame_scores(hits):
+        # hit segments rank their abnormal frame first, the rest a normal one
+        return {10 * i: np.eye(10)[0 if i < hits else 5] for i in range(n_seg)}
 
+    monkeypatch.setattr(metrics, "build_segment_graphs", lambda features, chunk: chunk)
     for hits, want in ((37, 0.925), (39, 0.975)):
-        counted, n_abnormal = coverage_counts(selections(hits), ann, partition)
-        assert (counted, n_abnormal) == (hits, n_seg)
-        assert counted / n_abnormal == want
+        scores = frame_scores(hits)
+        monkeypatch.setattr(metrics, "score_segments", lambda chunk, params, frames: [
+            (1.0, scores[s]) for s, _ in chunk])
+        assert hits / n_seg == want
+        assert coverage_curve(None, [(None, ann, partition)], [1]) == [(1, want)]
     report("5. coverage arithmetic: 37/40 = 0.925 and 39/40 = 0.975 exactly")
 
 

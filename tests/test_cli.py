@@ -9,12 +9,18 @@ import pytest
 
 from cegl import cli, graph, localization, model
 from cegl.cli import main
-from cegl.dataio import read_annotations, read_feature_matrix
+from cegl.dataio import FeatureMatrix, read_annotations, read_feature_matrix, write_feature_matrix
 from cegl.graph import build_segment_graphs, map_size_chunks
 from cegl.localization import topk_select
 from cegl.metrics import coverage_curve
-from cegl.model import load_checkpoint
-from cegl.segmentation import pelt, read_partition
+from cegl.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
+from cegl.segmentation import (
+    Partition,
+    SegmentationConfig,
+    pelt,
+    read_partition,
+    write_partition,
+)
 from forward_calls import (
     assert_each_segment_scored_once,
     record_forward_calls,
@@ -238,7 +244,7 @@ class TestErrorPaths:
         assert code == 2
         assert "momentum" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("ks", ["3,1", "0,1", "a,b"])
+    @pytest.mark.parametrize("ks", ["3,1", "0,1", "a,b", "1,1,2"])
     def test_bad_ks_rejected(self, tmp_path, capsys, ks):
         # --ks is checked before the checkpoint is read, so a missing one is no excuse.
         out = tmp_path / "c.csv"
@@ -346,7 +352,9 @@ class TestCheckpointHeader:
 
 
 class TestCoverageCurveSegmentation:
-    def test_matches_library_curve_on_segment_partitions(self, pipeline, tmp_path):
+    @staticmethod
+    def segmented_data(pipeline, tmp_path):
+        """(features, annotations, partition) of each pipeline video, cut by `cegl segment`."""
         data = []
         for cegf in sorted((pipeline / "data").glob("*.cegf")):
             part = tmp_path / f"{cegf.stem}.partition.json"
@@ -354,11 +362,29 @@ class TestCoverageCurveSegmentation:
                          str(pipeline / "config.json"), "--out", str(part)]) == 0
             ann = read_annotations(cegf.with_name(cegf.stem + ".annotations.json"))
             data.append((read_feature_matrix(cegf), ann, read_partition(part)[1]))
+        return data
+
+    def test_matches_library_curve_on_segment_partitions(self, pipeline, tmp_path):
+        data = self.segmented_data(pipeline, tmp_path)
         params, _seg = load_checkpoint(pipeline / "model.cegm")
         want = coverage_curve(params, data, [1, 2, 3, 5, 7, 9])
         rows = (pipeline / "curve.csv").read_text().splitlines()[1:]
         got = [(int(k), float(c)) for k, c in (row.split(",") for row in rows)]
         assert got == want
+
+    def test_k_past_int64_selects_every_frame(self, pipeline, tmp_path):
+        huge = 99999999999999999999999
+        data = self.segmented_data(pipeline, tmp_path)
+        params, _seg = load_checkpoint(pipeline / "model.cegm")
+        # no segment is longer than its video, so this k also selects every frame
+        longest = max(features.frame_count for features, _, _ in data)
+        want = coverage_curve(params, data, [1, 2, longest])
+        out = tmp_path / "curve.csv"
+        assert main(["coverage-curve", "--model", str(pipeline / "model.cegm"),
+                     "--data", str(pipeline / "data"), "--ks", f"1,2,{huge}",
+                     "--out", str(out)]) == 0
+        assert out.read_text().splitlines() == [
+            "k,coverage", *(f"{k},{c!r}" for k, c in [*want[:2], (huge, want[2][1])])]
 
     def test_checkpoint_without_segmentation_exits_2(self, pipeline, tmp_path, capsys):
         model = tmp_path / "noseg.cegm"
@@ -634,6 +660,37 @@ def test_localize_json_holds_score_segments_output(pipeline):
         assert entry["predicted"] == int(score >= 0.5)
         assert entry["scores"] == frame_scores.tolist()
         assert entry["selected_frames"] == (topk_select(frame_scores, 2) + s).tolist()
+
+
+@pytest.mark.parametrize("all_segments", [True, False])
+def test_localize_selects_within_each_size_chunk(tmp_path, all_segments):
+    """45 ten-frame segments fill two size chunks; each entry holds its own top-3 frames."""
+    sizes = (4, 1, 7, 5, *[10] * 45, 70, 4)
+    assert sum(sizes[c[0]] == 10 for c in graph.size_chunks(sizes)) == 2
+    offsets = np.cumsum((0, *sizes))
+    features = FeatureMatrix("v", np.random.default_rng(8).standard_normal((offsets[-1], 3)))
+    spans = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+    params = init_params(ModelConfig((3, 4, 2)), seed=9)
+    predictions = [score for score, _ in map_size_chunks(spans, lambda chunk: (
+        localization.score_segments(build_segment_graphs(features, chunk), params, "none")))]
+    # a bias at the median prediction's logit puts segments on both sides of 0.5
+    median = np.median(predictions)
+    params.arrays["classifier.bias"][0] -= np.log(median / (1 - median))
+    paths = {name: tmp_path / name for name in ("v.cegf", "v.partition.json", "m.cegm", "loc.json")}
+    write_feature_matrix(features, paths["v.cegf"])
+    write_partition(Partition(tuple(offsets.tolist())), "v", paths["v.partition.json"])
+    save_checkpoint(params, paths["m.cegm"], segmentation=SegmentationConfig())
+
+    assert main(["localize", "--model", str(paths["m.cegm"]), "--features", str(paths["v.cegf"]),
+                 "--partition", str(paths["v.partition.json"]), "--k", "3",
+                 "--out", str(paths["loc.json"])] + (["--all-segments"] if all_segments else [])) == 0
+    loc = json.loads(paths["loc.json"].read_text())
+    assert [(entry["start"], entry["end"]) for entry in loc] == spans
+    for entry in loc:
+        want = topk_select(entry["scores"], 3) + entry["start"] if entry["scores"] else []
+        assert entry["selected_frames"] == list(want)
+    scored_tens = [bool(entry["scores"]) for entry in loc if entry["end"] - entry["start"] == 10]
+    assert any(scored_tens) and all(scored_tens) == all_segments
 
 
 def other_video(path, out):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from cegl import graph, localization
+from cegl import graph, localization, metrics
 from cegl.dataio import Annotations, FeatureMatrix
 from cegl.graph import GraphBatch, SimilarityConfig, build_graph, map_size_chunks
-from cegl.localization import coverage_counts, node_scores, score_segments, topk_select
+from cegl.localization import node_scores, rank_frames, score_segments, topk_select
 from cegl.model import ModelConfig, forward, init_params
 from cegl.numerics import make_rng
 from cegl.segmentation import Partition
@@ -98,6 +98,12 @@ class TestTopkSelect:
         for row, got in zip(scores, rows):
             assert got.tolist() == topk_select(row, k).tolist()
 
+    def test_rank_frames_orders_by_score_then_earlier_frame(self):
+        assert rank_frames([0.5, 0.9, 0.5, 0.1]).tolist() == [1, 0, 2, 3]
+        scores = np.array([[0.2, 0.7, 0.7], [0.0, 0.0, 0.3]])
+        assert rank_frames(scores).tolist() == [[1, 2, 0], [2, 0, 1]]
+        assert topk_select(scores, 2).tolist() == [[1, 2], [0, 2]]
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             topk_select(np.array([]), 1)
@@ -126,62 +132,57 @@ def forty_segment_fixture(ranks_with_hits):
     return ann, partition, selections_by_k
 
 
-def coverage(selections, ann, partition):
-    hits, n_ab = coverage_counts(selections, ann, partition)
-    return hits / n_ab
+def fixture_curve(monkeypatch, ann, partition, orders, ks, scored=None):
+    """coverage_curve of one video whose segment i ranks its frames as orders[i].
+
+    Graph building and scoring are stubbed: segment i gets descending frame
+    scores along orders[i] if it is in `scored` (default: every segment),
+    and no frame scores otherwise.
+    """
+    frame_scores = {}
+    for i in range(len(orders)) if scored is None else scored:
+        start = partition.spans()[i][0]
+        frame_scores[start] = np.empty(len(orders[i]))
+        frame_scores[start][np.array(orders[i]) - start] = np.arange(len(orders[i]), 0, -1)
+    monkeypatch.setattr(metrics, "build_segment_graphs", lambda features, chunk: chunk)
+    monkeypatch.setattr(metrics, "score_segments", lambda chunk, params, frames: [
+        (1.0, frame_scores.get(s)) for s, _ in chunk])
+    return metrics.coverage_curve(None, [(None, ann, partition)], ks)
 
 
 class TestCoverage:
-    def test_table_arithmetic_37_of_40(self):
-        # 37 segments hit at k=1, 2 more at k=2, one never (rank 10)
+    def test_table_arithmetic_37_of_40(self, monkeypatch):
+        # 37 segments hit at k=1, 2 more at k=2, one not until k=10
         ranks = [1] * 37 + [2] * 2 + [10]
-        ann, partition, orders = forty_segment_fixture(ranks)
-        sel_k1 = {i: order[:1] for i, order in orders.items()}
-        sel_k2 = {i: order[:2] for i, order in orders.items()}
-        assert coverage(sel_k1, ann, partition) == 0.925
-        assert coverage(sel_k2, ann, partition) == 0.975
+        curve = fixture_curve(monkeypatch, *forty_segment_fixture(ranks), [1, 2, 9, 10])
+        assert curve == [(1, 0.925), (2, 0.975), (9, 0.975), (10, 1.0)]
 
-    def test_full_and_zero_coverage(self):
-        ranks = [1] * 4
-        ann, partition, orders = forty_segment_fixture(ranks)
-        full = {i: order[:1] for i, order in orders.items()}
-        assert coverage(full, ann, partition) == 1.0
-        miss = {i: order[1:2] for i, order in orders.items()}
-        assert coverage(miss, ann, partition) == 0.0
+    def test_full_and_zero_coverage(self, monkeypatch):
+        assert fixture_curve(monkeypatch, *forty_segment_fixture([1] * 4), [1]) == [(1, 1.0)]
+        assert fixture_curve(monkeypatch, *forty_segment_fixture([2] * 4), [1]) == [(1, 0.0)]
 
-    def test_no_abnormal_segments_counts_nothing(self):
-        # coverage is undefined there; the curve refuses such data
+    def test_no_abnormal_segments_rejected(self, monkeypatch):
         ann = Annotations("v", frame_labels=np.zeros(20, dtype=np.int64))
         partition = Partition((0, 10, 20))
-        assert coverage_counts({}, ann, partition) == (0, 0)
+        orders = [list(range(10)), list(range(10, 20))]
+        with pytest.raises(ValueError, match="no abnormal segments"):
+            fixture_curve(monkeypatch, ann, partition, orders, [1, 2])
 
-    def test_missing_selection_counts_as_miss(self):
-        ranks = [1, 1]
-        ann, partition, orders = forty_segment_fixture(ranks)
-        assert coverage_counts({0: orders[0][:1]}, ann, partition) == (1, 2)
-        assert coverage({0: orders[0][:1]}, ann, partition) == 0.5
+    def test_missing_selection_counts_as_miss(self, monkeypatch):
+        fixture = forty_segment_fixture([1, 1])
+        assert fixture_curve(monkeypatch, *fixture, [1, 10], scored=[0]) == [(1, 0.5), (10, 0.5)]
 
-    def test_selection_outside_segment_rejected(self):
-        ranks = [1, 1]
-        ann, partition, _ = forty_segment_fixture(ranks)
-        with pytest.raises(ValueError, match="outside"):
-            coverage_counts({0: [15]}, ann, partition)
-
-    def test_monotone_in_k_with_nested_selections(self):
+    def test_monotone_in_k_with_nested_selections(self, monkeypatch):
         rng = make_rng(6)
         ranks = [int(r) for r in rng.integers(1, 11, size=12)]
-        ann, partition, orders = forty_segment_fixture(ranks)
-        values = []
-        for k in (1, 2, 3, 5, 7, 9):
-            sel = {i: order[:k] for i, order in orders.items()}
-            values.append(coverage(sel, ann, partition))
+        ks = [1, 2, 3, 5, 7, 9]
+        curve = fixture_curve(monkeypatch, *forty_segment_fixture(ranks), ks)
+        values = [c for _, c in curve]
         assert values == sorted(values)
+        assert curve == [(k, sum(r <= k for r in ranks) / 12) for k in ks]
 
-    def test_counts_match_fraction(self):
-        ranks = [1, 2, 3]
-        ann, partition, orders = forty_segment_fixture(ranks)
-        sel = {i: order[:2] for i, order in orders.items()}
-        assert coverage_counts(sel, ann, partition) == (2, 3)
+    def test_counts_match_fraction(self, monkeypatch):
+        assert fixture_curve(monkeypatch, *forty_segment_fixture([1, 2, 3]), [2]) == [(2, 2 / 3)]
 
 
 class TestScoreSegments:

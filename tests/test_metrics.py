@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cegl.dataio import SynthConfig, derive_segment_labels, synth_video
+from cegl.localization import topk_select
 from cegl.graph import (
     GraphBatch,
     build_segment_graphs,
@@ -185,6 +186,49 @@ class TestCoverageCurve:
         params = init_params(ModelConfig((features.feature_dim, 4, 3)), seed=1)
         with pytest.raises(ValueError):
             coverage_curve(params, [(features, ann, partition)], [3, 1])
+
+    @pytest.mark.parametrize("ks", [[1, 1], [0, 1], [], [1.0, 2]])
+    def test_rejects_repeated_nonpositive_or_non_int_ks(self, ks):
+        features, ann, partition = separable_video(33)
+        params = init_params(ModelConfig((features.feature_dim, 4, 3)), seed=1)
+        params.arrays["classifier.bias"][0] = -50.0  # no segment is scored
+        with pytest.raises(ValueError, match="strictly ascending positive ints"):
+            coverage_curve(params, [(features, ann, partition)], ks)
+
+    @pytest.mark.parametrize("localize_all", [True, False])
+    def test_matches_brute_force_recount(self, monkeypatch, localize_all):
+        """Every k's hits recounted from each scored segment's top-k set, over two videos."""
+        data = [separable_video(41), separable_video(42)]
+        params = init_params(ModelConfig((16, 4, 3), "mean", "attention"), seed=2)
+        predictions = [score for features, _, partition in data
+                       for score, _ in map_size_chunks(partition.spans(), lambda chunk: (
+                           localization.score_segments(
+                               build_segment_graphs(features, chunk), params, "none")))]
+        # a bias at the median prediction's logit leaves some segments unscored
+        median = np.median(predictions)
+        params.arrays["classifier.bias"][0] -= np.log(median / (1 - median))
+
+        def tied_scores(batch, params, frames):
+            """score_segments' output with each segment's frame scores cut to 4 levels."""
+            return [(s, None if f is None else np.floor(f / f.max() * 3))
+                    for s, f in localization.score_segments(batch, params, frames)]
+
+        monkeypatch.setattr(metrics, "score_segments", tied_scores)
+        frames = "all" if localize_all else "predicted"
+        ks = [1, 2, 3, 4, 6, 9, 13, 20, 99999999999999999999999]
+        hits, abnormal, scored = [0] * len(ks), 0, []
+        for features, ann, partition in data:
+            abnormal += int(derive_segment_labels(ann, partition).sum())
+            spans = partition.spans()
+            for (start, _), (_, f) in zip(spans, map_size_chunks(spans, lambda chunk: (
+                    tied_scores(build_segment_graphs(features, chunk), params, frames)))):
+                scored.append(f is not None)
+                if f is not None:
+                    for j, k in enumerate(ks):
+                        hits[j] += int((ann.frame_labels[topk_select(f, k) + start] == 1).any())
+        assert all(scored) == localize_all and any(scored)
+        assert coverage_curve(params, data, ks, localize_all) == [
+            (k, h / abnormal) for k, h in zip(ks, hits)]
 
 
 class TestReports:
