@@ -6,7 +6,6 @@ used); two held-out videos measure generalization. Takes ~half a minute.
 """
 
 from cegl import (
-    GraphBatch,
     ModelConfig,
     SegmentationConfig,
     SynthConfig,
@@ -14,10 +13,10 @@ from cegl import (
     build_segment_graphs,
     confusion,
     derive_segment_labels,
-    forward,
     init_params,
     map_size_chunks,
     pelt,
+    score_segments,
     synth_video,
     train,
     weighted_metrics,
@@ -39,10 +38,11 @@ seg_cfg = SegmentationConfig(penalty=12.0)
 train_graphs = []
 for features, annotations, _ in videos[:4]:
     partition = pelt(features, seg_cfg)
-    graphs = map_size_chunks(  # built one batch of equal-length segments at a time
-        partition.spans(), lambda spans: build_segment_graphs(features, spans)
+    # built one batch of equal-length segments at a time; a graph is its batch and row
+    rows = map_size_chunks(
+        partition.spans(), lambda spans: build_segment_graphs(features, spans).rows()
     )
-    train_graphs += zip(graphs, derive_segment_labels(annotations, partition).tolist())
+    train_graphs += zip(rows, derive_segment_labels(annotations, partition).tolist())
 print(f"training on {len(train_graphs)} segment graphs from 4 videos")
 
 model_cfg = ModelConfig(
@@ -59,11 +59,10 @@ print(f"loss: {history[0]:.3f} -> {history[-1]:.3f} over {len(history)} epochs")
 preds, labels = [], []
 for features, annotations, _ in videos[4:]:
     partition = pelt(features, seg_cfg)
-    graphs = map_size_chunks(  # built one batch of equal-length segments at a time
-        partition.spans(), lambda spans: build_segment_graphs(features, spans)
-    )
-    # one pass over the video's graphs, padded to the longest as training pads a mini-batch
-    preds += (forward(GraphBatch.pack(graphs), params).prediction >= 0.5).astype(int).tolist()
+    # one unpadded pass per batch of equal-length segments, as `cegl classify` scores them
+    scored = map_size_chunks(partition.spans(), lambda spans: score_segments(
+        build_segment_graphs(features, spans), params, frames="none"))
+    preds += [int(score >= 0.5) for score, _ in scored]
     labels += derive_segment_labels(annotations, partition).tolist()
 
 report = weighted_metrics(confusion(preds, labels))

@@ -42,8 +42,9 @@ seg_cfg = SegmentationConfig(penalty=12.0)
 train_graphs = []
 for features, annotations, _ in videos[:4]:
     partition = pelt(features, seg_cfg)
-    graphs = map_size_chunks(partition.spans(), lambda spans: build_segment_graphs(features, spans))
-    train_graphs += zip(graphs, derive_segment_labels(annotations, partition).tolist())
+    rows = map_size_chunks(
+        partition.spans(), lambda spans: build_segment_graphs(features, spans).rows())
+    train_graphs += zip(rows, derive_segment_labels(annotations, partition).tolist())
 model_cfg = ModelConfig((16, 32, 16), "mean", "attention", attention_averaged=False)
 params = init_params(model_cfg, seed=5, init_scale=2.0)
 params, _ = train(

@@ -18,8 +18,7 @@ from .dataio import (
     write_annotations,
     write_feature_matrix,
 )
-from .graph import GraphBatch, SegmentGraph, SimilarityConfig, build_graph, build_segment_graphs
-from .graph import map_size_chunks
+from .graph import GraphBatch, SimilarityConfig, build_segment_graphs, map_size_chunks
 from .localization import node_scores, score_segments, topk_select
 from .metrics import ConfusionCounts, MetricsReport, confusion, coverage_curve, weighted_metrics
 from .model import (
@@ -51,12 +50,10 @@ __all__ = [
     "ModelConfig",
     "ModelParams",
     "Partition",
-    "SegmentGraph",
     "SegmentationConfig",
     "SimilarityConfig",
     "SynthConfig",
     "TrainConfig",
-    "build_graph",
     "build_segment_graphs",
     "confusion",
     "coverage_curve",

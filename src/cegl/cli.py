@@ -178,9 +178,9 @@ def cmd_train(args) -> int:
                 f"feature dim mismatch across videos: {features.feature_dim} vs {feature_dim}"
             )
         partition = pelt(features, cfg.segmentation)
-        graphs = map_size_chunks(
-            partition.spans(), lambda spans: build_segment_graphs(features, spans))
-        labelled.extend(zip(graphs, dataio.derive_segment_labels(ann, partition).tolist()))
+        rows = map_size_chunks(
+            partition.spans(), lambda spans: build_segment_graphs(features, spans).rows())
+        labelled.extend(zip(rows, dataio.derive_segment_labels(ann, partition).tolist()))
 
     model_cfg = cfg.model
     if model_cfg.layer_dims is None:

@@ -13,9 +13,10 @@ bounded slice of them at a time.
 A graph is only its node features and edge weights: a segment's span
 and weak label are facts of the partition (`Partition.spans`,
 `dataio.derive_segment_labels`). `build_segment_graphs` builds spans of
-one length as one unpadded `GraphBatch`, bit-identical to `build_graph`'s
-one-segment call; `map_size_chunks` walks a video's spans one such size
-chunk at a time, so inference holds one chunk of graphs, not the video's.
+one length as one unpadded `GraphBatch`, checking its edges once;
+`map_size_chunks` walks a video's spans one such size chunk at a time,
+so inference holds one chunk of graphs, not the video's. `train` gathers
+rows of built batches (`GraphBatch.rows`) with `GraphBatch.pack`.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def _check_edge_weights(w: np.ndarray) -> None:
 class SegmentGraph:
     """Complete weighted graph over one segment's frames, in temporal order.
 
-    It does not know its span or label: those are the partition's.
+    No pipeline path makes one; it remains for `pipebench/` until ROADMAP item 1.
     """
 
     node_features: np.ndarray  # (n, d) float64
@@ -107,16 +108,12 @@ class SegmentGraph:
     def n(self) -> int:
         return self.node_features.shape[0]
 
-    @property
-    def feature_dim(self) -> int:
-        return self.node_features.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class GraphBatch:
     """B graphs zero-padded to the largest node count N; it checks nothing itself.
 
-    `build_segment_graphs` checks the edges it batches; `pack` takes checked graphs.
+    `build_segment_graphs` checks the edges it batches; `pack` gathers their rows.
     """
 
     node_features: np.ndarray  # (B, N, d) float64
@@ -124,24 +121,28 @@ class GraphBatch:
     sizes: np.ndarray  # (B,) node count of each graph
 
     @classmethod
-    def pack(cls, graphs: Sequence[SegmentGraph]) -> GraphBatch:
-        """Graphs of one feature dim d, each copied into a zero (N, d) and (N, N) block."""
-        if not graphs:
+    def pack(cls, rows: Sequence[tuple[GraphBatch, int]]) -> GraphBatch:
+        """Graph b of each (batch, b), all of dim d, copied into zero (N, d) and (N, N) blocks."""
+        if not rows:
             raise ValueError("a graph batch needs at least one graph")
-        sizes = np.array([g.n for g in graphs])
+        sizes = np.array([batch.sizes[b] for batch, b in rows])
         n_max = int(sizes.max())
-        h = np.zeros((len(graphs), n_max, graphs[0].feature_dim))
-        edges = np.zeros((len(graphs), n_max, n_max))
-        for b, g in enumerate(graphs):
-            h[b, : g.n] = g.node_features
-            edges[b, : g.n, : g.n] = g.edge_weights
+        h = np.zeros((len(rows), n_max, rows[0][0].node_features.shape[2]))
+        edges = np.zeros((len(rows), n_max, n_max))
+        for i, ((batch, b), n) in enumerate(zip(rows, sizes)):
+            h[i, :n] = batch.node_features[b, :n]
+            edges[i, :n, :n] = batch.edge_weights[b, :n, :n]
         return cls(h, edges, sizes)
+
+    def rows(self) -> list[tuple[GraphBatch, int]]:
+        """(this batch, b) for each of its graphs b, the handles `pack` gathers."""
+        return [(self, b) for b in range(len(self))]
 
     def __len__(self) -> int:
         return len(self.sizes)
 
     def __getitem__(self, b: int) -> SegmentGraph:
-        """Graph b as views of the batch; past the last graph, the IndexError that ends iteration."""
+        """Graph b as checked views, IndexError past the end; only for pipebench/ (ROADMAP item 1)."""
         n = self.sizes[b]
         return SegmentGraph(self.node_features[b, :n], self.edge_weights[b, :n, :n])
 
@@ -190,10 +191,10 @@ def _similarity_batch(values: np.ndarray) -> np.ndarray:
 
 
 def build_graph(segment: FeatureMatrix, cfg: SimilarityConfig) -> SegmentGraph:
-    """Graph for one segment; node order is temporal frame order.
+    """Graph for one segment, bit-identical to `build_segment_graphs(segment, [(0, n)])`.
 
-    `cfg` is not read (cosine is the one metric); it stays because the
-    benchmark's graph sample calls `build_graph(segment, SimilarityConfig())`.
+    It and its unread `cfg` remain only for the benchmark's graph sample
+    (`pipebench/workloads.py`) until ROADMAP item 1.
     """
     return SegmentGraph(segment.values, _similarity_batch(segment.values[None])[0])
 

@@ -32,7 +32,7 @@ gradients are each one float64 vector with a view per name, in
 `param_shapes(config)` order. Gate weights exist only for the gated
 aggregator and attention weights only for the attention readout.
 
-`forward` runs one `GraphBatch` (training packs each mini-batch), and
+`forward` runs one `GraphBatch` (`train` packs each mini-batch's rows), and
 `backward` returns the weighted sum of the batch's gradients. Inference
 runs `forward(..., record=False)` in `localization.score_segments`,
 which keeps no gated step for a backward. Gradients are derived by hand
@@ -58,7 +58,7 @@ import numpy as np
 
 from .dataio import check_types, config_from_json, unique_keys, write_atomic
 from .errors import ConfigError, FormatError, NumericError, TruncatedFileError
-from .graph import GraphBatch, SegmentGraph
+from .graph import GraphBatch
 from .numerics import make_rng, sigmoid, softmax
 from .segmentation import SegmentationConfig
 
@@ -504,25 +504,24 @@ def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
 
 
 def train(
-    graphs: list[tuple[SegmentGraph, int]],
+    graphs: list[tuple[tuple[GraphBatch, int], int]],
     params: ModelParams,
     cfg: TrainConfig,
 ) -> tuple[ModelParams, list[float]]:
-    """Mini-batch SGD over labelled segment graphs.
+    """Mini-batch SGD over labelled segment graphs, each a (batch, row) of a built batch.
 
-    Shuffling is deterministic from cfg.seed. Each mini-batch is one
-    batched forward and one backward, whose gradient is the batch's
+    Shuffling is deterministic from cfg.seed. Each packed mini-batch is
+    one forward and one backward, whose gradient is the batch's
     class-weighted loss gradient divided by the batch size. Returns the
     final parameters and the mean per-graph weighted loss of each epoch.
     """
     if not graphs:
         raise ConfigError("training needs at least one labelled graph")
     d_in = params.config.layer_dims[0]
-    for g, label in graphs:
-        if g.feature_dim != d_in:
-            raise ConfigError(
-                f"graph feature dim {g.feature_dim} does not match model input dim {d_in}"
-            )
+    for (batch, _), label in graphs:
+        if batch.node_features.shape[2] != d_in:
+            raise ConfigError(f"graph feature dim {batch.node_features.shape[2]} "
+                              f"does not match model input dim {d_in}")
         if label not in (0, 1):
             raise ConfigError(f"labels must be 0 or 1, got {label!r}")
     labels = np.array([label for _, label in graphs])

@@ -40,16 +40,15 @@ def finite_diff_grad(
     return grad
 
 
-def check_gradients(graphs, params, labels, weights=None, rtol=1e-4, atol=1e-8):
+def check_gradients(batch: GraphBatch, params, labels, weights=None, rtol=1e-4, atol=1e-8):
     """Assert that backward matches finite differences of the batch's weighted loss.
 
     The analytic side comes from a recorded pass. Each finite-difference
     evaluation writes the perturbed vector into one probe's parameters and
     runs an inference-only pass, which reads only the prediction.
     """
-    batch = GraphBatch.pack(graphs)
     labels = np.asarray(labels)
-    weights = np.ones(len(graphs)) if weights is None else np.asarray(weights)
+    weights = np.ones(len(batch)) if weights is None else np.asarray(weights)
     analytic = backward(forward(batch, params), labels, weights).vector
     probe = ModelParams(params.config, params.vector.copy())
 

@@ -19,14 +19,9 @@ from cegl.dataio import (
     write_feature_matrix,
 )
 from cegl.errors import FormatError, TruncatedFileError
-from cegl.graph import (
-    GraphBatch,
-    SimilarityConfig,
-    build_graph,
-    build_segment_graphs,
-    map_size_chunks,
-)
+from cegl.graph import GraphBatch, build_segment_graphs, map_size_chunks
 from cegl import metrics
+from cegl.localization import score_segments
 from cegl.metrics import confusion, coverage_curve, weighted_metrics
 from cegl.model import (
     AGGREGATOR_KINDS,
@@ -47,6 +42,7 @@ from cegl.segmentation import (
     partition_objective,
     pelt,
 )
+from built_graphs import graph_of
 from gradcheck import check_gradients
 
 
@@ -99,14 +95,12 @@ def test_criterion_2_gradient_correctness():
                 rng = make_rng(seed)
                 n = int(rng.integers(2, 7))
                 d = int(rng.integers(2, 6))
-                g = build_graph(
-                    FeatureMatrix("v", rng.standard_normal((n, d))), SimilarityConfig()
-                )
+                g = graph_of(rng.standard_normal((n, d)))
                 dims = (d, int(rng.integers(2, 7)), int(rng.integers(2, 7)))
                 params = init_params(
                     ModelConfig(dims, agg, readout), seed=int(rng.integers(0, 1000))
                 )
-                check_gradients([g], params, [seed % 2])
+                check_gradients(g, params, [seed % 2])
     elapsed = time.time() - started
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     report(
@@ -124,33 +118,26 @@ def test_criterion_3_permutation_properties():
     for _ in range(50):
         n = int(rng.integers(2, 8))
         d = int(rng.integers(2, 6))
-        g = build_graph(FeatureMatrix("v", rng.standard_normal((n, d))), SimilarityConfig())
+        values = rng.standard_normal((n, d))
+        g = graph_of(values)
         params = init_params(
             ModelConfig((d, 5, 4), "mean", "attention"), seed=int(rng.integers(0, 1000))
         )
-        base = forward(GraphBatch.pack([g]), params).prediction[0]
+        base = forward(g, params).prediction[0]
         perm = rng.permutation(n)
-        from cegl.graph import SegmentGraph
-
-        permuted = SegmentGraph(
-            node_features=g.node_features[perm],
-            edge_weights=g.edge_weights[np.ix_(perm, perm)],
-        )
-        assert abs(forward(GraphBatch.pack([permuted]), params).prediction[0] - base) <= 1e-9
+        # the graph rebuilt from permuted frames has exactly the permuted edges
+        permuted = graph_of(values[perm])
+        assert np.array_equal(permuted.edge_weights[0], g.edge_weights[0][np.ix_(perm, perm)])
+        assert abs(forward(permuted, params).prediction[0] - base) <= 1e-9
 
     # gated runs reproduce bit-identically from a fixed seed
     rng = make_rng(3004)
-    graphs = [
-        build_graph(FeatureMatrix("v", rng.standard_normal((5, 4))), SimilarityConfig())
-        for _ in range(6)
-    ]
+    rows = [(graph_of(rng.standard_normal((5, 4))), 0) for _ in range(6)]
     def gated_run():
         params = init_params(ModelConfig((4, 5, 4), "gated", "attention"), seed=99)
-        labelled = [(g, i % 2) for i, g in enumerate(graphs)]
+        labelled = [(row, i % 2) for i, row in enumerate(rows)]
         params, _ = train(labelled, params, TrainConfig(epochs=2, seed=5))
-        return np.concatenate(
-            [params.vector, forward(GraphBatch.pack(graphs), params).prediction]
-        )
+        return np.concatenate([params.vector, forward(GraphBatch.pack(rows), params).prediction])
 
     first, second = gated_run(), gated_run()
     assert np.array_equal(first, second)
@@ -196,10 +183,10 @@ def test_criterion_4_end_to_end_synthetic_protocol():
     train_graphs = []
     for features, ann, _planted in videos[:4]:
         partition = pelt(features, seg_cfg)
-        graphs = map_size_chunks(
-            partition.spans(), lambda spans: build_segment_graphs(features, spans)
+        rows = map_size_chunks(
+            partition.spans(), lambda spans: build_segment_graphs(features, spans).rows()
         )
-        train_graphs += zip(graphs, derive_segment_labels(ann, partition).tolist())
+        train_graphs += zip(rows, derive_segment_labels(ann, partition).tolist())
 
     params = init_params(
         ModelConfig(
@@ -217,10 +204,9 @@ def test_criterion_4_end_to_end_synthetic_protocol():
     preds, labels, test_data = [], [], []
     for features, ann, _planted in videos[4:]:
         partition = pelt(features, seg_cfg)
-        graphs = map_size_chunks(
-            partition.spans(), lambda spans: build_segment_graphs(features, spans)
-        )
-        preds += (forward(GraphBatch.pack(graphs), params).prediction >= 0.5).astype(int).tolist()
+        scored = map_size_chunks(partition.spans(), lambda spans: score_segments(
+            build_segment_graphs(features, spans), params, "none"))
+        preds += [int(score >= 0.5) for score, _ in scored]
         labels += derive_segment_labels(ann, partition).tolist()
         test_data.append((features, ann, partition))
 

@@ -577,32 +577,61 @@ def test_classify_runs_one_forward_per_segment_and_no_frame_scores(
     assert frame_scored == []
 
 
+def run_train(pipeline, out):
+    return main(["train", "--data", str(pipeline / "data"), "--config",
+                 str(pipeline / "config.json"), "--out", str(out)])
+
+
 def test_train_builds_one_batch_per_size_chunk(pipeline, tmp_path, monkeypatch):
-    """train builds each video's graphs one size chunk at a time and trains in span order."""
+    """train builds each video's graphs one size chunk at a time and trains on their rows.
+
+    The rows name the built batches themselves, no copies, and come in span order.
+    """
     built = record_graph_builds(monkeypatch, cli)
     trained = []
     real_train = cli.train
 
     def recording_train(labelled, params, cfg):
-        trained.extend(g for g, _ in labelled)
+        trained.extend(row for row, _ in labelled)
         return real_train(labelled, params, cfg)
 
     monkeypatch.setattr(cli, "train", recording_train)
     out = tmp_path / "model.cegm"
-    assert main(["train", "--data", str(pipeline / "data"), "--config",
-                 str(pipeline / "config.json"), "--out", str(out)]) == 0
+    assert run_train(pipeline, out) == 0
     assert out.read_bytes() == (pipeline / "model.cegm").read_bytes()
     segmentation = load_checkpoint(out)[1]
-    want, frames = [], []
+    want, spans, frames = [], [], []
     for cegf in sorted((pipeline / "data").glob("*.cegf")):
         features = read_feature_matrix(cegf)
         video = pelt(features, segmentation).spans()
         want += [[video[i] for i in c] for c in graph.size_chunks([e - s for s, e in video])]
+        spans += video
         frames.append(features.values)
     assert [chunk for chunk, _ in built] == want
-    # each video's segments in span order rebuild its frames
-    rebuilt = np.concatenate([g.node_features for g in trained])
+    # each row is (a built batch, its index there), each built graph once
+    span_of = {(id(batch), b): span for chunk, batch in built for b, span in enumerate(chunk)}
+    batches = {id(batch): batch for _, batch in built}
+    assert all(batches.get(id(batch)) is batch for batch, _ in trained)
+    assert [span_of[id(batch), b] for batch, b in trained] == spans
+    # in span order, the rows' graphs rebuild each video's frames
+    rebuilt = np.concatenate([batch.node_features[b] for batch, b in trained])
     assert np.array_equal(rebuilt, np.concatenate(frames))
+
+
+def test_train_checks_each_built_graphs_edges_once(pipeline, tmp_path, monkeypatch):
+    """The edge cells train checks sum to B * n^2 over its built batches: no graph twice."""
+    built = record_graph_builds(monkeypatch, cli)
+    checked = []
+    real_check = graph._check_edge_weights
+
+    def counting_check(w):
+        checked.append(w.size)
+        return real_check(w)
+
+    monkeypatch.setattr(graph, "_check_edge_weights", counting_check)
+    assert run_train(pipeline, tmp_path / "model.cegm") == 0
+    assert len(built) > 3  # several size chunks over the three videos
+    assert sum(checked) == sum(len(batch) * int(batch.sizes[0]) ** 2 for _, batch in built)
 
 
 def make_asymmetric(w):

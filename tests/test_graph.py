@@ -19,6 +19,7 @@ from cegl.graph import (
 )
 from cegl.numerics import make_rng
 from cegl.segmentation import Partition
+from built_graphs import graph_of
 
 
 def fm(values):
@@ -26,13 +27,14 @@ def fm(values):
 
 
 def video_graphs(features, spans):
-    """One graph per span, built one size chunk at a time, in the order of `spans`."""
-    return map_size_chunks(spans, lambda chunk: build_segment_graphs(features, chunk))
+    """(node features, edge weights) per span, built one size chunk at a time, in span order."""
+    rows = map_size_chunks(spans, lambda chunk: build_segment_graphs(features, chunk).rows())
+    return [(batch.node_features[b], batch.edge_weights[b]) for batch, b in rows]
 
 
 def pair_cosine(x, y):
     """The cosine edge weight of a two-frame segment."""
-    return build_graph(fm([x, y]), SimilarityConfig()).edge_weights[0, 1]
+    return graph_of([x, y]).edge_weights[0, 0, 1]
 
 
 class TestCosineSimilarity:
@@ -54,7 +56,7 @@ class TestCosineSimilarity:
 
     def test_zero_norm_frames_logged_once_per_matrix(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="cegl.graph"):
-            build_graph(fm([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]), SimilarityConfig())
+            graph_of([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
         assert [r.getMessage() for r in caplog.records] == [
             "2 of 3 frames have zero norm; their edge weights are 0"
         ]
@@ -78,7 +80,7 @@ class TestCosineSimilarity:
 
 class TestSimilarityMatrix:
     def test_two_identical_frames(self):
-        w = build_graph(fm([[1.0, 2.0], [1.0, 2.0]]), SimilarityConfig()).edge_weights
+        (w,) = graph_of([[1.0, 2.0], [1.0, 2.0]]).edge_weights
         assert np.array_equal(w, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_matches_pairwise_calls_exactly(self):
@@ -87,7 +89,7 @@ class TestSimilarityMatrix:
         rng = make_rng(3)
         for n, d in ((13, 16), (57, 33)):
             values = rng.standard_normal((n, d))
-            w = build_graph(fm(values), SimilarityConfig()).edge_weights
+            (w,) = graph_of(values).edge_weights
             for i in range(n):
                 for j in range(n):
                     pair = pair_cosine(values[i], values[j])
@@ -98,7 +100,7 @@ class TestSimilarityMatrix:
         for _ in range(10):
             n = int(rng.integers(1, 9))
             values = rng.standard_normal((n, 5))
-            w = build_graph(fm(values), SimilarityConfig()).edge_weights
+            (w,) = graph_of(values).edge_weights
             assert w.shape == (n, n)
             assert np.array_equal(w, w.T)
             assert not np.diagonal(w).any()
@@ -113,14 +115,14 @@ class TestSimilarityMatrix:
 
 class TestBuildGraph:
     def test_singleton_graph(self):
-        g = build_graph(fm([[1.0, 2.0]]), SimilarityConfig())
-        assert g.n == 1
-        assert g.edge_weights.shape == (1, 1)
-        assert g.edge_weights[0, 0] == 0.0
+        g = graph_of([[1.0, 2.0]])
+        assert g.sizes.tolist() == [1]
+        assert g.edge_weights.shape == (1, 1, 1)
+        assert g.edge_weights[0, 0, 0] == 0.0
 
     def test_identical_frames_fully_connected(self):
-        g = build_graph(fm([[1.0, 1.0]] * 4), SimilarityConfig())
-        off_diag = g.edge_weights[~np.eye(4, dtype=bool)]
+        g = graph_of([[1.0, 1.0]] * 4)
+        off_diag = g.edge_weights[0][~np.eye(4, dtype=bool)]
         assert (off_diag == 1.0).all()
 
     def test_invariant_enforcement(self):
@@ -162,8 +164,7 @@ class TestBuildGraph:
         for (s, e), label in zip(partition.spans(), seg_labels):
             if label == 0:
                 continue
-            seg = FeatureMatrix("v", features.values[s:e])
-            w = build_graph(seg, SimilarityConfig()).edge_weights
+            (w,) = graph_of(features.values[s:e]).edge_weights
             marks = ann.frame_labels[s:e].astype(bool)
             normal = ~marks
             within = w[np.ix_(normal, normal)]
@@ -181,9 +182,9 @@ class TestBuildGraph:
         graphs = build_segment_graphs(features, partition.spans())
         assert derive_segment_labels(ann, partition).tolist() == [0, 1]
         assert [s for s, _ in partition.spans()] == [0, 5]
-        for g, (s, e) in zip(graphs, partition.spans(), strict=True):
-            assert np.array_equal(g.node_features, features.values[s:e])
-        assert graphs[0].n == 5
+        assert len(graphs) == 2 and graphs.sizes.tolist() == [5, 5]
+        for b, (s, e) in enumerate(partition.spans()):
+            assert np.array_equal(graphs.node_features[b], features.values[s:e])
 
 
 class TestBatchedBuild:
@@ -204,10 +205,13 @@ class TestBatchedBuild:
         features, partition = self.video_and_partition()
         graphs = video_graphs(features, partition.spans())
         assert len(graphs) == partition.segment_count
-        for g, (s, e) in zip(graphs, partition.spans()):
-            alone = build_graph(FeatureMatrix("v", features.values[s:e]), SimilarityConfig())
-            assert g.edge_weights.tobytes() == alone.edge_weights.tobytes()
-            assert g.node_features.tobytes() == alone.node_features.tobytes()
+        for (h, w), (s, e) in zip(graphs, partition.spans()):
+            alone = graph_of(features.values[s:e])
+            assert w.tobytes() == alone.edge_weights[0].tobytes()
+            assert h.tobytes() == alone.node_features[0].tobytes()
+            # the benchmark's graph sample builds with build_graph, which must agree
+            sample = build_graph(FeatureMatrix("v", features.values[s:e]), SimilarityConfig())
+            assert w.tobytes() == sample.edge_weights.tobytes()
 
     def test_any_spans_build_as_in_the_whole_video(self):
         """A subset of a partition's spans, out of order, gets the whole-video build's graphs."""
@@ -216,9 +220,9 @@ class TestBatchedBuild:
         whole = video_graphs(features, spans)
         picked = [7, 0, 5, 20, 3]
         some = video_graphs(features, [spans[i] for i in picked])
-        for i, g in zip(picked, some, strict=True):
-            assert g.edge_weights.tobytes() == whole[i].edge_weights.tobytes()
-            assert g.node_features.tobytes() == whole[i].node_features.tobytes()
+        for i, (h, w) in zip(picked, some, strict=True):
+            assert w.tobytes() == whole[i][1].tobytes()
+            assert h.tobytes() == whole[i][0].tobytes()
 
     def test_one_batch_per_size_chunk_unpadded(self):
         features, partition = self.video_and_partition()
@@ -304,21 +308,34 @@ class TestIdenticalFrames:
 
 class TestGraphBatch:
     def test_pack_pads_with_zeros_and_indexes_back_the_graphs(self):
-        rng = make_rng(44)
-        graphs = [build_graph(fm(rng.standard_normal((n, 3))), SimilarityConfig())
-                  for n in (3, 1, 5)]
-        batch = GraphBatch.pack(graphs)
-        assert len(batch) == 3 and batch.sizes.tolist() == [3, 1, 5]
-        assert batch.node_features.shape == (3, 5, 3) and batch.edge_weights.shape == (3, 5, 5)
-        for b, (g, view) in enumerate(zip(graphs, batch, strict=True)):
-            assert np.array_equal(view.node_features, g.node_features)
-            assert np.array_equal(view.edge_weights, g.edge_weights)
-            assert not batch.node_features[b, g.n :].any()
-            assert not batch.edge_weights[b, g.n :].any()
-            assert not batch.edge_weights[b, :, g.n :].any()
-        assert batch[-1].n == 5
+        """pack gathers rows of built batches, in any order and of any sizes, zero-padded."""
+        features = fm(make_rng(44).standard_normal((20, 3)))
+        threes = build_segment_graphs(features, [(0, 3), (10, 13)])
+        rows = [threes.rows()[1], (build_segment_graphs(features, [(3, 4)]), 0),
+                *build_segment_graphs(features, [(4, 9)]).rows(), (threes, 0)]
+        assert threes.rows() == [(threes, 0), (threes, 1)]
+        batch = GraphBatch.pack(rows)
+        assert len(batch) == 4 and batch.sizes.tolist() == [3, 1, 5, 3]
+        assert batch.node_features.shape == (4, 5, 3) and batch.edge_weights.shape == (4, 5, 5)
+        for b, ((built, row), (s, e), view) in enumerate(
+            zip(rows, [(10, 13), (3, 4), (4, 9), (0, 3)], batch, strict=True)
+        ):
+            n = e - s
+            assert np.array_equal(batch.node_features[b, :n], features.values[s:e])
+            assert np.array_equal(batch.edge_weights[b, :n, :n], built.edge_weights[row])
+            assert not batch.node_features[b, n:].any()
+            assert not batch.edge_weights[b, n:].any()
+            assert not batch.edge_weights[b, :, n:].any()
+            # a view is the unpadded graph (the benchmark's tracer iterates a batch)
+            assert np.array_equal(view.node_features, features.values[s:e])
+            assert np.array_equal(view.edge_weights, built.edge_weights[row])
+        assert batch[-1].n == 3
         with pytest.raises(IndexError):
-            batch[3]
+            batch[4]
+        # rows of a padded batch gather back to the same arrays
+        again = GraphBatch.pack(batch.rows())
+        assert again.node_features.tobytes() == batch.node_features.tobytes()
+        assert again.edge_weights.tobytes() == batch.edge_weights.tobytes()
 
     def test_pack_needs_a_graph(self):
         with pytest.raises(ValueError, match="at least one graph"):

@@ -3,11 +3,12 @@ import pytest
 
 from cegl import graph, localization, metrics
 from cegl.dataio import Annotations, FeatureMatrix
-from cegl.graph import GraphBatch, SimilarityConfig, build_graph, map_size_chunks
+from cegl.graph import map_size_chunks
 from cegl.localization import node_scores, rank_frames, score_segments, topk_select
 from cegl.model import ModelConfig, forward, init_params
 from cegl.numerics import make_rng
 from cegl.segmentation import Partition
+from built_graphs import graph_of, padded
 from forward_calls import (
     assert_each_segment_scored_once,
     record_forward_calls,
@@ -15,19 +16,11 @@ from forward_calls import (
 )
 
 
-def graph_of(values):
-    return build_graph(FeatureMatrix("v", np.asarray(values, dtype=np.float64)), SimilarityConfig())
-
-
-def forward_one(g, params):
-    return forward(GraphBatch.pack([g]), params)
-
-
 class TestNodeScores:
     def test_identical_nodes_equal_scores(self):
         g = graph_of([[1.0, 2.0]] * 4)
         params = init_params(ModelConfig((2, 3, 2)), seed=1)
-        (scores,) = node_scores(forward_one(g, params))
+        (scores,) = node_scores(forward(g, params))
         assert np.allclose(scores, scores[0], atol=1e-12)
 
     def test_constant_head_reduces_to_attention(self):
@@ -36,14 +29,14 @@ class TestNodeScores:
         params = init_params(ModelConfig((3, 4, 2), "mean", "attention"), seed=3)
         params.arrays["classifier.weights"][:] = 0.0
         params.arrays["classifier.bias"][:] = 0.0
-        cache = forward_one(g, params)
+        cache = forward(g, params)
         assert np.allclose(node_scores(cache)[0], 0.5 * cache.attention_weights[0], atol=1e-15)
 
     def test_uniform_attention_for_non_attention_readout(self):
         rng = make_rng(3)
         g = graph_of(rng.standard_normal((4, 3)))
         params = init_params(ModelConfig((3, 4, 2), "mean", "mean"), seed=4)
-        (scores,) = node_scores(forward_one(g, params))
+        (scores,) = node_scores(forward(g, params))
         assert scores.shape == (4,)
         assert (scores > 0).all() and (scores < 1).all()
 
@@ -51,8 +44,8 @@ class TestNodeScores:
         rng = make_rng(4)
         g = graph_of(rng.standard_normal((6, 4)))
         params = init_params(ModelConfig((4, 5, 3), "gated", "attention"), seed=5)
-        (a,) = node_scores(forward_one(g, params))
-        (b,) = node_scores(forward_one(g, params))
+        (a,) = node_scores(forward(g, params))
+        (b,) = node_scores(forward(g, params))
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("readout", ["attention", "mean"])
@@ -60,12 +53,13 @@ class TestNodeScores:
         rng = make_rng(6)
         graphs = [graph_of(rng.standard_normal((n, 3))) for n in (4, 1, 7)]
         params = init_params(ModelConfig((3, 4, 2), "mean", readout), seed=7)
-        batched = node_scores(forward(GraphBatch.pack(graphs), params))
+        batched = node_scores(forward(padded(graphs), params))
         assert batched.shape == (3, 7)
         for g, got in zip(graphs, batched):
-            alone = node_scores(forward_one(g, params))[0]
-            assert np.allclose(got[: g.n], alone, rtol=0, atol=1e-15)
-            assert (got[g.n :] == 0.0).all()
+            alone = node_scores(forward(g, params))[0]
+            n = g.sizes[0]
+            assert np.allclose(got[:n], alone, rtol=0, atol=1e-15)
+            assert (got[n:] == 0.0).all()
 
 
 class TestTopkSelect:
@@ -196,10 +190,9 @@ class TestScoreSegments:
         offsets = np.cumsum((0, *sizes))
         features = FeatureMatrix("v", rng.standard_normal((offsets[-1], 3)))
         spans = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
-        graphs = [build_graph(FeatureMatrix("v", features.values[s:e]), SimilarityConfig())
-                  for s, e in spans]
+        graphs = [graph_of(features.values[s:e]) for s, e in spans]
         params = init_params(ModelConfig((3, 4, 2), aggregator, "attention"), seed=9)
-        predictions = [forward_one(g, params).prediction[0] for g in graphs]
+        predictions = [forward(g, params).prediction[0] for g in graphs]
         # a bias at the median prediction's logit puts segments on both sides of 0.5
         params.arrays["classifier.bias"][0] -= np.log(np.median(predictions) /
                                                       (1 - np.median(predictions)))
@@ -212,7 +205,7 @@ class TestScoreSegments:
         assert len(scored) == len(graphs)
         predicted = []
         for g, (score, frame_scores) in zip(graphs, scored):
-            cache = forward_one(g, params)
+            cache = forward(g, params)
             assert score == cache.prediction[0]
             predicted.append(score >= 0.5)
             if frames == "all" or (frames == "predicted" and score >= 0.5):
@@ -224,4 +217,4 @@ class TestScoreSegments:
     def test_rejects_unknown_frames_mode(self):
         params = init_params(ModelConfig((2, 3, 2)), seed=1)
         with pytest.raises(ValueError, match="frames"):
-            score_segments(GraphBatch.pack([graph_of([[1.0, 2.0]] * 3)]), params, "abnormal")
+            score_segments(graph_of([[1.0, 2.0]] * 3), params, "abnormal")

@@ -124,10 +124,10 @@ def separable_video(seed):
 
 class TestCoverageCurve:
     def overfit_model(self, features, ann, partition):
-        graphs = map_size_chunks(
-            partition.spans(), lambda spans: build_segment_graphs(features, spans)
+        rows = map_size_chunks(
+            partition.spans(), lambda spans: build_segment_graphs(features, spans).rows()
         )
-        labelled = list(zip(graphs, derive_segment_labels(ann, partition).tolist()))
+        labelled = list(zip(rows, derive_segment_labels(ann, partition).tolist()))
         params = init_params(
             ModelConfig(
                 (features.feature_dim, 16, 8), "mean", "attention", attention_averaged=False
@@ -178,8 +178,8 @@ class TestCoverageCurve:
             [partition.spans()[i] for i in chunk]
             for chunk in size_chunks([e - s for s, e in partition.spans()])
         ]
-        graphs = [g for batch in calls for g in batch]
-        assert (forward(GraphBatch.pack(graphs), params).prediction >= 0.5).all()
+        rows = [row for batch in calls for row in batch.rows()]
+        assert (forward(GraphBatch.pack(rows), params).prediction >= 0.5).all()
 
     def test_rejects_unordered_ks(self):
         features, ann, partition = separable_video(33)

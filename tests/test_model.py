@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from cegl.errors import ConfigError, FormatError, NumericError, TruncatedFileError
-from cegl.graph import GraphBatch, SegmentGraph, SimilarityConfig, build_graph
+from cegl import model
+from cegl.graph import GraphBatch, SegmentGraph, build_segment_graphs, map_size_chunks
 from cegl.dataio import FeatureMatrix
 from cegl.model import (
     AGGREGATOR_KINDS,
@@ -24,6 +25,8 @@ from cegl.model import (
     train,
 )
 from cegl.numerics import make_rng
+from built_graphs import graph_of, padded
+from forward_calls import record_forward_calls
 from gradcheck import check_gradients
 from cegl.segmentation import SegmentationConfig
 
@@ -31,16 +34,14 @@ from cegl.segmentation import SegmentationConfig
 def random_graph(rng, n=None, d=None):
     n = n or int(rng.integers(2, 7))
     d = d or int(rng.integers(2, 6))
-    values = rng.standard_normal((n, d))
-    seg = FeatureMatrix("v", values)
-    return build_graph(seg, SimilarityConfig())
+    return graph_of(rng.standard_normal((n, d)))
 
 
 def permute_graph(g, perm):
-    return SegmentGraph(
-        node_features=g.node_features[perm],
-        edge_weights=g.edge_weights[np.ix_(perm, perm)],
-    )
+    """g rebuilt from its frames in `perm` order; its edges are exactly g's, permuted."""
+    permuted = graph_of(g.node_features[0, perm])
+    assert np.array_equal(permuted.edge_weights[0], g.edge_weights[0][np.ix_(perm, perm)])
+    return permuted
 
 
 class TestInitParams:
@@ -52,7 +53,7 @@ class TestInitParams:
     def test_zero_scale_gives_half_probability(self):
         params = init_params(ModelConfig((3, 4, 4)), init_scale=0.0, seed=1)
         g = random_graph(make_rng(2), n=4, d=3)
-        assert forward(GraphBatch.pack([g]), params).prediction[0] == 0.5
+        assert forward(g, params).prediction[0] == 0.5
 
     def test_uniform_bounds(self):
         params = init_params(ModelConfig((8, 4, 4)), seed=3)
@@ -119,7 +120,7 @@ class TestParamVector:
     def test_every_entry_is_a_view_of_the_vector_in_table_order(self, agg, readout):
         params = init_params(ModelConfig((5, 4, 3), agg, readout, a_dim=2), seed=1)
         g = random_graph(make_rng(3), d=5)
-        grads = backward(forward(GraphBatch.pack([g]), params), [1], [1.0])
+        grads = backward(forward(g, params), [1], [1.0])
         for table in (params, grads):
             assert list(table.arrays) == list(param_shapes(params.config))
             offset = 0
@@ -173,10 +174,11 @@ def scripted_gated(edge_w, h, update, reset, candidate):
 
 def layer0_messages(g, kind, **overrides):
     """Forward's first-layer messages: the aggregator applied to the raw features."""
-    params = init_params(ModelConfig((g.feature_dim, 3), kind, "mean"), seed=1)
+    d = g.node_features.shape[2]
+    params = init_params(ModelConfig((d, 3), kind, "mean"), seed=1)
     for name, value in overrides.items():
         params.arrays[name][...] = value
-    return forward(GraphBatch.pack([g]), params).stacked_inputs[0][0, :, g.feature_dim :]
+    return forward(g, params).stacked_inputs[0][0, :, d:]
 
 
 def attention_params(h_dim, transform, vector, averaged=True):
@@ -191,25 +193,25 @@ def attention_params(h_dim, transform, vector, averaged=True):
 
 class TestAggregateNeighbors:
     def test_single_node_mean_zero(self):
-        g = build_graph(FeatureMatrix("v", np.array([[1.0, -2.0]])), SimilarityConfig())
+        g = graph_of([[1.0, -2.0]])
         assert np.array_equal(layer0_messages(g, "mean"), np.zeros((1, 2)))
 
     def test_single_node_gated_keeps_state(self):
-        g = build_graph(FeatureMatrix("v", np.array([[1.0, -2.0]])), SimilarityConfig())
+        g = graph_of([[1.0, -2.0]])
         update, reset, candidate = make_rng(1).standard_normal((3, 2, 4))
         out = layer0_messages(g, "gated", **{"layer0.gate_update": update,
                                              "layer0.gate_reset": reset,
                                              "layer0.gate_candidate": candidate})
-        assert np.array_equal(out, g.node_features)
+        assert np.array_equal(out, g.node_features[0])
 
     def test_two_identical_nodes_mean(self):
-        g = build_graph(FeatureMatrix("v", np.array([[1.0, 2.0], [1.0, 2.0]])), SimilarityConfig())
+        g = graph_of([[1.0, 2.0], [1.0, 2.0]])
         out = layer0_messages(g, "mean")
-        assert np.allclose(out[0], g.node_features[1], atol=1e-15)
+        assert np.allclose(out[0], g.node_features[0, 1], atol=1e-15)
 
     def test_mean_with_all_zero_edges(self):
         feats = np.array([[1.0, 0.0], [-1.0, 0.0]])  # opposite, cosine clamps to 0
-        g = build_graph(FeatureMatrix("v", feats), SimilarityConfig())
+        g = graph_of(feats)
         assert g.edge_weights.sum() == 0.0
         assert np.array_equal(layer0_messages(g, "mean"), np.zeros((2, 2)))
 
@@ -224,31 +226,30 @@ class TestAggregateNeighbors:
         got = layer0_messages(g, "gated", **{"layer0.gate_update": update,
                                              "layer0.gate_reset": reset,
                                              "layer0.gate_candidate": candidate})
-        want = scripted_gated(g.edge_weights, g.node_features, update, reset, candidate)
+        want = scripted_gated(g.edge_weights[0], g.node_features[0], update, reset, candidate)
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
     def test_shape_mismatch(self):
-        # Node rows and the edge matrix must agree; the graph checks this
-        # once, so no aggregator can see mismatched embeddings.
+        # Node rows and the edge matrix must agree. A built batch agrees by
+        # construction; SegmentGraph, which pipebench/ still makes, checks it.
         g = random_graph(make_rng(9), n=3)
         with pytest.raises(ValueError):
-            SegmentGraph(node_features=np.zeros((5, g.feature_dim)), edge_weights=g.edge_weights)
+            SegmentGraph(np.zeros((5, g.node_features.shape[2])), edge_weights=g.edge_weights[0])
 
 
 class TestLayerForward:
     def test_zero_weights_zero_output(self):
         g = random_graph(make_rng(10), n=3, d=4)
         params = init_params(ModelConfig((4, 5), "mean"), init_scale=0.0)
-        cache = forward(GraphBatch.pack([g]), params)
+        cache = forward(g, params)
         assert np.array_equal(cache.node_embeddings[1][0], np.zeros((3, 5)))
 
     def test_selector_of_self_half(self):
-        g = build_graph(FeatureMatrix("v", np.abs(make_rng(11).standard_normal((3, 2))) + 0.5),
-                        SimilarityConfig())
+        g = graph_of(np.abs(make_rng(11).standard_normal((3, 2))) + 0.5)
         params = init_params(ModelConfig((2, 2), "mean"))
         params.arrays["layer0.transform"][...] = np.hstack([np.eye(2), np.zeros((2, 2))])
-        out = forward(GraphBatch.pack([g]), params).node_embeddings[1][0]
-        assert np.allclose(out, g.node_features, atol=1e-15)
+        out = forward(g, params).node_embeddings[1][0]
+        assert np.allclose(out, g.node_features[0], atol=1e-15)
 
     def test_matches_direct_formula(self):
         rng = make_rng(12)
@@ -256,10 +257,10 @@ class TestLayerForward:
         params = init_params(ModelConfig((3, 5), "mean"))
         transform = rng.standard_normal((5, 6))
         params.arrays["layer0.transform"][...] = transform
-        cache = forward(GraphBatch.pack([g]), params)
-        msgs = cache.stacked_inputs[0][0, :, g.feature_dim :]
+        cache = forward(g, params)
+        msgs = cache.stacked_inputs[0][0, :, 3:]
         for i in range(4):
-            stacked = np.concatenate([g.node_features[i], msgs[i]])
+            stacked = np.concatenate([g.node_features[0, i], msgs[i]])
             assert np.allclose(cache.node_embeddings[1][0, i],
                                np.maximum(transform @ stacked, 0.0), atol=1e-12)
 
@@ -267,7 +268,7 @@ class TestLayerForward:
         rng = make_rng(11)
         g = random_graph(rng, n=3, d=2)
         params = init_params(ModelConfig((2, 2), "mean"), seed=4)
-        cache = forward(GraphBatch.pack([g]), params)
+        cache = forward(g, params)
         a, b = cache.stacked_inputs[0][0], params.arrays["layer0.transform"].T
         want = np.zeros((a.shape[0], b.shape[1]))
         for i in range(a.shape[0]):
@@ -279,15 +280,15 @@ class TestLayerForward:
 
 class TestAttentionReadout:
     def test_two_identical_nodes(self):
-        g = build_graph(FeatureMatrix("v", np.array([[2.0, 2.0], [2.0, 2.0]])), SimilarityConfig())
-        cache = forward(GraphBatch.pack([g]), attention_params(2, np.eye(2), np.ones(2)))
+        g = graph_of([[2.0, 2.0], [2.0, 2.0]])
+        cache = forward(g, attention_params(2, np.eye(2), np.ones(2)))
         assert np.allclose(cache.attention_weights[0], [0.5, 0.5], atol=1e-15)
         # literal 1/n factor: (1/2) * (0.5+0.5) * (2,2) = (1,1)
         assert np.allclose(cache.graph_embedding[0], [1.0, 1.0], atol=1e-15)
 
     def test_single_node(self):
-        g = build_graph(FeatureMatrix("v", np.array([[3.0, 1.0]])), SimilarityConfig())
-        cache = forward(GraphBatch.pack([g]), attention_params(2, np.eye(2), np.ones(2)))
+        g = graph_of([[3.0, 1.0]])
+        cache = forward(g, attention_params(2, np.eye(2), np.ones(2)))
         assert np.array_equal(cache.attention_weights[0], [1.0])
         assert np.allclose(cache.graph_embedding[0], [3.0, 1.0], atol=1e-15)
 
@@ -299,7 +300,7 @@ class TestAttentionReadout:
         params = init_params(ModelConfig((3, 3), "mean", "attention", a_dim=2), seed=2)
         params.arrays["attention.transform"][...] = wa
         params.arrays["attention.vector"][...] = u
-        cache = forward(GraphBatch.pack([g]), params)
+        cache = forward(g, params)
         h = cache.node_embeddings[-1][0]
         scores = np.array([u @ np.tanh(wa @ h[i]) for i in range(4)])
         e = np.exp(scores - scores.max())
@@ -314,13 +315,13 @@ class TestClassifyAndLoss:
     def test_zero_head(self):
         g = random_graph(make_rng(14), n=3, d=2)
         params = init_params(ModelConfig((2, 2)), init_scale=0.0)
-        assert forward(GraphBatch.pack([g]), params).prediction[0] == 0.5
+        assert forward(g, params).prediction[0] == 0.5
 
     def test_bias_only(self):
         g = random_graph(make_rng(14), n=3, d=2)
         params = init_params(ModelConfig((2, 2)), init_scale=0.0)
         params.arrays["classifier.bias"][0] = np.log(3.0)
-        cache = forward(GraphBatch.pack([g]), params)
+        cache = forward(g, params)
         assert np.array_equal(cache.graph_embedding[0], np.zeros(2))
         assert cache.prediction[0] == pytest.approx(0.75, abs=1e-15)
 
@@ -328,7 +329,7 @@ class TestClassifyAndLoss:
         rng = make_rng(14)
         params = init_params(ModelConfig((3, 4, 2)), seed=2)
         params.arrays["classifier.bias"][0] = 0.3
-        cache = forward(GraphBatch.pack([random_graph(rng, d=3)]), params)
+        cache = forward(random_graph(rng, d=3), params)
         h_g = cache.graph_embedding[0]
         w, b = params.arrays["classifier.weights"], params.arrays["classifier.bias"][0]
         want = 1.0 / (1.0 + np.exp(-(w @ h_g + b)))
@@ -348,14 +349,14 @@ class TestForward:
         for agg in AGGREGATOR_KINDS:
             for readout in READOUT_KINDS:
                 params = init_params(ModelConfig((3, 4, 2), agg, readout), init_scale=0.0)
-                assert forward(GraphBatch.pack([g]), params).prediction[0] == 0.5
+                assert forward(g, params).prediction[0] == 0.5
 
     def test_single_node_graph_all_kinds(self):
-        g = build_graph(FeatureMatrix("v", np.array([[0.5, -1.5, 2.0]])), SimilarityConfig())
+        g = graph_of([[0.5, -1.5, 2.0]])
         for agg in AGGREGATOR_KINDS:
             for readout in READOUT_KINDS:
                 params = init_params(ModelConfig((3, 4, 2), agg, readout), seed=4)
-                cache = forward(GraphBatch.pack([g]), params)
+                cache = forward(g, params)
                 assert 0.0 < cache.prediction[0] < 1.0
 
     def test_matches_scripted_three_node_mean_attention(self):
@@ -363,8 +364,8 @@ class TestForward:
         g = random_graph(rng, n=3, d=3)
         params = init_params(ModelConfig((3, 4, 2), "mean", "attention"), seed=6)
 
-        h = g.node_features
-        w = g.edge_weights
+        h = g.node_features[0]
+        w = g.edge_weights[0]
         for transform in (params.arrays["layer0.transform"], params.arrays["layer1.transform"]):
             deg = w.sum(axis=1)
             msgs = np.where(deg[:, None] > 0, (w @ h) / np.maximum(deg, 1e-300)[:, None], 0.0)
@@ -376,13 +377,13 @@ class TestForward:
         h_g = (alpha[:, None] * h).sum(axis=0) / 3
         want = 1.0 / (1.0 + np.exp(-(a["classifier.weights"] @ h_g + a["classifier.bias"][0])))
 
-        prediction = forward(GraphBatch.pack([g]), params).prediction[0]
+        prediction = forward(g, params).prediction[0]
         assert prediction == pytest.approx(want, abs=1e-12)
 
     def test_dimension_mismatch(self):
         g = random_graph(make_rng(17), n=3, d=4)
         with pytest.raises(ValueError):
-            forward(GraphBatch.pack([g]), init_params(ModelConfig((3, 4, 2))))
+            forward(g, init_params(ModelConfig((3, 4, 2))))
 
 
 class TestBackward:
@@ -390,7 +391,7 @@ class TestBackward:
         rng = make_rng(18)
         g = random_graph(rng, n=4, d=3)
         params = init_params(ModelConfig((3, 4, 2), "mean", "attention"), seed=7)
-        cache = forward(GraphBatch.pack([g]), params)
+        cache = forward(g, params)
         grads = backward(cache, [1], [1.0])
         assert grads.arrays["classifier.bias"].tolist() == [cache.prediction[0] - 1]
 
@@ -399,14 +400,14 @@ class TestBackward:
         # at all; the gradient table mirrors the parameter table.
         g = random_graph(make_rng(19), n=4, d=3)
         params = init_params(ModelConfig((3, 4, 2), "mean", "attention"), seed=8)
-        grads = backward(forward(GraphBatch.pack([g]), params), [0], [1.0])
+        grads = backward(forward(g, params), [0], [1.0])
         assert list(grads.arrays) == list(params.arrays)
         assert not any("gate" in name for name in grads.arrays)
 
     def test_unused_attention_branch_gets_zero_gradient(self):
         g = random_graph(make_rng(20), n=4, d=3)
         params = init_params(ModelConfig((3, 4, 2), "mean", "mean"), seed=9)
-        grads = backward(forward(GraphBatch.pack([g]), params), [0], [1.0])
+        grads = backward(forward(g, params), [0], [1.0])
         assert list(grads.arrays) == list(params.arrays)
         assert not any(name.startswith("attention.") for name in grads.arrays)
 
@@ -416,7 +417,7 @@ class TestBackward:
         rng = make_rng(21)
         params = init_params(ModelConfig((3, 4, 2)))
         graphs = [random_graph(rng, n=3, d=3), random_graph(rng, n=3, d=3)]
-        cache = forward(GraphBatch.pack(graphs), params)
+        cache = forward(padded(graphs), params)
         with pytest.raises(ValueError, match="one label and one weight"):
             backward(cache, [1], [1.0])
         with pytest.raises(ValueError, match="one label and one weight"):
@@ -426,8 +427,8 @@ class TestBackward:
     def test_unrecorded_cache_rejected(self, agg):
         g = random_graph(make_rng(22), n=5, d=3)
         params = init_params(ModelConfig((3, 4, 2), agg, "attention"), seed=10)
-        cache = forward(GraphBatch.pack([g]), params, record=False)
-        assert cache.prediction[0] == forward(GraphBatch.pack([g]), params).prediction[0]
+        cache = forward(g, params, record=False)
+        assert cache.prediction[0] == forward(g, params).prediction[0]
         if agg == "gated":
             assert cache.gated_steps == [None, None]
         with pytest.raises(ValueError, match="record=True"):
@@ -440,21 +441,22 @@ class TestBackward:
         rng = make_rng(seed)
         for trial in range(3):
             g = random_graph(rng)
-            dims = (g.feature_dim, int(rng.integers(2, 7)), int(rng.integers(2, 7)))
+            dims = (g.node_features.shape[2], int(rng.integers(2, 7)), int(rng.integers(2, 7)))
             params = init_params(
                 ModelConfig(dims, agg, readout), seed=int(rng.integers(0, 1000))
             )
-            check_gradients([g], params, [trial % 2])
+            check_gradients(g, params, [trial % 2])
 
     def test_gradients_with_unaveraged_attention(self):
         rng = make_rng(77)
         for trial in range(3):
             g = random_graph(rng)
             params = init_params(
-                ModelConfig((g.feature_dim, 4, 3), "mean", "attention", attention_averaged=False),
+                ModelConfig((g.node_features.shape[2], 4, 3), "mean", "attention",
+                            attention_averaged=False),
                 seed=int(rng.integers(0, 1000)),
             )
-            check_gradients([g], params, [trial % 2])
+            check_gradients(g, params, [trial % 2])
 
 
 class TestBatchedPass:
@@ -472,9 +474,9 @@ class TestBatchedPass:
             params = init_params(
                 ModelConfig((3, 5, 4), agg, readout), seed=int(rng.integers(0, 1000))
             )
-            batched = backward(forward(GraphBatch.pack(graphs), params), labels, weights)
+            batched = backward(forward(padded(graphs), params), labels, weights)
             parts = [
-                backward(forward(GraphBatch.pack([g]), params), [y], [w])
+                backward(forward(g, params), [y], [w])
                 for g, y, w in zip(graphs, labels, weights)
             ]
             got = batched.vector
@@ -487,7 +489,7 @@ class TestBatchedPass:
         rng = make_rng(zlib.crc32(f"padded/{agg}/{readout}".encode()))
         graphs = [random_graph(rng, n=n, d=3) for n in (4, 1, 6, 2)]
         params = init_params(ModelConfig((3, 4, 3), agg, readout), seed=int(rng.integers(0, 1000)))
-        check_gradients(graphs, params, [1, 0, 1, 0], rng.uniform(0.1, 2.0, size=4))
+        check_gradients(padded(graphs), params, [1, 0, 1, 0], rng.uniform(0.1, 2.0, size=4))
 
     @pytest.mark.parametrize("agg", AGGREGATOR_KINDS)
     def test_larger_graph_leaves_other_predictions_unchanged(self, agg):
@@ -496,9 +498,9 @@ class TestBatchedPass:
         larger = random_graph(rng, n=9, d=3)
         for readout in READOUT_KINDS:
             params = init_params(ModelConfig((3, 5, 4), agg, readout), seed=3)
-            alone = [forward(GraphBatch.pack([g]), params).prediction[0] for g in graphs]
-            batched = forward(GraphBatch.pack(graphs), params).prediction
-            grown = forward(GraphBatch.pack(graphs + [larger]), params).prediction
+            alone = [forward(g, params).prediction[0] for g in graphs]
+            batched = forward(padded(graphs), params).prediction
+            grown = forward(padded(graphs + [larger]), params).prediction
             assert np.allclose(batched, alone, rtol=0, atol=1e-12), readout
             assert np.allclose(grown[:3], alone, rtol=0, atol=1e-12), readout
 
@@ -511,7 +513,7 @@ class TestSgdStep:
     def test_zero_lr_keeps_params(self):
         params = init_params(ModelConfig((3, 4, 2)), seed=1)
         g = random_graph(make_rng(22), n=3, d=3)
-        grads = backward(forward(GraphBatch.pack([g]), params), [1], [1.0])
+        grads = backward(forward(g, params), [1], [1.0])
         updated = sgd_step(params, grads, 0.0)
         assert np.array_equal(updated.vector, params.vector)
 
@@ -519,7 +521,7 @@ class TestSgdStep:
     def test_bit_equal_to_per_entry_update(self, agg):
         params = init_params(ModelConfig((3, 4, 2), agg, "attention"), seed=2)
         graphs = [random_graph(make_rng(4), n=n, d=3) for n in (2, 5)]
-        grads = backward(forward(GraphBatch.pack(graphs), params), [1, 0], [0.7, 1.3])
+        grads = backward(forward(padded(graphs), params), [1, 0], [0.7, 1.3])
         before = params.vector.copy()
         updated = sgd_step(params, grads, 0.03)
         for name, w in params.arrays.items():
@@ -553,9 +555,9 @@ class TestSgdStep:
 
 
 def toy_training_set():
-    a = build_graph(FeatureMatrix("a", np.array([[2.0, 0.0]] * 3)), SimilarityConfig())
-    b = build_graph(FeatureMatrix("b", np.array([[0.0, 2.0]] * 3)), SimilarityConfig())
-    return [(a, 1), (b, 0)]
+    a = graph_of([[2.0, 0.0]] * 3)
+    b = graph_of([[0.0, 2.0]] * 3)
+    return [((a, 0), 1), ((b, 0), 0)]
 
 
 class TestTrain:
@@ -580,18 +582,47 @@ class TestTrain:
             TrainConfig(epochs=0)
 
     def test_feature_dim_mismatch(self):
-        g1 = build_graph(FeatureMatrix("a", np.ones((2, 2))), SimilarityConfig())
-        g2 = build_graph(FeatureMatrix("b", np.ones((2, 3))), SimilarityConfig())
+        g1 = graph_of(np.ones((2, 2)))
+        g2 = graph_of(np.ones((2, 3)))
         params = init_params(ModelConfig((2, 3, 2)))
         with pytest.raises(ConfigError):
-            train([(g1, 0), (g2, 1)], params, TrainConfig(epochs=1))
+            train([((g1, 0), 0), ((g2, 0), 1)], params, TrainConfig(epochs=1))
 
     def test_single_class_warns(self, caplog):
-        g = build_graph(FeatureMatrix("a", np.ones((2, 2))), SimilarityConfig())
+        g = graph_of(np.ones((2, 2)))
         params = init_params(ModelConfig((2, 3, 2)))
         with caplog.at_level("WARNING"):
-            train([(g, 1), (g, 1)], params, TrainConfig(epochs=1))
+            train([((g, 0), 1), ((g, 0), 1)], params, TrainConfig(epochs=1))
         assert any("single class" in r.message for r in caplog.records)
+
+    def test_each_mini_batch_is_the_padded_stack_of_its_rows(self, monkeypatch):
+        """Each forwarded mini-batch holds its rows' graphs, in the seeded order, zero-padded."""
+        rng = make_rng(31)
+        features = FeatureMatrix("v", rng.standard_normal((30, 3)))
+        spans = [(0, 4), (4, 5), (5, 9), (9, 16), (16, 18), (18, 22), (22, 23), (23, 30)]
+        rows = map_size_chunks(spans, lambda chunk: build_segment_graphs(features, chunk).rows())
+        calls = record_forward_calls(monkeypatch, model)
+        cfg = TrainConfig(batch_size=3, epochs=4, seed=13)
+        train([(row, i % 2) for i, row in enumerate(rows)], init_params(ModelConfig((3, 4, 2))), cfg)
+
+        order = make_rng(cfg.seed)
+        picks = []
+        for _ in range(cfg.epochs):
+            perm = order.permutation(len(spans))
+            picks += [perm[k : k + 3] for k in range(0, len(spans), 3)]
+        assert len(calls) == len(picks) == 12
+        for batch, picked in zip(calls, picks):
+            sizes = [spans[i][1] - spans[i][0] for i in picked]
+            n = max(sizes)
+            h, w = np.zeros((len(picked), n, 3)), np.zeros((len(picked), n, n))
+            for b, i in enumerate(picked):
+                s, e = spans[i]
+                h[b, : e - s] = features.values[s:e]
+                w[b, : e - s, : e - s] = graph_of(features.values[s:e]).edge_weights[0]
+            assert batch.sizes.tolist() == sizes
+            assert batch.node_features.shape == h.shape and batch.edge_weights.shape == w.shape
+            assert batch.node_features.tobytes() == h.tobytes()
+            assert batch.edge_weights.tobytes() == w.tobytes()
 
     def test_class_weighting_runs(self):
         graphs = toy_training_set() + [toy_training_set()[0]]
@@ -607,22 +638,23 @@ class TestPermutationProperties:
         for readout in READOUT_KINDS:
             for _ in range(5):
                 g = random_graph(rng)
-                params = init_params(ModelConfig((g.feature_dim, 5, 4), "mean", readout), seed=11)
-                base = forward(GraphBatch.pack([g]), params).prediction[0]
-                perm = rng.permutation(g.n)
-                permuted = forward(GraphBatch.pack([permute_graph(g, perm)]), params).prediction[0]
+                d = g.node_features.shape[2]
+                params = init_params(ModelConfig((d, 5, 4), "mean", readout), seed=11)
+                base = forward(g, params).prediction[0]
+                perm = rng.permutation(g.sizes[0])
+                permuted = forward(permute_graph(g, perm), params).prediction[0]
                 assert abs(base - permuted) <= 1e-9
 
     def test_gated_is_bitwise_reproducible(self):
         rng = make_rng(24)
         g = random_graph(rng, n=5, d=4)
         params = init_params(ModelConfig((4, 5, 4), "gated", "attention"), seed=12)
-        runs = {forward(GraphBatch.pack([g]), params).prediction[0] for _ in range(5)}
+        runs = {forward(g, params).prediction[0] for _ in range(5)}
         assert len(runs) == 1
 
     def test_zero_edges_zero_mean_messages(self):
         feats = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
-        g = build_graph(FeatureMatrix("v", feats), SimilarityConfig())
+        g = graph_of(feats)
         # orthogonal/opposite directions leave only clamped zero edges
         assert g.edge_weights.max() == 0.0
         msgs = layer0_messages(g, "mean")
@@ -696,4 +728,4 @@ def test_full_model_loss_gradient_on_four_node_graph():
     rng = make_rng(25)
     g = random_graph(rng, n=4, d=3)
     params = init_params(ModelConfig((3, 4, 3), "gated", "attention"), seed=13)
-    check_gradients([g], params, [1])
+    check_gradients(g, params, [1])

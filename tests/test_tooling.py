@@ -11,7 +11,7 @@ import numpy as np
 import cegl
 import cegl.cli
 from cegl.dataio import FeatureMatrix, read_feature_matrix
-from cegl.graph import GraphBatch, SimilarityConfig, build_graph, build_segment_graphs, size_chunks
+from cegl.graph import GraphBatch, SimilarityConfig, build_segment_graphs, size_chunks
 from cegl.segmentation import read_partition
 from forward_calls import expected_batches
 from test_cli import write_config
@@ -173,10 +173,10 @@ def test_graph_size_reads_a_batch_as_its_graphs_and_their_pairs():
     graph_size = load_tracing()._graph_size
     batch = build_segment_graphs(features, [(0, 7), (7, 14), (20, 27)])
     assert graph_size((), batch) == {"graphs": 3, "pairs": 3 * 21}
-    graphs = [build_graph(FeatureMatrix("v", features.values[:n]), SimilarityConfig())
-              for n in (1, 4, 9)]
-    packed = GraphBatch.pack(graphs)
-    assert graph_size((), packed) == {"graphs": 3, "pairs": 0 + 6 + 36}
+    rows = [(build_segment_graphs(features, [(0, n)]), 0) for n in (1, 4, 9)] + batch.rows()[:1]
+    packed = GraphBatch.pack(rows)
+    assert packed.sizes.tolist() == [1, 4, 9, 7]
+    assert graph_size((), packed) == {"graphs": 4, "pairs": 0 + 6 + 36 + 21}
 
 
 def test_benchmark_and_readme_run_configs_load(tmp_path, monkeypatch):
