@@ -10,13 +10,20 @@ Two identical frames give equal Gram entries (i, i), (i, j) and (j, j);
 only pairs with those three equal are compared feature by feature, a
 bounded slice of them at a time.
 
-A graph is only its node features and edge weights: a segment's span
-and weak label are facts of the partition (`Partition.spans`,
-`dataio.derive_segment_labels`). `build_segment_graphs` builds spans of
-one length as one unpadded `GraphBatch`, checking its edges once;
+A graph is only its node features, edge weights and mean operator: a
+segment's span and weak label are facts of the partition
+(`Partition.spans`, `dataio.derive_segment_labels`). The mean operator
+D^-1 A is the edge matrix with each row divided by its sum (a zero row
+stays zero), so the mean aggregator's message is one product with it.
+`build_segment_graphs` builds spans of one length as one unpadded
+`GraphBatch`, checking its edges once and dividing them once;
 `map_size_chunks` walks a video's spans one such size chunk at a time,
-so inference holds one chunk of graphs, not the video's. `train` gathers
-rows of built batches (`GraphBatch.rows`) with `GraphBatch.pack`.
+so inference holds one chunk of graphs, not the video's.
+
+`GraphRows` stores rows of built batches (`GraphBatch.rows`) unpadded
+and concatenated, and `GraphRows.gather` makes any of them one
+zero-padded batch with one index gather per array. `train` gathers each
+mini-batch from one store; `GraphBatch.pack` is a store gathered whole.
 """
 
 from __future__ import annotations
@@ -113,29 +120,22 @@ class SegmentGraph:
 class GraphBatch:
     """B graphs zero-padded to the largest node count N; it checks nothing itself.
 
-    `build_segment_graphs` checks the edges it batches; `pack` gathers their rows.
+    `build_segment_graphs` checks the edges it batches; `GraphRows.gather`
+    gathers their rows.
     """
 
     node_features: np.ndarray  # (B, N, d) float64
     edge_weights: np.ndarray  # (B, N, N)
+    mean_weights: np.ndarray  # (B, N, N), edge rows divided by their sums; a zero row stays 0
     sizes: np.ndarray  # (B,) node count of each graph
 
     @classmethod
     def pack(cls, rows: Sequence[tuple[GraphBatch, int]]) -> GraphBatch:
-        """Graph b of each (batch, b), all of dim d, copied into zero (N, d) and (N, N) blocks."""
-        if not rows:
-            raise ValueError("a graph batch needs at least one graph")
-        sizes = np.array([batch.sizes[b] for batch, b in rows])
-        n_max = int(sizes.max())
-        h = np.zeros((len(rows), n_max, rows[0][0].node_features.shape[2]))
-        edges = np.zeros((len(rows), n_max, n_max))
-        for i, ((batch, b), n) in enumerate(zip(rows, sizes)):
-            h[i, :n] = batch.node_features[b, :n]
-            edges[i, :n, :n] = batch.edge_weights[b, :n, :n]
-        return cls(h, edges, sizes)
+        """Graph b of each (batch, b), all of dim d, in zero (N, d) and (N, N) blocks."""
+        return GraphRows(rows).gather(np.arange(len(rows)))
 
     def rows(self) -> list[tuple[GraphBatch, int]]:
-        """(this batch, b) for each of its graphs b, the handles `pack` gathers."""
+        """(this batch, b) for each of its graphs b, the handles `GraphRows` stores."""
         return [(self, b) for b in range(len(self))]
 
     def __len__(self) -> int:
@@ -145,6 +145,48 @@ class GraphBatch:
         """Graph b as checked views, IndexError past the end; only for pipebench/ (ROADMAP item 1)."""
         n = self.sizes[b]
         return SegmentGraph(self.node_features[b, :n], self.edge_weights[b, :n, :n])
+
+
+class GraphRows:
+    """Rows (batch, b) of built batches, stored unpadded, to gather as padded batches.
+
+    Node rows are stacked into one (sum n + 1, d) array; each graph's edge
+    and mean-operator cells are flattened into one (sum n^2 + 1,) array
+    each. The last entry of each array is zero, and every padded position
+    of a gathered batch reads it. So the store holds sum n^2 cells, not
+    rows * max n^2: one long segment does not pad the short ones.
+    """
+
+    def __init__(self, rows: Sequence[tuple[GraphBatch, int]]):
+        if not rows:
+            raise ValueError("a graph batch needs at least one graph")
+        self.sizes = np.array([batch.sizes[b] for batch, b in rows])
+        graphs = [(batch, b, n) for (batch, b), n in zip(rows, self.sizes.tolist())]
+        d = rows[0][0].node_features.shape[2]
+        self.nodes = np.concatenate(
+            [batch.node_features[b, :n] for batch, b, n in graphs] + [np.zeros((1, d))])
+        self.edges = np.concatenate(
+            [batch.edge_weights[b, :n, :n].ravel() for batch, b, n in graphs] + [np.zeros(1)])
+        self.means = np.concatenate(
+            [batch.mean_weights[b, :n, :n].ravel() for batch, b, n in graphs] + [np.zeros(1)])
+        self.node_starts = np.cumsum(self.sizes) - self.sizes
+        self.cell_starts = np.cumsum(self.sizes**2) - self.sizes**2
+
+    def gather(self, picked: np.ndarray) -> GraphBatch:
+        """The stored graphs at indices `picked`, in that order, zero-padded to the largest."""
+        sizes = self.sizes[picked]
+        i = np.arange(sizes.max())
+        # A padded node's position reads as past every stored node and
+        # cell, and `take` clips such an index to the trailing zero.
+        position = np.where(i < sizes[:, None], i, len(self.edges))  # (B, N)
+        row_starts = self.cell_starts[picked, None] + position * sizes[:, None]
+        cells = row_starts[:, :, None] + position[:, None, :]
+        return GraphBatch(
+            self.nodes.take(self.node_starts[picked, None] + position, axis=0, mode="clip"),
+            self.edges.take(cells, mode="clip"),
+            self.means.take(cells, mode="clip"),
+            sizes,
+        )
 
 
 def _identical_frames(values: np.ndarray, gram: np.ndarray, diagonals: np.ndarray) -> np.ndarray:
@@ -213,4 +255,7 @@ def build_segment_graphs(features: FeatureMatrix, spans: Sequence[tuple[int, int
     values = features.values[np.add.outer([s for s, _ in spans], range(n))]
     weights = _similarity_batch(values)
     _check_edge_weights(weights)
-    return GraphBatch(values, weights, np.full(len(spans), n))
+    degrees = weights.sum(axis=2, keepdims=True)
+    # A node without positive edges has an all-zero row: 0 / 1 keeps it zero.
+    means = weights / np.where(degrees > 0, degrees, 1.0)
+    return GraphBatch(values, weights, means, np.full(len(spans), n))

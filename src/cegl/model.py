@@ -9,7 +9,9 @@ graph vector, and a sigmoid head scores it.
 Aggregator kinds
 ----------------
 mean     message_i = sum_j e_ij h_j / sum_j e_ij   (zero vector if no
-         positive edges; the zero diagonal keeps the node itself out)
+         positive edges; the zero diagonal keeps the node itself out),
+         one product with the batch's mean operator D^-1 A, which the
+         graph builder divides once per graph
 gated    a gated recurrence walked over neighbors j in ascending
          temporal order, state initialized to the node's own embedding.
          With message m = e_ij h_j and state s, one step is
@@ -29,20 +31,25 @@ One frozen `ModelConfig` holds the layer dims, the two kinds, a_dim and
 the attention flag. It is the run config's model section, the argument of
 `init_params` and the checkpoint header's model keys. Parameters and
 gradients are each one float64 vector with a view per name, in
-`param_shapes(config)` order. Gate weights exist only for the gated
-aggregator and attention weights only for the attention readout.
+`param_shapes(config)` order, a layout computed once per config. Gate
+weights exist only for the gated aggregator and attention weights only
+for the attention readout.
 
-`forward` runs one `GraphBatch` (`train` packs each mini-batch's rows), and
-`backward` returns the weighted sum of the batch's gradients. Inference
+`forward` runs one `GraphBatch`, and `backward` writes the weighted sum
+of the batch's gradients straight into each parameter's view. Inference
 runs `forward(..., record=False)` in `localization.score_segments`,
 which keeps no gated step for a backward. Gradients are derived by hand
 (no autodiff) and checked against central finite differences in the
 test suite. Training is plain SGD on the binary cross entropy of the
-segment labels, with one forward and one backward per mini-batch.
+segment labels: `train` stores its labelled rows once in a `GraphRows`,
+gathers each mini-batch from it with one index gather per array, runs
+one forward and one backward per mini-batch, and takes each epoch's loss
+with one `loss` call.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -58,7 +65,7 @@ import numpy as np
 
 from .dataio import check_types, config_from_json, unique_keys, write_atomic
 from .errors import ConfigError, FormatError, NumericError, TruncatedFileError
-from .graph import GraphBatch
+from .graph import GraphBatch, GraphRows
 from .numerics import make_rng, sigmoid, softmax
 from .segmentation import SegmentationConfig
 
@@ -147,12 +154,23 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+@functools.cache
+def _layout(config: ModelConfig) -> tuple[tuple, int]:
+    """((name, slice of the vector, shape) of each `param_shapes` entry in order, vector length)."""
+    shapes = param_shapes(config)
+    ends = list(accumulate(math.prod(s) for s in shapes.values()))
+    layout = tuple((name, slice(end - math.prod(shape), end), shape)
+                   for (name, shape), end in zip(shapes.items(), ends))
+    return layout, ends[-1]
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """A model's configuration plus its parameters as one float64 vector.
 
     `arrays` maps each `param_shapes(config)` name, in order, to a view of
     its slice of `vector`; entries are written in place, never rebound.
+    The name -> slice layout is computed once per config.
     """
 
     config: ModelConfig
@@ -160,12 +178,10 @@ class ModelParams:
     arrays: Mapping[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        shapes = param_shapes(self.config)
-        ends = list(accumulate(math.prod(s) for s in shapes.values()))
-        if self.vector.dtype != np.float64 or self.vector.shape != (ends[-1],):
-            raise ValueError(f"parameters must be a float64 vector of {ends[-1]} entries")
-        views = {name: self.vector[end - math.prod(shape) : end].reshape(shape)
-                 for (name, shape), end in zip(shapes.items(), ends)}
+        layout, size = _layout(self.config)
+        if self.vector.dtype != np.float64 or self.vector.shape != (size,):
+            raise ValueError(f"parameters must be a float64 vector of {size} entries")
+        views = {name: self.vector[part].reshape(shape) for name, part, shape in layout}
         object.__setattr__(self, "arrays", MappingProxyType(views))
 
 
@@ -237,14 +253,6 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
-def _mean_messages(edges: np.ndarray, h: np.ndarray):
-    """Degree-scaled neighbor sums and the divisor used (1 where a node has no edge)."""
-    deg = edges.sum(axis=2)
-    # A node without positive edges has an all-zero row, so its message is 0/1.
-    divisor = np.where(deg > 0, deg, 1.0)
-    return (edges @ h) / divisor[..., None], divisor
-
-
 def _gated_messages(edges: np.ndarray, h: np.ndarray, sizes, update, reset, candidate, record):
     """The recurrence's final states, and its steps for backward (None unless record)."""
     n_max = h.shape[1]
@@ -292,7 +300,6 @@ class ForwardCache:
     node_embeddings: list[np.ndarray]  # H^0 .. H^L, each (B, N, d_l)
     stacked_inputs: list[np.ndarray]  # per layer, [H, messages]
     preacts: list[np.ndarray]  # per layer, before ReLU
-    mean_degrees: list[np.ndarray | None]  # per layer (mean kind), the divisor used
     gated_steps: list[list[_GatedStep] | None]  # per layer (gated kind, recorded passes)
     attn_tanh: np.ndarray | None
     attention_weights: np.ndarray | None  # alpha, (B, N), zero on padding
@@ -322,12 +329,11 @@ def forward(batch: GraphBatch, params: ModelParams, *, record: bool = True) -> F
 
     p = params.arrays
     embeddings = [h]
-    stacked_inputs, preacts = [], []
-    mean_degrees, gated_steps = [], []
+    stacked_inputs, preacts, gated_steps = [], [], []
     for layer in range(len(cfg.layer_dims) - 1):
-        deg = steps = None
+        steps = None
         if cfg.aggregator_kind == "mean":
-            msgs, deg = _mean_messages(edges, h)
+            msgs = batch.mean_weights @ h
         else:  # gated
             gates = [p[gate_name(layer, gate)] for gate in GATE_NAMES]
             msgs, steps = _gated_messages(edges, h, sizes, *gates, record)
@@ -336,7 +342,6 @@ def forward(batch: GraphBatch, params: ModelParams, *, record: bool = True) -> F
         h = np.maximum(pre, 0.0)
         stacked_inputs.append(stacked)
         preacts.append(pre)
-        mean_degrees.append(deg)
         gated_steps.append(steps)
         embeddings.append(h)
 
@@ -362,7 +367,6 @@ def forward(batch: GraphBatch, params: ModelParams, *, record: bool = True) -> F
         node_embeddings=embeddings,
         stacked_inputs=stacked_inputs,
         preacts=preacts,
-        mean_degrees=mean_degrees,
         gated_steps=gated_steps,
         attn_tanh=attn_tanh,
         attention_weights=alpha,
@@ -441,8 +445,8 @@ def backward(cache: ForwardCache, labels, weights) -> ModelParams:
     h_final = cache.node_embeddings[-1]
 
     dlogit = (cache.prediction - labels) * weights  # sigmoid + cross entropy identity
-    g[CLASSIFIER_WEIGHTS][...] += dlogit @ cache.graph_embedding
-    g[CLASSIFIER_BIAS][...] += dlogit.sum()
+    np.matmul(dlogit, cache.graph_embedding, out=g[CLASSIFIER_WEIGHTS])
+    g[CLASSIFIER_BIAS][0] = dlogit.sum()
     dh_g = dlogit[:, None] * p[CLASSIFIER_WEIGHTS]
 
     # Padded rows of dh need no masking: their pre-activations are exactly
@@ -455,9 +459,9 @@ def backward(cache: ForwardCache, labels, weights) -> ModelParams:
         dalpha = (h_final @ dh_g[..., None])[..., 0]
         dh = alpha[..., None] * dh_g[:, None, :]
         dscores = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
-        g[ATTENTION_VECTOR][...] += _rows(t).T @ dscores.ravel()
+        np.matmul(_rows(t).T, dscores.ravel(), out=g[ATTENTION_VECTOR])
         dpre = dscores[..., None] * p[ATTENTION_VECTOR] * (1.0 - t**2)
-        g[ATTENTION_TRANSFORM][...] += _rows(dpre).T @ _rows(h_final)
+        np.matmul(_rows(dpre).T, _rows(h_final), out=g[ATTENTION_TRANSFORM])
         dh = dh + dpre @ p[ATTENTION_TRANSFORM]
     else:  # mean
         dh = np.broadcast_to((dh_g / cache.batch.sizes[:, None])[:, None, :], h_final.shape)
@@ -467,7 +471,7 @@ def backward(cache: ForwardCache, labels, weights) -> ModelParams:
         name = transform_name(layer)
         prev_dim = cfg.layer_dims[layer]
         dpre = dh * (cache.preacts[layer] > 0)
-        g[name][...] += _rows(dpre).T @ _rows(cache.stacked_inputs[layer])
+        np.matmul(_rows(dpre).T, _rows(cache.stacked_inputs[layer]), out=g[name])
         if layer == 0 and agg == "mean":
             break  # nothing below reads the input features' gradient
         dstacked = dpre @ p[name]
@@ -475,8 +479,7 @@ def backward(cache: ForwardCache, labels, weights) -> ModelParams:
         d_msgs = dstacked[..., prev_dim:]
 
         if agg == "mean":
-            # Edges are symmetric, so they are their own transpose.
-            dh_in = cache.batch.edge_weights @ (d_msgs / cache.mean_degrees[layer][..., None])
+            dh_in = np.swapaxes(cache.batch.mean_weights, 1, 2) @ d_msgs
         else:
             names = [gate_name(layer, gate) for gate in GATE_NAMES]
             dh_in = _gated_backward(
@@ -510,10 +513,12 @@ def train(
 ) -> tuple[ModelParams, list[float]]:
     """Mini-batch SGD over labelled segment graphs, each a (batch, row) of a built batch.
 
-    Shuffling is deterministic from cfg.seed. Each packed mini-batch is
-    one forward and one backward, whose gradient is the batch's
-    class-weighted loss gradient divided by the batch size. Returns the
-    final parameters and the mean per-graph weighted loss of each epoch.
+    The rows are stored once in a `GraphRows`, and each mini-batch is
+    gathered from it. Shuffling is deterministic from cfg.seed. Each
+    mini-batch is one forward and one backward, whose gradient is the
+    batch's class-weighted loss gradient divided by the batch size.
+    Returns the final parameters and the mean per-graph weighted loss of
+    each epoch, taken over the epoch's predictions with one `loss` call.
     """
     if not graphs:
         raise ConfigError("training needs at least one labelled graph")
@@ -536,19 +541,21 @@ def train(
                 class_weight[c] = len(graphs) / (2.0 * count)
     sample_weight = np.array([class_weight[label] for label in labels.tolist()])
 
+    store = GraphRows([row for row, _ in graphs])
     rng = make_rng(cfg.seed)
     history: list[float] = []
+    predictions = np.empty(len(graphs))  # in the epoch's order
     for _ in range(cfg.epochs):
         order = rng.permutation(len(graphs))
-        epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             y, w = labels[batch], sample_weight[batch]
-            cache = forward(GraphBatch.pack([graphs[i][0] for i in batch]), params)
-            epoch_loss += float(w @ loss(cache.prediction, y))
+            cache = forward(store.gather(batch), params)
+            predictions[start : start + len(batch)] = cache.prediction
             grads = backward(cache, y, w / len(batch))
             params = sgd_step(params, grads, cfg.learning_rate)
-        history.append(epoch_loss / len(graphs))
+        epoch_loss = sample_weight[order] @ loss(predictions, labels[order])
+        history.append(float(epoch_loss) / len(graphs))
     return params, history
 
 

@@ -10,6 +10,7 @@ from cegl.errors import ConfigError
 from cegl.graph import (
     BATCH_CELLS,
     GraphBatch,
+    GraphRows,
     SegmentGraph,
     SimilarityConfig,
     build_graph,
@@ -251,6 +252,50 @@ class TestBatchedBuild:
             build_segment_graphs(fm(np.ones((10, 2))), [(0, 4), span])
 
 
+def mean_reference(edges, h):
+    """(edges @ h) / degree per row, and 0 for a row without edges: the mean message."""
+    degree = edges.sum(axis=1)
+    want = np.zeros((edges.shape[0], h.shape[1]))
+    want[degree > 0] = (edges @ h)[degree > 0] / degree[degree > 0, None]
+    return want
+
+
+class TestMeanOperator:
+    """Each built graph's D^-1 A: its edges with each row divided by the row's sum."""
+
+    def test_messages_match_the_divided_neighbor_sums(self):
+        rng = make_rng(46)
+        for n in [1, 1, *rng.integers(2, 12, size=40).tolist()]:
+            g = graph_of(rng.standard_normal((n, int(rng.integers(2, 6)))))
+            (edges,), (means,) = g.edge_weights, g.mean_weights
+            h = rng.standard_normal((n, 4))
+            want = mean_reference(edges, h)
+            scale = np.abs(means) @ np.abs(h)
+            assert (np.abs(means @ h - want) <= 1e-15 * scale).all(), n
+
+    def test_single_node_and_zero_norm_rows_give_zero_messages(self):
+        h = make_rng(47).standard_normal((4, 3))
+        (lone,) = graph_of([[1.0, -2.0]]).mean_weights
+        assert lone.tolist() == [[0.0]]
+        # frame 1 has zero norm, frames 2 and 3 point opposite ways from frame 0
+        g = graph_of([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0], [2.0, 1.0]])
+        (edges,), (means,) = g.edge_weights, g.mean_weights
+        assert not edges[1].any() and not edges[2].any()
+        assert not means[1].any() and not means[2].any()
+        messages = means @ h
+        assert not messages[1].any() and not messages[2].any()
+        assert np.allclose(messages, mean_reference(edges, h), rtol=1e-15, atol=0)
+        assert means[0, 3] == means[3, 0] == 1.0  # a node with one neighbor copies it
+
+    def test_one_graph_batch_has_the_bits_of_its_unpadded_chunk(self):
+        features, partition = TestBatchedBuild.video_and_partition()
+        spans = partition.spans()
+        rows = map_size_chunks(spans, lambda chunk: build_segment_graphs(features, chunk).rows())
+        for (batch, b), (s, e) in zip(rows, spans, strict=True):
+            (alone,) = graph_of(features.values[s:e]).mean_weights
+            assert batch.mean_weights[b].tobytes() == alone.tobytes()
+
+
 class TestIdenticalFrames:
     """The Gram-candidate check gives the bits of a full frame-by-frame comparison."""
 
@@ -316,16 +361,18 @@ class TestGraphBatch:
         assert threes.rows() == [(threes, 0), (threes, 1)]
         batch = GraphBatch.pack(rows)
         assert len(batch) == 4 and batch.sizes.tolist() == [3, 1, 5, 3]
-        assert batch.node_features.shape == (4, 5, 3) and batch.edge_weights.shape == (4, 5, 5)
+        assert batch.node_features.shape == (4, 5, 3)
+        assert batch.edge_weights.shape == batch.mean_weights.shape == (4, 5, 5)
         for b, ((built, row), (s, e), view) in enumerate(
             zip(rows, [(10, 13), (3, 4), (4, 9), (0, 3)], batch, strict=True)
         ):
             n = e - s
             assert np.array_equal(batch.node_features[b, :n], features.values[s:e])
             assert np.array_equal(batch.edge_weights[b, :n, :n], built.edge_weights[row])
+            assert np.array_equal(batch.mean_weights[b, :n, :n], built.mean_weights[row])
             assert not batch.node_features[b, n:].any()
-            assert not batch.edge_weights[b, n:].any()
-            assert not batch.edge_weights[b, :, n:].any()
+            for cells in (batch.edge_weights, batch.mean_weights):
+                assert not cells[b, n:].any() and not cells[b, :, n:].any()
             # a view is the unpadded graph (the benchmark's tracer iterates a batch)
             assert np.array_equal(view.node_features, features.values[s:e])
             assert np.array_equal(view.edge_weights, built.edge_weights[row])
@@ -336,6 +383,30 @@ class TestGraphBatch:
         again = GraphBatch.pack(batch.rows())
         assert again.node_features.tobytes() == batch.node_features.tobytes()
         assert again.edge_weights.tobytes() == batch.edge_weights.tobytes()
+        assert again.mean_weights.tobytes() == batch.mean_weights.tobytes()
+
+    def test_store_holds_each_graphs_cells_not_the_largest_squared(self):
+        """One 200-frame row and 100 five-frame rows: the store keeps sum n^2 cells,
+        not 101 * 200^2."""
+        features = fm(make_rng(49).standard_normal((700, 3)))
+        long = build_segment_graphs(features, [(0, 200)])
+        short = build_segment_graphs(features, [(200 + 5 * k, 205 + 5 * k) for k in range(100)])
+        store = GraphRows(long.rows() + short.rows())
+        assert store.sizes.tolist() == [200] + [5] * 100
+        assert store.nodes.shape == (200 + 100 * 5 + 1, 3)
+        assert store.edges.shape == store.means.shape == (200**2 + 100 * 5**2 + 1,)
+        assert not store.nodes[-1].any() and store.edges[-1] == store.means[-1] == 0.0
+        # short rows gather at their own size; with the long one they pad to 200
+        shorts = store.gather(np.array([7, 3]))
+        assert shorts.edge_weights.shape == (2, 5, 5)
+        assert shorts.edge_weights.tobytes() == short.edge_weights[[6, 2]].tobytes()
+        mixed = store.gather(np.array([5, 0]))
+        assert mixed.edge_weights.shape == mixed.mean_weights.shape == (2, 200, 200)
+        assert mixed.mean_weights[1].tobytes() == long.mean_weights[0].tobytes()
+        assert mixed.mean_weights[0, :5, :5].tobytes() == short.mean_weights[4].tobytes()
+        assert not mixed.mean_weights[0, 5:].any() and not mixed.mean_weights[0, :, 5:].any()
+        assert mixed.node_features[0, :5].tobytes() == features.values[220:225].tobytes()
+        assert not mixed.node_features[0, 5:].any()
 
     def test_pack_needs_a_graph(self):
         with pytest.raises(ValueError, match="at least one graph"):

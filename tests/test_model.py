@@ -130,6 +130,23 @@ class TestParamVector:
                 offset += a.size
             assert offset == table.vector.size
 
+    def test_mean_and_gated_models_do_not_share_a_layout(self):
+        mean, gated = ModelConfig((5, 4, 3), "mean"), ModelConfig((5, 4, 3), "gated")
+        assert model._layout(mean) != model._layout(gated)
+        for config in (mean, gated, mean, gated):  # the second time from the cache
+            params = init_params(config, seed=1)
+            assert {k: a.shape for k, a in params.arrays.items()} == param_shapes(config)
+            assert params.vector.size == sum(a.size for a in params.arrays.values())
+
+    @pytest.mark.parametrize("agg", AGGREGATOR_KINDS)
+    def test_every_view_writes_through_to_the_vector(self, agg):
+        params = init_params(ModelConfig((3, 4, 2), agg), seed=1)
+        again = ModelParams(params.config, np.zeros_like(params.vector))
+        for k, a in enumerate(again.arrays.values()):
+            a[...] = k + 1.0
+        sizes = [a.size for a in again.arrays.values()]
+        assert again.vector.tolist() == np.repeat(np.arange(1.0, len(sizes) + 1), sizes).tolist()
+
     def test_entries_cannot_be_rebound(self):
         params = init_params(ModelConfig((3, 4, 2)), seed=1)
         with pytest.raises(TypeError):
@@ -148,9 +165,10 @@ class TestParamVector:
         ids=["short", "long", "float32", "2-d"],
     )
     def test_wrong_vector_rejected(self, make):
-        params = init_params(ModelConfig((3, 4, 2)), seed=1)
-        with pytest.raises(ValueError, match="float64 vector"):
-            ModelParams(params.config, make(params.vector))
+        for agg in AGGREGATOR_KINDS:
+            params = init_params(ModelConfig((3, 4, 2), agg), seed=1)  # its layout is cached
+            with pytest.raises(ValueError, match="float64 vector"):
+                ModelParams(params.config, make(params.vector))
 
 
 def scripted_gated(edge_w, h, update, reset, candidate):
@@ -530,6 +548,25 @@ class TestSgdStep:
         # a new vector: the cache that made grads still holds the old params
         assert params.vector.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("agg", AGGREGATOR_KINDS)
+    def test_old_params_and_their_caches_stay_unchanged(self, agg):
+        params = init_params(ModelConfig((3, 4, 2), agg, "attention"), seed=5)
+        before = params.vector.copy()
+        cache = forward(padded([random_graph(make_rng(6), n=n, d=3) for n in (4, 2)]), params)
+        recorded = [a.copy() for a in cache.node_embeddings + [cache.prediction]]
+        grads = backward(cache, [1, 0], [0.5, 0.5])
+        updated = sgd_step(params, grads, 0.1)
+        assert not np.shares_memory(updated.vector, params.vector)
+        assert not np.shares_memory(updated.vector, grads.vector)
+        assert params.vector.tobytes() == before.tobytes()
+        assert cache.params is params
+        for name, a in params.arrays.items():
+            assert np.shares_memory(a, params.vector), name
+        for a, b in zip(cache.node_embeddings + [cache.prediction], recorded, strict=True):
+            assert a.tobytes() == b.tobytes()
+        again = backward(cache, [1, 0], [0.5, 0.5])  # the cache still gives the same gradient
+        assert again.vector.tobytes() == grads.vector.tobytes()
+
     def test_scalar_arithmetic(self):
         params = init_params(ModelConfig((2, 1)), init_scale=0.0)
         params.arrays["classifier.bias"][0] = 1.0
@@ -596,7 +633,8 @@ class TestTrain:
         assert any("single class" in r.message for r in caplog.records)
 
     def test_each_mini_batch_is_the_padded_stack_of_its_rows(self, monkeypatch):
-        """Each forwarded mini-batch holds its rows' graphs, in the seeded order, zero-padded."""
+        """Each mini-batch gathered from the row store holds its rows' graphs, in the
+        seeded order, zero-padded: node features, edges and mean operator."""
         rng = make_rng(31)
         features = FeatureMatrix("v", rng.standard_normal((30, 3)))
         spans = [(0, 4), (4, 5), (5, 9), (9, 16), (16, 18), (18, 22), (22, 23), (23, 30)]
@@ -615,14 +653,54 @@ class TestTrain:
             sizes = [spans[i][1] - spans[i][0] for i in picked]
             n = max(sizes)
             h, w = np.zeros((len(picked), n, 3)), np.zeros((len(picked), n, n))
+            m = np.zeros_like(w)
             for b, i in enumerate(picked):
                 s, e = spans[i]
                 h[b, : e - s] = features.values[s:e]
-                w[b, : e - s, : e - s] = graph_of(features.values[s:e]).edge_weights[0]
+                w[b, : e - s, : e - s] = edges = graph_of(features.values[s:e]).edge_weights[0]
+                degree = edges.sum(axis=1)
+                linked = np.flatnonzero(degree)
+                m[b, linked, : e - s] = edges[linked] / degree[linked, None]
             assert batch.sizes.tolist() == sizes
-            assert batch.node_features.shape == h.shape and batch.edge_weights.shape == w.shape
+            assert batch.node_features.shape == h.shape
+            assert batch.edge_weights.shape == batch.mean_weights.shape == w.shape
             assert batch.node_features.tobytes() == h.tobytes()
             assert batch.edge_weights.tobytes() == w.tobytes()
+            assert batch.mean_weights.tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize("class_weighting", [False, True])
+    def test_epoch_loss_equals_the_sum_of_mini_batch_losses(self, class_weighting):
+        """history[e] is the epoch's weighted loss per graph, summed mini-batch by mini-batch."""
+        rng = make_rng(32)
+        features = FeatureMatrix("v", rng.standard_normal((40, 3)))
+        spans = [(s, s + n) for s, n in zip(range(0, 40, 5), [3, 5, 2, 4, 5, 1, 5, 4])]
+        rows = map_size_chunks(spans, lambda chunk: build_segment_graphs(features, chunk).rows())
+        labelled = [(row, int(label)) for row, label in zip(rows, [1, 0, 0, 1, 0, 0, 1, 0])]
+        params = init_params(ModelConfig((3, 4, 2), "mean", "attention"), seed=4)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=3, epochs=6, seed=5,
+                          class_weighting=class_weighting)
+        got, history = train(labelled, params, cfg)
+
+        labels = np.array([label for _, label in labelled])
+        weight = {0: 1.0, 1: 1.0}
+        if class_weighting:
+            weight = {c: len(labels) / (2.0 * (labels == c).sum()) for c in (0, 1)}
+        weights = np.array([weight[label] for label in labels])
+        order = make_rng(cfg.seed)
+        want = []
+        for _ in range(cfg.epochs):
+            perm = order.permutation(len(labelled))
+            total = 0.0
+            for k in range(0, len(perm), cfg.batch_size):
+                picked = perm[k : k + cfg.batch_size]
+                batch = GraphBatch.pack([labelled[i][0] for i in picked])
+                cache = forward(batch, params)
+                total += float(weights[picked] @ loss(cache.prediction, labels[picked]))
+                grads = backward(cache, labels[picked], weights[picked] / len(picked))
+                params = sgd_step(params, grads, cfg.learning_rate)
+            want.append(total / len(labelled))
+        assert got.vector.tobytes() == params.vector.tobytes()
+        assert np.allclose(history, want, rtol=1e-12, atol=0)
 
     def test_class_weighting_runs(self):
         graphs = toy_training_set() + [toy_training_set()[0]]

@@ -12,7 +12,7 @@ import cegl
 import cegl.cli
 from cegl.dataio import FeatureMatrix, read_feature_matrix
 from cegl.graph import GraphBatch, SimilarityConfig, build_segment_graphs, size_chunks
-from cegl.segmentation import read_partition
+from cegl.segmentation import pelt, read_partition
 from forward_calls import expected_batches
 from test_cli import write_config
 
@@ -68,9 +68,14 @@ def test_traced_train_and_localize_spans(tmp_path):
 
     tracer = traced(["train", "--data", data, "--config", config, "--out", model])
     spans = Counter(tracer.names[i] for i in tracer.name)
-    # one batched forward and one backward per mini-batch
-    assert spans["model.sgd_step"] > 0
-    assert spans["model.forward"] == spans["model.backward"] == spans["model.sgd_step"]
+    # one SGD step per mini-batch of each epoch, each one batched forward and one backward
+    cfg = cegl.cli.load_run_config(config)
+    graphs = sum(pelt(read_feature_matrix(video), cfg.segmentation).segment_count
+                 for video in data.glob("*.cegf"))
+    steps = cfg.train.epochs * -(-graphs // cfg.train.batch_size)
+    assert graphs % cfg.train.batch_size  # the last mini-batch of an epoch is short
+    assert spans["model.sgd_step"] == steps > cfg.train.epochs
+    assert spans["model.forward"] == spans["model.backward"] == steps
 
     tracer = traced(["localize", "--model", model, "--features", features,
                      "--partition", partition, "--k", 2, "--out", tmp_path / "loc.json"])
