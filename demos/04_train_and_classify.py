@@ -5,7 +5,10 @@ Four synthetic videos train the model (only segment-level labels are
 used); two held-out videos measure generalization. Takes ~half a minute.
 """
 
+import numpy as np
+
 from cegl import (
+    GraphRows,
     ModelConfig,
     SegmentationConfig,
     SynthConfig,
@@ -35,15 +38,14 @@ SYNTH = dict(
 videos = [synth_video(SynthConfig(seed=100 + i, **SYNTH), f"v{i}") for i in range(6)]
 seg_cfg = SegmentationConfig(penalty=12.0)
 
-train_graphs = []
-for features, annotations, _ in videos[:4]:
-    partition = pelt(features, seg_cfg)
-    # built one batch of equal-length segments at a time; a graph is its batch and row
-    rows = map_size_chunks(
-        partition.spans(), lambda spans: build_segment_graphs(features, spans).rows()
-    )
-    train_graphs += zip(rows, derive_segment_labels(annotations, partition).tolist())
-print(f"training on {len(train_graphs)} segment graphs from 4 videos")
+partitions = [pelt(features, seg_cfg) for features, _, _ in videos[:4]]
+# one store of the training videos' segment graphs, built one batch of
+# equal-length segments at a time, and one weak label per graph
+train_graphs = GraphRows(
+    [(features, partition.spans()) for (features, _, _), partition in zip(videos, partitions)])
+train_labels = np.concatenate([derive_segment_labels(annotations, partition)
+                               for (_, annotations, _), partition in zip(videos, partitions)])
+print(f"training on {len(train_labels)} segment graphs from 4 videos")
 
 model_cfg = ModelConfig(
     (16, 32, 16), aggregator_kind="mean", readout_kind="attention", attention_averaged=False
@@ -53,7 +55,7 @@ cfg = TrainConfig(
     learning_rate=0.001, batch_size=8, epochs=600, seed=6, init_scale=2.0,
     class_weighting=True,
 )
-params, history = train(train_graphs, params, cfg)
+params, history = train(train_graphs, train_labels, params, cfg)
 print(f"loss: {history[0]:.3f} -> {history[-1]:.3f} over {len(history)} epochs")
 
 preds, labels = [], []

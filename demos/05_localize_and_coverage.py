@@ -10,6 +10,7 @@ frame. Takes ~half a minute (training dominates).
 import numpy as np
 
 from cegl import (
+    GraphRows,
     ModelConfig,
     SegmentationConfig,
     SynthConfig,
@@ -39,16 +40,16 @@ SYNTH = dict(
 videos = [synth_video(SynthConfig(seed=100 + i, **SYNTH), f"v{i}") for i in range(6)]
 seg_cfg = SegmentationConfig(penalty=12.0)
 
-train_graphs = []
-for features, annotations, _ in videos[:4]:
-    partition = pelt(features, seg_cfg)
-    rows = map_size_chunks(
-        partition.spans(), lambda spans: build_segment_graphs(features, spans).rows())
-    train_graphs += zip(rows, derive_segment_labels(annotations, partition).tolist())
+partitions = [pelt(features, seg_cfg) for features, _, _ in videos[:4]]
+train_graphs = GraphRows(
+    [(features, partition.spans()) for (features, _, _), partition in zip(videos, partitions)])
+train_labels = np.concatenate([derive_segment_labels(annotations, partition)
+                               for (_, annotations, _), partition in zip(videos, partitions)])
 model_cfg = ModelConfig((16, 32, 16), "mean", "attention", attention_averaged=False)
 params = init_params(model_cfg, seed=5, init_scale=2.0)
 params, _ = train(
     train_graphs,
+    train_labels,
     params,
     TrainConfig(learning_rate=0.001, batch_size=8, epochs=600, seed=6,
                 init_scale=2.0, class_weighting=True),

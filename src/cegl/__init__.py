@@ -18,7 +18,7 @@ from .dataio import (
     write_annotations,
     write_feature_matrix,
 )
-from .graph import GraphBatch, SimilarityConfig, build_segment_graphs, map_size_chunks
+from .graph import GraphBatch, GraphRows, SimilarityConfig, build_segment_graphs, map_size_chunks
 from .localization import node_scores, score_segments, topk_select
 from .metrics import ConfusionCounts, MetricsReport, confusion, coverage_curve, weighted_metrics
 from .model import (
@@ -46,6 +46,7 @@ __all__ = [
     "ConfusionCounts",
     "FeatureMatrix",
     "GraphBatch",
+    "GraphRows",
     "MetricsReport",
     "ModelConfig",
     "ModelParams",

@@ -24,8 +24,8 @@ import numpy as np
 from . import dataio, metrics, segmentation
 from .dataio import Annotations, FeatureMatrix, SynthConfig, config_from_json
 from .errors import CeglError, ConfigError, DataError, FormatError, NumericError
-from .graph import SimilarityConfig, build_segment_graphs, map_size_chunks
-from .localization import score_segments, topk_select
+from .graph import GraphRows, SimilarityConfig, build_segment_graphs, map_size_chunks
+from .localization import score_segments, scored_frames, topk_select
 from .model import (
     ModelConfig,
     TrainConfig,
@@ -166,30 +166,21 @@ def cmd_segment(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
-    videos = _list_videos(Path(args.data))
-    labelled = []
-    feature_dim = None
-    for cegf in videos:
+    videos, labels = [], []
+    for cegf in _list_videos(Path(args.data)):
         features, ann = _load_video(cegf)
-        if feature_dim is None:
-            feature_dim = features.feature_dim
-        elif features.feature_dim != feature_dim:
-            raise ConfigError(
-                f"feature dim mismatch across videos: {features.feature_dim} vs {feature_dim}"
-            )
         partition = pelt(features, cfg.segmentation)
-        rows = map_size_chunks(
-            partition.spans(), lambda spans: build_segment_graphs(features, spans).rows())
-        labelled.extend(zip(rows, dataio.derive_segment_labels(ann, partition).tolist()))
+        videos.append((features, partition.spans()))
+        labels.append(dataio.derive_segment_labels(ann, partition))
+    # Passed by this module's name, which pipebench/tracing.py patches, so
+    # training's graph builds stay traced.
+    store = GraphRows(videos, build_segment_graphs)
 
     model_cfg = cfg.model
     if model_cfg.layer_dims is None:
-        model_cfg = replace(model_cfg, layer_dims=(feature_dim, 32, 16))
-    d_in = model_cfg.layer_dims[0]
-    if d_in != feature_dim:
-        raise ConfigError(f"model layer_dims[0]={d_in} does not match feature dim {feature_dim}")
+        model_cfg = replace(model_cfg, layer_dims=(store.nodes.shape[1], 32, 16))
     params = init_params(model_cfg, seed=cfg.train.seed, init_scale=cfg.train.init_scale)
-    params, _history = train(labelled, params, cfg.train)
+    params, _history = train(store, np.concatenate(labels), params, cfg.train)
     save_checkpoint(params, args.out, segmentation=cfg.segmentation)
     return 0
 
@@ -232,12 +223,8 @@ def cmd_localize(args) -> int:
 
     def select(chunk, scored):
         """(score, frame scores, selected frames) per span: one top-k call per size chunk."""
-        rows = [i for i, (_, f) in enumerate(scored) if f is not None]
-        picked = {}
-        if rows:
-            starts = np.array([chunk[i][0] for i in rows])[:, None]
-            picks = topk_select(np.stack([scored[i][1] for i in rows]), args.k) + starts
-            picked = dict(zip(rows, picks.tolist()))
+        rows, picks = scored_frames(chunk, scored, lambda frames: topk_select(frames, args.k))
+        picked = dict(zip(rows, picks.tolist()))
         return [(*item, picked.get(i, [])) for i, item in enumerate(scored)]
 
     _, spans, scored = _score_video(args, "all" if args.all_segments else "predicted", select)

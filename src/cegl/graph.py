@@ -20,10 +20,10 @@ stays zero), so the mean aggregator's message is one product with it.
 `map_size_chunks` walks a video's spans one such size chunk at a time,
 so inference holds one chunk of graphs, not the video's.
 
-`GraphRows` stores rows of built batches (`GraphBatch.rows`) unpadded
-and concatenated, and `GraphRows.gather` makes any of them one
-zero-padded batch with one index gather per array. `train` gathers each
-mini-batch from one store; `GraphBatch.pack` is a store gathered whole.
+`GraphRows`, the training set, stores the graphs of the spans of videos
+once, unpadded, over node rows that are the videos' frames, and
+`GraphRows.gather` makes any of them one zero-padded batch with one
+index gather per array, as `train` gathers each mini-batch.
 """
 
 from __future__ import annotations
@@ -121,22 +121,13 @@ class GraphBatch:
     """B graphs zero-padded to the largest node count N; it checks nothing itself.
 
     `build_segment_graphs` checks the edges it batches; `GraphRows.gather`
-    gathers their rows.
+    pads stored ones.
     """
 
     node_features: np.ndarray  # (B, N, d) float64
     edge_weights: np.ndarray  # (B, N, N)
     mean_weights: np.ndarray  # (B, N, N), edge rows divided by their sums; a zero row stays 0
     sizes: np.ndarray  # (B,) node count of each graph
-
-    @classmethod
-    def pack(cls, rows: Sequence[tuple[GraphBatch, int]]) -> GraphBatch:
-        """Graph b of each (batch, b), all of dim d, in zero (N, d) and (N, N) blocks."""
-        return GraphRows(rows).gather(np.arange(len(rows)))
-
-    def rows(self) -> list[tuple[GraphBatch, int]]:
-        """(this batch, b) for each of its graphs b, the handles `GraphRows` stores."""
-        return [(self, b) for b in range(len(self))]
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -145,48 +136,6 @@ class GraphBatch:
         """Graph b as checked views, IndexError past the end; only for pipebench/ (ROADMAP item 1)."""
         n = self.sizes[b]
         return SegmentGraph(self.node_features[b, :n], self.edge_weights[b, :n, :n])
-
-
-class GraphRows:
-    """Rows (batch, b) of built batches, stored unpadded, to gather as padded batches.
-
-    Node rows are stacked into one (sum n + 1, d) array; each graph's edge
-    and mean-operator cells are flattened into one (sum n^2 + 1,) array
-    each. The last entry of each array is zero, and every padded position
-    of a gathered batch reads it. So the store holds sum n^2 cells, not
-    rows * max n^2: one long segment does not pad the short ones.
-    """
-
-    def __init__(self, rows: Sequence[tuple[GraphBatch, int]]):
-        if not rows:
-            raise ValueError("a graph batch needs at least one graph")
-        self.sizes = np.array([batch.sizes[b] for batch, b in rows])
-        graphs = [(batch, b, n) for (batch, b), n in zip(rows, self.sizes.tolist())]
-        d = rows[0][0].node_features.shape[2]
-        self.nodes = np.concatenate(
-            [batch.node_features[b, :n] for batch, b, n in graphs] + [np.zeros((1, d))])
-        self.edges = np.concatenate(
-            [batch.edge_weights[b, :n, :n].ravel() for batch, b, n in graphs] + [np.zeros(1)])
-        self.means = np.concatenate(
-            [batch.mean_weights[b, :n, :n].ravel() for batch, b, n in graphs] + [np.zeros(1)])
-        self.node_starts = np.cumsum(self.sizes) - self.sizes
-        self.cell_starts = np.cumsum(self.sizes**2) - self.sizes**2
-
-    def gather(self, picked: np.ndarray) -> GraphBatch:
-        """The stored graphs at indices `picked`, in that order, zero-padded to the largest."""
-        sizes = self.sizes[picked]
-        i = np.arange(sizes.max())
-        # A padded node's position reads as past every stored node and
-        # cell, and `take` clips such an index to the trailing zero.
-        position = np.where(i < sizes[:, None], i, len(self.edges))  # (B, N)
-        row_starts = self.cell_starts[picked, None] + position * sizes[:, None]
-        cells = row_starts[:, :, None] + position[:, None, :]
-        return GraphBatch(
-            self.nodes.take(self.node_starts[picked, None] + position, axis=0, mode="clip"),
-            self.edges.take(cells, mode="clip"),
-            self.means.take(cells, mode="clip"),
-            sizes,
-        )
 
 
 def _identical_frames(values: np.ndarray, gram: np.ndarray, diagonals: np.ndarray) -> np.ndarray:
@@ -259,3 +208,59 @@ def build_segment_graphs(features: FeatureMatrix, spans: Sequence[tuple[int, int
     # A node without positive edges has an all-zero row: 0 / 1 keeps it zero.
     means = weights / np.where(degrees > 0, degrees, 1.0)
     return GraphBatch(values, weights, means, np.full(len(spans), n))
+
+
+class GraphRows:
+    """The graphs of frame spans of videos of one feature dim, stored once, unpadded.
+
+    Node rows are the videos' frames concatenated, plus one zero row; a
+    graph's nodes are its span's rows. Each graph's edge and mean-operator
+    cells are flattened into one (sum n^2 + 1,) array each, sized from the
+    spans and filled by `build` one size chunk at a time, so one chunk's
+    batch at most is held besides the store. Every padded position of a
+    gathered batch reads the zero last entry of each array. So the store
+    holds sum n^2 cells, not graphs * max n^2: one long segment does not
+    pad the short ones.
+    """
+
+    def __init__(self, videos: Sequence[tuple[FeatureMatrix, Sequence[tuple[int, int]]]],
+                 build: Callable[[FeatureMatrix, list], GraphBatch] = build_segment_graphs):
+        if not any(spans for _, spans in videos):
+            raise ValueError("a graph store needs at least one graph")
+        d = videos[0][0].feature_dim
+        self.sizes = np.array([e - s for _, spans in videos for s, e in spans])
+        self.cell_starts = np.cumsum(self.sizes**2) - self.sizes**2
+        self.edges = np.zeros(int((self.sizes**2).sum()) + 1)
+        self.means = np.zeros_like(self.edges)
+        starts, offset = [], 0
+        for features, spans in videos:
+            if features.feature_dim != d:
+                raise ConfigError(
+                    f"feature dim mismatch across videos: {features.feature_dim} vs {d}")
+            for chunk in size_chunks([e - s for s, e in spans]):
+                batch = build(features, [spans[i] for i in chunk])
+                place = len(starts) + np.array(chunk)  # the chunk's graphs in the store
+                cells = self.cell_starts[place, None] + np.arange(batch.edge_weights[0].size)
+                self.edges[cells] = batch.edge_weights.reshape(len(chunk), -1)
+                self.means[cells] = batch.mean_weights.reshape(len(chunk), -1)
+            starts += [offset + s for s, _ in spans]
+            offset += features.frame_count
+        self.node_starts = np.array(starts)
+        self.nodes = np.concatenate(
+            [features.values for features, _ in videos] + [np.zeros((1, d))])
+
+    def gather(self, picked: np.ndarray) -> GraphBatch:
+        """The stored graphs at indices `picked`, in that order, zero-padded to the largest."""
+        sizes = self.sizes[picked]
+        i = np.arange(sizes.max())
+        # A padded node's position reads as past every stored node and
+        # cell, and `take` clips such an index to the trailing zero.
+        position = np.where(i < sizes[:, None], i, len(self.nodes) + len(self.edges))  # (B, N)
+        row_starts = self.cell_starts[picked, None] + position * sizes[:, None]
+        cells = row_starts[:, :, None] + position[:, None, :]
+        return GraphBatch(
+            self.nodes.take(self.node_starts[picked, None] + position, axis=0, mode="clip"),
+            self.edges.take(cells, mode="clip"),
+            self.means.take(cells, mode="clip"),
+            sizes,
+        )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataio import Annotations, FeatureMatrix, derive_segment_labels, write_atomic, write_json
 from .graph import build_segment_graphs, map_size_chunks
-from .localization import rank_frames, score_segments
+from .localization import rank_frames, score_segments, scored_frames
 from .model import ModelParams
 from .segmentation import Partition
 
@@ -151,14 +151,10 @@ def coverage_curve(
         def first_hits(chunk):
             """Each span's first-hit rank, or None if unscored or normal."""
             scored = score_segments(build_segment_graphs(features, chunk), params, frames)
-            rows = [i for i, (_, f) in enumerate(scored) if f is not None]
-            first = {}
-            if rows:
-                starts = np.array([chunk[i][0] for i in rows])[:, None]
-                order = rank_frames(np.stack([scored[i][1] for i in rows])) + starts
-                hit = ann.frame_labels[order] == 1
-                first = {i: r for i, h, r in zip(
-                    rows, hit.any(axis=1).tolist(), hit.argmax(axis=1).tolist()) if h}
+            rows, order = scored_frames(chunk, scored, rank_frames)
+            hit = ann.frame_labels[order] == 1
+            first = {i: r for i, h, r in zip(
+                rows, hit.any(axis=1).tolist(), hit.argmax(axis=1).tolist()) if h}
             return [first.get(i) for i in range(len(chunk))]
 
         ranks += [r for r in map_size_chunks(partition.spans(), first_hits) if r is not None]

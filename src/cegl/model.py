@@ -41,9 +41,10 @@ runs `forward(..., record=False)` in `localization.score_segments`,
 which keeps no gated step for a backward. Gradients are derived by hand
 (no autodiff) and checked against central finite differences in the
 test suite. Training is plain SGD on the binary cross entropy of the
-segment labels: `train` stores its labelled rows once in a `GraphRows`,
-gathers each mini-batch from it with one index gather per array, runs
-one forward and one backward per mini-batch, and takes each epoch's loss
+segment labels: `train` takes a `GraphRows` store of the training
+videos' segment graphs and one label per stored graph, gathers each
+mini-batch from the store with one index gather per array, runs one
+forward and one backward per mini-batch, and takes each epoch's loss
 with one `loss` call.
 """
 
@@ -507,46 +508,40 @@ def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
 
 
 def train(
-    graphs: list[tuple[tuple[GraphBatch, int], int]],
-    params: ModelParams,
-    cfg: TrainConfig,
+    store: GraphRows, labels, params: ModelParams, cfg: TrainConfig
 ) -> tuple[ModelParams, list[float]]:
-    """Mini-batch SGD over labelled segment graphs, each a (batch, row) of a built batch.
+    """Mini-batch SGD over a store's segment graphs, given one 0/1 label per stored graph.
 
-    The rows are stored once in a `GraphRows`, and each mini-batch is
-    gathered from it. Shuffling is deterministic from cfg.seed. Each
-    mini-batch is one forward and one backward, whose gradient is the
-    batch's class-weighted loss gradient divided by the batch size.
-    Returns the final parameters and the mean per-graph weighted loss of
-    each epoch, taken over the epoch's predictions with one `loss` call.
+    Each mini-batch is gathered from the store. Shuffling is deterministic
+    from cfg.seed. Each mini-batch is one forward and one backward, whose
+    gradient is the batch's class-weighted loss gradient divided by the
+    batch size. Returns the final parameters and the mean per-graph
+    weighted loss of each epoch, taken over the epoch's predictions with
+    one `loss` call.
     """
-    if not graphs:
-        raise ConfigError("training needs at least one labelled graph")
-    d_in = params.config.layer_dims[0]
-    for (batch, _), label in graphs:
-        if batch.node_features.shape[2] != d_in:
-            raise ConfigError(f"graph feature dim {batch.node_features.shape[2]} "
-                              f"does not match model input dim {d_in}")
-        if label not in (0, 1):
-            raise ConfigError(f"labels must be 0 or 1, got {label!r}")
-    labels = np.array([label for _, label in graphs])
+    if store.nodes.shape[1] != params.config.layer_dims[0]:
+        raise ConfigError(f"graph feature dim {store.nodes.shape[1]} does not match "
+                          f"model input dim {params.config.layer_dims[0]}")
+    labels = np.asarray(labels)
+    if labels.shape != store.sizes.shape:
+        raise ConfigError(f"training needs one label per stored graph: {len(store.sizes)} "
+                          f"graphs, labels of shape {labels.shape}")
+    bad = labels[~np.isin(labels, (0, 1))]
+    if bad.size:
+        raise ConfigError(f"labels must be 0 or 1, got {reprlib.repr(bad.tolist())}")
+    labels = labels.astype(np.int64)
     if labels.min() == labels.max():
         log.warning("training data holds a single class (%d) only", labels[0])
 
-    class_weight = {0: 1.0, 1: 1.0}
-    if cfg.class_weighting:
-        for c in (0, 1):
-            count = int((labels == c).sum())
-            if count:
-                class_weight[c] = len(graphs) / (2.0 * count)
-    sample_weight = np.array([class_weight[label] for label in labels.tolist()])
+    sample_weight = np.ones(len(labels))
+    if cfg.class_weighting:  # each class weighs len(labels) / (2 * its count)
+        sample_weight = len(labels) / (2.0 * np.bincount(labels, minlength=2)[labels])
 
-    store = GraphRows([row for row, _ in graphs])
     rng = make_rng(cfg.seed)
     history: list[float] = []
-    predictions = np.empty(len(graphs))  # in the epoch's order
+    predictions = np.empty(len(labels))  # in the epoch's order
     for _ in range(cfg.epochs):
-        order = rng.permutation(len(graphs))
+        order = rng.permutation(len(labels))
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             y, w = labels[batch], sample_weight[batch]
@@ -555,7 +550,7 @@ def train(
             grads = backward(cache, y, w / len(batch))
             params = sgd_step(params, grads, cfg.learning_rate)
         epoch_loss = sample_weight[order] @ loss(predictions, labels[order])
-        history.append(float(epoch_loss) / len(graphs))
+        history.append(float(epoch_loss) / len(labels))
     return params, history
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from cegl.dataio import FeatureMatrix
-from cegl.graph import GraphBatch, build_segment_graphs
+from cegl.graph import GraphBatch, GraphRows, build_segment_graphs
 
 
 def graph_of(values) -> GraphBatch:
@@ -13,5 +13,10 @@ def graph_of(values) -> GraphBatch:
 
 
 def padded(graphs) -> GraphBatch:
-    """One zero-padded batch of one-graph batches, gathered as training gathers rows."""
-    return GraphBatch.pack([(g, 0) for g in graphs])
+    """One zero-padded batch of one-graph batches, gathered as training gathers a mini-batch.
+
+    The store holds each graph as the one span of a video of its own frames.
+    """
+    videos = [(FeatureMatrix("v", g.node_features[0]), [(0, len(g.node_features[0]))])
+              for g in graphs]
+    return GraphRows(videos).gather(np.arange(len(graphs)))

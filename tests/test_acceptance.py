@@ -19,7 +19,7 @@ from cegl.dataio import (
     write_feature_matrix,
 )
 from cegl.errors import FormatError, TruncatedFileError
-from cegl.graph import GraphBatch, build_segment_graphs, map_size_chunks
+from cegl.graph import GraphRows, build_segment_graphs, map_size_chunks
 from cegl import metrics
 from cegl.localization import score_segments
 from cegl.metrics import confusion, coverage_curve, weighted_metrics
@@ -132,12 +132,12 @@ def test_criterion_3_permutation_properties():
 
     # gated runs reproduce bit-identically from a fixed seed
     rng = make_rng(3004)
-    rows = [(graph_of(rng.standard_normal((5, 4))), 0) for _ in range(6)]
+    store = GraphRows([(FeatureMatrix("v", rng.standard_normal((5, 4))), [(0, 5)])
+                       for _ in range(6)])
     def gated_run():
         params = init_params(ModelConfig((4, 5, 4), "gated", "attention"), seed=99)
-        labelled = [(row, i % 2) for i, row in enumerate(rows)]
-        params, _ = train(labelled, params, TrainConfig(epochs=2, seed=5))
-        return np.concatenate([params.vector, forward(GraphBatch.pack(rows), params).prediction])
+        params, _ = train(store, [i % 2 for i in range(6)], params, TrainConfig(epochs=2, seed=5))
+        return np.concatenate([params.vector, forward(store.gather(np.arange(6)), params).prediction])
 
     first, second = gated_run(), gated_run()
     assert np.array_equal(first, second)
@@ -180,13 +180,11 @@ def test_criterion_4_end_to_end_synthetic_protocol():
     ]
     seg_cfg = SegmentationConfig(penalty=END_TO_END["penalty"])
 
-    train_graphs = []
-    for features, ann, _planted in videos[:4]:
-        partition = pelt(features, seg_cfg)
-        rows = map_size_chunks(
-            partition.spans(), lambda spans: build_segment_graphs(features, spans).rows()
-        )
-        train_graphs += zip(rows, derive_segment_labels(ann, partition).tolist())
+    partitions = [pelt(features, seg_cfg) for features, _, _ in videos[:4]]
+    train_graphs = GraphRows([(features, partition.spans())
+                              for (features, _, _), partition in zip(videos, partitions)])
+    train_labels = np.concatenate([derive_segment_labels(ann, partition)
+                                   for (_, ann, _), partition in zip(videos, partitions)])
 
     params = init_params(
         ModelConfig(
@@ -198,7 +196,7 @@ def test_criterion_4_end_to_end_synthetic_protocol():
         seed=5,
         init_scale=END_TO_END["init_scale"],
     )
-    params, history = train(train_graphs, params, TrainConfig(**END_TO_END["train"]))
+    params, history = train(train_graphs, train_labels, params, TrainConfig(**END_TO_END["train"]))
     assert history[-1] < history[0]
 
     preds, labels, test_data = [], [], []

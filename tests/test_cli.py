@@ -9,7 +9,13 @@ import pytest
 
 from cegl import cli, graph, localization, model
 from cegl.cli import main
-from cegl.dataio import FeatureMatrix, read_annotations, read_feature_matrix, write_feature_matrix
+from cegl.dataio import (
+    FeatureMatrix,
+    derive_segment_labels,
+    read_annotations,
+    read_feature_matrix,
+    write_feature_matrix,
+)
 from cegl.graph import build_segment_graphs, map_size_chunks
 from cegl.localization import topk_select
 from cegl.metrics import coverage_curve
@@ -583,39 +589,52 @@ def run_train(pipeline, out):
 
 
 def test_train_builds_one_batch_per_size_chunk(pipeline, tmp_path, monkeypatch):
-    """train builds each video's graphs one size chunk at a time and trains on their rows.
+    """train builds each video's graphs one size chunk at a time into one store.
 
-    The rows name the built batches themselves, no copies, and come in span order.
+    Each built chunk is stored once, in span order, and the store's node
+    rows are the videos' frames concatenated.
     """
     built = record_graph_builds(monkeypatch, cli)
     trained = []
     real_train = cli.train
 
-    def recording_train(labelled, params, cfg):
-        trained.extend(row for row, _ in labelled)
-        return real_train(labelled, params, cfg)
+    def recording_train(store, labels, params, cfg):
+        trained.append((store, labels))
+        return real_train(store, labels, params, cfg)
 
     monkeypatch.setattr(cli, "train", recording_train)
     out = tmp_path / "model.cegm"
     assert run_train(pipeline, out) == 0
     assert out.read_bytes() == (pipeline / "model.cegm").read_bytes()
     segmentation = load_checkpoint(out)[1]
-    want, spans, frames = [], [], []
+    want, places, starts, frames, labels = [], [], [], [], []
     for cegf in sorted((pipeline / "data").glob("*.cegf")):
         features = read_feature_matrix(cegf)
-        video = pelt(features, segmentation).spans()
-        want += [[video[i] for i in c] for c in graph.size_chunks([e - s for s, e in video])]
-        spans += video
+        partition = pelt(features, segmentation)
+        video = partition.spans()
+        for chunk in graph.size_chunks([e - s for s, e in video]):
+            want.append([video[i] for i in chunk])
+            places.append([len(starts) + i for i in chunk])
+        starts += [sum(map(len, frames)) + s for s, _ in video]
         frames.append(features.values)
+        ann = read_annotations(cegf.with_name(cegf.stem + ".annotations.json"))
+        labels += derive_segment_labels(ann, partition).tolist()
     assert [chunk for chunk, _ in built] == want
-    # each row is (a built batch, its index there), each built graph once
-    span_of = {(id(batch), b): span for chunk, batch in built for b, span in enumerate(chunk)}
-    batches = {id(batch): batch for _, batch in built}
-    assert all(batches.get(id(batch)) is batch for batch, _ in trained)
-    assert [span_of[id(batch), b] for batch, b in trained] == spans
-    # in span order, the rows' graphs rebuild each video's frames
-    rebuilt = np.concatenate([batch.node_features[b] for batch, b in trained])
-    assert np.array_equal(rebuilt, np.concatenate(frames))
+    ((store, trained_labels),) = trained
+    assert trained_labels.tolist() == labels
+    # each built graph is stored once, at its span's place in span order
+    assert sorted(g for chunk in places for g in chunk) == list(range(len(starts)))
+    assert store.node_starts.tolist() == starts
+    assert len(store.edges) == len(store.means) == 1 + sum(
+        batch.edge_weights.size for _, batch in built)
+    for (chunk, batch), place in zip(built, places, strict=True):
+        n = chunk[0][1] - chunk[0][0]
+        assert store.sizes[place].tolist() == [n] * len(chunk)
+        cells = store.cell_starts[place, None] + np.arange(n * n)
+        assert store.edges[cells].tobytes() == batch.edge_weights.tobytes()
+        assert store.means[cells].tobytes() == batch.mean_weights.tobytes()
+    # the node rows are the videos' frames, then one zero row
+    assert store.nodes.tobytes() == np.concatenate(frames + [np.zeros((1, 8))]).tobytes()
 
 
 def test_train_checks_each_built_graphs_edges_once(pipeline, tmp_path, monkeypatch):

@@ -9,7 +9,6 @@ from cegl import graph
 from cegl.errors import ConfigError
 from cegl.graph import (
     BATCH_CELLS,
-    GraphBatch,
     GraphRows,
     SegmentGraph,
     SimilarityConfig,
@@ -29,8 +28,11 @@ def fm(values):
 
 def video_graphs(features, spans):
     """(node features, edge weights) per span, built one size chunk at a time, in span order."""
-    rows = map_size_chunks(spans, lambda chunk: build_segment_graphs(features, chunk).rows())
-    return [(batch.node_features[b], batch.edge_weights[b]) for batch, b in rows]
+    def graphs(chunk):
+        batch = build_segment_graphs(features, chunk)
+        return list(zip(batch.node_features, batch.edge_weights))
+
+    return map_size_chunks(spans, graphs)
 
 
 def pair_cosine(x, y):
@@ -290,10 +292,11 @@ class TestMeanOperator:
     def test_one_graph_batch_has_the_bits_of_its_unpadded_chunk(self):
         features, partition = TestBatchedBuild.video_and_partition()
         spans = partition.spans()
-        rows = map_size_chunks(spans, lambda chunk: build_segment_graphs(features, chunk).rows())
-        for (batch, b), (s, e) in zip(rows, spans, strict=True):
+        means = map_size_chunks(
+            spans, lambda chunk: build_segment_graphs(features, chunk).mean_weights)
+        for mean, (s, e) in zip(means, spans, strict=True):
             (alone,) = graph_of(features.values[s:e]).mean_weights
-            assert batch.mean_weights[b].tobytes() == alone.tobytes()
+            assert mean.tobytes() == alone.tobytes()
 
 
 class TestIdenticalFrames:
@@ -352,51 +355,57 @@ class TestIdenticalFrames:
 
 
 class TestGraphBatch:
-    def test_pack_pads_with_zeros_and_indexes_back_the_graphs(self):
-        """pack gathers rows of built batches, in any order and of any sizes, zero-padded."""
+    def test_gather_pads_with_zeros_and_indexes_back_the_graphs(self):
+        """A store gathers its graphs, in any order and of any sizes, zero-padded."""
         features = fm(make_rng(44).standard_normal((20, 3)))
+        spans = [(0, 3), (10, 13), (3, 4), (4, 9)]
+        store = GraphRows([(features, spans)])
         threes = build_segment_graphs(features, [(0, 3), (10, 13)])
-        rows = [threes.rows()[1], (build_segment_graphs(features, [(3, 4)]), 0),
-                *build_segment_graphs(features, [(4, 9)]).rows(), (threes, 0)]
-        assert threes.rows() == [(threes, 0), (threes, 1)]
-        batch = GraphBatch.pack(rows)
+        built = [(threes, 1), (build_segment_graphs(features, [(3, 4)]), 0),
+                 (build_segment_graphs(features, [(4, 9)]), 0), (threes, 0)]
+        # stored in span order, each graph's nodes at its span's frames
+        assert store.sizes.tolist() == [3, 3, 1, 5]
+        assert store.node_starts.tolist() == [0, 10, 3, 4]
+        batch = store.gather(np.array([1, 2, 3, 0]))
         assert len(batch) == 4 and batch.sizes.tolist() == [3, 1, 5, 3]
         assert batch.node_features.shape == (4, 5, 3)
         assert batch.edge_weights.shape == batch.mean_weights.shape == (4, 5, 5)
-        for b, ((built, row), (s, e), view) in enumerate(
-            zip(rows, [(10, 13), (3, 4), (4, 9), (0, 3)], batch, strict=True)
+        for b, ((graphs, row), (s, e), view) in enumerate(
+            zip(built, [(10, 13), (3, 4), (4, 9), (0, 3)], batch, strict=True)
         ):
             n = e - s
             assert np.array_equal(batch.node_features[b, :n], features.values[s:e])
-            assert np.array_equal(batch.edge_weights[b, :n, :n], built.edge_weights[row])
-            assert np.array_equal(batch.mean_weights[b, :n, :n], built.mean_weights[row])
+            assert np.array_equal(batch.edge_weights[b, :n, :n], graphs.edge_weights[row])
+            assert np.array_equal(batch.mean_weights[b, :n, :n], graphs.mean_weights[row])
             assert not batch.node_features[b, n:].any()
             for cells in (batch.edge_weights, batch.mean_weights):
                 assert not cells[b, n:].any() and not cells[b, :, n:].any()
             # a view is the unpadded graph (the benchmark's tracer iterates a batch)
             assert np.array_equal(view.node_features, features.values[s:e])
-            assert np.array_equal(view.edge_weights, built.edge_weights[row])
+            assert np.array_equal(view.edge_weights, graphs.edge_weights[row])
         assert batch[-1].n == 3
         with pytest.raises(IndexError):
             batch[4]
-        # rows of a padded batch gather back to the same arrays
-        again = GraphBatch.pack(batch.rows())
+        # a store of each graph's own frames as a video gathers the same arrays
+        again = GraphRows([(fm(features.values[s:e]), [(0, e - s)])
+                           for s, e in [(10, 13), (3, 4), (4, 9), (0, 3)]]).gather(np.arange(4))
         assert again.node_features.tobytes() == batch.node_features.tobytes()
         assert again.edge_weights.tobytes() == batch.edge_weights.tobytes()
         assert again.mean_weights.tobytes() == batch.mean_weights.tobytes()
 
     def test_store_holds_each_graphs_cells_not_the_largest_squared(self):
-        """One 200-frame row and 100 five-frame rows: the store keeps sum n^2 cells,
+        """One 200-frame span and 100 five-frame spans: the store keeps sum n^2 cells,
         not 101 * 200^2."""
         features = fm(make_rng(49).standard_normal((700, 3)))
-        long = build_segment_graphs(features, [(0, 200)])
-        short = build_segment_graphs(features, [(200 + 5 * k, 205 + 5 * k) for k in range(100)])
-        store = GraphRows(long.rows() + short.rows())
+        long_span, short_spans = [(0, 200)], [(200 + 5 * k, 205 + 5 * k) for k in range(100)]
+        long = build_segment_graphs(features, long_span)
+        short = build_segment_graphs(features, short_spans)
+        store = GraphRows([(features, long_span + short_spans)])
         assert store.sizes.tolist() == [200] + [5] * 100
         assert store.nodes.shape == (200 + 100 * 5 + 1, 3)
         assert store.edges.shape == store.means.shape == (200**2 + 100 * 5**2 + 1,)
         assert not store.nodes[-1].any() and store.edges[-1] == store.means[-1] == 0.0
-        # short rows gather at their own size; with the long one they pad to 200
+        # short graphs gather at their own size; with the long one they pad to 200
         shorts = store.gather(np.array([7, 3]))
         assert shorts.edge_weights.shape == (2, 5, 5)
         assert shorts.edge_weights.tobytes() == short.edge_weights[[6, 2]].tobytes()
@@ -408,9 +417,42 @@ class TestGraphBatch:
         assert mixed.node_features[0, :5].tobytes() == features.values[220:225].tobytes()
         assert not mixed.node_features[0, 5:].any()
 
-    def test_pack_needs_a_graph(self):
-        with pytest.raises(ValueError, match="at least one graph"):
-            GraphBatch.pack([])
+    def test_store_needs_a_graph(self):
+        for videos in ([], [(fm(np.ones((4, 2))), [])]):
+            with pytest.raises(ValueError, match="at least one graph"):
+                GraphRows(videos)
+
+    def test_spans_that_do_not_tile_a_video_gather_their_own_graphs(self):
+        """A gap, an overlap and two videos of different lengths: each gathered graph
+        has the bits of `build_segment_graphs` of its own span, alone or padded."""
+        rng = make_rng(50)
+        first, second = fm(rng.standard_normal((30, 3))), fm(rng.standard_normal((12, 3)))
+        # Frames 1-4, 9-19 and 22-29 of the first video are in no span, 6-7
+        # are in two, and the stored cells are fewer than the frames.
+        videos = [(first, [(0, 1), (5, 8), (6, 9), (20, 22)]), (second, [(10, 12), (0, 3)])]
+        store = GraphRows(videos)
+        assert store.nodes.tobytes() == np.concatenate(
+            [first.values, second.values, np.zeros((1, 3))]).tobytes()
+        assert store.node_starts.tolist() == [0, 5, 6, 20, 40, 30]
+        assert len(store.edges) < len(store.nodes)
+        wanted = [(features, span) for features, spans in videos for span in spans]
+        everything = store.gather(np.arange(len(wanted)))
+        for i, (features, span) in enumerate(wanted):
+            want = build_segment_graphs(features, [span])
+            n = span[1] - span[0]
+            for got in (store.gather(np.array([i])), everything):
+                b = 0 if len(got) == 1 else i
+                assert got.node_features[b, :n].tobytes() == want.node_features[0].tobytes()
+                assert got.edge_weights[b, :n, :n].tobytes() == want.edge_weights[0].tobytes()
+                assert got.mean_weights[b, :n, :n].tobytes() == want.mean_weights[0].tobytes()
+                assert not got.node_features[b, n:].any()
+                assert not got.edge_weights[b, n:].any() and not got.mean_weights[b, :, n:].any()
+
+    def test_videos_of_different_dims_give_one_line_naming_both(self):
+        videos = [(fm(np.ones((6, 3))), [(0, 6)]), (fm(np.ones((5, 4))), [(0, 5)])]
+        with pytest.raises(ConfigError) as err:
+            GraphRows(videos)
+        assert str(err.value) == "feature dim mismatch across videos: 4 vs 3"
 
     def test_map_size_chunks_restores_span_order(self):
         spans = [(0, 2), (2, 5), (5, 7), (7, 8), (8, 11)]

@@ -4,7 +4,7 @@ import pytest
 from cegl import graph, localization, metrics
 from cegl.dataio import Annotations, FeatureMatrix
 from cegl.graph import map_size_chunks
-from cegl.localization import node_scores, rank_frames, score_segments, topk_select
+from cegl.localization import node_scores, rank_frames, score_segments, scored_frames, topk_select
 from cegl.model import ModelConfig, forward, init_params
 from cegl.numerics import make_rng
 from cegl.segmentation import Partition
@@ -105,6 +105,24 @@ class TestTopkSelect:
             topk_select(np.zeros((2, 2, 2)), 1)
         with pytest.raises(ValueError):
             topk_select(np.array([1.0]), 0)
+
+
+def test_scored_frames_orders_a_chunks_scored_spans_in_video_frames():
+    """One `order` call over the scored spans' stacked scores, shifted by each span's start;
+    a chunk with no scored span makes no call."""
+    chunk = [(0, 3), (10, 13), (20, 23)]
+    scored = [(0.9, np.array([0.1, 0.3, 0.2])), (0.2, None), (0.7, np.array([0.5, 0.5, 0.0]))]
+    calls = []
+
+    def order(frames):
+        calls.append(frames)
+        return rank_frames(frames)
+
+    rows, frames = scored_frames(chunk, scored, order)
+    assert rows == [0, 2] and frames.tolist() == [[1, 2, 0], [20, 21, 22]]
+    assert len(calls) == 1 and calls[0].tolist() == [[0.1, 0.3, 0.2], [0.5, 0.5, 0.0]]
+    rows, frames = scored_frames(chunk, [(0.1, None)] * 3, order)
+    assert rows == [] and frames.shape == (0, 3) and len(calls) == 1
 
 
 def forty_segment_fixture(ranks_with_hits):

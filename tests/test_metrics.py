@@ -4,7 +4,7 @@ import pytest
 from cegl.dataio import SynthConfig, derive_segment_labels, synth_video
 from cegl.localization import topk_select
 from cegl.graph import (
-    GraphBatch,
+    GraphRows,
     build_segment_graphs,
     map_size_chunks,
     size_chunks,
@@ -124,10 +124,8 @@ def separable_video(seed):
 
 class TestCoverageCurve:
     def overfit_model(self, features, ann, partition):
-        rows = map_size_chunks(
-            partition.spans(), lambda spans: build_segment_graphs(features, spans).rows()
-        )
-        labelled = list(zip(rows, derive_segment_labels(ann, partition).tolist()))
+        store = GraphRows([(features, partition.spans())])
+        labels = derive_segment_labels(ann, partition)
         params = init_params(
             ModelConfig(
                 (features.feature_dim, 16, 8), "mean", "attention", attention_averaged=False
@@ -136,7 +134,7 @@ class TestCoverageCurve:
             init_scale=1.5,
         )
         cfg = TrainConfig(learning_rate=0.05, batch_size=8, epochs=600, seed=3)
-        params, history = train(labelled, params, cfg)
+        params, history = train(store, labels, params, cfg)
         assert history[-1] < history[0]
         return params
 
@@ -178,8 +176,9 @@ class TestCoverageCurve:
             [partition.spans()[i] for i in chunk]
             for chunk in size_chunks([e - s for s, e in partition.spans()])
         ]
-        rows = [row for batch in calls for row in batch.rows()]
-        assert (forward(GraphBatch.pack(rows), params).prediction >= 0.5).all()
+        store = GraphRows([(features, partition.spans())])
+        everything = store.gather(np.arange(partition.segment_count))
+        assert (forward(everything, params).prediction >= 0.5).all()
 
     def test_rejects_unordered_ks(self):
         features, ann, partition = separable_video(33)

@@ -6,7 +6,7 @@ import pytest
 
 from cegl.errors import ConfigError, FormatError, NumericError, TruncatedFileError
 from cegl import model
-from cegl.graph import GraphBatch, SegmentGraph, build_segment_graphs, map_size_chunks
+from cegl.graph import GraphRows, SegmentGraph
 from cegl.dataio import FeatureMatrix
 from cegl.model import (
     AGGREGATOR_KINDS,
@@ -524,7 +524,7 @@ class TestBatchedPass:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="at least one graph"):
-            forward(GraphBatch.pack([]), init_params(ModelConfig((3, 4, 2))))
+            forward(padded([]), init_params(ModelConfig((3, 4, 2))))
 
 
 class TestSgdStep:
@@ -591,26 +591,26 @@ class TestSgdStep:
             sgd_step(params, grads, 0.1)
 
 
-def toy_training_set():
-    a = graph_of([[2.0, 0.0]] * 3)
-    b = graph_of([[0.0, 2.0]] * 3)
-    return [((a, 0), 1), ((b, 0), 0)]
+def toy_training_set(spans=((0, 3), (3, 6))):
+    """A store of three-frame segments of two directions, the first one abnormal, and labels."""
+    video = FeatureMatrix("v", [[2.0, 0.0]] * 3 + [[0.0, 2.0]] * 3)
+    return GraphRows([(video, list(spans))]), [int(s == 0) for s, _ in spans]
 
 
 class TestTrain:
     def test_loss_decreases_on_separable_toy(self):
-        graphs = toy_training_set()
+        store, labels = toy_training_set()
         params = init_params(ModelConfig((2, 4, 3), "mean", "attention"), seed=3)
         cfg = TrainConfig(learning_rate=0.1, batch_size=8, epochs=12, seed=1)
-        _, history = train(graphs, params, cfg)
+        _, history = train(store, labels, params, cfg)
         for earlier, later in zip(history[:10], history[1:11]):
             assert later < earlier
 
     def test_deterministic(self):
-        graphs = toy_training_set()
+        store, labels = toy_training_set()
         cfg = TrainConfig(learning_rate=0.05, batch_size=1, epochs=5, seed=9)
-        out1, hist1 = train(graphs, init_params(ModelConfig((2, 4, 3)), seed=3), cfg)
-        out2, hist2 = train(graphs, init_params(ModelConfig((2, 4, 3)), seed=3), cfg)
+        out1, hist1 = train(store, labels, init_params(ModelConfig((2, 4, 3)), seed=3), cfg)
+        out2, hist2 = train(store, labels, init_params(ModelConfig((2, 4, 3)), seed=3), cfg)
         assert np.array_equal(out1.vector, out2.vector)
         assert hist1 == hist2
 
@@ -619,17 +619,33 @@ class TestTrain:
             TrainConfig(epochs=0)
 
     def test_feature_dim_mismatch(self):
-        g1 = graph_of(np.ones((2, 2)))
-        g2 = graph_of(np.ones((2, 3)))
+        """Videos of two dims make no store; a store of another dim than the model's
+        does not train."""
+        v2, v3 = FeatureMatrix("a", np.ones((2, 2))), FeatureMatrix("b", np.ones((2, 3)))
         params = init_params(ModelConfig((2, 3, 2)))
         with pytest.raises(ConfigError):
-            train([((g1, 0), 0), ((g2, 0), 1)], params, TrainConfig(epochs=1))
+            GraphRows([(v2, [(0, 2)]), (v3, [(0, 2)])])
+        with pytest.raises(ConfigError, match="graph feature dim 3 does not match model input dim 2"):
+            train(GraphRows([(v3, [(0, 2)])]), [1], params, TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("labels, message", [
+        ([0], "one label per stored graph"),
+        ([0, 1, 1], "one label per stored graph"),
+        ([[0], [1]], "one label per stored graph"),
+        ([0, 2], r"labels must be 0 or 1, got \[2\]"),
+        ([1, 0.5], r"labels must be 0 or 1, got \[0.5\]"),
+        ([-1, 1], r"labels must be 0 or 1, got \[-1\]"),
+    ], ids=["short", "long", "column", "two", "half", "minus-one"])
+    def test_labels_are_one_0_or_1_per_stored_graph(self, labels, message):
+        store, _ = toy_training_set()
+        with pytest.raises(ConfigError, match=message):
+            train(store, labels, init_params(ModelConfig((2, 3, 2))), TrainConfig(epochs=1))
 
     def test_single_class_warns(self, caplog):
-        g = graph_of(np.ones((2, 2)))
+        store, _ = toy_training_set(spans=((0, 2), (0, 2)))
         params = init_params(ModelConfig((2, 3, 2)))
         with caplog.at_level("WARNING"):
-            train([((g, 0), 1), ((g, 0), 1)], params, TrainConfig(epochs=1))
+            train(store, [1, 1], params, TrainConfig(epochs=1))
         assert any("single class" in r.message for r in caplog.records)
 
     def test_each_mini_batch_is_the_padded_stack_of_its_rows(self, monkeypatch):
@@ -638,10 +654,11 @@ class TestTrain:
         rng = make_rng(31)
         features = FeatureMatrix("v", rng.standard_normal((30, 3)))
         spans = [(0, 4), (4, 5), (5, 9), (9, 16), (16, 18), (18, 22), (22, 23), (23, 30)]
-        rows = map_size_chunks(spans, lambda chunk: build_segment_graphs(features, chunk).rows())
+        store = GraphRows([(features, spans)])
         calls = record_forward_calls(monkeypatch, model)
         cfg = TrainConfig(batch_size=3, epochs=4, seed=13)
-        train([(row, i % 2) for i, row in enumerate(rows)], init_params(ModelConfig((3, 4, 2))), cfg)
+        labels = [i % 2 for i in range(len(spans))]
+        train(store, labels, init_params(ModelConfig((3, 4, 2))), cfg)
 
         order = make_rng(cfg.seed)
         picks = []
@@ -674,14 +691,12 @@ class TestTrain:
         rng = make_rng(32)
         features = FeatureMatrix("v", rng.standard_normal((40, 3)))
         spans = [(s, s + n) for s, n in zip(range(0, 40, 5), [3, 5, 2, 4, 5, 1, 5, 4])]
-        rows = map_size_chunks(spans, lambda chunk: build_segment_graphs(features, chunk).rows())
-        labelled = [(row, int(label)) for row, label in zip(rows, [1, 0, 0, 1, 0, 0, 1, 0])]
+        labels = np.array([1, 0, 0, 1, 0, 0, 1, 0])
         params = init_params(ModelConfig((3, 4, 2), "mean", "attention"), seed=4)
         cfg = TrainConfig(learning_rate=0.05, batch_size=3, epochs=6, seed=5,
                           class_weighting=class_weighting)
-        got, history = train(labelled, params, cfg)
+        got, history = train(GraphRows([(features, spans)]), labels, params, cfg)
 
-        labels = np.array([label for _, label in labelled])
         weight = {0: 1.0, 1: 1.0}
         if class_weighting:
             weight = {c: len(labels) / (2.0 * (labels == c).sum()) for c in (0, 1)}
@@ -689,24 +704,24 @@ class TestTrain:
         order = make_rng(cfg.seed)
         want = []
         for _ in range(cfg.epochs):
-            perm = order.permutation(len(labelled))
+            perm = order.permutation(len(labels))
             total = 0.0
             for k in range(0, len(perm), cfg.batch_size):
                 picked = perm[k : k + cfg.batch_size]
-                batch = GraphBatch.pack([labelled[i][0] for i in picked])
+                batch = padded([graph_of(features.values[slice(*spans[i])]) for i in picked])
                 cache = forward(batch, params)
                 total += float(weights[picked] @ loss(cache.prediction, labels[picked]))
                 grads = backward(cache, labels[picked], weights[picked] / len(picked))
                 params = sgd_step(params, grads, cfg.learning_rate)
-            want.append(total / len(labelled))
+            want.append(total / len(labels))
         assert got.vector.tobytes() == params.vector.tobytes()
         assert np.allclose(history, want, rtol=1e-12, atol=0)
 
     def test_class_weighting_runs(self):
-        graphs = toy_training_set() + [toy_training_set()[0]]
+        store, labels = toy_training_set(spans=((0, 3), (3, 6), (0, 3)))
         params = init_params(ModelConfig((2, 4, 3)), seed=3)
         cfg = TrainConfig(learning_rate=0.05, epochs=2, seed=1, class_weighting=True)
-        _, history = train(graphs, params, cfg)
+        _, history = train(store, labels, params, cfg)
         assert len(history) == 2
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import cegl
 import cegl.cli
 from cegl.dataio import FeatureMatrix, read_feature_matrix
-from cegl.graph import GraphBatch, SimilarityConfig, build_segment_graphs, size_chunks
+from cegl.graph import GraphRows, SimilarityConfig, build_segment_graphs, size_chunks
 from cegl.segmentation import pelt, read_partition
 from forward_calls import expected_batches
 from test_cli import write_config
@@ -70,12 +70,18 @@ def test_traced_train_and_localize_spans(tmp_path):
     spans = Counter(tracer.names[i] for i in tracer.name)
     # one SGD step per mini-batch of each epoch, each one batched forward and one backward
     cfg = cegl.cli.load_run_config(config)
-    graphs = sum(pelt(read_feature_matrix(video), cfg.segmentation).segment_count
-                 for video in data.glob("*.cegf"))
+    sizes = [[e - s for s, e in pelt(read_feature_matrix(video), cfg.segmentation).spans()]
+             for video in sorted(data.glob("*.cegf"))]
+    graphs = sum(map(len, sizes))
     steps = cfg.train.epochs * -(-graphs // cfg.train.batch_size)
     assert graphs % cfg.train.batch_size  # the last mini-batch of an epoch is short
     assert spans["model.sgd_step"] == steps > cfg.train.epochs
     assert spans["model.forward"] == spans["model.backward"] == steps
+    # the store's graph builds stay traced: one span per size chunk of each video
+    assert spans["graph.build"] == sum(expected_batches(video) for video in sizes) > len(sizes)
+    pairs, unit = tracer.layer_metrics(1)["graph.pairs"]
+    assert unit == "count"
+    assert pairs == sum(n * (n - 1) // 2 for video in sizes for n in video)
 
     tracer = traced(["localize", "--model", model, "--features", features,
                      "--partition", partition, "--k", 2, "--out", tmp_path / "loc.json"])
@@ -178,10 +184,20 @@ def test_graph_size_reads_a_batch_as_its_graphs_and_their_pairs():
     graph_size = load_tracing()._graph_size
     batch = build_segment_graphs(features, [(0, 7), (7, 14), (20, 27)])
     assert graph_size((), batch) == {"graphs": 3, "pairs": 3 * 21}
-    rows = [(build_segment_graphs(features, [(0, n)]), 0) for n in (1, 4, 9)] + batch.rows()[:1]
-    packed = GraphBatch.pack(rows)
+    store = GraphRows([(features, [(0, 1), (0, 4), (0, 9), (0, 7)])])
+    packed = store.gather(np.arange(4))
     assert packed.sizes.tolist() == [1, 4, 9, 7]
     assert graph_size((), packed) == {"graphs": 4, "pairs": 0 + 6 + 36 + 21}
+
+
+def test_readme_quickstart_runs_as_written(monkeypatch):
+    """README.md's Python quickstart block, extracted as written, runs against the package."""
+    readme = (TRACING.parents[1] / "README.md").read_text()
+    block = readme.split("## Library quickstart\n\n```python\n", 1)[1].split("\n```\n", 1)[0]
+    monkeypatch.delenv("CEGL_SEED", raising=False)
+    namespace = {}
+    exec(compile(block, "README.md quickstart", "exec"), namespace)
+    assert namespace["history"][-1] < namespace["history"][0]
 
 
 def test_benchmark_and_readme_run_configs_load(tmp_path, monkeypatch):
