@@ -6,9 +6,9 @@ unconnected, and so is a zero-norm frame. Identical frames get weight
 exactly 1. The weights read one Gram matrix whose entries each depend on
 their own two frames only, so a pair's cosine is the same in every
 segment that holds both frames.
-Two identical frames give equal Gram entries (i, i), (i, j) and (j, j);
-only pairs with those three equal are compared feature by feature, a
-bounded slice of them at a time.
+Two identical frames give equal Gram entries (i, i), (i, j) and (j, j).
+When some pair has those three equal, each frame gets one id per
+distinct feature row, and a pair is identical when its ids match.
 
 A graph is only its node features, edge weights and mean operator: a
 segment's span and weak label are facts of the partition
@@ -46,11 +46,13 @@ log = logging.getLogger(__name__)
 BATCH_CELLS = 4096
 
 
-def size_chunks(sizes: Sequence[int]) -> Iterator[list[int]]:
-    """Indices of equal sizes n, in input order, at most max(1, BATCH_CELLS // n^2) per chunk."""
+def size_chunks(spans: Sequence[tuple[int, int]]) -> Iterator[list[int]]:
+    """Indices of spans of one length n, in input order, max(1, BATCH_CELLS // n^2) per chunk."""
     by_size: dict[int, list[int]] = {}
-    for i, n in enumerate(sizes):
-        by_size.setdefault(n, []).append(i)
+    for i, (s, e) in enumerate(spans):
+        if e <= s:
+            raise ValueError(f"span [{s}, {e}) holds no frames")
+        by_size.setdefault(e - s, []).append(i)
     for n, indices in by_size.items():
         step = max(1, BATCH_CELLS // (n * n))
         yield from (indices[k : k + step] for k in range(0, len(indices), step))
@@ -59,7 +61,7 @@ def size_chunks(sizes: Sequence[int]) -> Iterator[list[int]]:
 def map_size_chunks(spans: Sequence[tuple[int, int]], fn: Callable[[list], Sequence]) -> list:
     """fn(the spans of one size chunk), one item per span, for each chunk; items in span order."""
     items: list = [None] * len(spans)
-    for chunk in size_chunks([e - s for s, e in spans]):
+    for chunk in size_chunks(spans):
         for i, item in zip(chunk, fn([spans[i] for i in chunk]), strict=True):
             items[i] = item
     return items
@@ -142,24 +144,18 @@ def _identical_frames(values: np.ndarray, gram: np.ndarray, diagonals: np.ndarra
     """(B, n, n) mask of the frame pairs of each segment that are equal in every feature.
 
     Equal frames i and j have equal Gram entries (i, i), (i, j) and
-    (j, j), so only such candidate pairs are compared feature by feature.
-    In a segment of repeated frames nearly every pair is a candidate, so
-    at most B * n^2 / 32 pairs are compared at a time: their two float64
-    frames take d / 2 bytes per cell, half the full (B, n, n, d) bool
-    comparison.
+    (j, j); without such an off-diagonal pair each frame equals only
+    itself. Otherwise each frame gets the id of its distinct feature row,
+    compared as bytes, and a pair is identical when its two ids match.
     """
-    n = gram.shape[1]
-    candidates = (gram == diagonals[:, :, None]) & (gram == diagonals[:, None, :])
-    np.einsum("bii->bi", candidates)[...] = False  # each frame equals itself: no need to look
-    pairs = np.flatnonzero(candidates)  # b * n^2 + i * n + j
-    frames = values.reshape(-1, values.shape[2])  # row b * n + i is frame i of segment b
-    identical = np.zeros(gram.shape, dtype=bool)
-    step = max(1, gram.size // 32)
-    for k in range(0, pairs.size, step):
-        row, j = np.divmod(pairs[k : k + step], n)  # row of frame i, and j
-        identical.flat[pairs[k : k + step]] = (frames[row] == frames[row - row % n + j]).all(axis=1)
-    np.einsum("bii->bi", identical)[...] = True
-    return identical
+    candidates = gram == diagonals[:, :, None]
+    candidates &= gram == diagonals[:, None, :]
+    if np.count_nonzero(candidates) == diagonals.size:  # the diagonal only
+        return candidates
+    rows = values + 0.0  # -0.0 + 0.0 is 0.0: equal frames get equal bytes
+    ids = np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[2]))),
+                    return_inverse=True)[1].reshape(diagonals.shape)
+    return ids[:, :, None] == ids[:, None, :]
 
 
 def _similarity_batch(values: np.ndarray) -> np.ndarray:
@@ -237,7 +233,7 @@ class GraphRows:
             if features.feature_dim != d:
                 raise ConfigError(
                     f"feature dim mismatch across videos: {features.feature_dim} vs {d}")
-            for chunk in size_chunks([e - s for s, e in spans]):
+            for chunk in size_chunks(spans):
                 batch = build(features, [spans[i] for i in chunk])
                 place = len(starts) + np.array(chunk)  # the chunk's graphs in the store
                 cells = self.cell_starts[place, None] + np.arange(batch.edge_weights[0].size)

@@ -195,20 +195,18 @@ def pelt(f: FeatureMatrix, cfg: SegmentationConfig) -> Partition:
     cost, beta = SegmentCost(f), cfg.penalty_for(f)
     f_best, n_seg, prev = _tables(f, beta)
 
-    # dominated_at[s - origin] is the first end that dominated start s; starts
+    # dominated_at[s] is the first end that dominated start s; starts
     # 1..min_len-1 end no first segment of min_len frames.
-    origin, dominated_at = 0, np.r_[_NEVER, np.zeros(min_len - 1, dtype=np.int64)]
+    dominated_at = np.full(t_total + 1, _NEVER)
+    dominated_at[1:min_len] = 0
     frames, lo, counted = np.arange(t_total + 1), 0, min_len  # n_seg is filled below counted
     for first in range(min_len, t_total + 1, min_len):
         stop = min(first + min_len, t_total + 1)
-        while dominated_at[lo - origin] <= first - min_len:  # inadmissible from here on
+        while dominated_at[lo] <= first - min_len:  # inadmissible from here on
             lo += 1
         hi = stop - min_len  # one past the last admissible start of the block's last end
-        if hi - origin >= dominated_at.size:  # drop starts before lo; the next scan may read hi
-            fresh = np.full(hi - lo + min_len, _NEVER)
-            origin, dominated_at = lo, np.concatenate((dominated_at[lo - origin :], fresh))
         ts, latest = frames[first:stop], frames[first - min_len : hi]  # latest: each end's last start
-        lengths, dominated = ts - frames[lo:hi, None], dominated_at[lo - origin : hi - origin]
+        lengths, dominated = ts - frames[lo:hi, None], dominated_at[lo:hi]
 
         valid = (lengths >= min_len) & (dominated[:, None] > latest)
         base = f_best[lo:hi, None] + cost.block(lo, hi, first, stop, lengths)

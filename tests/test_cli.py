@@ -551,7 +551,7 @@ def inference_argv(pipeline, command, out, partition=None):
 def assert_built_and_scored_per_size_chunk(calls, built, partition):
     """One graph build per size chunk of the partition, and one score for each segment."""
     spans = read_partition(partition)[1].spans()
-    per_chunk = [[spans[i] for i in c] for c in graph.size_chunks([e - s for s, e in spans])]
+    per_chunk = [[spans[i] for i in c] for c in graph.size_chunks(spans)]
     assert [chunk for chunk, _ in built] == per_chunk
     assert_each_segment_scored_once(calls, built, spans)
 
@@ -612,7 +612,7 @@ def test_train_builds_one_batch_per_size_chunk(pipeline, tmp_path, monkeypatch):
         features = read_feature_matrix(cegf)
         partition = pelt(features, segmentation)
         video = partition.spans()
-        for chunk in graph.size_chunks([e - s for s, e in video]):
+        for chunk in graph.size_chunks(video):
             want.append([video[i] for i in chunk])
             places.append([len(starts) + i for i in chunk])
         starts += [sum(map(len, frames)) + s for s, _ in video]
@@ -672,7 +672,7 @@ def test_every_chunk_of_edge_weights_is_checked(
     """A bad matrix in the last chunk of the batched kernel's output fails the build."""
     features = read_feature_matrix(pipeline / "data" / "video-000.cegf")
     _, partition = read_partition(pipeline / "video-000.partition.json")
-    chunks = len(list(graph.size_chunks([e - s for s, e in partition.spans()])))
+    chunks = len(list(graph.size_chunks(partition.spans())))
     real_kernel = graph._similarity_batch
     calls = []
 
@@ -714,10 +714,10 @@ def test_localize_json_holds_score_segments_output(pipeline):
 def test_localize_selects_within_each_size_chunk(tmp_path, all_segments):
     """45 ten-frame segments fill two size chunks; each entry holds its own top-3 frames."""
     sizes = (4, 1, 7, 5, *[10] * 45, 70, 4)
-    assert sum(sizes[c[0]] == 10 for c in graph.size_chunks(sizes)) == 2
     offsets = np.cumsum((0, *sizes))
     features = FeatureMatrix("v", np.random.default_rng(8).standard_normal((offsets[-1], 3)))
     spans = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+    assert sum(sizes[c[0]] == 10 for c in graph.size_chunks(spans)) == 2
     params = init_params(ModelConfig((3, 4, 2)), seed=9)
     predictions = [score for score, _ in map_size_chunks(spans, lambda chunk: (
         localization.score_segments(build_segment_graphs(features, chunk), params, "none")))]

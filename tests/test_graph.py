@@ -230,7 +230,7 @@ class TestBatchedBuild:
     def test_one_batch_per_size_chunk_unpadded(self):
         features, partition = self.video_and_partition()
         spans = partition.spans()
-        for chunk in size_chunks([e - s for s, e in spans]):
+        for chunk in size_chunks(spans):
             batch = build_segment_graphs(features, [spans[i] for i in chunk])
             n = spans[chunk[0]][1] - spans[chunk[0]][0]
             assert len(batch) == len(chunk) and batch.sizes.tolist() == [n] * len(chunk)
@@ -305,7 +305,7 @@ class TestIdenticalFrames:
     @staticmethod
     def segments():
         # (B, n, d) segments with planted duplicates, frames one ulp from a
-        # neighbour and zero frames.
+        # neighbour, zero frames and a pair equal but for the sign of a zero.
         rng = make_rng(41)
         values = rng.standard_normal((6, 9, 5))
         values[:, 3] = values[:, 1]
@@ -316,6 +316,8 @@ class TestIdenticalFrames:
         values[3, 7] = -values[3, 0]
         values[4] = values[4, 0]  # a segment of one repeated frame
         values[5, :, 0] = np.nextafter(values[5, 0, 0], -np.inf)
+        values[0, 5, 0], values[0, 6] = 0.0, values[0, 5]
+        values[0, 6, 0] = -0.0
         return values
 
     @staticmethod
@@ -330,6 +332,7 @@ class TestIdenticalFrames:
         want = self.full_check(values, gram, diagonals)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert want[:, 1, 3].all() and want[4].all() and not want[0, 2, 4]
+        assert want[0, 5, 6] and np.signbit(values[0, 6, 0]) != np.signbit(values[0, 5, 0])
 
     def test_weights_equal_those_of_the_full_comparison(self, monkeypatch):
         values = self.segments()
@@ -352,6 +355,21 @@ class TestIdenticalFrames:
         assert peak <= (d + 6 * 8) * n * n
         monkeypatch.setattr(graph, "_identical_frames", self.full_check)
         assert got.tobytes() == graph._similarity_batch(values).tobytes()
+
+    def test_repeated_frames_take_a_few_bytes_per_pair(self):
+        """On 1,000 mostly repeated frames the mask takes at most 4 bytes per (i, j) cell."""
+        n, d = 1000, 16
+        rng = make_rng(51)
+        values = np.repeat(rng.standard_normal((1, 1, d)), n, axis=1)
+        values[0, ::7] = rng.standard_normal((len(range(0, n, 7)), d))
+        gram = np.einsum("bik,bjk->bij", values, values)
+        diagonals = np.diagonal(gram, axis1=1, axis2=2)
+        tracemalloc.start()
+        got = graph._identical_frames(values, gram, diagonals)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 4 * n * n
+        assert np.array_equal(got, self.full_check(values, gram, diagonals))
 
 
 class TestGraphBatch:
@@ -466,3 +484,12 @@ class TestGraphBatch:
         assert chunks == [[(0, 2), (5, 7)], [(2, 5), (8, 11)], [(7, 8)]]
         with pytest.raises(ValueError):  # one item per span
             map_size_chunks(spans, lambda chunk: chunk[1:])
+
+    def test_an_empty_span_gives_one_line_naming_it(self):
+        features = fm(np.ones((6, 2)))
+        with pytest.raises(ValueError) as err:
+            GraphRows([(features, [(0, 3), (3, 3)])])
+        assert str(err.value) == "span [3, 3) holds no frames"
+        with pytest.raises(ValueError) as err:
+            map_size_chunks([(3, 3)], lambda chunk: build_segment_graphs(features, chunk))
+        assert str(err.value) == "span [3, 3) holds no frames"

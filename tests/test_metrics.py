@@ -174,7 +174,7 @@ class TestCoverageCurve:
         assert_each_segment_scored_once(calls, built, partition.spans())
         assert [chunk for chunk, _ in built] == [
             [partition.spans()[i] for i in chunk]
-            for chunk in size_chunks([e - s for s, e in partition.spans()])
+            for chunk in size_chunks(partition.spans())
         ]
         store = GraphRows([(features, partition.spans())])
         everything = store.gather(np.arange(partition.segment_count))

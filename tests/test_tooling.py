@@ -3,6 +3,7 @@ and measuring what the benchmark's README says they measure."""
 
 import importlib.util
 import json
+import shlex
 from collections import Counter
 from pathlib import Path
 
@@ -163,7 +164,7 @@ def test_traced_localize_runs_one_topk_per_size_chunk(tmp_path):
     """localization.topk times one batched call per size chunk that holds a scored segment."""
     features, partition, model = trained_video(tmp_path)
     inputs = ["--model", model, "--features", features, "--partition", partition, "--k", 2]
-    chunks = list(size_chunks([e - s for s, e in read_partition(partition)[1].spans()]))
+    chunks = list(size_chunks(read_partition(partition)[1].spans()))
 
     for extra in ([], ["--all-segments"]):
         out = tmp_path / "loc.json"
@@ -198,6 +199,26 @@ def test_readme_quickstart_runs_as_written(monkeypatch):
     namespace = {}
     exec(compile(block, "README.md quickstart", "exec"), namespace)
     assert namespace["history"][-1] < namespace["history"][0]
+
+
+def test_readme_cli_block_runs_as_written(tmp_path, monkeypatch):
+    """Each `cegl` line of README.md's CLI block, run through `cli.main` in a temporary
+    directory, exits 0 and writes its --out file. The config is the README's with only
+    `train.epochs` lowered: as written, `cegl train` takes about 5 s."""
+    readme = (TRACING.parents[1] / "README.md").read_text()
+    config, block = readme.split("cat > config.json <<'EOF'\n", 1)[1].split("\nEOF\n", 1)
+    block = block.split("\n```\n", 1)[0].replace("\\\n", " ")
+    cfg = json.loads(config)
+    cfg["train"]["epochs"] = 5
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CEGL_SEED", raising=False)
+    lines = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    commands = ["synth", "segment", "train", "classify", "localize", "evaluate", "coverage-curve"]
+    assert [argv[:2] for argv in lines] == [["cegl", command] for command in commands]
+    for argv in lines:
+        assert cegl.cli.main(argv[1:]) == 0, argv
+        assert (tmp_path / argv[argv.index("--out") + 1]).exists(), argv
 
 
 def test_benchmark_and_readme_run_configs_load(tmp_path, monkeypatch):
