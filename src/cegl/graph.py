@@ -40,21 +40,23 @@ from .errors import ConfigError
 
 log = logging.getLogger(__name__)
 
-# The cap on B * n^2, the edge cells of a batch of B graphs of n nodes, to
-# build or score: 40 ten-frame segments share a batch, one of 65 frames or
-# more is a batch alone. A larger cap raises peak memory for little time.
-BATCH_CELLS = 4096
+# The cap on B * n, the node rows of a batch of B graphs of n nodes, to
+# build or score: 51 ten-frame or two 200-frame segments share a batch, one
+# of 257 frames or more is a batch alone. Every per-layer and per-step array
+# is (B, n, .): below the cap more graphs amortise numpy's per-call cost,
+# above it the arrays outgrow the cache.
+BATCH_NODES = 512
 
 
 def size_chunks(spans: Sequence[tuple[int, int]]) -> Iterator[list[int]]:
-    """Indices of spans of one length n, in input order, max(1, BATCH_CELLS // n^2) per chunk."""
+    """Indices of spans of one length n, in input order, max(1, BATCH_NODES // n) per chunk."""
     by_size: dict[int, list[int]] = {}
     for i, (s, e) in enumerate(spans):
         if e <= s:
             raise ValueError(f"span [{s}, {e}) holds no frames")
         by_size.setdefault(e - s, []).append(i)
     for n, indices in by_size.items():
-        step = max(1, BATCH_CELLS // (n * n))
+        step = max(1, BATCH_NODES // n)
         yield from (indices[k : k + step] for k in range(0, len(indices), step))
 
 

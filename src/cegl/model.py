@@ -242,8 +242,6 @@ def init_params(config: ModelConfig, seed: int = 0, init_scale: float = 1.0) -> 
 @dataclass
 class _GatedStep:
     state: np.ndarray  # state entering the step, (B, N, d)
-    neighbor: np.ndarray  # neighbor index per node, (N,)
-    weight: np.ndarray  # edge weight per node, (B, N)
     z: np.ndarray  # update gate, zero for graphs whose recurrence has ended
     r: np.ndarray
     cand: np.ndarray
@@ -254,30 +252,35 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
+def _step_message(edges: np.ndarray, h: np.ndarray, p: int, out: np.ndarray) -> None:
+    """Step p's messages e_ij h_j into out, (B, N, d): node i reads j = p + 1 if i <= p, else p."""
+    np.multiply(edges[:, : p + 1, p + 1, None], h[:, p + 1, None], out=out[:, : p + 1])
+    np.multiply(edges[:, p + 1 :, p, None], h[:, p, None], out=out[:, p + 1 :])
+
+
 def _gated_messages(edges: np.ndarray, h: np.ndarray, sizes, update, reset, candidate, record):
     """The recurrence's final states, and its steps for backward (None unless record)."""
-    n_max = h.shape[1]
+    n_max, d = h.shape[1:]
     state = h.copy()
     steps: list[_GatedStep] | None = [] if record else None
-    idx = np.arange(n_max)
     n_min = sizes.min()
-    # Node i's p-th neighbor in ascending temporal order is p for p < i,
-    # else p + 1; all nodes of all graphs advance one step together. Graph
+    # One gate-input buffer [s, m] serves every step: the message fills its
+    # second half, the state its first for the gates, then r * s for the
+    # candidate. All nodes of all graphs advance one step together. Graph
     # b has n_b - 1 steps; after them its update gate is held at zero,
     # which leaves its state unchanged.
+    gate_in = np.empty(h.shape[:2] + (2 * d,))
     for p in range(n_max - 1):
-        j = np.where(p < idx, p, p + 1)
-        w = edges[:, idx, j]
-        msg = w[..., None] * h[:, j]
-        gate_in = np.concatenate([state, msg], axis=2)
+        _step_message(edges, h, p, gate_in[..., d:])
+        gate_in[..., :d] = state
         z = sigmoid(gate_in @ update.T)
         if p >= n_min - 1:
             z = z * (p < sizes - 1)[:, None, None]
         r = sigmoid(gate_in @ reset.T)
-        cand_in = np.concatenate([r * state, msg], axis=2)
-        cand = np.tanh(cand_in @ candidate.T)
+        np.multiply(r, state, out=gate_in[..., :d])
+        cand = np.tanh(gate_in @ candidate.T)
         if record:
-            steps.append(_GatedStep(state, j, w, z, r, cand))
+            steps.append(_GatedStep(state, z, r, cand))
         state = (1.0 - z) * state + z * cand
     return state, steps
 
@@ -377,19 +380,22 @@ def forward(batch: GraphBatch, params: ModelParams, *, record: bool = True) -> F
     )
 
 
-def _gated_backward(gates, grad_gates, steps, d_msgs, h):
+def _gated_backward(gates, grad_gates, steps, d_msgs, edges, h):
     """Backward through one layer's recurrence; gates and their gradients in GATE_NAMES order."""
     update, reset, candidate = gates
     grad_update, grad_reset, grad_candidate = grad_gates
     d = h.shape[2]
     dh = np.zeros_like(h)
     dstate = d_msgs
+    gate_in = np.empty(h.shape[:2] + (2 * d,))
+    cand_in = np.empty_like(gate_in)
     for p in reversed(range(len(steps))):
         st = steps[p]
         # The step's inputs are rebuilt as forward built them, not stored.
-        msg = st.weight[..., None] * h[:, st.neighbor]
-        gate_in = np.concatenate([st.state, msg], axis=2)
-        cand_in = np.concatenate([st.r * st.state, msg], axis=2)
+        _step_message(edges, h, p, gate_in[..., d:])
+        gate_in[..., :d] = st.state
+        cand_in[..., d:] = gate_in[..., d:]
+        np.multiply(st.r, st.state, out=cand_in[..., :d])
         dz = dstate * (st.cand - st.state)
         dcand = dstate * st.z
         dprev = dstate * (1.0 - st.z)
@@ -415,9 +421,8 @@ def _gated_backward(gates, grad_gates, steps, d_msgs, h):
         dmsg += dgate_in[..., d:]
 
         # Nodes after p read neighbor p; nodes up to p read neighbor p + 1.
-        dneighbor = st.weight[..., None] * dmsg
-        dh[:, p] += dneighbor[:, p + 1 :].sum(axis=1)
-        dh[:, p + 1] += dneighbor[:, : p + 1].sum(axis=1)
+        dh[:, p] += (edges[:, p + 1 :, p, None] * dmsg[:, p + 1 :]).sum(axis=1)
+        dh[:, p + 1] += (edges[:, : p + 1, p + 1, None] * dmsg[:, : p + 1]).sum(axis=1)
         dstate = dprev
     dh += dstate  # recurrence started from the node's own embedding
     return dh
@@ -488,6 +493,7 @@ def backward(cache: ForwardCache, labels, weights) -> ModelParams:
                 [g[k] for k in names],
                 cache.gated_steps[layer],
                 d_msgs,
+                cache.batch.edge_weights,
                 cache.node_embeddings[layer],
             )
         dh = dh_self + dh_in

@@ -3,7 +3,7 @@
 from collections import Counter
 
 from cegl import model
-from cegl.graph import BATCH_CELLS
+from cegl.graph import BATCH_NODES
 
 
 def record_forward_calls(monkeypatch, *modules) -> list:
@@ -22,7 +22,7 @@ def record_forward_calls(monkeypatch, *modules) -> list:
 
 def batch_cap(n: int) -> int:
     """How many graphs of n nodes one size chunk holds."""
-    return max(1, BATCH_CELLS // (n * n))
+    return max(1, BATCH_NODES // n)
 
 
 def expected_batches(sizes) -> int:

@@ -712,8 +712,8 @@ def test_localize_json_holds_score_segments_output(pipeline):
 
 @pytest.mark.parametrize("all_segments", [True, False])
 def test_localize_selects_within_each_size_chunk(tmp_path, all_segments):
-    """45 ten-frame segments fill two size chunks; each entry holds its own top-3 frames."""
-    sizes = (4, 1, 7, 5, *[10] * 45, 70, 4)
+    """Ten-frame segments fill two size chunks; each entry holds its own top-3 frames."""
+    sizes = (4, 1, 7, 5, *[10] * (graph.BATCH_NODES // 10 + 5), graph.BATCH_NODES // 2 + 1, 4)
     offsets = np.cumsum((0, *sizes))
     features = FeatureMatrix("v", np.random.default_rng(8).standard_normal((offsets[-1], 3)))
     spans = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))

@@ -8,7 +8,7 @@ from cegl.dataio import Annotations, FeatureMatrix, SynthConfig, derive_segment_
 from cegl import graph
 from cegl.errors import ConfigError
 from cegl.graph import (
-    BATCH_CELLS,
+    BATCH_NODES,
     GraphRows,
     SegmentGraph,
     SimilarityConfig,
@@ -193,9 +193,10 @@ class TestBuildGraph:
 class TestBatchedBuild:
     @staticmethod
     def video_and_partition():
-        """Sizes 1, 2, 3 and 70, some repeated, and more ten-frame segments than one chunk holds."""
-        tens = BATCH_CELLS // 10**2 + 5
-        lengths = [10, 1, 2, 10, 3, 70, 2, 1, 3] + [10] * tens + [70, 2]
+        """Sizes 1, 2, 3 and one that runs alone, some repeated, and more ten-frame segments
+        than one chunk holds."""
+        tens, lone = BATCH_NODES // 10 + 5, BATCH_NODES // 2 + 1
+        lengths = [10, 1, 2, 10, 3, lone, 2, 1, 3] + [10] * tens + [lone, 2]
         rng = make_rng(9)
         values = rng.standard_normal((sum(lengths), 4))
         values[[0, 4, 10]] = 0.0  # zero-norm frames, two in a ten-frame segment and a lone one
@@ -484,6 +485,14 @@ class TestGraphBatch:
         assert chunks == [[(0, 2), (5, 7)], [(2, 5), (8, 11)], [(7, 8)]]
         with pytest.raises(ValueError):  # one item per span
             map_size_chunks(spans, lambda chunk: chunk[1:])
+
+    @pytest.mark.parametrize("n, per_chunk", [(5, 102), (200, 2), (256, 2), (257, 1), (513, 1)])
+    def test_size_chunks_cap_the_node_rows(self, n, per_chunk):
+        """A chunk holds at most BATCH_NODES node rows, and a longer span runs alone."""
+        spans = [(n * k, n * (k + 1)) for k in range(2 * per_chunk + 1)]
+        chunks = list(size_chunks(spans))
+        assert [len(c) for c in chunks] == [per_chunk, per_chunk, 1]
+        assert sum(chunks, []) == list(range(len(spans)))
 
     def test_an_empty_span_gives_one_line_naming_it(self):
         features = fm(np.ones((6, 2)))

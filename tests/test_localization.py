@@ -3,7 +3,7 @@ import pytest
 
 from cegl import graph, localization, metrics
 from cegl.dataio import Annotations, FeatureMatrix
-from cegl.graph import map_size_chunks
+from cegl.graph import BATCH_NODES, map_size_chunks
 from cegl.localization import node_scores, rank_frames, score_segments, scored_frames, topk_select
 from cegl.model import ModelConfig, forward, init_params
 from cegl.numerics import make_rng
@@ -202,9 +202,10 @@ class TestScoreSegments:
     @pytest.mark.parametrize("frames", ["none", "predicted", "all"])
     def test_equals_one_graph_forward_and_node_scores(self, aggregator, frames, monkeypatch):
         rng = make_rng(8)
-        # Sizes repeat, 10 more often than one batch of 40 holds, and 70
-        # is past the 65 nodes from which a segment runs alone.
-        sizes = (4, 1, 7, 5, 6, 1, 5, 5, *[10] * 45, 70, 4, 70)
+        # Sizes repeat, 10 more often than one batch holds, and `lone` is
+        # past the node count from which a segment runs alone.
+        lone = BATCH_NODES // 2 + 1
+        sizes = (4, 1, 7, 5, 6, 1, 5, 5, *[10] * (BATCH_NODES // 10 + 5), lone, 4, lone)
         offsets = np.cumsum((0, *sizes))
         features = FeatureMatrix("v", rng.standard_normal((offsets[-1], 3)))
         spans = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
@@ -219,7 +220,7 @@ class TestScoreSegments:
         scored = map_size_chunks(spans, lambda chunk: score_segments(
             graph.build_segment_graphs(features, chunk), params, frames))
         assert_each_segment_scored_once(calls, built, spans)
-        assert max(map(len, calls)) == 40
+        assert max(map(len, calls)) == BATCH_NODES // 10
         assert len(scored) == len(graphs)
         predicted = []
         for g, (score, frame_scores) in zip(graphs, scored):
@@ -231,6 +232,19 @@ class TestScoreSegments:
             else:
                 assert frame_scores is None
         assert any(predicted) and not all(predicted)
+
+    @pytest.mark.parametrize("aggregator", ["mean", "gated"])
+    def test_two_long_segments_share_a_pass_with_one_graph_bits(self, aggregator):
+        """Two 200-frame segments are one size chunk, scored as each is alone."""
+        features = FeatureMatrix("v", make_rng(12).standard_normal((400, 6)))
+        spans = [(0, 200), (200, 400)]
+        assert list(graph.size_chunks(spans)) == [[0, 1]]
+        params = init_params(ModelConfig((6, 8, 4), aggregator, "attention"), seed=3)
+        scored = score_segments(graph.build_segment_graphs(features, spans), params, "all")
+        for (s, e), (score, frame_scores) in zip(spans, scored, strict=True):
+            cache = forward(graph_of(features.values[s:e]), params, record=False)
+            assert score == cache.prediction[0]
+            assert frame_scores.tobytes() == node_scores(cache)[0].tobytes()
 
     def test_rejects_unknown_frames_mode(self):
         params = init_params(ModelConfig((2, 3, 2)), seed=1)

@@ -3,6 +3,7 @@ and measuring what the benchmark's README says they measure."""
 
 import importlib.util
 import json
+import re
 import shlex
 from collections import Counter
 from pathlib import Path
@@ -12,7 +13,7 @@ import numpy as np
 import cegl
 import cegl.cli
 from cegl.dataio import FeatureMatrix, read_feature_matrix
-from cegl.graph import GraphRows, SimilarityConfig, build_segment_graphs, size_chunks
+from cegl.graph import BATCH_NODES, GraphRows, SimilarityConfig, build_segment_graphs, size_chunks
 from cegl.segmentation import pelt, read_partition
 from forward_calls import expected_batches
 from test_cli import write_config
@@ -219,6 +220,17 @@ def test_readme_cli_block_runs_as_written(tmp_path, monkeypatch):
     for argv in lines:
         assert cegl.cli.main(argv[1:]) == 0, argv
         assert (tmp_path / argv[argv.index("--out") + 1]).exists(), argv
+
+
+def test_readme_chunk_rule_names_the_node_cap():
+    """README.md's size-chunk rule and its examples read `graph.BATCH_NODES`'s value."""
+    readme = (TRACING.parents[1] / "README.md").read_text()
+    text = " ".join(readme.replace("#", " ").split())  # one line, comment marks gone
+    caps = re.findall(r"at most (\d+) / n\b", text)
+    assert caps and set(caps) == {str(BATCH_NODES)}
+    assert "/ n²" not in text
+    examples = re.findall(r"\((\d+) ten-frame segments, two of 200 frames; (\d+) frames", text)
+    assert examples == [(str(BATCH_NODES // 10), str(BATCH_NODES // 2 + 1))]
 
 
 def test_benchmark_and_readme_run_configs_load(tmp_path, monkeypatch):
