@@ -253,9 +253,15 @@ def _rows(a: np.ndarray) -> np.ndarray:
 
 
 def _step_message(edges: np.ndarray, h: np.ndarray, p: int, out: np.ndarray) -> None:
-    """Step p's messages e_ij h_j into out, (B, N, d): node i reads j = p + 1 if i <= p, else p."""
-    np.multiply(edges[:, : p + 1, p + 1, None], h[:, p + 1, None], out=out[:, : p + 1])
-    np.multiply(edges[:, p + 1 :, p, None], h[:, p, None], out=out[:, p + 1 :])
+    """Step p's messages e_ij h_j into out, (B, N, d): node i reads j = p + 1 if i <= p, else p.
+
+    An einsum outer product sums no index, so each entry is the one product
+    e_ij h_jk, and it is cheaper than a broadcast multiply. Where e_ij = 0 and
+    h_jk < 0 it writes +0.0, not -0.0; only matmuls read the message, and
+    their accumulators start at +0, so no result changes.
+    """
+    np.einsum("bi,bj->bij", edges[:, : p + 1, p + 1], h[:, p + 1], out=out[:, : p + 1])
+    np.einsum("bi,bj->bij", edges[:, p + 1 :, p], h[:, p], out=out[:, p + 1 :])
 
 
 def _gated_messages(edges: np.ndarray, h: np.ndarray, sizes, update, reset, candidate, record):
@@ -270,18 +276,22 @@ def _gated_messages(edges: np.ndarray, h: np.ndarray, sizes, update, reset, cand
     # b has n_b - 1 steps; after them its update gate is held at zero,
     # which leaves its state unchanged.
     gate_in = np.empty(h.shape[:2] + (2 * d,))
+    moved = np.empty_like(h)  # z * cand of the current step, never recorded
     for p in range(n_max - 1):
         _step_message(edges, h, p, gate_in[..., d:])
         gate_in[..., :d] = state
         z = sigmoid(gate_in @ update.T)
         if p >= n_min - 1:
-            z = z * (p < sizes - 1)[:, None, None]
+            z *= (p < sizes - 1)[:, None, None]
         r = sigmoid(gate_in @ reset.T)
         np.multiply(r, state, out=gate_in[..., :d])
-        cand = np.tanh(gate_in @ candidate.T)
+        cand = gate_in @ candidate.T
+        np.tanh(cand, out=cand)
         if record:
             steps.append(_GatedStep(state, z, r, cand))
-        state = (1.0 - z) * state + z * cand
+        kept = 1.0 - z
+        kept *= state
+        state = np.add(kept, np.multiply(z, cand, out=moved), out=kept)
     return state, steps
 
 

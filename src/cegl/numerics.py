@@ -26,15 +26,15 @@ def make_rng(seed: int) -> np.random.Generator:
 def sigmoid(x):
     """Logistic function 1/(1+e^-x), overflow-safe for any finite input.
 
-    With e = exp(-|x|), never above 1, it is 1/(1+e) where x >= 0 and
-    e/(1+e) elsewhere: one exponential and one division per element and
-    no branch. -|x| is taken as min(x, -x), which passes a NaN on with
-    its sign bit. Accepts scalars or arrays; saturates to 0/1 instead of
-    overflowing.
+    With e = exp(-|x|), never above 1, it is max(e, [x >= 0]) / (1+e):
+    1/(1+e) where x >= 0, and e/(1+e) elsewhere, as e >= 0. One exponential
+    and one division per element and no branch. -|x| is taken as min(x, -x)
+    and a NaN e passes the maximum, so a NaN goes on with its sign bit.
+    Accepts scalars or arrays; saturates to 0/1 instead of overflowing.
     """
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(np.minimum(x, -x))
-    out = np.where(x >= 0, 1.0, e)
+    out = np.maximum(e, x >= 0)
     e += 1.0
     out /= e
     if out.ndim == 0:

@@ -527,6 +527,91 @@ class TestBatchedPass:
             forward(padded([]), init_params(ModelConfig((3, 4, 2))))
 
 
+def where_sigmoid(x):
+    """The sigmoid with a masked numerator, where(x >= 0, 1, e), kept as its reference."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(np.minimum(x, -x))
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return float(out) if out.ndim == 0 else out
+
+
+def broadcast_step_message(edges, h, p, out):
+    """Step p's messages as two broadcast multiplies, kept as the reference."""
+    np.multiply(edges[:, : p + 1, p + 1, None], h[:, p + 1, None], out=out[:, : p + 1])
+    np.multiply(edges[:, p + 1 :, p, None], h[:, p, None], out=out[:, p + 1 :])
+
+
+def out_of_place_gated_messages(edges, h, sizes, update, reset, candidate, record):
+    """The gated recurrence with every step product out of place, kept as the reference."""
+    n_max, d = h.shape[1:]
+    state, steps = h.copy(), [] if record else None
+    gate_in = np.empty(h.shape[:2] + (2 * d,))
+    for p in range(n_max - 1):
+        broadcast_step_message(edges, h, p, gate_in[..., d:])
+        gate_in[..., :d] = state
+        z = where_sigmoid(gate_in @ update.T)
+        z = z * (p < sizes - 1)[:, None, None]
+        r = where_sigmoid(gate_in @ reset.T)
+        np.multiply(r, state, out=gate_in[..., :d])
+        cand = np.tanh(gate_in @ candidate.T)
+        if record:
+            steps.append(model._GatedStep(state, z, r, cand))
+        state = (1.0 - z) * state + z * cand
+    return state, steps
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestGatedStepBits:
+    """The gated step against its out-of-place reference formulas, bit for bit.
+
+    `allclose` cannot see a changed bit, so every array is compared as
+    uint64. The batch pads graphs of sizes 9, 4, 1 and 7 whose raw features
+    are mostly negative and whose frames are often negatively correlated,
+    so many edge cells are zero: the cells where an einsum message and a
+    broadcast message differ in the sign of a zero.
+    """
+
+    def test_forward_steps_and_gradient_equal_the_reference(self, monkeypatch):
+        rng = make_rng(31)
+        graphs = [graph_of(rng.standard_normal((n, 3)) - 0.5) for n in (9, 4, 1, 7)]
+        batch = padded(graphs)
+        params = init_params(ModelConfig((3, 5, 4), "gated", "attention"), seed=5)
+        labels, weights = [1, 0, 1, 0], [0.5, 1.0, 2.0, 1.5]
+        msgs = np.empty((2,) + batch.node_features.shape)
+        model._step_message(batch.edge_weights, batch.node_features, 0, msgs[0])
+        broadcast_step_message(batch.edge_weights, batch.node_features, 0, msgs[1])
+        assert np.signbit(msgs[1][msgs[0] == 0]).any()  # a -0.0 the einsum writes as +0.0
+
+        def run():
+            unrecorded = forward(batch, params, record=False)
+            cache = forward(batch, params)
+            return unrecorded, cache, backward(cache, labels, weights)
+
+        got = run()
+        monkeypatch.setattr(model, "sigmoid", where_sigmoid)
+        monkeypatch.setattr(model, "_step_message", broadcast_step_message)
+        monkeypatch.setattr(model, "_gated_messages", out_of_place_gated_messages)
+        want = run()
+        for new, ref in zip(got[:2], want[:2]):
+            for name in ("node_embeddings", "stacked_inputs", "preacts"):
+                for a, b in zip(getattr(new, name), getattr(ref, name), strict=True):
+                    assert np.array_equal(bits(a), bits(b)), name
+            for name in ("attn_tanh", "attention_weights", "graph_embedding", "prediction"):
+                assert np.array_equal(bits(getattr(new, name)), bits(getattr(ref, name))), name
+        steps, ref_steps = got[1].gated_steps, want[1].gated_steps
+        assert [len(layer) for layer in steps] == [8, 8]
+        for layer, ref_layer in zip(steps, ref_steps, strict=True):
+            for step, ref_step in zip(layer, ref_layer, strict=True):
+                for name in ("state", "z", "r", "cand"):
+                    assert np.array_equal(bits(getattr(step, name)), bits(getattr(ref_step, name)))
+        assert np.array_equal(bits(got[2].vector), bits(want[2].vector))
+
+
 class TestSgdStep:
     def test_zero_lr_keeps_params(self):
         params = init_params(ModelConfig((3, 4, 2)), seed=1)
