@@ -55,16 +55,20 @@ params, _ = train(
                 init_scale=2.0, class_weighting=True),
 )
 
-# Localize one held-out video and show a few abnormal segments.
-features, annotations, _ = videos[4]
-partition = pelt(features, seg_cfg)
+# Score both held-out videos once: one forward pass per batch of
+# equal-length segments gives each segment's score and its frame scores,
+# and map_size_chunks puts them back in span order.
+held_out = []
+for features, annotations, _ in videos[4:]:
+    partition = pelt(features, seg_cfg)
+    scored = map_size_chunks(partition.spans(), lambda chunk: score_segments(
+        build_segment_graphs(features, chunk), params, frames="all"))
+    held_out.append((annotations, partition, scored))
+
+# Localize the first held-out video and show a few abnormal segments.
+annotations, partition, scored = held_out[0]
 labels = derive_segment_labels(annotations, partition)
 spans = partition.spans()
-
-# One forward pass per batch of equal-length segments gives each segment's
-# score and its frame scores; map_size_chunks puts them back in span order.
-scored = map_size_chunks(spans, lambda chunk: score_segments(
-    build_segment_graphs(features, chunk), params, frames="all"))
 
 print("top-2 selections in the first abnormal segments of a held-out video:")
 shown = 0
@@ -79,12 +83,11 @@ for i, (score, frame_scores) in enumerate(scored):
           f"truth {truth.tolist()} -> {'hit' if hit else 'miss'}")
     shown += 1
 
-# Coverage over both held-out videos for the usual k sweep.
-test_data = []
-for features, annotations, _ in videos[4:]:
-    partition = pelt(features, seg_cfg)
-    test_data.append((features, annotations, partition))
-curve = coverage_curve(params, test_data, [1, 2, 3, 5, 7, 9], localize_all=True)
+# Coverage over both held-out videos for the usual k sweep, from the same
+# frame scores.
+test_data = [(annotations, partition, [frame_scores for _, frame_scores in scored])
+             for annotations, partition, scored in held_out]
+curve = coverage_curve(test_data, [1, 2, 3, 5, 7, 9])
 print("\ncoverage by k (pooled over held-out videos):")
 for k, c in curve:
     print(f"  k={k}: {c:.3f}")

@@ -1,4 +1,4 @@
-"""Command-line pipeline: synth, segment, train, classify, localize, evaluate.
+"""Command-line pipeline: synth, segment, train, classify, localize, evaluate, coverage-curve.
 
 Each subcommand is a pure function of its input files plus the JSON run
 configuration; all randomness is seeded from the config (the CEGL_SEED
@@ -13,6 +13,7 @@ included), 2 usage/config failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import reprlib
 import sys
@@ -25,7 +26,7 @@ from . import dataio, metrics, segmentation
 from .dataio import Annotations, FeatureMatrix, SynthConfig, config_from_json
 from .errors import CeglError, ConfigError, DataError, FormatError, NumericError
 from .graph import GraphRows, SimilarityConfig, build_segment_graphs, map_size_chunks
-from .localization import score_segments, scored_frames, topk_select
+from .localization import score_segments, topk_select
 from .model import (
     ModelConfig,
     TrainConfig,
@@ -223,8 +224,12 @@ def cmd_localize(args) -> int:
 
     def select(chunk, scored):
         """(score, frame scores, selected frames) per span: one top-k call per size chunk."""
-        rows, picks = scored_frames(chunk, scored, lambda frames: topk_select(frames, args.k))
-        picked = dict(zip(rows, picks.tolist()))
+        rows = [i for i, (_, frame_scores) in enumerate(scored) if frame_scores is not None]
+        picked = {}
+        if rows:
+            starts = np.array([chunk[i][0] for i in rows])[:, None]
+            picks = topk_select(np.stack([scored[i][1] for i in rows]), args.k) + starts
+            picked = dict(zip(rows, picks.tolist()))
         return [(*item, picked.get(i, [])) for i, item in enumerate(scored)]
 
     _, spans, scored = _score_video(args, "all" if args.all_segments else "predicted", select)
@@ -238,19 +243,40 @@ def cmd_localize(args) -> int:
     return 0
 
 
+def _read_localized_video(loc, partition_path, annotations_path):
+    """(annotations, partition, frame scores per span) of one `coverage-curve --video`.
+
+    The localize output `loc` must list one object per span of the partition, in
+    order, with the span's segment_id (its position), start and end, and scores
+    that are [] (None here) or one finite JSON real per frame.
+    """
+    video_id, partition = segmentation.read_partition(partition_path)
+    ann = dataio.read_annotations(annotations_path)
+    _same_video(partition=video_id, annotations=ann.video_id)
+    spans, entries = partition.spans(), dataio.read_json(loc, "localization")
+    if not isinstance(entries, list) or len(entries) != len(spans):
+        raise FormatError(f"localization JSON must list {len(spans)} objects, one per span: {loc}")
+    frame_scores = []
+    for i, (entry, (s, e)) in enumerate(zip(entries, spans)):
+        entry = entry if isinstance(entry, dict) else {}
+        ids, scores = [entry.get(key) for key in ("segment_id", "start", "end")], entry.get("scores")
+        # JSON true is no id, and true, strings and NaN are no scores, even where casts take them.
+        if list(map(type, ids)) != [int] * 3 or ids != [i, s, e]:
+            raise FormatError(f"localization entry {i} must be an object with segment_id {i} and "
+                              f"the partition's span [{s}, {e}), got {reprlib.repr(ids)}: {loc}")
+        if not isinstance(scores, list) or scores and (len(scores) != e - s or not all(
+                type(v) is float and math.isfinite(v) for v in scores)):
+            raise FormatError(f"localization entry {i} needs scores [] or {e - s} finite reals: {loc}")
+        frame_scores.append(np.array(scores) if scores else None)
+    return ann, partition, frame_scores
+
+
 def cmd_coverage_curve(args) -> int:
     try:
         ks = metrics.check_ks(int(k) for k in args.ks.split(","))
     except ValueError as exc:
         raise ConfigError(f"--ks must be strictly ascending positive ints: {args.ks!r}") from exc
-    params, segmentation_cfg = load_checkpoint(args.model)
-
-    data = []
-    for cegf in _list_videos(Path(args.data)):
-        features, ann = _load_video(cegf)
-        data.append((features, ann, pelt(features, segmentation_cfg)))
-
-    curve = metrics.coverage_curve(params, data, ks)
+    curve = metrics.coverage_curve([_read_localized_video(*paths) for paths in args.video], ks)
     metrics.write_coverage_csv(curve, args.out)
     return 0
 
@@ -349,9 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="score every segment, not only predicted-abnormal ones")
     p.set_defaults(func=cmd_localize)
 
-    p = sub.add_parser("coverage-curve", help="coverage at each k over a data directory")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("coverage-curve", help="coverage at each k from localize outputs")
+    p.add_argument("--video", required=True, action="append", nargs=3,
+                   metavar=("LOC", "PARTITION", "ANNOTATIONS"),
+                   help="a localize output, the partition it was run on and the annotations")
     p.add_argument("--ks", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_coverage_curve)

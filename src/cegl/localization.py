@@ -1,15 +1,15 @@
 """Inference-time frame localization: score, rank, select top-k per segment.
 
 `score_segments`, one inference-only `forward` over one `GraphBatch`, is
-the inference path of `cegl classify`, `cegl localize` and the coverage
-curve. A trained classifier's readout is repurposed as a temporal pool:
-each frame's score is its attention weight times the sigmoid head applied
-to its own final embedding, i.e. the frame's weighted contribution to the
-abnormal prediction. `rank_frames` orders each segment's frames one fixed
-way (score descending, earlier frame first on ties); `cegl localize`'s
-top-k selection is a prefix of that order, so selections are nested in k,
-and the coverage curve reads each segment's first-hit rank from it. Both
-order a size chunk's scored segments in one call through `scored_frames`.
+the inference path of `cegl classify` and `cegl localize`. A trained
+classifier's readout is repurposed as a temporal pool: each frame's score
+is its attention weight times the sigmoid head applied to its own final
+embedding, i.e. the frame's weighted contribution to the abnormal
+prediction. `rank_frames` orders each segment's frames one fixed way
+(score descending, earlier frame first on ties); `cegl localize`'s top-k
+selection is a prefix of that order, so selections are nested in k, and
+the coverage curve reads each segment's first-hit rank from it, given the
+frame scores that `cegl localize` writes.
 """
 
 from __future__ import annotations
@@ -89,16 +89,3 @@ def topk_select(scores: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k must be at least 1, got {k}")
     return np.sort(rank_frames(scores)[..., :k], axis=-1)
 
-
-def scored_frames(chunk, scored, order) -> tuple[list[int], np.ndarray]:
-    """The chunk's spans that `score_segments` gave frame scores, and `order` of them.
-
-    One `order` call maps their stacked (R, n) frame scores to frame
-    indices within each span, shifted here by the span's start; with no
-    such span, it is not called and the rows are (0, n).
-    """
-    rows = [i for i, (_, f) in enumerate(scored) if f is not None]
-    if not rows:
-        return rows, np.empty((0, chunk[0][1] - chunk[0][0]), dtype=np.intp)
-    starts = np.array([chunk[i][0] for i in rows])[:, None]
-    return rows, order(np.stack([scored[i][1] for i in rows])) + starts

@@ -7,6 +7,8 @@ Zero-denominator per-class values are reported as 0 and flagged rather
 than propagating NaN. Coverage at k (the share of abnormal segments whose
 top-k frames hold an abnormal frame) is counted for every k from each
 segment's first-hit rank: its first abnormal frame's `rank_frames` position.
+It is arithmetic on the frame scores that `score_segments` gives (and
+`cegl localize` writes); this module scores nothing itself.
 """
 
 from __future__ import annotations
@@ -16,11 +18,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataio import Annotations, FeatureMatrix, derive_segment_labels, write_atomic, write_json
-from .graph import build_segment_graphs, map_size_chunks
-from .localization import rank_frames, score_segments, scored_frames
-from .model import ModelParams
-from .segmentation import Partition
+from .dataio import derive_segment_labels, write_atomic, write_json
+from .localization import rank_frames
 
 
 @dataclass(frozen=True)
@@ -124,40 +123,26 @@ def check_ks(ks) -> list[int]:
     return ks
 
 
-def coverage_curve(
-    params: ModelParams,
-    data: list[tuple[FeatureMatrix, Annotations, Partition]],
-    ks: list[int],
-    localize_all: bool = False,
-) -> list[tuple[int, float]]:
+def coverage_curve(data: list[tuple], ks: list[int]) -> list[tuple[int, float]]:
     """Pooled coverage at each k over one or more annotated videos.
 
-    Each video is built and scored once, one size chunk at a time, and
-    each chunk's scored segments are ranked by one `rank_frames` call. A
-    scored abnormal segment's first-hit rank r is the position of its
-    first abnormal frame in that order, and it is covered at k iff r < k;
-    an unscored segment never is. coverage(k) = #(r < k) / #abnormal reads
-    every k from one sorted list of ranks, so the curve is monotone by
-    construction. By default only segments predicted abnormal are
-    localized; `localize_all` scores all.
+    Each video is (annotations, partition, frame scores): per span, its
+    frame scores, or None if the segment was not scored. A scored
+    abnormal segment's first-hit rank r is the position of its first
+    abnormal frame in `rank_frames` of its scores; it is covered at k iff
+    r < k, and an unscored segment never is. coverage(k) = #(r < k) /
+    #abnormal reads every k from one sorted list of ranks, so the curve is
+    monotone by construction.
     """
     ks = check_ks(ks)
-    frames = "all" if localize_all else "predicted"
-
     ranks, total = [], 0
-    for features, ann, partition in data:
+    for ann, partition, frame_scores in data:
         total += int(derive_segment_labels(ann, partition).sum())
-
-        def first_hits(chunk):
-            """Each span's first-hit rank, or None if unscored or normal."""
-            scored = score_segments(build_segment_graphs(features, chunk), params, frames)
-            rows, order = scored_frames(chunk, scored, rank_frames)
-            hit = ann.frame_labels[order] == 1
-            first = {i: r for i, h, r in zip(
-                rows, hit.any(axis=1).tolist(), hit.argmax(axis=1).tolist()) if h}
-            return [first.get(i) for i in range(len(chunk))]
-
-        ranks += [r for r in map_size_chunks(partition.spans(), first_hits) if r is not None]
+        for (start, _), scores in zip(partition.spans(), frame_scores, strict=True):
+            if scores is not None:
+                hit = ann.frame_labels[rank_frames(scores) + start] == 1
+                if hit.any():
+                    ranks.append(int(hit.argmax()))
     if total == 0:
         raise ValueError("coverage curve undefined: no abnormal segments in data")
     ranks.sort()

@@ -20,7 +20,6 @@ from cegl.dataio import (
 )
 from cegl.errors import FormatError, TruncatedFileError
 from cegl.graph import GraphRows, build_segment_graphs, map_size_chunks
-from cegl import metrics
 from cegl.localization import score_segments
 from cegl.metrics import confusion, coverage_curve, weighted_metrics
 from cegl.model import (
@@ -199,17 +198,19 @@ def test_criterion_4_end_to_end_synthetic_protocol():
     params, history = train(train_graphs, train_labels, params, TrainConfig(**END_TO_END["train"]))
     assert history[-1] < history[0]
 
+    # One scoring pass per held-out video gives both the predictions and every
+    # segment's frame scores.
     preds, labels, test_data = [], [], []
     for features, ann, _planted in videos[4:]:
         partition = pelt(features, seg_cfg)
         scored = map_size_chunks(partition.spans(), lambda spans: score_segments(
-            build_segment_graphs(features, spans), params, "none"))
+            build_segment_graphs(features, spans), params, "all"))
         preds += [int(score >= 0.5) for score, _ in scored]
         labels += derive_segment_labels(ann, partition).tolist()
-        test_data.append((features, ann, partition))
+        test_data.append((ann, partition, [frame_scores for _, frame_scores in scored]))
 
     accuracy = weighted_metrics(confusion(preds, labels)).accuracy
-    curve = coverage_curve(params, test_data, list(END_TO_END["ks"]), localize_all=True)
+    curve = coverage_curve(test_data, list(END_TO_END["ks"]))
     cov = dict(curve)
 
     elapsed = time.time() - started
@@ -230,7 +231,7 @@ def test_criterion_4_end_to_end_synthetic_protocol():
 # 5. Coverage arithmetic
 
 
-def test_criterion_5_coverage_arithmetic(monkeypatch):
+def test_criterion_5_coverage_arithmetic():
     n_seg = 40
     frame_labels = np.zeros(10 * n_seg, dtype=np.int64)
     frame_labels[::10] = 1  # every segment abnormal at its first frame
@@ -239,15 +240,11 @@ def test_criterion_5_coverage_arithmetic(monkeypatch):
 
     def frame_scores(hits):
         # hit segments rank their abnormal frame first, the rest a normal one
-        return {10 * i: np.eye(10)[0 if i < hits else 5] for i in range(n_seg)}
+        return [np.eye(10)[0 if i < hits else 5] for i in range(n_seg)]
 
-    monkeypatch.setattr(metrics, "build_segment_graphs", lambda features, chunk: chunk)
     for hits, want in ((37, 0.925), (39, 0.975)):
-        scores = frame_scores(hits)
-        monkeypatch.setattr(metrics, "score_segments", lambda chunk, params, frames: [
-            (1.0, scores[s]) for s, _ in chunk])
         assert hits / n_seg == want
-        assert coverage_curve(None, [(None, ann, partition)], [1]) == [(1, want)]
+        assert coverage_curve([(ann, partition, frame_scores(hits))], [1]) == [(1, want)]
     report("5. coverage arithmetic: 37/40 = 0.925 and 39/40 = 0.975 exactly")
 
 

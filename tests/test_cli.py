@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import shutil
@@ -18,7 +19,7 @@ from cegl.dataio import (
 )
 from cegl.graph import build_segment_graphs, map_size_chunks
 from cegl.localization import topk_select
-from cegl.metrics import coverage_curve
+from cegl.metrics import coverage_curve, write_coverage_csv
 from cegl.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from cegl.segmentation import (
     Partition,
@@ -101,7 +102,8 @@ def run_pipeline(tmp_path, name="run"):
                  "--partition", str(partition), "--out", str(metrics)]) == 0
 
     curve = base / "curve.csv"
-    assert main(["coverage-curve", "--model", str(ckpt), "--data", str(data),
+    assert main(["coverage-curve", "--video", str(loc), str(partition),
+                 str(data / "video-000.annotations.json"),
                  "--ks", "1,2,3,5,7,9", "--out", str(curve)]) == 0
     return base
 
@@ -252,11 +254,11 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("ks", ["3,1", "0,1", "a,b", "1,1,2"])
     def test_bad_ks_rejected(self, tmp_path, capsys, ks):
-        # --ks is checked before the checkpoint is read, so a missing one is no excuse.
+        # --ks is checked before any input is read, so missing ones are no excuse.
         out = tmp_path / "c.csv"
         assert_exit_2_without_output(
-            ["coverage-curve", "--model", tmp_path / "m.cegm", "--data", tmp_path,
-             "--ks", ks, "--out", out],
+            ["coverage-curve", "--video", tmp_path / "loc.json", tmp_path / "part.json",
+             tmp_path / "ann.json", "--ks", ks, "--out", out],
             out, capsys, "--ks",
         )
 
@@ -356,51 +358,76 @@ class TestCheckpointHeader:
             out, capsys, fragment,
         )
 
+    def test_localize_rejects_checkpoint_without_segmentation(self, pipeline, tmp_path, capsys):
+        model = tmp_path / "noseg.cegm"
+        rewrite_header(pipeline / "model.cegm", model, lambda h: h.update(segmentation=None))
+        out = tmp_path / "loc.json"
+        assert_exit_2_without_output(
+            ["localize", "--model", model, "--features", pipeline / "data" / "video-000.cegf",
+             "--partition", pipeline / "video-000.partition.json", "--k", "2", "--out", out],
+            out, capsys, "segmentation",
+        )
+
 
 class TestCoverageCurveSegmentation:
     @staticmethod
-    def segmented_data(pipeline, tmp_path):
-        """(features, annotations, partition) of each pipeline video, cut by `cegl segment`."""
-        data = []
+    def localized_videos(pipeline, run, model, all_segments):
+        """`--video` arguments of each pipeline video localized by model on its `cegl segment`
+        partition, and the library's (annotations, partition, frame scores) of the same."""
+        params, _ = load_checkpoint(model)
+        frames = "all" if all_segments else "predicted"
+        argv, data = [], []
         for cegf in sorted((pipeline / "data").glob("*.cegf")):
-            part = tmp_path / f"{cegf.stem}.partition.json"
+            part, loc = run / f"{cegf.stem}.partition.json", run / f"{cegf.stem}.{frames}.json"
+            ann = cegf.with_name(cegf.stem + ".annotations.json")
             assert main(["segment", "--features", str(cegf), "--config",
                          str(pipeline / "config.json"), "--out", str(part)]) == 0
-            ann = read_annotations(cegf.with_name(cegf.stem + ".annotations.json"))
-            data.append((read_feature_matrix(cegf), ann, read_partition(part)[1]))
-        return data
+            assert main(["localize", "--model", str(model), "--features", str(cegf),
+                         "--partition", str(part), "--k", "2", "--out", str(loc)]
+                        + (["--all-segments"] if all_segments else [])) == 0
+            argv += ["--video", str(loc), str(part), str(ann)]
+            features, partition = read_feature_matrix(cegf), read_partition(part)[1]
+            scored = map_size_chunks(partition.spans(), lambda chunk: localization.score_segments(
+                build_segment_graphs(features, chunk), params, frames))
+            data.append((read_annotations(ann), partition, [f for _, f in scored]))
+        return argv, data
 
     def test_matches_library_curve_on_segment_partitions(self, pipeline, tmp_path):
-        data = self.segmented_data(pipeline, tmp_path)
-        params, _seg = load_checkpoint(pipeline / "model.cegm")
-        want = coverage_curve(params, data, [1, 2, 3, 5, 7, 9])
-        rows = (pipeline / "curve.csv").read_text().splitlines()[1:]
-        got = [(int(k), float(c)) for k, c in (row.split(",") for row in rows)]
-        assert got == want
+        """In each localize mode and for each aggregator/readout pairing, curve.csv from the
+        localize outputs has the bytes of `coverage_curve` of `score_segments`' frame scores."""
+        ks = [1, 2, 3, 5, 7, 9]
+        config = json.loads((pipeline / "config.json").read_text())
+        for aggregator, readout in itertools.product(("mean", "gated"), ("attention", "mean")):
+            run = tmp_path / f"{aggregator}-{readout}"
+            run.mkdir()
+            model_cfg = {**config["model"], "aggregator_kind": aggregator, "readout_kind": readout}
+            write_config(run / "config.json", model=model_cfg)
+            model = run / "model.cegm"
+            assert main(["train", "--data", str(pipeline / "data"), "--config",
+                         str(run / "config.json"), "--out", str(model)]) == 0
+            for all_segments in (True, False):
+                argv, data = self.localized_videos(pipeline, run, model, all_segments)
+                got, want = run / "got.csv", run / "want.csv"
+                assert main(["coverage-curve", *argv, "--ks", ",".join(map(str, ks)),
+                             "--out", str(got)]) == 0
+                write_coverage_csv(coverage_curve(data, ks), want)
+                assert got.read_bytes() == want.read_bytes()
+                # --all-segments ranks every segment, so its curve rests on more than the
+                # few segments this briefly trained model predicts abnormal
+                scored = [f is not None for _, _, scores in data for f in scores]
+                assert all(scored) == all_segments
 
     def test_k_past_int64_selects_every_frame(self, pipeline, tmp_path):
         huge = 99999999999999999999999
-        data = self.segmented_data(pipeline, tmp_path)
-        params, _seg = load_checkpoint(pipeline / "model.cegm")
+        argv, data = self.localized_videos(pipeline, tmp_path, pipeline / "model.cegm", True)
         # no segment is longer than its video, so this k also selects every frame
-        longest = max(features.frame_count for features, _, _ in data)
-        want = coverage_curve(params, data, [1, 2, longest])
+        longest = max(len(ann.frame_labels) for ann, _, _ in data)
+        want = coverage_curve(data, [1, 2, longest])
+        assert want[2][1] == 1.0
         out = tmp_path / "curve.csv"
-        assert main(["coverage-curve", "--model", str(pipeline / "model.cegm"),
-                     "--data", str(pipeline / "data"), "--ks", f"1,2,{huge}",
-                     "--out", str(out)]) == 0
+        assert main(["coverage-curve", *argv, "--ks", f"1,2,{huge}", "--out", str(out)]) == 0
         assert out.read_text().splitlines() == [
             "k,coverage", *(f"{k},{c!r}" for k, c in [*want[:2], (huge, want[2][1])])]
-
-    def test_checkpoint_without_segmentation_exits_2(self, pipeline, tmp_path, capsys):
-        model = tmp_path / "noseg.cegm"
-        rewrite_header(pipeline / "model.cegm", model, lambda h: h.update(segmentation=None))
-        out = tmp_path / "curve.csv"
-        assert_exit_2_without_output(
-            ["coverage-curve", "--model", model, "--data", pipeline / "data",
-             "--ks", "1,2", "--out", out],
-            out, capsys, "segmentation",
-        )
 
 
 class TestEvaluateMalformedInput:
@@ -711,8 +738,12 @@ def test_localize_json_holds_score_segments_output(pipeline):
 
 
 @pytest.mark.parametrize("all_segments", [True, False])
-def test_localize_selects_within_each_size_chunk(tmp_path, all_segments):
-    """Ten-frame segments fill two size chunks; each entry holds its own top-3 frames."""
+def test_localize_selects_within_each_size_chunk(tmp_path, monkeypatch, all_segments):
+    """Ten-frame segments fill two size chunks; each entry holds its own top-3 frames.
+
+    Each size chunk that holds a scored segment makes one `topk_select` call over its
+    scored segments' stacked frame scores, and a chunk with none makes no call.
+    """
     sizes = (4, 1, 7, 5, *[10] * (graph.BATCH_NODES // 10 + 5), graph.BATCH_NODES // 2 + 1, 4)
     offsets = np.cumsum((0, *sizes))
     features = FeatureMatrix("v", np.random.default_rng(8).standard_normal((offsets[-1], 3)))
@@ -728,7 +759,13 @@ def test_localize_selects_within_each_size_chunk(tmp_path, all_segments):
     write_feature_matrix(features, paths["v.cegf"])
     write_partition(Partition(tuple(offsets.tolist())), "v", paths["v.partition.json"])
     save_checkpoint(params, paths["m.cegm"], segmentation=SegmentationConfig())
+    calls = []
 
+    def recording_topk_select(scores, k):
+        calls.append(scores.tolist())
+        return topk_select(scores, k)
+
+    monkeypatch.setattr(cli, "topk_select", recording_topk_select)
     assert main(["localize", "--model", str(paths["m.cegm"]), "--features", str(paths["v.cegf"]),
                  "--partition", str(paths["v.partition.json"]), "--k", "3",
                  "--out", str(paths["loc.json"])] + (["--all-segments"] if all_segments else [])) == 0
@@ -739,6 +776,10 @@ def test_localize_selects_within_each_size_chunk(tmp_path, all_segments):
         assert entry["selected_frames"] == list(want)
     scored_tens = [bool(entry["scores"]) for entry in loc if entry["end"] - entry["start"] == 10]
     assert any(scored_tens) and all(scored_tens) == all_segments
+    per_chunk = [[loc[i]["scores"] for i in chunk if loc[i]["scores"]]
+                 for chunk in graph.size_chunks(spans)]
+    assert calls == [rows for rows in per_chunk if rows]
+    assert all(per_chunk) == all_segments
 
 
 def other_video(path, out):
@@ -753,7 +794,8 @@ def other_video(path, out):
     "command, swapped",
     [("classify", "partition"), ("localize", "partition"),
      ("evaluate", "annotations"), ("evaluate", "preds"),
-     ("train", "annotations"), ("coverage-curve", "annotations")],
+     ("train", "annotations"), ("coverage-curve", "annotations"),
+     ("coverage-curve", "partition")],
 )
 def test_inputs_for_different_videos_exit_2(pipeline, tmp_path, capsys, command, swapped):
     inputs = {
@@ -763,14 +805,15 @@ def test_inputs_for_different_videos_exit_2(pipeline, tmp_path, capsys, command,
     }
     inputs[swapped] = other_video(inputs[swapped], tmp_path / f"{swapped}.json")
     out = tmp_path / "out.json"
-    if command in ("train", "coverage-curve"):
+    if command == "train":
         # a data directory whose video-000 annotations name another video
         data = tmp_path / "data"
         shutil.copytree(pipeline / "data", data)
         shutil.copy(inputs["annotations"], data / "video-000.annotations.json")
-        argv = (["train", "--config", pipeline / "config.json"] if command == "train"
-                else ["coverage-curve", "--model", pipeline / "model.cegm", "--ks", "1,2"])
-        argv += ["--data", data, "--out", out]
+        argv = ["train", "--config", pipeline / "config.json", "--data", data, "--out", out]
+    elif command == "coverage-curve":
+        argv = ["coverage-curve", "--video", pipeline / "loc.json", inputs["partition"],
+                inputs["annotations"], "--ks", "1,2", "--out", out]
     elif command == "evaluate":
         argv = ["evaluate", "--preds", inputs["preds"], "--annotations", inputs["annotations"],
                 "--partition", inputs["partition"], "--out", out]
@@ -809,6 +852,16 @@ def first_segment(field, value):
     return lambda p: {**p, "segments": [{**p["segments"][0], field: value}, *p["segments"][1:]]}
 
 
+def first_entry(field, value):
+    """Edit of a localize output that sets `field` of its first entry to value."""
+    return lambda loc: [{**loc[0], field: value}, *loc[1:]]
+
+
+def first_score(value):
+    """Edit of a localize output that makes its first entry's first frame score value."""
+    return lambda loc: [{**loc[0], "scores": [value, *loc[0]["scores"][1:]]}, *loc[1:]]
+
+
 def config_section(key, value):
     """Edit of a run config that makes its `key` section value."""
     return lambda c: {**c, key: value}
@@ -823,10 +876,11 @@ def hostile_input_cases():
     """(id, file, command, new content from old, fragment): one bad input file per row.
 
     Each file's one reader must refuse it: the annotations in `train`,
-    `evaluate` and `coverage-curve`, the checkpoint header in `classify`,
-    `localize` and `coverage-curve`, a feature file (CEGF, CSV or another
-    suffix) and the run config in `segment` (a synth section in `synth`),
-    and the predictions in `evaluate`. A partition that does not end at
+    `evaluate` and `coverage-curve`, the checkpoint header in `classify`
+    and `localize`, a feature file (CEGF, CSV or another suffix) and the
+    run config in `segment` (a synth section in `synth`), the predictions
+    in `evaluate` and a localize output (the pipeline's `--all-segments`
+    one) in `coverage-curve`. A partition that does not end at
     the video's last frame is refused where it meets the features, in
     `classify` and `localize`; its fragment names the partition's end. A
     malformed partition is refused in `classify`, `localize` and
@@ -842,6 +896,8 @@ def hostile_input_cases():
                        "notes must be a string, got [1, 2, 3]"),
         "many-unknown-keys": (lambda a: {**a, **{f"k{i}": 0 for i in range(10**5)}},
                               "unknown annotation keys ['k0', 'k1', 'k10', "),
+        "one-frame-too-many": (lambda a: {**a, "frame_labels": [*a["frame_labels"], 0]},
+                               "but annotations have"),
     }
 
     def retired_segmentation(h):
@@ -869,7 +925,7 @@ def hostile_input_cases():
         for command in ("train", "evaluate", "coverage-curve"):
             yield f"annotations-{name}-{command}", "annotations", command, edit, fragment
     for name, (edit, fragment) in headers.items():
-        for command in ("classify", "localize", "coverage-curve"):
+        for command in ("classify", "localize"):
             yield f"header-{name}-{command}", "checkpoint", command, edit, fragment
     partitions = {"past-the-video": moved_end(7), "short-of-the-video": moved_end(-3)}
     for name, edit in partitions.items():
@@ -931,6 +987,29 @@ def hostile_input_cases():
     }
     for name, (edit, fragment) in predictions.items():
         yield f"predictions-{name}-evaluate", "predictions", "evaluate", edit, fragment
+    localizations = {
+        "object-root": (lambda loc: {"segments": loc}, "must list"),
+        "one-entry-short": (lambda loc: loc[:-1], "must list"),
+        "list-entry": (lambda loc: [[], *loc[1:]], "entry 0 must be an object"),
+        "shifted-segment-id": (first_entry("segment_id", 1), "got [1, 0, "),
+        "false-segment-id": (first_entry("segment_id", False), "with segment_id 0"),
+        "false-start": (first_entry("start", False), "got [0, False, "),
+        "real-end": (lambda loc: [{**loc[0], "end": float(loc[0]["end"])}, *loc[1:]],
+                     "the partition's span"),
+        "no-end": (lambda loc: [{k: v for k, v in loc[0].items() if k != "end"}, *loc[1:]],
+                   "the partition's span"),
+        "shifted-end": (lambda loc: [{**loc[0], "end": loc[0]["end"] + 1}, *loc[1:]],
+                        "the partition's span"),
+        "null-scores": (first_entry("scores", None), "needs scores [] or"),
+        "short-scores": (lambda loc: [{**loc[0], "scores": loc[0]["scores"][1:]}, *loc[1:]],
+                         "needs scores [] or"),
+        "true-score": (first_score(True), "needs scores [] or"),
+        "string-score": (first_score("0.5"), "needs scores [] or"),
+        "integer-score": (first_score(0), "needs scores [] or"),
+        "nan-score": (first_score(float("nan")), "needs scores [] or"),
+    }
+    for name, (edit, fragment) in localizations.items():
+        yield f"localization-{name}-coverage-curve", "localization", "coverage-curve", edit, fragment
     configs = {
         "list-root": (lambda c: [c], "config root must be a JSON object"),
         "string-root": (lambda c: json.dumps("config"), "config root must be a JSON object"),
@@ -977,16 +1056,15 @@ def test_hostile_input_exits_2(
     annotations = data / "video-000.annotations.json"
     partition = pipeline / "video-000.partition.json"
     features = data / "video-000.cegf"
-    config, preds = pipeline / "config.json", pipeline / "preds.json"
+    json_inputs = {"config": pipeline / "config.json", "predictions": pipeline / "preds.json",
+                   "localization": pipeline / "loc.json"}
     if kind in ("cegf", "csv", "txt"):
         features = tmp_path / f"video-000.{kind}"
         features.write_bytes(edit((data / "video-000.cegf").read_bytes()))
-    elif kind in ("config", "predictions"):
-        good = config if kind == "config" else preds
-        bad = edit(json.loads(good.read_text()))
-        written = tmp_path / good.name
-        written.write_text(bad if isinstance(bad, str) else json.dumps(bad))
-        config, preds = (written, preds) if kind == "config" else (config, written)
+    elif kind in json_inputs:
+        bad = edit(json.loads(json_inputs[kind].read_text()))
+        json_inputs[kind] = tmp_path / json_inputs[kind].name
+        json_inputs[kind].write_text(bad if isinstance(bad, str) else json.dumps(bad))
     elif kind == "annotations":
         data = tmp_path / "data"
         shutil.copytree(pipeline / "data", data)
@@ -1003,14 +1081,16 @@ def test_hostile_input_exits_2(
         model = tmp_path / "bad.cegm"
         good = pipeline / "model.cegm"
         replace_header(good, model, edit(checkpoint_header(good)))
+    config = json_inputs["config"]
     scored = ["--model", model, "--features", features, "--partition", partition]
     argv = {
         "segment": ["segment", "--features", features, "--config", config],
         "synth": ["synth", "--config", config],
         "train": ["train", "--data", data, "--config", config],
-        "evaluate": ["evaluate", "--preds", preds,
+        "evaluate": ["evaluate", "--preds", json_inputs["predictions"],
                      "--annotations", annotations, "--partition", partition],
-        "coverage-curve": ["coverage-curve", "--model", model, "--data", data, "--ks", "1,2"],
+        "coverage-curve": ["coverage-curve", "--video", json_inputs["localization"], partition,
+                           annotations, "--ks", "1,2"],
         "classify": ["classify", *scored],
         "localize": ["localize", *scored, "--k", "2"],
     }[command]
@@ -1112,8 +1192,9 @@ def repeat_key(key, first):
         ("partition", "classify", "boundaries", "[0]"),
         ("preds", "evaluate", "score", "0.5"),
         ("checkpoint", "classify", "a_dim", "1"),
+        ("localization", "coverage-curve", "scores", "[]"),
     ],
-    ids=["config", "annotations", "partition", "preds", "checkpoint"],
+    ids=["config", "annotations", "partition", "preds", "checkpoint", "localization"],
 )
 def test_repeated_json_key_exits_2(pipeline, tmp_path, capsys, file, command, key, first):
     # json.loads alone keeps the last value, which here is the file's own.
@@ -1123,6 +1204,7 @@ def test_repeated_json_key_exits_2(pipeline, tmp_path, capsys, file, command, ke
         "partition": pipeline / "video-000.partition.json",
         "preds": pipeline / "preds.json",
         "checkpoint": pipeline / "model.cegm",
+        "localization": pipeline / "loc.json",
     }
     good, edit = inputs[file], repeat_key(key, first)
     inputs[file] = tmp_path / good.name
@@ -1140,6 +1222,8 @@ def test_repeated_json_key_exits_2(pipeline, tmp_path, capsys, file, command, ke
         "classify": ["classify", "--model", inputs["checkpoint"],
                      "--features", pipeline / "data" / "video-000.cegf",
                      "--partition", inputs["partition"]],
+        "coverage-curve": ["coverage-curve", "--video", inputs["localization"],
+                           inputs["partition"], inputs["annotations"], "--ks", "1,2"],
     }[command]
     out = tmp_path / "out"
     assert_exit_2_without_output([*argv, "--out", out], out, capsys, f"repeats the key '{key}'")

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from cegl import graph, localization, metrics
+from cegl import cli, graph, localization, metrics
 from cegl.dataio import Annotations, FeatureMatrix
 from cegl.graph import BATCH_NODES, map_size_chunks
-from cegl.localization import node_scores, rank_frames, score_segments, scored_frames, topk_select
+from cegl.localization import node_scores, rank_frames, score_segments, topk_select
 from cegl.model import ModelConfig, forward, init_params
 from cegl.numerics import make_rng
 from cegl.segmentation import Partition
@@ -107,22 +107,26 @@ class TestTopkSelect:
             topk_select(np.array([1.0]), 0)
 
 
-def test_scored_frames_orders_a_chunks_scored_spans_in_video_frames():
-    """One `order` call over the scored spans' stacked scores, shifted by each span's start;
-    a chunk with no scored span makes no call."""
+def test_scored_frames_orders_a_chunks_scored_spans_in_video_frames(tmp_path, monkeypatch):
+    """`cegl localize`'s per-chunk selection: one `topk_select` call over the scored spans'
+    stacked scores, shifted by each span's start; a chunk with no scored span makes no call."""
     chunk = [(0, 3), (10, 13), (20, 23)]
     scored = [(0.9, np.array([0.1, 0.3, 0.2])), (0.2, None), (0.7, np.array([0.5, 0.5, 0.0]))]
-    calls = []
+    calls, selects = [], []
 
-    def order(frames):
+    def recording_topk_select(frames, k):
         calls.append(frames)
-        return rank_frames(frames)
+        return topk_select(frames, k)
 
-    rows, frames = scored_frames(chunk, scored, order)
-    assert rows == [0, 2] and frames.tolist() == [[1, 2, 0], [20, 21, 22]]
+    monkeypatch.setattr(cli, "topk_select", recording_topk_select)
+    monkeypatch.setattr(cli, "_score_video", lambda args, frames, per_chunk: (
+        selects.append(per_chunk) or ("v", [], [])))
+    assert cli.main(["localize", "--model", "m", "--features", "f", "--partition", "p",
+                     "--k", "2", "--out", str(tmp_path / "loc.json")]) == 0
+    (select,) = selects
+    assert [picked for *_, picked in select(chunk, scored)] == [[1, 2], [], [20, 21]]
     assert len(calls) == 1 and calls[0].tolist() == [[0.1, 0.3, 0.2], [0.5, 0.5, 0.0]]
-    rows, frames = scored_frames(chunk, [(0.1, None)] * 3, order)
-    assert rows == [] and frames.shape == (0, 3) and len(calls) == 1
+    assert select(chunk, [(0.1, None)] * 3) == [(0.1, None, [])] * 3 and len(calls) == 1
 
 
 def forty_segment_fixture(ranks_with_hits):
@@ -144,57 +148,53 @@ def forty_segment_fixture(ranks_with_hits):
     return ann, partition, selections_by_k
 
 
-def fixture_curve(monkeypatch, ann, partition, orders, ks, scored=None):
+def fixture_curve(ann, partition, orders, ks, scored=None):
     """coverage_curve of one video whose segment i ranks its frames as orders[i].
 
-    Graph building and scoring are stubbed: segment i gets descending frame
-    scores along orders[i] if it is in `scored` (default: every segment),
-    and no frame scores otherwise.
+    Segment i gets descending frame scores along orders[i] if it is in
+    `scored` (default: every segment), and no frame scores otherwise.
     """
-    frame_scores = {}
+    frame_scores = [None] * len(orders)
     for i in range(len(orders)) if scored is None else scored:
         start = partition.spans()[i][0]
-        frame_scores[start] = np.empty(len(orders[i]))
-        frame_scores[start][np.array(orders[i]) - start] = np.arange(len(orders[i]), 0, -1)
-    monkeypatch.setattr(metrics, "build_segment_graphs", lambda features, chunk: chunk)
-    monkeypatch.setattr(metrics, "score_segments", lambda chunk, params, frames: [
-        (1.0, frame_scores.get(s)) for s, _ in chunk])
-    return metrics.coverage_curve(None, [(None, ann, partition)], ks)
+        frame_scores[i] = np.empty(len(orders[i]))
+        frame_scores[i][np.array(orders[i]) - start] = np.arange(len(orders[i]), 0, -1)
+    return metrics.coverage_curve([(ann, partition, frame_scores)], ks)
 
 
 class TestCoverage:
-    def test_table_arithmetic_37_of_40(self, monkeypatch):
+    def test_table_arithmetic_37_of_40(self):
         # 37 segments hit at k=1, 2 more at k=2, one not until k=10
         ranks = [1] * 37 + [2] * 2 + [10]
-        curve = fixture_curve(monkeypatch, *forty_segment_fixture(ranks), [1, 2, 9, 10])
+        curve = fixture_curve(*forty_segment_fixture(ranks), [1, 2, 9, 10])
         assert curve == [(1, 0.925), (2, 0.975), (9, 0.975), (10, 1.0)]
 
-    def test_full_and_zero_coverage(self, monkeypatch):
-        assert fixture_curve(monkeypatch, *forty_segment_fixture([1] * 4), [1]) == [(1, 1.0)]
-        assert fixture_curve(monkeypatch, *forty_segment_fixture([2] * 4), [1]) == [(1, 0.0)]
+    def test_full_and_zero_coverage(self):
+        assert fixture_curve(*forty_segment_fixture([1] * 4), [1]) == [(1, 1.0)]
+        assert fixture_curve(*forty_segment_fixture([2] * 4), [1]) == [(1, 0.0)]
 
-    def test_no_abnormal_segments_rejected(self, monkeypatch):
+    def test_no_abnormal_segments_rejected(self):
         ann = Annotations("v", frame_labels=np.zeros(20, dtype=np.int64))
         partition = Partition((0, 10, 20))
         orders = [list(range(10)), list(range(10, 20))]
         with pytest.raises(ValueError, match="no abnormal segments"):
-            fixture_curve(monkeypatch, ann, partition, orders, [1, 2])
+            fixture_curve(ann, partition, orders, [1, 2])
 
-    def test_missing_selection_counts_as_miss(self, monkeypatch):
+    def test_missing_selection_counts_as_miss(self):
         fixture = forty_segment_fixture([1, 1])
-        assert fixture_curve(monkeypatch, *fixture, [1, 10], scored=[0]) == [(1, 0.5), (10, 0.5)]
+        assert fixture_curve(*fixture, [1, 10], scored=[0]) == [(1, 0.5), (10, 0.5)]
 
-    def test_monotone_in_k_with_nested_selections(self, monkeypatch):
+    def test_monotone_in_k_with_nested_selections(self):
         rng = make_rng(6)
         ranks = [int(r) for r in rng.integers(1, 11, size=12)]
         ks = [1, 2, 3, 5, 7, 9]
-        curve = fixture_curve(monkeypatch, *forty_segment_fixture(ranks), ks)
+        curve = fixture_curve(*forty_segment_fixture(ranks), ks)
         values = [c for _, c in curve]
         assert values == sorted(values)
         assert curve == [(k, sum(r <= k for r in ranks) / 12) for k in ks]
 
-    def test_counts_match_fraction(self, monkeypatch):
-        assert fixture_curve(monkeypatch, *forty_segment_fixture([1, 2, 3]), [2]) == [(2, 2 / 3)]
+    def test_counts_match_fraction(self):
+        assert fixture_curve(*forty_segment_fixture([1, 2, 3]), [2]) == [(2, 2 / 3)]
 
 
 class TestScoreSegments:

@@ -3,13 +3,8 @@ import pytest
 
 from cegl.dataio import SynthConfig, derive_segment_labels, synth_video
 from cegl.localization import topk_select
-from cegl.graph import (
-    GraphRows,
-    build_segment_graphs,
-    map_size_chunks,
-    size_chunks,
-)
-from cegl import localization, metrics, model
+from cegl.graph import GraphRows, build_segment_graphs, map_size_chunks
+from cegl import localization
 from cegl.metrics import (
     ConfusionCounts,
     confusion,
@@ -18,13 +13,8 @@ from cegl.metrics import (
     write_coverage_csv,
     write_metrics,
 )
-from cegl.model import ModelConfig, TrainConfig, forward, init_params, train
+from cegl.model import ModelConfig, TrainConfig, init_params, train
 from cegl.numerics import make_rng
-from forward_calls import (
-    assert_each_segment_scored_once,
-    record_forward_calls,
-    record_graph_builds,
-)
 
 
 class TestConfusion:
@@ -122,6 +112,12 @@ def separable_video(seed):
     return synth_video(cfg)
 
 
+def frame_scores(params, features, partition, frames="all"):
+    """Each span's frame scores (or None) from `score_segments`, one size chunk at a time."""
+    return [f for _, f in map_size_chunks(partition.spans(), lambda chunk: (
+        localization.score_segments(build_segment_graphs(features, chunk), params, frames)))]
+
+
 class TestCoverageCurve:
     def overfit_model(self, features, ann, partition):
         store = GraphRows([(features, partition.spans())])
@@ -145,7 +141,7 @@ class TestCoverageCurve:
             int(ann.frame_labels[s:e].sum()) for s, e in partition.spans()
         )
         ks = list(range(1, max_marked + 1))
-        curve = coverage_curve(params, [(features, ann, partition)], ks, localize_all=True)
+        curve = coverage_curve([(ann, partition, frame_scores(params, features, partition))], ks)
         values = [c for _, c in curve]
         assert values == sorted(values)
         # planted frames occupy the top rank in most abnormal segments,
@@ -159,43 +155,29 @@ class TestCoverageCurve:
         spans = partition.spans()
         lengths = [e - s for s, e in spans]
         curve = coverage_curve(
-            params, [(features, ann, partition)], [max(lengths)], localize_all=True
+            [(ann, partition, frame_scores(params, features, partition))], [max(lengths)]
         )
         assert curve == [(max(lengths), 1.0)]
 
-    @pytest.mark.parametrize("localize_all", [True, False])
-    def test_one_forward_per_segment(self, monkeypatch, localize_all):
-        features, ann, partition = separable_video(34)
-        params = init_params(ModelConfig((features.feature_dim, 4, 3), "mean", "attention"), seed=1)
-        params.arrays["classifier.bias"][0] = 5.0  # every segment predicted abnormal
-        calls = record_forward_calls(monkeypatch, localization, model)
-        built = record_graph_builds(monkeypatch, metrics)
-        coverage_curve(params, [(features, ann, partition)], [1, 2], localize_all=localize_all)
-        assert_each_segment_scored_once(calls, built, partition.spans())
-        assert [chunk for chunk, _ in built] == [
-            [partition.spans()[i] for i in chunk]
-            for chunk in size_chunks(partition.spans())
-        ]
-        store = GraphRows([(features, partition.spans())])
-        everything = store.gather(np.arange(partition.segment_count))
-        assert (forward(everything, params).prediction >= 0.5).all()
-
     def test_rejects_unordered_ks(self):
-        features, ann, partition = separable_video(33)
-        params = init_params(ModelConfig((features.feature_dim, 4, 3)), seed=1)
+        _, ann, partition = separable_video(33)
         with pytest.raises(ValueError):
-            coverage_curve(params, [(features, ann, partition)], [3, 1])
+            coverage_curve([(ann, partition, [None] * partition.segment_count)], [3, 1])
 
     @pytest.mark.parametrize("ks", [[1, 1], [0, 1], [], [1.0, 2]])
     def test_rejects_repeated_nonpositive_or_non_int_ks(self, ks):
-        features, ann, partition = separable_video(33)
-        params = init_params(ModelConfig((features.feature_dim, 4, 3)), seed=1)
-        params.arrays["classifier.bias"][0] = -50.0  # no segment is scored
+        _, ann, partition = separable_video(33)
+        # no segment is scored
         with pytest.raises(ValueError, match="strictly ascending positive ints"):
-            coverage_curve(params, [(features, ann, partition)], ks)
+            coverage_curve([(ann, partition, [None] * partition.segment_count)], ks)
+
+    def test_rejects_frame_scores_not_one_per_span(self):
+        _, ann, partition = separable_video(33)
+        with pytest.raises(ValueError):
+            coverage_curve([(ann, partition, [None] * (partition.segment_count - 1))], [1])
 
     @pytest.mark.parametrize("localize_all", [True, False])
-    def test_matches_brute_force_recount(self, monkeypatch, localize_all):
+    def test_matches_brute_force_recount(self, localize_all):
         """Every k's hits recounted from each scored segment's top-k set, over two videos."""
         data = [separable_video(41), separable_video(42)]
         params = init_params(ModelConfig((16, 4, 3), "mean", "attention"), seed=2)
@@ -206,28 +188,23 @@ class TestCoverageCurve:
         # a bias at the median prediction's logit leaves some segments unscored
         median = np.median(predictions)
         params.arrays["classifier.bias"][0] -= np.log(median / (1 - median))
-
-        def tied_scores(batch, params, frames):
-            """score_segments' output with each segment's frame scores cut to 4 levels."""
-            return [(s, None if f is None else np.floor(f / f.max() * 3))
-                    for s, f in localization.score_segments(batch, params, frames)]
-
-        monkeypatch.setattr(metrics, "score_segments", tied_scores)
         frames = "all" if localize_all else "predicted"
+        # each scored segment's frame scores cut to 4 levels, so that frames tie
+        tied = [[None if f is None else np.floor(f / f.max() * 3)
+                 for f in frame_scores(params, features, partition, frames)]
+                for features, _, partition in data]
         ks = [1, 2, 3, 4, 6, 9, 13, 20, 99999999999999999999999]
         hits, abnormal, scored = [0] * len(ks), 0, []
-        for features, ann, partition in data:
+        for (_, ann, partition), video_scores in zip(data, tied):
             abnormal += int(derive_segment_labels(ann, partition).sum())
-            spans = partition.spans()
-            for (start, _), (_, f) in zip(spans, map_size_chunks(spans, lambda chunk: (
-                    tied_scores(build_segment_graphs(features, chunk), params, frames)))):
+            for (start, _), f in zip(partition.spans(), video_scores):
                 scored.append(f is not None)
                 if f is not None:
                     for j, k in enumerate(ks):
                         hits[j] += int((ann.frame_labels[topk_select(f, k) + start] == 1).any())
         assert all(scored) == localize_all and any(scored)
-        assert coverage_curve(params, data, ks, localize_all) == [
-            (k, h / abnormal) for k, h in zip(ks, hits)]
+        got = coverage_curve([(ann, part, f) for (_, ann, part), f in zip(data, tied)], ks)
+        assert got == [(k, h / abnormal) for k, h in zip(ks, hits)]
 
 
 class TestReports:
