@@ -32,18 +32,13 @@ def node_scores(cache: ForwardCache) -> np.ndarray:
     """(B, N) per-frame activation scores of a trained model's pass, zero past each graph's size.
 
     score_i = alpha_i * logistic(w . h_i + b) over the final node
-    embeddings. The mean readout has no attention weights to reuse, so
-    alpha falls back to uniform and the ranking is the head's alone.
-    Taking the cache lets one pass give both the segments' predictions
-    and their frame scores.
+    embeddings, where alpha_i is the readout's attention weight, zero on
+    padding. Taking the cache lets one pass give both the segments'
+    predictions and their frame scores.
     """
     p = cache.params.arrays
     head = sigmoid(cache.node_embeddings[-1] @ p[CLASSIFIER_WEIGHTS] + p[CLASSIFIER_BIAS])
-    alpha = cache.attention_weights
-    if alpha is None:
-        n = cache.batch.sizes[:, None]
-        alpha = np.where(np.arange(head.shape[1]) < n, 1.0 / n, 0.0)
-    return alpha * head
+    return cache.attention_weights * head
 
 
 def score_segments(

@@ -24,16 +24,15 @@ gated    a gated recurrence walked over neighbors j in ascending
          The final state is the message. The recurrence is deliberately
          order-dependent; frames carry a natural temporal order.
 
-Readout kinds: attention (softmax over u . tanh(W_a h_i), then the
-attention-weighted node sum divided by n) and mean.
+The one readout is attention: softmax over u . tanh(W_a h_i), then the
+attention-weighted node sum divided by n.
 
 One frozen `ModelConfig` holds the layer dims, the two kinds, a_dim and
 the attention flag. It is the run config's model section, the argument of
 `init_params` and the checkpoint header's model keys. Parameters and
 gradients are each one float64 vector with a view per name, in
 `param_shapes(config)` order, a layout computed once per config. Gate
-weights exist only for the gated aggregator and attention weights only
-for the attention readout.
+weights exist only for the gated aggregator.
 
 `forward` runs one `GraphBatch`, and `backward` writes the weighted sum
 of the batch's gradients straight into each parameter's view. Inference
@@ -73,7 +72,7 @@ from .segmentation import SegmentationConfig
 log = logging.getLogger(__name__)
 
 AGGREGATOR_KINDS = ("mean", "gated")
-READOUT_KINDS = ("attention", "mean")
+READOUT_KINDS = ("attention",)
 
 LOSS_CLAMP = 1e-12
 
@@ -147,9 +146,8 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         if config.aggregator_kind == "gated":
             for gate in GATE_NAMES:
                 shapes[gate_name(layer, gate)] = (prev, 2 * prev)
-    if config.readout_kind == "attention":
-        shapes[ATTENTION_TRANSFORM] = (config.a_dim, dims[-1])
-        shapes[ATTENTION_VECTOR] = (config.a_dim,)
+    shapes[ATTENTION_TRANSFORM] = (config.a_dim, dims[-1])
+    shapes[ATTENTION_VECTOR] = (config.a_dim,)
     shapes[CLASSIFIER_WEIGHTS] = (dims[-1],)
     shapes[CLASSIFIER_BIAS] = (1,)
     return shapes
@@ -213,18 +211,14 @@ def init_params(config: ModelConfig, seed: int = 0, init_scale: float = 1.0) -> 
     """Seeded uniform(-s, s) weights with s = init_scale / sqrt(fan_in); biases 0."""
     kept = param_shapes(config)
 
-    # Every configuration walks the full gated-and-attention table in one
-    # fixed order and draws only the arrays it reads; the generator skips
-    # the others, one PCG64 step per double, without making them. A seed
-    # thus gives each kept array the same values whatever the kinds, and
-    # the same values as when every model still stored the unused arrays.
-    # A mean readout reads no a_dim, so its walk skips the attention arrays
-    # at the default a_dim = layer_dims[-1], whatever its config says.
+    # Every configuration walks the full gated table in one fixed order and
+    # draws only the arrays it reads; the generator skips the gates of a
+    # mean model, one PCG64 step per double, without making them. A seed
+    # thus gives each kept array the same values whatever the aggregator,
+    # and the same values as when every model still stored the gates.
     rng = make_rng(seed)
     parts = []
-    a_dim = config.a_dim if config.readout_kind == "attention" else config.layer_dims[-1]
-    full = replace(config, aggregator_kind="gated", readout_kind="attention", a_dim=a_dim)
-    for name, shape in param_shapes(full).items():
+    for name, shape in param_shapes(replace(config, aggregator_kind="gated")).items():
         if name not in kept:
             rng.bit_generator.advance(math.prod(shape))
         elif name == CLASSIFIER_BIAS:
@@ -315,8 +309,8 @@ class ForwardCache:
     stacked_inputs: list[np.ndarray]  # per layer, [H, messages]
     preacts: list[np.ndarray]  # per layer, before ReLU
     gated_steps: list[list[_GatedStep] | None]  # per layer (gated kind, recorded passes)
-    attn_tanh: np.ndarray | None
-    attention_weights: np.ndarray | None  # alpha, (B, N), zero on padding
+    attn_tanh: np.ndarray
+    attention_weights: np.ndarray  # alpha, (B, N), zero on padding
     graph_embedding: np.ndarray  # (B, d)
     prediction: np.ndarray  # y_hat, (B,)
     recorded: bool  # whether backward can run on this cache
@@ -327,10 +321,9 @@ def forward(batch: GraphBatch, params: ModelParams, *, record: bool = True) -> F
 
     A padded node has zero features and no edges, so every layer leaves
     its embedding at exactly zero (a zero message, a zero pre-activation,
-    a ReLU of zero): the mean readout reads it as nothing, the attention
-    softmax masks it out, and no gradient reaches it. Every product is
-    taken per graph, so a graph in a batch of graphs of its own size gets
-    the bits a one-graph pass gives.
+    a ReLU of zero): the attention softmax masks it out, and no gradient
+    reaches it. Every product is taken per graph, so a graph in a batch of
+    graphs of its own size gets the bits a one-graph pass gives.
 
     With record=False the pass is inference only: the gated recurrence
     keeps none of its n-1 steps per layer, and backward rejects the cache.
@@ -359,18 +352,14 @@ def forward(batch: GraphBatch, params: ModelParams, *, record: bool = True) -> F
         gated_steps.append(steps)
         embeddings.append(h)
 
-    attn_tanh = alpha = None
     n = sizes[:, None]
-    if cfg.readout_kind == "attention":
-        attn_tanh = np.tanh(h @ p[ATTENTION_TRANSFORM].T)
-        scores = attn_tanh @ p[ATTENTION_VECTOR]
-        if sizes.min() < n_max:  # padded nodes get no attention
-            scores = np.where(np.arange(n_max) < n, scores, -np.inf)
-        alpha = softmax(scores)
-        denom = n if cfg.attention_averaged else 1
-        h_g = (alpha[..., None] * h).sum(axis=1) / denom
-    else:  # mean
-        h_g = h.sum(axis=1) / n
+    attn_tanh = np.tanh(h @ p[ATTENTION_TRANSFORM].T)
+    scores = attn_tanh @ p[ATTENTION_VECTOR]
+    if sizes.min() < n_max:  # padded nodes get no attention
+        scores = np.where(np.arange(n_max) < n, scores, -np.inf)
+    alpha = softmax(scores)
+    denom = n if cfg.attention_averaged else 1
+    h_g = (alpha[..., None] * h).sum(axis=1) / denom
 
     # One (1, d) @ (d,) product per graph: a (B, d) gemv can round a row
     # differently from the same row alone.
@@ -467,20 +456,17 @@ def backward(cache: ForwardCache, labels, weights) -> ModelParams:
 
     # Padded rows of dh need no masking: their pre-activations are exactly
     # zero, so the last layer's ReLU passes them no gradient.
-    if cfg.readout_kind == "attention":
-        alpha = cache.attention_weights
-        t = cache.attn_tanh
-        if cfg.attention_averaged:
-            dh_g = dh_g / cache.batch.sizes[:, None]
-        dalpha = (h_final @ dh_g[..., None])[..., 0]
-        dh = alpha[..., None] * dh_g[:, None, :]
-        dscores = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
-        np.matmul(_rows(t).T, dscores.ravel(), out=g[ATTENTION_VECTOR])
-        dpre = dscores[..., None] * p[ATTENTION_VECTOR] * (1.0 - t**2)
-        np.matmul(_rows(dpre).T, _rows(h_final), out=g[ATTENTION_TRANSFORM])
-        dh = dh + dpre @ p[ATTENTION_TRANSFORM]
-    else:  # mean
-        dh = np.broadcast_to((dh_g / cache.batch.sizes[:, None])[:, None, :], h_final.shape)
+    alpha = cache.attention_weights
+    t = cache.attn_tanh
+    if cfg.attention_averaged:
+        dh_g = dh_g / cache.batch.sizes[:, None]
+    dalpha = (h_final @ dh_g[..., None])[..., 0]
+    dh = alpha[..., None] * dh_g[:, None, :]
+    dscores = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
+    np.matmul(_rows(t).T, dscores.ravel(), out=g[ATTENTION_VECTOR])
+    dpre = dscores[..., None] * p[ATTENTION_VECTOR] * (1.0 - t**2)
+    np.matmul(_rows(dpre).T, _rows(h_final), out=g[ATTENTION_TRANSFORM])
+    dh = dh + dpre @ p[ATTENTION_TRANSFORM]
 
     agg = cfg.aggregator_kind
     for layer in reversed(range(len(cfg.layer_dims) - 1)):

@@ -1,4 +1,3 @@
-import itertools
 import json
 import re
 import shutil
@@ -335,6 +334,8 @@ class TestCheckpointHeader:
         [
             (lambda h: h.pop("readout_kind"), "readout_kind"),
             (lambda h: h.update(aggregator_kind="bogus"), "bogus"),
+            # a checkpoint trained with the retired mean readout
+            (lambda h: h.update(readout_kind="mean"), "unknown readout_kind 'mean'"),
             (lambda h: h.update(attention_averaged="false"), "attention_averaged"),
             # a mean model's table under a gated header lacks the gate entries
             (lambda h: h.update(aggregator_kind="gated"), "parameter table"),
@@ -345,8 +346,8 @@ class TestCheckpointHeader:
             (lambda h: h.update(a_dim=None), "a_dim"),
             (lambda h: h.update(layer_dims=None), "layer_dims"),
         ],
-        ids=["missing-key", "unknown-kind", "non-bool-flag", "table-mismatch",
-             "bool-layer-dim", "bool-a-dim", "null-a-dim", "null-layer-dims"],
+        ids=["missing-key", "unknown-kind", "retired-mean-readout", "non-bool-flag",
+             "table-mismatch", "bool-layer-dim", "bool-a-dim", "null-a-dim", "null-layer-dims"],
     )
     def test_classify_rejects_bad_header(self, pipeline, tmp_path, capsys, edit, fragment):
         model = tmp_path / "bad.cegm"
@@ -393,14 +394,14 @@ class TestCoverageCurveSegmentation:
         return argv, data
 
     def test_matches_library_curve_on_segment_partitions(self, pipeline, tmp_path):
-        """In each localize mode and for each aggregator/readout pairing, curve.csv from the
-        localize outputs has the bytes of `coverage_curve` of `score_segments`' frame scores."""
+        """In each localize mode and for each aggregator, curve.csv from the localize outputs
+        has the bytes of `coverage_curve` of `score_segments`' frame scores."""
         ks = [1, 2, 3, 5, 7, 9]
         config = json.loads((pipeline / "config.json").read_text())
-        for aggregator, readout in itertools.product(("mean", "gated"), ("attention", "mean")):
-            run = tmp_path / f"{aggregator}-{readout}"
+        for aggregator in ("mean", "gated"):
+            run = tmp_path / aggregator
             run.mkdir()
-            model_cfg = {**config["model"], "aggregator_kind": aggregator, "readout_kind": readout}
+            model_cfg = {**config["model"], "aggregator_kind": aggregator}
             write_config(run / "config.json", model=model_cfg)
             model = run / "model.cegm"
             assert main(["train", "--data", str(pipeline / "data"), "--config",
@@ -909,6 +910,8 @@ def hostile_input_cases():
         "partial-segmentation": (lambda h: {**h, "segmentation": {"min_len": 5}}, "segmentation"),
         "removed-aggregator": (lambda h: {**h, "aggregator_kind": "maxpool"}, "'maxpool'"),
         "removed-readout": (lambda h: {**h, "readout_kind": "sum"}, "'sum'"),
+        "removed-mean-readout": (lambda h: {**h, "readout_kind": "mean"},
+                                 "unknown readout_kind 'mean'"),
         "unknown-key": (lambda h: {**h, "bogus": 1, "shuffle": True},
                         "unknown checkpoint header keys: ['bogus', 'shuffle']"),
         # a whole header as checkpoints of earlier versions wrote it
@@ -1132,6 +1135,7 @@ def malformed_config_cases():
     yield "model-removed-aggregator-maxpool", "model", {"aggregator_kind": "maxpool"}, ("'maxpool'",)
     yield "model-removed-readout-sum", "model", {"readout_kind": "sum"}, ("'sum'",)
     yield "model-removed-readout-maxpool", "model", {"readout_kind": "maxpool"}, ("'maxpool'",)
+    yield "model-removed-readout-mean", "model", {"readout_kind": "mean"}, ("readout_kind",)
     yield "model-zero-a-dim", "model", {"a_dim": 0}, ()
     yield "model-short-layer-dims", "model", {"layer_dims": [8]}, ()
     yield "model-zero-layer-dim", "model", {"layer_dims": [8, 0, 4]}, ()

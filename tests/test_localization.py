@@ -5,7 +5,7 @@ from cegl import cli, graph, localization, metrics
 from cegl.dataio import Annotations, FeatureMatrix
 from cegl.graph import BATCH_NODES, map_size_chunks
 from cegl.localization import node_scores, rank_frames, score_segments, topk_select
-from cegl.model import ModelConfig, forward, init_params
+from cegl.model import READOUT_KINDS, ModelConfig, forward, init_params
 from cegl.numerics import make_rng
 from cegl.segmentation import Partition
 from built_graphs import graph_of, padded
@@ -32,14 +32,6 @@ class TestNodeScores:
         cache = forward(g, params)
         assert np.allclose(node_scores(cache)[0], 0.5 * cache.attention_weights[0], atol=1e-15)
 
-    def test_uniform_attention_for_non_attention_readout(self):
-        rng = make_rng(3)
-        g = graph_of(rng.standard_normal((4, 3)))
-        params = init_params(ModelConfig((3, 4, 2), "mean", "mean"), seed=4)
-        (scores,) = node_scores(forward(g, params))
-        assert scores.shape == (4,)
-        assert (scores > 0).all() and (scores < 1).all()
-
     def test_deterministic(self):
         rng = make_rng(4)
         g = graph_of(rng.standard_normal((6, 4)))
@@ -48,11 +40,18 @@ class TestNodeScores:
         (b,) = node_scores(forward(g, params))
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("readout", ["attention", "mean"])
+    @pytest.mark.parametrize("readout", READOUT_KINDS)
     def test_padded_batch_matches_one_graph_passes(self, readout):
+        self._assert_padded_batch_matches_one_graph_passes(ModelConfig((3, 4, 2), "mean", readout))
+
+    def test_gated_padded_batch_matches_one_graph_passes(self):
+        self._assert_padded_batch_matches_one_graph_passes(ModelConfig((3, 4, 2), "gated"))
+
+    @staticmethod
+    def _assert_padded_batch_matches_one_graph_passes(config):
         rng = make_rng(6)
         graphs = [graph_of(rng.standard_normal((n, 3))) for n in (4, 1, 7)]
-        params = init_params(ModelConfig((3, 4, 2), "mean", readout), seed=7)
+        params = init_params(config, seed=7)
         batched = node_scores(forward(padded(graphs), params))
         assert batched.shape == (3, 7)
         for g, got in zip(graphs, batched):

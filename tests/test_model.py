@@ -76,7 +76,7 @@ class TestInitParams:
                 names = list(params.arrays)
                 assert names == list(param_shapes(params.config))
                 assert any("gate" in n for n in names) == (agg == "gated")
-                assert any(n.startswith("attention.") for n in names) == (readout == "attention")
+                assert any(n.startswith("attention.") for n in names)
                 for name, a in params.arrays.items():
                     assert a.shape == param_shapes(params.config)[name]
 
@@ -89,21 +89,12 @@ class TestInitParams:
                     assert np.array_equal(a, full.arrays[name]), (agg, readout, name)
 
     def test_dropped_arrays_are_skipped_not_made(self):
-        # A mean readout's attention table of 2**45 rows would be 768 TiB;
-        # the generator steps over it instead of drawing it.
-        small = init_params(ModelConfig((5, 4, 3), "mean", "mean", a_dim=2), seed=11)
-        huge = init_params(ModelConfig((5, 4, 3), "mean", "mean", a_dim=2**45), seed=11)
-        assert huge.vector.shape == small.vector.shape
-        for name in ("layer0.transform", "layer1.transform"):
-            assert np.array_equal(huge.arrays[name], small.arrays[name])
-
-    @pytest.mark.parametrize("agg", AGGREGATOR_KINDS)
-    def test_mean_readout_init_ignores_a_dim(self, agg):
-        # No array of a mean readout reads a_dim, so no a_dim moves its weights.
-        vectors = [init_params(ModelConfig((5, 4, 3), agg, "mean", a_dim=a), seed=11).vector
-                   for a in (None, 1, 2, 3, 2**45)]
-        for vector in vectors[1:]:
-            assert vector.tobytes() == vectors[0].tobytes()
+        # A mean model's layer-0 gate tables at 2**18 input features would
+        # hold 3 * 2**37 doubles (3 TiB); the generator steps over them
+        # instead of drawing them.
+        params = init_params(ModelConfig((2**18, 1, 1), "mean"), seed=11)
+        assert {k: a.shape for k, a in params.arrays.items()} == param_shapes(params.config)
+        assert params.vector.size == 2**19 + 6
 
     def test_invalid(self):
         with pytest.raises(ConfigError):
@@ -193,7 +184,7 @@ def scripted_gated(edge_w, h, update, reset, candidate):
 def layer0_messages(g, kind, **overrides):
     """Forward's first-layer messages: the aggregator applied to the raw features."""
     d = g.node_features.shape[2]
-    params = init_params(ModelConfig((d, 3), kind, "mean"), seed=1)
+    params = init_params(ModelConfig((d, 3), kind, "attention"), seed=1)
     for name, value in overrides.items():
         params.arrays[name][...] = value
     return forward(g, params).stacked_inputs[0][0, :, d:]
@@ -421,13 +412,6 @@ class TestBackward:
         grads = backward(forward(g, params), [0], [1.0])
         assert list(grads.arrays) == list(params.arrays)
         assert not any("gate" in name for name in grads.arrays)
-
-    def test_unused_attention_branch_gets_zero_gradient(self):
-        g = random_graph(make_rng(20), n=4, d=3)
-        params = init_params(ModelConfig((3, 4, 2), "mean", "mean"), seed=9)
-        grads = backward(forward(g, params), [0], [1.0])
-        assert list(grads.arrays) == list(params.arrays)
-        assert not any(name.startswith("attention.") for name in grads.arrays)
 
     def test_label_count_must_match_batch(self):
         # backward reads graphs and params from the cache, so the only

@@ -249,3 +249,4 @@ def test_benchmark_and_readme_run_configs_load(tmp_path, monkeypatch):
         cfg = cegl.cli.load_run_config(path)
         assert cfg.similarity == SimilarityConfig("cosine"), name
         assert cfg.model.aggregator_kind == "mean", name
+        assert cfg.model.readout_kind == "attention", name
